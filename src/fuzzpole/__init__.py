@@ -8,8 +8,8 @@ plant (:mod:`fuzzpole.plant`), a pole-placement state-feedback baseline
 (:mod:`fuzzpole.sfc`), and the simulation/metrics harness with its CLI
 (:mod:`fuzzpole.harness`, ``fuzzpole``).
 
-Hot loops run through numba-jitted kernels by default; set
-``FUZZPOLE_NUMBA=0`` for the pure-numpy fallback (:mod:`fuzzpole.kernels`).
+Closed-loop runs go through one numpy simulation loop shared by both
+controllers (:mod:`fuzzpole.kernels`).
 """
 
 from .fuzzy import (

@@ -70,8 +70,8 @@ class NoRuleFired(RuntimeError):
 def _pow_int(value, power: int):
     """Integer power by repeated multiplication (works for scalars and arrays).
 
-    Kept multiplicative so the pure-numpy path, the scalar path and the jitted
-    kernels produce bit-identical degrees.
+    Kept multiplicative so the scalar path, ``sample`` and the compiled kernel
+    in :mod:`fuzzpole.kernels` produce bit-identical degrees.
     """
     result = value
     for _ in range(power - 1):
@@ -425,8 +425,8 @@ def defuzzify_coa(
 ) -> float:
     """Discrete center of area: sum(w_j * mu_j) / sum(mu_j).
 
-    Sums run left to right so that every backend (this reference, the jitted
-    kernel and the pure-numpy kernel) rounds identically.
+    Sums run left to right so that this reference and the compiled kernel in
+    :mod:`fuzzpole.kernels` round identically.
     """
     degrees = np.asarray(out, dtype=np.float64)
     if degrees.shape != (universe.n,):

@@ -4,7 +4,7 @@ controller comparisons, scenario configuration files, and CSV export.
 A scenario pairs a plant with one controller and a scripted situation (target
 position, duration, disturbance events).  Runs are deterministic: no
 randomness anywhere, fixed CSV formatting, so identical scenarios reproduce
-byte-identical output on a given backend.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class Scenario:
     integrator: str = "euler"
 
     def __post_init__(self):
+        for name in ("dt", "duration", "control_period"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ScenarioError(f"dt must be positive, got {self.dt}")
         if self.duration <= 0:
@@ -114,8 +118,10 @@ class Scenario:
                 f"control_period ({self.control_period}) must be an integer "
                 f"multiple of dt ({self.dt})"
             )
-        if self.track_bound <= 0:
-            raise ScenarioError("track_bound must be positive")
+        for name in ("track_bound", "theta_limit_deg"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too; inf means no bound
+                raise ScenarioError(f"{name} must be positive, got {value}")
         if self.integrator not in ("euler", "rk4"):
             raise ScenarioError(f"unknown integrator '{self.integrator}'")
 
@@ -186,8 +192,10 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     The controller output is held between control instants (zero-order hold);
     events due at a step are applied before that step's control update.
     Control instants where no fuzzy rule fires are mapped to zero force and
-    counted in a logged warning.
+    counted in a logged warning.  ``backend`` may name the one kernel backend
+    (``kernels.ACTIVE_BACKEND``); any other value raises ``KernelError``.
     """
+    kernels.check_backend(backend)
     p = scenario.params
     params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
     state0 = (
@@ -216,7 +224,7 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     ctrl = scenario.controller
     if isinstance(ctrl, FuzzyController):
         ck = kernels.compile_kb(ctrl.kb)
-        data, status, norule = kernels.simulate_fuzzy(*common, ck, backend=backend)
+        data, status, norule = kernels.simulate_fuzzy(*common, ck)
         if norule:
             log.warning(
                 "scenario '%s': no rule fired at %d control instants; "
@@ -231,9 +239,7 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
             reference=(0.0, 0.0, scenario.x_target, 0.0),
             f_max=p.f_max,
         )
-        data, status, _ = kernels.simulate_sfc(
-            *common, gains.k, gains.reference, backend=backend
-        )
+        data, status, _ = kernels.simulate_sfc(*common, gains.k, gains.reference)
     else:
         raise ScenarioError(f"unknown controller {ctrl!r}")
     return Trajectory(data, _TERMINATIONS[int(status)])
@@ -397,7 +403,6 @@ def compare(
     scenarios: Sequence[Scenario],
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG,
     x_band_m: float = DEFAULT_X_BAND_M,
-    backend: str | None = None,
 ) -> Comparison:
     """Run every scenario and aggregate the metric reports side by side.
 
@@ -413,7 +418,7 @@ def compare(
     )
     for scenario in scenarios:
         try:
-            traj = run(scenario, backend=backend)
+            traj = run(scenario)
             result.reports[scenario.name] = compute_metrics(
                 traj, scenario, theta_band_deg, x_band_m
             )

@@ -1,25 +1,20 @@
 """Hot numeric kernels for closed-loop simulation.
 
-Two interchangeable backends implement the same semantics:
+One loop, :func:`_simulate`, runs both controllers; they differ only in the
+control law it calls at each control instant.  The fuzzy law evaluates a
+knowledge base compiled to flat arrays (:func:`compile_kb`): vectorized
+piecewise-linear memberships, min/max aggregation and left-to-right
+center-of-area sums, the same arithmetic as :func:`fuzzpole.fuzzy.fc_output`
+bit for bit.  The SFC law is ``-k (state - reference)``.  The plant is stepped
+by :func:`fuzzpole.plant.advance`.
 
-* jitted scalar loops (numba ``@njit``, the default when numba imports), and
-* a pure-numpy path with the membership/aggregation math vectorized.
-
-Select with the ``FUZZPOLE_NUMBA`` environment variable: unset or ``auto``
-uses numba when available, ``0``/``false``/``off`` forces the numpy path.
-Both are importable side by side for tests and benchmarks.
-
-The fuzzy arithmetic (piecewise-linear memberships, min/max aggregation and
-the left-to-right center-of-area sums) is reproduced bit-for-bit by the two
-backends; trajectories can still differ in the last few ulps because numba's
-libm trig is not the interpreter's.
+numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
+callers that record or select one.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,9 +24,10 @@ from . import plant
 from .fuzzy import KnowledgeBase
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "ACTIVE_BACKEND",
     "BACKENDS",
+    "KernelError",
+    "check_backend",
     "CompiledKB",
     "compile_kb",
     "DEFAULT_SLOTS",
@@ -39,10 +35,7 @@ __all__ = [
     "fuzzy_force",
     "simulate_fuzzy",
     "simulate_sfc",
-    "warmup",
 ]
-
-log = logging.getLogger(__name__)
 
 RAD2DEG = 180.0 / math.pi
 
@@ -54,28 +47,18 @@ STATUS_LEFT_TRACK = 2
 # theta [deg], theta_dot [deg/s], x as the error x - x_target [m], x_dot [m/s].
 DEFAULT_SLOTS: Mapping[str, int] = {"theta": 0, "theta_dot": 1, "x": 2, "x_dot": 3}
 
-_env = os.environ.get("FUZZPOLE_NUMBA", "auto").strip().lower()
-if _env in ("0", "false", "off", "no"):
-    NUMBA_AVAILABLE = False
-    _want_numba = False
-else:
-    _want_numba = True
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_AVAILABLE = False
-        if _env not in ("auto", ""):
-            log.warning("FUZZPOLE_NUMBA=%s but numba is not importable; "
-                        "falling back to numpy", _env)
-
-ACTIVE_BACKEND = "numba" if (NUMBA_AVAILABLE and _want_numba) else "numpy"
-BACKENDS = ("numba", "numpy") if NUMBA_AVAILABLE else ("numpy",)
+ACTIVE_BACKEND = "numpy"
+BACKENDS = (ACTIVE_BACKEND,)
 
 
 class KernelError(ValueError):
     pass
+
+
+def check_backend(backend: str | None) -> None:
+    """Accept ``None`` or the one backend there is; reject anything else."""
+    if backend not in (None, ACTIVE_BACKEND):
+        raise KernelError(f"unknown backend '{backend}'")
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +141,10 @@ def control_inputs(
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# Control laws and the simulation loop
 
 
-def _fuzzy_force_np(inputs: np.ndarray, ck: CompiledKB) -> tuple[float, bool]:
+def _fuzzy_force(inputs: np.ndarray, ck: CompiledKB) -> tuple[float, bool]:
     v = inputs[ck.lab_slot]
     p0 = ck.lab_params[:, 0]
     p1 = ck.lab_params[:, 1]
@@ -183,7 +166,8 @@ def _fuzzy_force_np(inputs: np.ndarray, ck: CompiledKB) -> tuple[float, bool]:
         times += 1
 
     pre = np.where(ck.rule_labels >= 0, deg[ck.rule_labels], np.inf)
-    alphas = np.minimum(pre.min(axis=1), 1.0)
+    # fmin skips a NaN degree, as the `<` in fuzzy.rule_activation does
+    alphas = np.fmin(np.fmin.reduce(pre, axis=1), 1.0)
     mu = np.max(np.minimum(alphas[:, None], ck.conclusions), axis=0)
     den = float(np.cumsum(mu)[-1])
     if den == 0.0:
@@ -192,10 +176,15 @@ def _fuzzy_force_np(inputs: np.ndarray, ck: CompiledKB) -> tuple[float, bool]:
     return num / den, True
 
 
-def _simulate_fuzzy_np(
+def _simulate(
     state0, x_target, params, dt, n_steps, control_every, rk4,
-    ev_step, ev_kind, ev_value, track_bound, theta_limit, ck: CompiledKB,
+    ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
 ):
+    """Closed loop under ``law(theta, theta_dot, x, x_dot) -> (force, fired)``.
+
+    Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
+    status code, count of control instants where the law did not fire).
+    """
     theta, theta_dot, x, x_dot, tilt = state0
     g, m_c, m, l, mu_c, mu_p, f_max = params
     traj = np.empty((n_steps + 1, 7))
@@ -213,10 +202,7 @@ def _simulate_fuzzy_np(
                 tilt = ev_value[ev_i]
             ev_i += 1
         if k % control_every == 0:
-            inputs = np.array(
-                [theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot]
-            )
-            f, fired = _fuzzy_force_np(inputs, ck)
+            f, fired = law(theta, theta_dot, x, x_dot)
             if not fired:
                 norule += 1
             if f > f_max:
@@ -241,370 +227,16 @@ def _simulate_fuzzy_np(
     return traj[:rows], status, norule
 
 
-def _simulate_sfc_np(
-    state0, x_target, params, dt, n_steps, control_every, rk4,
-    ev_step, ev_kind, ev_value, track_bound, theta_limit, k_gains, reference,
-):
-    theta, theta_dot, x, x_dot, tilt = state0
-    g, m_c, m, l, mu_c, mu_p, f_max = params
-    traj = np.empty((n_steps + 1, 7))
-    status = STATUS_COMPLETED
-    rows = n_steps + 1
-    f = 0.0
-    ev_i = 0
-    n_ev = ev_step.shape[0]
-    for k in range(n_steps):
-        while ev_i < n_ev and ev_step[ev_i] == k:
-            if ev_kind[ev_i] == 0:
-                theta_dot += ev_value[ev_i]
-            else:
-                tilt = ev_value[ev_i]
-            ev_i += 1
-        if k % control_every == 0:
-            f = -(
-                k_gains[0] * (theta - reference[0])
-                + k_gains[1] * (theta_dot - reference[1])
-                + k_gains[2] * (x - reference[2])
-                + k_gains[3] * (x_dot - reference[3])
-            )
-            if f > f_max:
-                f = f_max
-            elif f < -f_max:
-                f = -f_max
-        traj[k] = (k * dt, theta, theta_dot, x, x_dot, f, tilt)
-        theta, theta_dot, x, x_dot = plant.advance(
-            theta, theta_dot, x, x_dot, f, tilt, dt,
-            g, m_c, m, l, mu_c, mu_p, f_max, rk4,
-        )
-        if abs(theta) > theta_limit:
-            status = STATUS_POLE_FELL
-        elif abs(x - x_target) > track_bound:
-            status = STATUS_LEFT_TRACK
-        if status != STATUS_COMPLETED:
-            traj[k + 1] = ((k + 1) * dt, theta, theta_dot, x, x_dot, f, tilt)
-            rows = k + 2
-            break
-    if status == STATUS_COMPLETED:
-        traj[n_steps] = (n_steps * dt, theta, theta_dot, x, x_dot, f, tilt)
-    return traj[:rows], status, 0
-
-
 # ---------------------------------------------------------------------------
-# numba backend: scalar twins of the same arithmetic
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _mf_eval_nb(kind, p0, p1, p2, power, v):
-        if kind == 0:
-            if v <= p0 or v >= p2:
-                base = 0.0
-            elif v < p1:
-                base = (v - p0) / (p1 - p0)
-            elif v == p1:
-                base = 1.0
-            else:
-                base = (p2 - v) / (p2 - p1)
-        elif kind == 1:
-            if v <= p0:
-                base = 0.0
-            elif v >= p1:
-                base = 1.0
-            else:
-                base = (v - p0) / (p1 - p0)
-        else:
-            if v <= p0:
-                base = 1.0
-            elif v >= p1:
-                base = 0.0
-            else:
-                base = (p1 - v) / (p1 - p0)
-        result = base
-        for _ in range(power - 1):
-            result = result * base
-        return result
-
-    @njit(cache=True)
-    def _fuzzy_force_nb(
-        i0, i1, i2, i3,
-        lab_kind, lab_params, lab_power, lab_slot,
-        rule_labels, conclusions, omega,
-    ):
-        n_labels = lab_kind.shape[0]
-        deg = np.empty(n_labels)
-        for li in range(n_labels):
-            slot = lab_slot[li]
-            if slot == 0:
-                v = i0
-            elif slot == 1:
-                v = i1
-            elif slot == 2:
-                v = i2
-            else:
-                v = i3
-            deg[li] = _mf_eval_nb(
-                lab_kind[li],
-                lab_params[li, 0], lab_params[li, 1], lab_params[li, 2],
-                lab_power[li], v,
-            )
-        n_rules = rule_labels.shape[0]
-        n_pts = omega.shape[0]
-        mu = np.zeros(n_pts)
-        for r in range(n_rules):
-            alpha = 1.0
-            for c in range(rule_labels.shape[1]):
-                li = rule_labels[r, c]
-                if li >= 0 and deg[li] < alpha:
-                    alpha = deg[li]
-            if alpha > 0.0:
-                for j in range(n_pts):
-                    clip = alpha if alpha < conclusions[r, j] else conclusions[r, j]
-                    if clip > mu[j]:
-                        mu[j] = clip
-        num = 0.0
-        den = 0.0
-        for j in range(n_pts):
-            num += omega[j] * mu[j]
-            den += mu[j]
-        if den == 0.0:
-            return 0.0, False
-        return num / den, True
-
-    @njit(cache=True)
-    def _accelerations_nb(
-        theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-    ):
-        if f > f_max:
-            f = f_max
-        elif f < -f_max:
-            f = -f_max
-        total = m_c + m
-        f = f - total * g * math.sin(tilt)  # slope as an equivalent cart force
-        if x_dot > 0.0:
-            sgn = 1.0
-        elif x_dot < 0.0:
-            sgn = -1.0
-        else:
-            sgn = 0.0
-        sin_t = math.sin(theta)
-        cos_t = math.cos(theta)
-        theta_ddot = (
-            g * sin_t
-            + cos_t
-            * ((-f - m * l * theta_dot * theta_dot * sin_t + mu_c * sgn) / total)
-            - mu_p * theta_dot / (m * l)
-        ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
-        x_ddot = (
-            f
-            + m * l * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t)
-            - mu_c * sgn
-        ) / total
-        return theta_ddot, x_ddot
-
-    @njit(cache=True)
-    def _advance_nb(
-        theta, theta_dot, x, x_dot, f, tilt, dt,
-        g, m_c, m, l, mu_c, mu_p, f_max, rk4,
-    ):
-        if not rk4:
-            theta_ddot, x_ddot = _accelerations_nb(
-                theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-            )
-            return (
-                theta + theta_dot * dt,
-                theta_dot + theta_ddot * dt,
-                x + x_dot * dt,
-                x_dot + x_ddot * dt,
-            )
-        a1, b1 = _accelerations_nb(
-            theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-        )
-        k1 = (theta_dot, a1, x_dot, b1)
-        a2, b2 = _accelerations_nb(
-            theta + 0.5 * dt * k1[0], theta_dot + 0.5 * dt * k1[1],
-            x_dot + 0.5 * dt * k1[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
-        )
-        k2 = (theta_dot + 0.5 * dt * k1[1], a2, x_dot + 0.5 * dt * k1[3], b2)
-        a3, b3 = _accelerations_nb(
-            theta + 0.5 * dt * k2[0], theta_dot + 0.5 * dt * k2[1],
-            x_dot + 0.5 * dt * k2[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
-        )
-        k3 = (theta_dot + 0.5 * dt * k2[1], a3, x_dot + 0.5 * dt * k2[3], b3)
-        a4, b4 = _accelerations_nb(
-            theta + dt * k3[0], theta_dot + dt * k3[1],
-            x_dot + dt * k3[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
-        )
-        k4 = (theta_dot + dt * k3[1], a4, x_dot + dt * k3[3], b4)
-        sixth = dt / 6.0
-        return (
-            theta + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            theta_dot + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            x + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-            x_dot + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-        )
-
-    @njit(cache=True)
-    def _simulate_fuzzy_nb(
-        theta, theta_dot, x, x_dot, tilt, x_target,
-        g, m_c, m, l, mu_c, mu_p, f_max,
-        dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit,
-        lab_kind, lab_params, lab_power, lab_slot,
-        rule_labels, conclusions, omega,
-    ):
-        traj = np.empty((n_steps + 1, 7))
-        status = STATUS_COMPLETED
-        rows = n_steps + 1
-        norule = 0
-        f = 0.0
-        ev_i = 0
-        n_ev = ev_step.shape[0]
-        for k in range(n_steps):
-            while ev_i < n_ev and ev_step[ev_i] == k:
-                if ev_kind[ev_i] == 0:
-                    theta_dot += ev_value[ev_i]
-                else:
-                    tilt = ev_value[ev_i]
-                ev_i += 1
-            if k % control_every == 0:
-                f, fired = _fuzzy_force_nb(
-                    theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot,
-                    lab_kind, lab_params, lab_power, lab_slot,
-                    rule_labels, conclusions, omega,
-                )
-                if not fired:
-                    norule += 1
-                if f > f_max:
-                    f = f_max
-                elif f < -f_max:
-                    f = -f_max
-            traj[k, 0] = k * dt
-            traj[k, 1] = theta
-            traj[k, 2] = theta_dot
-            traj[k, 3] = x
-            traj[k, 4] = x_dot
-            traj[k, 5] = f
-            traj[k, 6] = tilt
-            theta, theta_dot, x, x_dot = _advance_nb(
-                theta, theta_dot, x, x_dot, f, tilt, dt,
-                g, m_c, m, l, mu_c, mu_p, f_max, rk4,
-            )
-            if abs(theta) > theta_limit:
-                status = STATUS_POLE_FELL
-            elif abs(x - x_target) > track_bound:
-                status = STATUS_LEFT_TRACK
-            if status != STATUS_COMPLETED:
-                traj[k + 1, 0] = (k + 1) * dt
-                traj[k + 1, 1] = theta
-                traj[k + 1, 2] = theta_dot
-                traj[k + 1, 3] = x
-                traj[k + 1, 4] = x_dot
-                traj[k + 1, 5] = f
-                traj[k + 1, 6] = tilt
-                rows = k + 2
-                break
-        if status == STATUS_COMPLETED:
-            traj[n_steps, 0] = n_steps * dt
-            traj[n_steps, 1] = theta
-            traj[n_steps, 2] = theta_dot
-            traj[n_steps, 3] = x
-            traj[n_steps, 4] = x_dot
-            traj[n_steps, 5] = f
-            traj[n_steps, 6] = tilt
-        return traj[:rows], status, norule
-
-    @njit(cache=True)
-    def _simulate_sfc_nb(
-        theta, theta_dot, x, x_dot, tilt, x_target,
-        g, m_c, m, l, mu_c, mu_p, f_max,
-        dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit,
-        k_gains, reference,
-    ):
-        traj = np.empty((n_steps + 1, 7))
-        status = STATUS_COMPLETED
-        rows = n_steps + 1
-        f = 0.0
-        ev_i = 0
-        n_ev = ev_step.shape[0]
-        for k in range(n_steps):
-            while ev_i < n_ev and ev_step[ev_i] == k:
-                if ev_kind[ev_i] == 0:
-                    theta_dot += ev_value[ev_i]
-                else:
-                    tilt = ev_value[ev_i]
-                ev_i += 1
-            if k % control_every == 0:
-                f = -(
-                    k_gains[0] * (theta - reference[0])
-                    + k_gains[1] * (theta_dot - reference[1])
-                    + k_gains[2] * (x - reference[2])
-                    + k_gains[3] * (x_dot - reference[3])
-                )
-                if f > f_max:
-                    f = f_max
-                elif f < -f_max:
-                    f = -f_max
-            traj[k, 0] = k * dt
-            traj[k, 1] = theta
-            traj[k, 2] = theta_dot
-            traj[k, 3] = x
-            traj[k, 4] = x_dot
-            traj[k, 5] = f
-            traj[k, 6] = tilt
-            theta, theta_dot, x, x_dot = _advance_nb(
-                theta, theta_dot, x, x_dot, f, tilt, dt,
-                g, m_c, m, l, mu_c, mu_p, f_max, rk4,
-            )
-            if abs(theta) > theta_limit:
-                status = STATUS_POLE_FELL
-            elif abs(x - x_target) > track_bound:
-                status = STATUS_LEFT_TRACK
-            if status != STATUS_COMPLETED:
-                traj[k + 1, 0] = (k + 1) * dt
-                traj[k + 1, 1] = theta
-                traj[k + 1, 2] = theta_dot
-                traj[k + 1, 3] = x
-                traj[k + 1, 4] = x_dot
-                traj[k + 1, 5] = f
-                traj[k + 1, 6] = tilt
-                rows = k + 2
-                break
-        if status == STATUS_COMPLETED:
-            traj[n_steps, 0] = n_steps * dt
-            traj[n_steps, 1] = theta
-            traj[n_steps, 2] = theta_dot
-            traj[n_steps, 3] = x
-            traj[n_steps, 4] = x_dot
-            traj[n_steps, 5] = f
-            traj[n_steps, 6] = tilt
-        return traj[:rows], status, 0
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-
-
-def _resolve_backend(backend: str | None) -> str:
-    backend = ACTIVE_BACKEND if backend is None else backend
-    if backend not in ("numba", "numpy"):
-        raise KernelError(f"unknown backend '{backend}'")
-    if backend == "numba" and not NUMBA_AVAILABLE:
-        raise KernelError("numba backend requested but numba is not enabled")
-    return backend
+# Public entry points
 
 
 def fuzzy_force(
     ck: CompiledKB, inputs: np.ndarray, backend: str | None = None
 ) -> tuple[float, bool]:
     """Single controller evaluation: crisp force and whether any rule fired."""
-    if _resolve_backend(backend) == "numba":
-        return _fuzzy_force_nb(
-            float(inputs[0]), float(inputs[1]), float(inputs[2]), float(inputs[3]),
-            ck.lab_kind, ck.lab_params, ck.lab_power, ck.lab_slot,
-            ck.rule_labels, ck.conclusions, ck.omega,
-        )
-    return _fuzzy_force_np(np.asarray(inputs, dtype=np.float64), ck)
+    check_backend(backend)
+    return _fuzzy_force(np.asarray(inputs, dtype=np.float64), ck)
 
 
 def simulate_fuzzy(
@@ -621,24 +253,19 @@ def simulate_fuzzy(
     track_bound: float,
     theta_limit: float,
     ck: CompiledKB,
-    backend: str | None = None,
 ):
     """Closed-loop run under the fuzzy controller.
 
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
     status code, count of control instants where no rule fired).
     """
-    if _resolve_backend(backend) == "numba":
-        return _simulate_fuzzy_nb(
-            *state0, x_target, *params,
-            dt, n_steps, control_every, rk4,
-            ev_step, ev_kind, ev_value, track_bound, theta_limit,
-            ck.lab_kind, ck.lab_params, ck.lab_power, ck.lab_slot,
-            ck.rule_labels, ck.conclusions, ck.omega,
-        )
-    return _simulate_fuzzy_np(
+
+    def law(theta, theta_dot, x, x_dot):
+        return _fuzzy_force(control_inputs(theta, theta_dot, x, x_dot, x_target), ck)
+
+    return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit, ck,
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
     )
 
 
@@ -657,42 +284,17 @@ def simulate_sfc(
     theta_limit: float,
     k_gains: np.ndarray,
     reference: np.ndarray,
-    backend: str | None = None,
 ):
     """Closed-loop run under the state-feedback controller."""
-    if _resolve_backend(backend) == "numba":
-        return _simulate_sfc_nb(
-            *state0, x_target, *params,
-            dt, n_steps, control_every, rk4,
-            ev_step, ev_kind, ev_value, track_bound, theta_limit,
-            np.asarray(k_gains, dtype=np.float64),
-            np.asarray(reference, dtype=np.float64),
-        )
-    return _simulate_sfc_np(
+    k0, k1, k2, k3 = (float(v) for v in k_gains)
+    r0, r1, r2, r3 = (float(v) for v in reference)
+
+    def law(theta, theta_dot, x, x_dot):
+        u = (k0 * (theta - r0) + k1 * (theta_dot - r1)
+             + k2 * (x - r2) + k3 * (x_dot - r3))
+        return -u, True
+
+    return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit,
-        np.asarray(k_gains, dtype=np.float64),
-        np.asarray(reference, dtype=np.float64),
-    )
-
-
-def warmup(ck: CompiledKB | None = None) -> None:
-    """Trigger jit compilation of the hot kernels (no-op on the numpy path)."""
-    if ACTIVE_BACKEND != "numba":
-        return
-    from .rulelang import builtin_pole_kb
-
-    ck = ck or compile_kb(builtin_pole_kb())
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-    state0 = (0.0, 0.0, 0.0, 0.0, 0.0)
-    params = (9.8, 1.0, 0.1, 0.5, 0.0, 0.0, 10.0)
-    simulate_fuzzy(
-        state0, 0.0, params, 0.005, 2, 1, False,
-        empty_i, empty_i, empty_f, 2.4, 0.8, ck, backend="numba",
-    )
-    simulate_sfc(
-        state0, 0.0, params, 0.005, 2, 1, True,
-        empty_i, empty_i, empty_f, 2.4, 0.8,
-        np.zeros(4), np.zeros(4), backend="numba",
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
     )

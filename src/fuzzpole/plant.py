@@ -104,7 +104,7 @@ def accelerations(
     mu_p: float,
     f_max: float,
 ) -> tuple[float, float]:
-    """Scalar core of the dynamics; the jitted kernels carry a twin of this."""
+    """Scalar core of the dynamics, shared by ``step`` and the simulation loop."""
     if f > f_max:
         f = f_max
     elif f < -f_max:

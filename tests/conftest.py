@@ -14,11 +14,6 @@ def compiled_kb(kb):
     return kernels.compile_kb(kb)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels(compiled_kb):
-    # Pay the jit-compilation cost once, outside any timed assertion.
-    kernels.warmup(compiled_kb)
-
 
 @pytest.fixture(params=kernels.BACKENDS)
 def backend(request):

@@ -45,6 +45,14 @@ def test_simulate_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--duration", "--dt"])
+def test_simulate_rejects_nan_override(scenario_file, capsys, flag):
+    code = main(["simulate", "--scenario", str(scenario_file), flag, "nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "internal error" not in err
+
+
 def test_compare_report(tmp_path, capsys):
     report = tmp_path / "report.csv"
     code = main(

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def test_scenario_validation():
         default_scenario(1, "fc", dt=0.005, control_period=0.004)
     with pytest.raises(ScenarioError):
         default_scenario(1, "bang-bang")
+    for field in ("dt", "duration", "control_period"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ScenarioError, match=field):
+                default_scenario(1, "fc", **{field: value})
+    base = default_scenario(1, "fc", duration=1.0)
+    for field in ("track_bound", "theta_limit_deg"):
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(ScenarioError, match=field):
+                replace(base, **{field: value})
+        assert run(replace(base, **{field: math.inf})).completed
 
 
 # --- metrics -----------------------------------------------------------------

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fuzzpole import kernels, plant
-from fuzzpole.fuzzy import fc_output
+from fuzzpole import kernels
+from fuzzpole.fuzzy import NoRuleFired, fc_output
 from fuzzpole.harness import default_scenario, run
 from fuzzpole.kernels import compile_kb, control_inputs, fuzzy_force
-from fuzzpole.plant import PlantState, pole_params, step
+from fuzzpole.plant import PlantState, apply_event, set_tilt, step, tap
+from fuzzpole.sfc import design_gains, linearize, sfc_output
 
 
 def test_compiled_tables_shape(kb, compiled_kb):
@@ -39,6 +41,11 @@ def test_compile_requires_known_slots(kb):
         compile_kb(alien)
 
 
+def _fc_reference(kb, inputs):
+    names = ("theta", "theta_dot", "x", "x_dot")
+    return fc_output(kb, dict(zip(names, inputs)))
+
+
 def test_fuzzy_force_matches_reference_pipeline(kb, compiled_kb, backend):
     """The kernels and the object-level fc_output agree bit for bit: the
     membership, clipping and center-of-area arithmetic is identical."""
@@ -52,16 +59,23 @@ def test_fuzzy_force_matches_reference_pipeline(kb, compiled_kb, backend):
         inputs = control_inputs(theta, theta_dot, x, x_dot, x_target)
         force, fired = fuzzy_force(compiled_kb, inputs, backend=backend)
         assert fired
-        reference = fc_output(
-            kb,
-            {
-                "theta": inputs[0],
-                "theta_dot": inputs[1],
-                "x": inputs[2],
-                "x_dot": inputs[3],
-            },
-        )
-        assert force == reference
+        assert force == _fc_reference(kb, inputs)
+
+    # A NaN degree is skipped in the rule-strength min, as in rule_activation.
+    for _ in range(200):
+        inputs = rng.uniform([-12, -45, -1, -0.5], [12, 45, 1, 0.5])
+        inputs[rng.random(4) < 0.5] = np.nan
+        force, fired = fuzzy_force(compiled_kb, inputs, backend=backend)
+        try:
+            reference = _fc_reference(kb, inputs)
+        except NoRuleFired:
+            assert (force, fired) == (0.0, False)
+        else:
+            assert fired and force == reference
+    nan_theta = np.array([np.nan, 0.0, 0.1, 0.0])
+    assert fuzzy_force(compiled_kb, nan_theta, backend=backend) == (
+        _fc_reference(kb, nan_theta), True
+    )
 
 
 def test_fuzzy_force_reports_no_rule(kb, backend):
@@ -73,39 +87,11 @@ def test_fuzzy_force_reports_no_rule(kb, backend):
     assert not fired and force == 0.0
 
 
-def test_backends_agree_on_trajectories(kb):
-    if "numba" not in kernels.BACKENDS:
-        pytest.skip("numba backend not enabled")
-    for scenario in (
-        default_scenario(1, "fc", duration=10.0),
-        default_scenario(6, "sfc", duration=10.0),
-    ):
-        a = run(scenario, backend="numba")
-        b = run(scenario, backend="numpy")
-        assert a.termination == b.termination
-        assert a.data.shape == b.data.shape
-        assert np.allclose(a.data, b.data, atol=1e-9, rtol=0.0)
-
-
-def test_jitted_accelerations_match_plant():
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba backend not enabled")
-    rng = np.random.default_rng(5)
-    p = pole_params(3)
-    args = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
-    for _ in range(500):
-        state = (
-            float(rng.uniform(-0.7, 0.7)),
-            float(rng.uniform(-3, 3)),
-            float(rng.uniform(-2, 2)),
-            float(rng.uniform(-15, 15)),
-            float(rng.uniform(-0.15, 0.15)),
-        )
-        theta, theta_dot, x_dot, f, tilt = state
-        a = plant.accelerations(theta, theta_dot, x_dot, f, tilt, *args)
-        b = kernels._accelerations_nb(theta, theta_dot, x_dot, f, tilt, *args)
-        assert b[0] == pytest.approx(a[0], rel=1e-13, abs=1e-13)
-        assert b[1] == pytest.approx(a[1], rel=1e-13, abs=1e-13)
+def test_unknown_backend_rejected(compiled_kb):
+    with pytest.raises(kernels.KernelError, match="numba"):
+        fuzzy_force(compiled_kb, np.zeros(4), backend="numba")
+    with pytest.raises(kernels.KernelError, match="numba"):
+        run(default_scenario(1, "sfc", duration=0.1), backend="numba")
 
 
 def test_simulation_matches_manual_loop(kb, compiled_kb):
@@ -140,6 +126,46 @@ def test_simulation_matches_manual_loop(kb, compiled_kb):
     assert np.array_equal(traj.x, np.array([st.x for st in states]))
     # the final row repeats the last held force
     assert np.array_equal(traj.force, np.array(forces + [forces[-1]]))
+
+
+@pytest.mark.parametrize("controller", ["fc", "sfc"])
+def test_simulation_matches_manual_loop_with_events(kb, controller):
+    """RK4, a tap between control instants, a tilt on one, and the force held
+    over four steps: the simulation loop against plant.step/apply_event plus
+    fc_output or sfc_output, exactly."""
+    scenario = dataclasses.replace(
+        default_scenario(
+            1, controller, duration=1.0, dt=0.005, control_period=0.02,
+            events=(tap(0.31, 0.2), set_tilt(0.6, 0.05)),
+        ),
+        integrator="rk4",
+    )
+    traj = run(scenario)
+    p = scenario.params
+    gains = design_gains(
+        linearize(p), reference=(0.0, 0.0, scenario.x_target, 0.0), f_max=p.f_max
+    )
+
+    s = PlantState()
+    f = 0.0
+    rows = []  # row k: the state after step k's events, the force over step k
+    for k in range(scenario.n_steps):
+        for e in scenario.events:
+            if int(round(e.t / scenario.dt)) == k:
+                s = apply_event(s, e)
+        if k % scenario.control_every == 0:
+            if controller == "fc":
+                inputs = control_inputs(*s.as_tuple(), scenario.x_target)
+                f = _fc_reference(kb, inputs)
+            else:
+                f = sfc_output(gains, s)
+            f = min(max(f, -p.f_max), p.f_max)
+        rows.append((*s.as_tuple(), f, s.tilt))
+        s = step(s, f, scenario.dt, p, method="rk4")
+    rows.append((*s.as_tuple(), f, s.tilt))
+
+    assert traj.termination == "completed"
+    assert np.array_equal(traj.data[:, 1:], np.array(rows))
 
 
 def test_zero_order_hold(kb):
