@@ -110,8 +110,16 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ScenarioError(f"dt must be positive, got {self.dt}")
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration}")
+        if self.duration < self.dt:
+            raise ScenarioError(
+                f"duration ({self.duration}) must be at least dt ({self.dt})"
+            )
+        if not math.isfinite(self.x_target):
+            raise ScenarioError(f"x_target must be finite, got {self.x_target}")
+        for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
+            value = getattr(self.initial, name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"initial {name} must be finite, got {value}")
         ratio = self.control_period / self.dt
         if self.control_period < self.dt or abs(ratio - round(ratio)) > 1e-9:
             raise ScenarioError(
@@ -192,7 +200,8 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     The controller output is held between control instants (zero-order hold);
     events due at a step are applied before that step's control update.
     Control instants where no fuzzy rule fires are mapped to zero force and
-    counted in a logged warning.  ``backend`` may name the one kernel backend
+    counted in a logged warning, as are events due at or after the end of
+    the run, which are not applied.  ``backend`` may name the one kernel backend
     (``kernels.ACTIVE_BACKEND``); any other value raises ``KernelError``.
     """
     kernels.check_backend(backend)
@@ -206,6 +215,15 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
         scenario.initial.tilt,
     )
     ev_step, ev_kind, ev_value = _event_arrays(scenario)
+    dropped = int(np.count_nonzero(ev_step >= scenario.n_steps))
+    if dropped:
+        log.warning(
+            "scenario '%s': %d event(s) due at or after the end of the run "
+            "(%g s) were not applied",
+            scenario.name,
+            dropped,
+            scenario.n_steps * scenario.dt,
+        )
     theta_limit = math.radians(scenario.theta_limit_deg)
     common = (
         state0,

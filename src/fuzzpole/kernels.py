@@ -2,11 +2,13 @@
 
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
 control law it calls at each control instant.  The fuzzy law evaluates a
-knowledge base compiled to flat arrays (:func:`compile_kb`): vectorized
-piecewise-linear memberships, min/max aggregation and left-to-right
-center-of-area sums, the same arithmetic as :func:`fuzzpole.fuzzy.fc_output`
-bit for bit.  The SFC law is ``-k (state - reference)``.  The plant is stepped
-by :func:`fuzzpole.plant.advance`.
+knowledge base compiled once to tables (:func:`compile_kb`) in folded,
+windowed form: scalar memberships and rule strengths, one strength per
+conclusion label, and clip/max aggregation and left-to-right center-of-area
+sums over only the grid points the active labels cover.  That is the
+arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.  The SFC law is
+``-k (state - reference)``.  The plant is stepped by
+:func:`fuzzpole.plant.advance`.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -67,19 +69,22 @@ def check_backend(backend: str | None) -> None:
 
 @dataclass(frozen=True)
 class CompiledKB:
-    """Array form of a knowledge base, ready for the simulation kernels."""
+    """Array form of a knowledge base, ready for the simulation kernels.
+
+    The tables are what the fuzzy law reads at each control instant.  Rules
+    that conclude on the same output label form one group; its curve is the
+    ``conclusions`` row of its first rule, and its window [lo, hi) spans the
+    curve's nonzero grid points (lo == hi when it has none).
+    """
 
     lab_kind: np.ndarray  # (L,) int64: 0 triangle, 1 shoulder_up, 2 shoulder_down
     lab_params: np.ndarray  # (L, 3) float64, unused third slot padded
-    lab_power: np.ndarray  # (L,) int64
-    lab_slot: np.ndarray  # (L,) int64 input slot of the owning variable
     rule_labels: np.ndarray  # (R, C) int64 label row per precondition, -1 pad
     conclusions: np.ndarray  # (R, N) float64 conclusion curve on the grid
     omega: np.ndarray  # (N,) float64 quantization points
-
-    @property
-    def n_rules(self) -> int:
-        return self.rule_labels.shape[0]
+    label_table: tuple  # per label: (kind, p0, p1, p2, power, input slot)
+    rule_table: tuple  # per rule: (label rows of its preconditions, group)
+    group_table: tuple  # per group: (curve, lo, hi)
 
 
 _KINDS = {"triangle": 0, "shoulder_up": 1, "shoulder_down": 2}
@@ -89,10 +94,7 @@ def compile_kb(
     kb: KnowledgeBase, slots: Mapping[str, int] | None = None
 ) -> CompiledKB:
     slots = DEFAULT_SLOTS if slots is None else slots
-    kinds: list[int] = []
-    params: list[tuple[float, float, float]] = []
-    powers: list[int] = []
-    slot_of: list[int] = []
+    labels: list[tuple[int, float, float, float, int, int]] = []
     row_index: dict[tuple[str, str], int] = {}
     for var in kb.input_variables:
         if var.name not in slots:
@@ -101,33 +103,44 @@ def compile_kb(
                 f"{sorted(slots)}"
             )
         for label_name, mf in var.labels.items():
-            row_index[(var.name, label_name)] = len(kinds)
-            kinds.append(_KINDS[mf.kind])
+            row_index[(var.name, label_name)] = len(labels)
             p = mf.params
             if mf.kind == "triangle":
-                params.append((p[0], p[1], p[2]))
+                p0, p1, p2 = p
             else:
-                params.append((p[0], p[1], p[1] + 1.0))  # pad keeps divisions finite
-            powers.append(mf.power)
-            slot_of.append(slots[var.name])
+                p0, p1, p2 = p[0], p[1], p[1] + 1.0  # pad keeps divisions finite
+            labels.append(
+                (_KINDS[mf.kind], p0, p1, p2, mf.power, slots[var.name])
+            )
 
     width = max(len(r.preconditions) for r in kb.rules)
     rule_labels = np.full((len(kb.rules), width), -1, dtype=np.int64)
     points = kb.output_universe.points()
     conclusions = np.empty((len(kb.rules), points.shape[0]))
+    group_of: dict[str, int] = {}  # conclusion label -> group
+    rule_table = []
+    group_table = []
     for i, rule in enumerate(kb.rules):
-        for j, pre in enumerate(rule.preconditions):
-            rule_labels[i, j] = row_index[(pre.variable, pre.label)]
-        conclusions[i] = kb.output.label(rule.conclusion[1]).sample(points)
+        rows = tuple(row_index[(pre.variable, pre.label)] for pre in rule.preconditions)
+        rule_labels[i, : len(rows)] = rows
+        label = rule.conclusion[1]
+        conclusions[i] = kb.output.label(label).sample(points)
+        if label not in group_of:
+            group_of[label] = len(group_table)
+            nonzero = np.flatnonzero(conclusions[i] > 0.0)
+            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+            group_table.append((conclusions[i], lo, hi))
+        rule_table.append((rows, group_of[label]))
 
     return CompiledKB(
-        lab_kind=np.asarray(kinds, dtype=np.int64),
-        lab_params=np.asarray(params, dtype=np.float64),
-        lab_power=np.asarray(powers, dtype=np.int64),
-        lab_slot=np.asarray(slot_of, dtype=np.int64),
+        lab_kind=np.asarray([lab[0] for lab in labels], dtype=np.int64),
+        lab_params=np.asarray([lab[1:4] for lab in labels], dtype=np.float64),
         rule_labels=rule_labels,
         conclusions=conclusions,
         omega=points,
+        label_table=tuple(labels),
+        rule_table=tuple(rule_table),
+        group_table=tuple(group_table),
     )
 
 
@@ -144,35 +157,85 @@ def control_inputs(
 # Control laws and the simulation loop
 
 
-def _fuzzy_force(inputs: np.ndarray, ck: CompiledKB) -> tuple[float, bool]:
-    v = inputs[ck.lab_slot]
-    p0 = ck.lab_params[:, 0]
-    p1 = ck.lab_params[:, 1]
-    p2 = ck.lab_params[:, 2]
-    with np.errstate(all="ignore"):
-        rise = (v - p0) / (p1 - p0)
-        tri = np.where(
-            (v <= p0) | (v >= p2),
-            0.0,
-            np.where(v < p1, rise, np.where(v == p1, 1.0, (p2 - v) / (p2 - p1))),
-        )
-        up = np.where(v <= p0, 0.0, np.where(v >= p1, 1.0, rise))
-        down = np.where(v <= p0, 1.0, np.where(v >= p1, 0.0, (p1 - v) / (p1 - p0)))
-    base = np.where(ck.lab_kind == 0, tri, np.where(ck.lab_kind == 1, up, down))
-    deg = base.copy()
-    times = 1
-    while np.any(ck.lab_power > times):
-        deg = np.where(ck.lab_power > times, deg * base, deg)
-        times += 1
+def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
+    """Folded, windowed inference on a sequence of Python floats.
 
-    pre = np.where(ck.rule_labels >= 0, deg[ck.rule_labels], np.inf)
-    # fmin skips a NaN degree, as the `<` in fuzzy.rule_activation does
-    alphas = np.fmin(np.fmin.reduce(pre, axis=1), 1.0)
-    mu = np.max(np.minimum(alphas[:, None], ck.conclusions), axis=0)
-    den = float(np.cumsum(mu)[-1])
-    if den == 0.0:
+    Degrees and rule strengths are scalar, with the branches of
+    ``MembershipFunction.__call__`` and the ``<`` min of
+    ``fuzzy.rule_activation``, so a NaN degree is skipped.  The rules of a
+    group fold into one strength, exactly, since no strength is NaN:
+    max_r min(a_r, c) == min(max_r a_r, c).  Clip/max and the center-of-area
+    sums run only over the union of the active groups' windows; every term
+    outside it is +-0.0, so the left-to-right sums keep their bits.
+    """
+    degrees = []
+    for kind, p0, p1, p2, power, slot in ck.label_table:
+        v = inputs[slot]
+        if kind == 0:
+            if v <= p0 or v >= p2:
+                d = 0.0
+            elif v < p1:
+                d = (v - p0) / (p1 - p0)
+            elif v == p1:
+                d = 1.0
+            else:
+                d = (p2 - v) / (p2 - p1)
+        elif kind == 1:
+            if v <= p0:
+                d = 0.0
+            elif v >= p1:
+                d = 1.0
+            else:
+                d = (v - p0) / (p1 - p0)
+        else:
+            if v <= p0:
+                d = 1.0
+            elif v >= p1:
+                d = 0.0
+            else:
+                d = (p1 - v) / (p1 - p0)
+        if power > 1:
+            base = d
+            for _ in range(power - 1):
+                d = d * base
+        degrees.append(d)
+
+    strength = [0.0] * len(ck.group_table)
+    for rows, group in ck.rule_table:
+        alpha = 1.0
+        for i in rows:
+            d = degrees[i]
+            if d < alpha:
+                alpha = d
+        if alpha > strength[group]:
+            strength[group] = alpha
+
+    omega = ck.omega
+    lo = omega.shape[0]
+    hi = 0
+    active = []
+    for alpha, (curve, g_lo, g_hi) in zip(strength, ck.group_table):
+        if alpha > 0.0 and g_lo < g_hi:
+            active.append((alpha, curve))
+            if g_lo < lo:
+                lo = g_lo
+            if g_hi > hi:
+                hi = g_hi
+    if not active:
         return 0.0, False
-    num = float(np.cumsum(ck.omega * mu)[-1])
+    alpha, curve = active[0]
+    mu = np.minimum(alpha, curve[lo:hi])
+    for alpha, curve in active[1:]:
+        np.maximum(mu, np.minimum(alpha, curve[lo:hi]), out=mu)
+    # np.add.accumulate is np.cumsum without its wrapper: left to right
+    den = float(np.add.accumulate(mu)[-1])
+    num = float(np.add.accumulate(omega[lo:hi] * mu)[-1])
+    if num == 0.0:
+        # A zero sum is -0.0 only if every term is: that takes the terms
+        # outside the window too, so sum over the whole grid.
+        full = np.zeros_like(omega)
+        full[lo:hi] = mu
+        num = float(np.add.accumulate(omega * full)[-1])
     return num / den, True
 
 
@@ -236,7 +299,7 @@ def fuzzy_force(
 ) -> tuple[float, bool]:
     """Single controller evaluation: crisp force and whether any rule fired."""
     check_backend(backend)
-    return _fuzzy_force(np.asarray(inputs, dtype=np.float64), ck)
+    return _fuzzy_force(np.asarray(inputs, dtype=np.float64).tolist(), ck)
 
 
 def simulate_fuzzy(
@@ -261,7 +324,9 @@ def simulate_fuzzy(
     """
 
     def law(theta, theta_dot, x, x_dot):
-        return _fuzzy_force(control_inputs(theta, theta_dot, x, x_dot, x_target), ck)
+        return _fuzzy_force(
+            (theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot), ck
+        )
 
     return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,

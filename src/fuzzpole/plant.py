@@ -57,10 +57,16 @@ class PlantParams:
 
     def __post_init__(self):
         for name in ("g", "m_c", "m", "l", "f_max"):
-            if getattr(self, name) <= 0:
-                raise PlantError(f"{name} must be positive")
-        if self.mu_c < 0 or self.mu_p < 0:
-            raise PlantError("friction coefficients must be non-negative")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise PlantError(f"{name} must be positive and finite, got {value}")
+        for name in ("mu_c", "mu_p"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise PlantError(
+                    f"friction coefficient {name} must be non-negative and "
+                    f"finite, got {value}"
+                )
 
     def frictionless(self) -> "PlantParams":
         return replace(self, mu_c=0.0, mu_p=0.0)
@@ -233,8 +239,10 @@ class DisturbanceEvent:
     value: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise PlantError(f"event time must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:  # NaN fails too
+            raise PlantError(f"event time must be finite and >= 0, got {self.t}")
+        if not math.isfinite(self.value):
+            raise PlantError(f"event value must be finite, got {self.value}")
         if self.kind not in ("tap", "set_tilt"):
             raise PlantError(f"unknown event kind '{self.kind}'")
 

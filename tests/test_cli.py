@@ -45,12 +45,26 @@ def test_simulate_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--duration", "--dt"])
+@pytest.mark.parametrize("flag", ["--duration", "--dt", "--target"])
 def test_simulate_rejects_nan_override(scenario_file, capsys, flag):
     code = main(["simulate", "--scenario", str(scenario_file), flag, "nan"])
     assert code == 1
     err = capsys.readouterr().err
     assert "error" in err and "internal error" not in err
+
+
+def test_simulate_rejects_nan_event(tmp_path, capsys):
+    cfg = {
+        "scenario": {"duration": 1.0,
+                     "events": [{"t": float("nan"), "kind": "tap",
+                                 "delta_theta_dot_deg_s": 5.0}]},
+        "controller": {"type": "fc"},
+    }
+    path = tmp_path / "nan_event.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "event time" in err and "internal error" not in err
 
 
 def test_compare_report(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from fuzzpole.harness import (
     run,
     scenario_from_config,
 )
-from fuzzpole.plant import pole_params, set_tilt, tap
+from fuzzpole.plant import PlantState, pole_params, set_tilt, tap
 
 
 def test_flat_trajectory_at_equilibrium_sfc():
@@ -66,6 +67,17 @@ def test_scenario_validation():
             with pytest.raises(ScenarioError, match=field):
                 replace(base, **{field: value})
         assert run(replace(base, **{field: math.inf})).completed
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ScenarioError, match="x_target"):
+            replace(base, x_target=value)
+        for field in ("theta", "theta_dot", "x", "x_dot", "tilt"):
+            with pytest.raises(ScenarioError, match=f"initial {field}"):
+                replace(base, initial=PlantState(**{field: value}))
+    for duration in (0.0, 0.004):
+        with pytest.raises(ScenarioError, match="duration"):
+            replace(base, duration=duration)
+    one_step = run(replace(base, duration=base.dt))
+    assert one_step.completed and one_step.data.shape[0] == 2
 
 
 # --- metrics -----------------------------------------------------------------
@@ -381,6 +393,41 @@ def test_config_plant_overrides():
          "controller": {"type": "fc"}}
     )
     assert bundle.scenario.params == pole_params(1).frictionless()
+
+
+def test_config_non_finite_values_are_scenario_errors():
+    bad = (
+        {"plant": {"preset": "pole-1", "g": math.inf}},
+        {"plant": {"m": math.nan}},
+        {"scenario": {"x_target": math.nan}},
+        {"scenario": {"initial": {"theta_deg": math.nan}}},
+        {"scenario": {"events": [{"t": math.nan, "kind": "tap",
+                                  "delta_theta_dot_deg_s": 5.0}]}},
+        {"scenario": {"events": [{"t": 1.0, "kind": "set_tilt",
+                                  "angle_deg": math.inf}]}},
+    )
+    for cfg in bad:
+        with pytest.raises(ScenarioError):
+            scenario_from_config({**cfg, "controller": {"type": "fc"}})
+
+
+def test_events_past_the_end_are_logged(caplog):
+    kick = math.radians(20.0)
+    scenario = default_scenario(
+        1, "sfc", x_target=0.0, duration=20.0, name="short taps",
+        events=(tap(15.0, kick), tap(35.0, kick), set_tilt(20.0, 0.1)),
+    )
+    with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
+        traj = run(scenario)
+    assert traj.completed and np.all(traj.tilt == 0.0)
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert "'short taps'" in warnings[0] and "2 event(s)" in warnings[0]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
+        run(replace(scenario, duration=40.0, events=scenario.events[:2]))
+    assert not caplog.records
 
 
 def test_config_errors_are_scenario_errors(tmp_path):

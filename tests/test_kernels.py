@@ -3,12 +3,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzpole import kernels
-from fuzzpole.fuzzy import NoRuleFired, fc_output
+from fuzzpole.fuzzy import (
+    KnowledgeBase,
+    LinguisticVariable,
+    NoRuleFired,
+    OutputUniverse,
+    Precondition,
+    Rule,
+    fc_output,
+    shoulder_down,
+    shoulder_up,
+)
 from fuzzpole.harness import default_scenario, run
+from fuzzpole.hierarchy import (
+    Concentration,
+    Narrowed,
+    cart_pole_goals,
+    compose_hierarchical,
+)
 from fuzzpole.kernels import compile_kb, control_inputs, fuzzy_force
 from fuzzpole.plant import PlantState, apply_event, set_tilt, step, tap
+from fuzzpole.rulelang import builtin_pole_kb
 from fuzzpole.sfc import design_gains, linearize, sfc_output
 
 
@@ -76,6 +94,117 @@ def test_fuzzy_force_matches_reference_pipeline(kb, compiled_kb, backend):
     assert fuzzy_force(compiled_kb, nan_theta, backend=backend) == (
         _fc_reference(kb, nan_theta), True
     )
+
+
+def _same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _agrees_with_reference(kb, ck, inputs, slots=kernels.DEFAULT_SLOTS):
+    """fuzzy_force equals fc_output, sign of zero included, and reports
+    (0.0, False) exactly when fc_output finds no rule fired."""
+    force, fired = fuzzy_force(ck, np.array(inputs, dtype=np.float64))
+    try:
+        reference = fc_output(kb, {name: inputs[i] for name, i in slots.items()})
+    except NoRuleFired:
+        return (force, fired) == (0.0, False) and _same_bits(force, 0.0)
+    return fired and _same_bits(force, reference)
+
+
+def _composed_kb(mode, n, only_label=None):
+    """The built-in rule base rebuilt by composition: goal-2 rules lose their
+    VS gate, which compose_hierarchical puts back as a derived Very label.
+    ``only_label`` makes every rule conclude on that output label."""
+    builtin = builtin_pole_kb()
+    variables = {
+        name: LinguisticVariable(
+            var.name, var.unit, {k: v for k, v in var.labels.items() if k != "VS"}
+        )
+        for name, var in builtin.variables.items()
+    }
+    universe = OutputUniverse(builtin.output_universe.lo, builtin.output_universe.hi, n)
+    base = KnowledgeBase(variables, builtin.output_variable, (), universe)
+    tier1 = [r for r in builtin.rules if r.goal_index == 1]
+    tier2 = [
+        dataclasses.replace(
+            r, preconditions=tuple(p for p in r.preconditions if p.label != "VS")
+        )
+        for r in builtin.rules
+        if r.goal_index == 2
+    ]
+    kb = compose_hierarchical(cart_pole_goals(), [tier1, tier2], mode, base)
+    if only_label is not None:
+        kb = kb.with_rules(
+            dataclasses.replace(r, conclusion=(kb.output_variable, only_label))
+            for r in kb.rules
+        )
+    return kb
+
+
+_COMPOSED = {
+    (name, n): _composed_kb(mode, n)
+    for name, mode in (
+        ("sq", Concentration()), ("n0.12", Narrowed(0.12)), ("n0.5", Narrowed(0.5)),
+    )
+    for n in (3, 51, 201, 401)
+}
+# At n = 3 the grid is (-10, 0, 10), where PS is zero: whatever fires, the
+# aggregated output is zero everywhere.
+_COMPOSED[("PS only", 3)] = _composed_kb(Concentration(), 3, only_label="PS")
+_COMPILED = {key: compile_kb(kb) for key, kb in _COMPOSED.items()}
+_SCALES = (12.0, 45.0, 1.0, 0.5)
+
+
+@st.composite
+def _kb_and_inputs(draw):
+    key = draw(st.sampled_from(sorted(_COMPOSED)))
+    kb = _COMPOSED[key]
+    inputs = []
+    for name, scale in zip(("theta", "theta_dot", "x", "x_dot"), _SCALES):
+        var = kb.variables[name]
+        breakpoints = sorted({p for mf in var.labels.values() for p in mf.params})
+        inputs.append(draw(st.one_of(
+            st.floats(-scale, scale, allow_nan=False),
+            st.sampled_from(breakpoints),
+            st.floats(-scale / 100, scale / 100),
+            st.just(math.nan),
+        )))
+    return key, inputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kb_and_inputs())
+def test_folded_kernel_matches_reference_on_composed_kbs(case):
+    key, inputs = case
+    assert _agrees_with_reference(_COMPOSED[key], _COMPILED[key], inputs)
+
+
+def test_folded_kernel_no_nonzero_grid_point():
+    key = ("PS only", 3)
+    ck = _COMPILED[key]
+    inputs = [0.0, 30.0, 0.0, 0.0]  # only r4 fires: theta ZE, theta_dot PO -> PS
+    assert fuzzy_force(ck, np.array(inputs)) == (0.0, False)
+    assert _agrees_with_reference(_COMPOSED[key], ck, inputs)
+
+
+def test_folded_kernel_keeps_the_sign_of_a_zero_sum():
+    """The only nonzero grid point of the conclusion is negative, and its
+    product with a tiny strength underflows to -0.0; the point at 0.0 outside
+    the window makes the full left-to-right sum +0.0."""
+    variables = {
+        "theta": LinguisticVariable("theta", "deg", {"A": shoulder_up(0.0, 1.0)}),
+        "F": LinguisticVariable("F", "N", {"N": shoulder_down(-1e-300, -5e-301)}),
+    }
+    kb = KnowledgeBase(
+        variables, "F",
+        (Rule("r", (Precondition("theta", "A"),), ("F", "N")),),
+        OutputUniverse(-1e-300, 1e-300, 3),
+    )
+    slots = {"theta": 0}
+    ck = compile_kb(kb, slots)
+    for theta in (1e-30, 0.5, 1.0):
+        assert _agrees_with_reference(kb, ck, [theta], slots)
+    assert math.copysign(1.0, fuzzy_force(ck, np.array([1e-30]))[0]) == 1.0
 
 
 def test_fuzzy_force_reports_no_rule(kb, backend):

@@ -98,6 +98,12 @@ def test_param_validation():
         PlantParams(mu_c=-0.1)
     with pytest.raises(PlantError):
         pole_params("pole-99")
+    for name in ("g", "m_c", "m", "l", "f_max", "mu_c", "mu_p"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PlantError, match=name):
+                PlantParams(**{name: value})
+        floor = 0.0 if name.startswith("mu_") else 1e-300
+        assert getattr(PlantParams(**{name: floor}), name) == floor
 
 
 def test_presets_match_published_pole_table():
@@ -196,6 +202,14 @@ def test_event_validation():
         DisturbanceEvent(-1.0, "tap", 0.1)
     with pytest.raises(PlantError):
         DisturbanceEvent(1.0, "shove", 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PlantError, match="time"):
+            tap(bad, 0.1)
+        with pytest.raises(PlantError, match="value"):
+            tap(1.0, bad)
+        with pytest.raises(PlantError, match="value"):
+            set_tilt(1.0, bad)
+    assert tap(0.0, -0.2).t == 0.0
 
 
 def test_step_validation():
