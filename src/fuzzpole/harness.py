@@ -60,6 +60,7 @@ _TERMINATIONS = {
     kernels.STATUS_COMPLETED: "completed",
     kernels.STATUS_POLE_FELL: "pole_fell",
     kernels.STATUS_LEFT_TRACK: "left_track",
+    kernels.STATUS_NON_FINITE: "non_finite",
 }
 
 DEFAULT_THETA_BAND_DEG = 0.1
@@ -201,7 +202,9 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     events due at a step are applied before that step's control update.
     Control instants where no fuzzy rule fires are mapped to zero force and
     counted in a logged warning, as are events due at or after the end of
-    the run, which are not applied.  ``backend`` may name the one kernel backend
+    the run, which are not applied.  A state that overflows or turns NaN
+    ends the run with termination ``non_finite``, keeping the finite rows
+    before it, and a logged warning.  ``backend`` may name the one kernel backend
     (``kernels.ACTIVE_BACKEND``); any other value raises ``KernelError``.
     """
     kernels.check_backend(backend)
@@ -260,6 +263,13 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
         data, status, _ = kernels.simulate_sfc(*common, gains.k, gains.reference)
     else:
         raise ScenarioError(f"unknown controller {ctrl!r}")
+    if status == kernels.STATUS_NON_FINITE:
+        log.warning(
+            "scenario '%s': the state stopped being finite after t=%g s; "
+            "the run ends at the last finite row",
+            scenario.name,
+            data[-1, 0],
+        )
     return Trajectory(data, _TERMINATIONS[int(status)])
 
 
@@ -451,37 +461,36 @@ def compare(
 # Trajectory CSV export
 
 
-def _fmt6(value: float) -> str:
-    return f"{value:.6g}"
+_DEG = kernels.RAD2DEG
+_DEGREE_COLUMNS = np.array([1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG])
+_ROW_FORMAT = ",".join(["%.6g"] * 7) + "\n"
+_EMIT_BLOCK_ROWS = 1024
 
 
 def emit_trajectory(traj: Trajectory, destination: str | Path | IO[str]) -> None:
-    """Write the trajectory as CSV, angles in degrees, 6 significant digits."""
-    lines = [TRAJECTORY_HEADER]
-    deg = 180.0 / math.pi
-    for row in traj.data:
-        lines.append(
-            ",".join(
-                (
-                    _fmt6(row[0]),
-                    _fmt6(row[1] * deg),
-                    _fmt6(row[2] * deg),
-                    _fmt6(row[3]),
-                    _fmt6(row[4]),
-                    _fmt6(row[5]),
-                    _fmt6(row[6] * deg),
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    """Write the trajectory as CSV, angles in degrees, 6 significant digits.
+
+    Rows are scaled to degrees, turned into Python floats, formatted and
+    written a block at a time, so the transient memory is one block, not
+    the whole text; ``"%.6g"`` formats a float exactly as ``f"{v:.6g}"``
+    does.
+    """
     if hasattr(destination, "write"):
-        destination.write(text)
+        _write_rows(traj.data, destination)
         return
     path = Path(destination)
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as out:
+            _write_rows(traj.data, out)
     except OSError as exc:
         raise ScenarioError(f"cannot write trajectory to {path}: {exc}") from exc
+
+
+def _write_rows(data, out):
+    out.write(TRAJECTORY_HEADER + "\n")
+    for start in range(0, data.shape[0], _EMIT_BLOCK_ROWS):
+        block = (data[start:start + _EMIT_BLOCK_ROWS] * _DEGREE_COLUMNS).tolist()
+        out.write("".join([_ROW_FORMAT % tuple(row) for row in block]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ RAD2DEG = 180.0 / math.pi
 STATUS_COMPLETED = 0
 STATUS_POLE_FELL = 1
 STATUS_LEFT_TRACK = 2
+STATUS_NON_FINITE = 3
 
 # Input slots the simulation harness drives, in fixed units:
 # theta [deg], theta_dot [deg/s], x as the error x - x_target [m], x_dot [m/s].
@@ -247,16 +248,30 @@ def _simulate(
 
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
     status code, count of control instants where the law did not fire).
+
+    Every number in the loop is a Python float: a numpy scalar read from an
+    argument would spread into the state and make each step's arithmetic
+    several times slower, with the same IEEE results.  A state that stops
+    being finite ends the run with ``STATUS_NON_FINITE``; only the finite
+    rows before it are returned.
     """
-    theta, theta_dot, x, x_dot, tilt = state0
-    g, m_c, m, l, mu_c, mu_p, f_max = params
+    theta, theta_dot, x, x_dot, tilt = (float(v) for v in state0)
+    x_target = float(x_target)
+    g, m_c, m, l, mu_c, mu_p, f_max = (float(v) for v in params)
+    dt = float(dt)
+    track_bound = float(track_bound)
+    theta_limit = float(theta_limit)
+    ev_step = ev_step.tolist()
+    ev_kind = ev_kind.tolist()
+    ev_value = ev_value.tolist()
+    advance = plant.advance
     traj = np.empty((n_steps + 1, 7))
     status = STATUS_COMPLETED
     rows = n_steps + 1
     norule = 0
     f = 0.0
     ev_i = 0
-    n_ev = ev_step.shape[0]
+    n_ev = len(ev_step)
     for k in range(n_steps):
         while ev_i < n_ev and ev_step[ev_i] == k:
             if ev_kind[ev_i] == 0:
@@ -273,13 +288,19 @@ def _simulate(
             elif f < -f_max:
                 f = -f_max
         traj[k] = (k * dt, theta, theta_dot, x, x_dot, f, tilt)
-        theta, theta_dot, x, x_dot = plant.advance(
-            theta, theta_dot, x, x_dot, f, tilt, dt,
-            g, m_c, m, l, mu_c, mu_p, f_max, rk4,
-        )
-        if abs(theta) > theta_limit:
+        try:
+            theta, theta_dot, x, x_dot = advance(
+                theta, theta_dot, x, x_dot, f, tilt, dt,
+                g, m_c, m, l, mu_c, mu_p, f_max, rk4,
+            )
+        except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
+            status = STATUS_NON_FINITE
+            rows = k + 1
+            break
+        # written with `not <=` so that a NaN angle or position stops the run
+        if not abs(theta) <= theta_limit:
             status = STATUS_POLE_FELL
-        elif abs(x - x_target) > track_bound:
+        elif not abs(x - x_target) <= track_bound:
             status = STATUS_LEFT_TRACK
         if status != STATUS_COMPLETED:
             traj[k + 1] = ((k + 1) * dt, theta, theta_dot, x, x_dot, f, tilt)
@@ -287,7 +308,14 @@ def _simulate(
             break
     if status == STATUS_COMPLETED:
         traj[n_steps] = (n_steps * dt, theta, theta_dot, x, x_dot, f, tilt)
-    return traj[:rows], status, norule
+    traj = traj[:rows]
+    finite = np.isfinite(traj)
+    if not finite.all():
+        # rows are finite up to the first overflow or NaN; keep those
+        rows = int(np.argmin(finite.all(axis=1)))
+        traj = traj[:rows]
+        status = STATUS_NON_FINITE
+    return traj, status, norule
 
 
 # ---------------------------------------------------------------------------

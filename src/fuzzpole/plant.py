@@ -85,7 +85,10 @@ POLE_PRESETS: dict[str, tuple[float, float]] = {
 
 
 def pole_params(preset: str | int, **overrides) -> PlantParams:
-    """Plant parameters for a named pole preset ('pole-3' or just 3)."""
+    """Plant parameters for a named pole preset ('pole-3' or just 3).
+
+    ``overrides`` set any other field and win over the preset's ``m`` and
+    ``l`` (half-pole length)."""
     name = f"pole-{preset}" if isinstance(preset, int) else str(preset)
     if name not in POLE_PRESETS:
         raise PlantError(
@@ -93,7 +96,7 @@ def pole_params(preset: str | int, **overrides) -> PlantParams:
             f"{sorted(POLE_PRESETS)}"
         )
     length, mass = POLE_PRESETS[name]
-    return PlantParams(m=mass, l=length / 2.0, **overrides)
+    return PlantParams(**{"m": mass, "l": length / 2.0, **overrides})
 
 
 def accelerations(
@@ -156,7 +159,10 @@ def advance(
     """One fixed step; forward Euler by default, classic RK4 when asked.
 
     Euler advances velocities by the accelerations and positions by the old
-    velocities (explicit Euler on the first-order system)."""
+    velocities (explicit Euler on the first-order system).  RK4 holds its
+    stage values in locals: stage i has angular velocity p_i, cart velocity
+    v_i and accelerations (a_i, b_i), and the step is the usual weighted sum
+    dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     if not rk4:
         theta_ddot, x_ddot = accelerations(
             theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
@@ -168,28 +174,28 @@ def advance(
             x_dot + x_ddot * dt,
         )
     a1, b1 = accelerations(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max)
-    k1 = (theta_dot, a1, x_dot, b1)
+    h = 0.5 * dt
+    p2 = theta_dot + h * a1
+    v2 = x_dot + h * b1
     a2, b2 = accelerations(
-        theta + 0.5 * dt * k1[0], theta_dot + 0.5 * dt * k1[1],
-        x_dot + 0.5 * dt * k1[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
+        theta + h * theta_dot, p2, v2, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
     )
-    k2 = (theta_dot + 0.5 * dt * k1[1], a2, x_dot + 0.5 * dt * k1[3], b2)
+    p3 = theta_dot + h * a2
+    v3 = x_dot + h * b2
     a3, b3 = accelerations(
-        theta + 0.5 * dt * k2[0], theta_dot + 0.5 * dt * k2[1],
-        x_dot + 0.5 * dt * k2[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
+        theta + h * p2, p3, v3, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
     )
-    k3 = (theta_dot + 0.5 * dt * k2[1], a3, x_dot + 0.5 * dt * k2[3], b3)
+    p4 = theta_dot + dt * a3
+    v4 = x_dot + dt * b3
     a4, b4 = accelerations(
-        theta + dt * k3[0], theta_dot + dt * k3[1],
-        x_dot + dt * k3[3], f, tilt, g, m_c, m, l, mu_c, mu_p, f_max,
+        theta + dt * p3, p4, v4, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
     )
-    k4 = (theta_dot + dt * k3[1], a4, x_dot + dt * k3[3], b4)
     sixth = dt / 6.0
     return (
-        theta + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        theta_dot + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        x + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        x_dot + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+        theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
+        theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
+        x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
     )
 
 

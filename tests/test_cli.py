@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -65,6 +66,26 @@ def test_simulate_rejects_nan_event(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert "event time" in err and "internal error" not in err
+
+
+def test_simulate_reports_non_finite_state(tmp_path, capsys):
+    """Open bounds and a coarse step let pole-7 under pole-1 gains overflow:
+    the run ends as non_finite and the CSV holds only finite rows."""
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"plant": {"preset": "pole-7"},'
+        ' "scenario": {"x_target": 0.5, "track_bound": 1e400, "theta_limit_deg": 1e400},'
+        ' "controller": {"type": "sfc", "nominal_pole": "pole-1"}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", "--scenario", str(path), "--dt", "0.5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "termination: non_finite" in captured.out
+    assert "internal error" not in captured.err
+    cells = [c for line in out.read_text().splitlines()[1:] for c in line.split(",")]
+    assert cells and all(math.isfinite(float(c)) for c in cells)
 
 
 def test_compare_report(tmp_path, capsys):

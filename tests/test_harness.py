@@ -264,6 +264,34 @@ def test_emit_round_trip_six_digits():
         assert np.allclose(parsed[mask], expected[mask], rtol=1e-5)
 
 
+def _emit_reference(traj):
+    """CSV text cell by cell: numpy rows, degrees by one multiply, f"{v:.6g}"."""
+    deg = 180.0 / math.pi
+    lines = ["t,theta_deg,theta_dot_deg_s,x_m,x_dot_m_s,force_N,tilt_deg"]
+    for row in traj.data:
+        cells = (row[0], row[1] * deg, row[2] * deg, row[3], row[4], row[5], row[6] * deg)
+        lines.append(",".join(f"{v:.6g}" for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_matches_per_cell_reference():
+    """Byte for byte against the per-cell formatting on a 10k-row run, with
+    signed zeros, infinities, NaN, a subnormal, a rounding tie and huge
+    values in every column, and trajectories shorter and longer than one
+    block of rows."""
+    data = run(default_scenario(1, "sfc", duration=50.0, nominal_pole=1)).data.copy()
+    assert data.shape[0] == 10001
+    specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 999999.5, 1e300, -1e300]
+    for i, value in enumerate(specials):
+        data[1 + 1237 * i, :] = value
+        data[2 + 1237 * i, i % 7] = value
+    for rows in (data[:3], data[:1024], data[:1025], data):
+        traj = Trajectory(rows, "completed")
+        buffer = io.StringIO()
+        emit_trajectory(traj, buffer)
+        assert buffer.getvalue() == _emit_reference(traj)
+
+
 def test_emit_write_failure_names_path(tmp_path):
     target = tmp_path / "missing-dir" / "traj.csv"
     with pytest.raises(ScenarioError) as err:
@@ -393,6 +421,15 @@ def test_config_plant_overrides():
          "controller": {"type": "fc"}}
     )
     assert bundle.scenario.params == pole_params(1).frictionless()
+
+
+def test_config_preset_mass_and_length_overrides():
+    bundle = scenario_from_config(
+        {"plant": {"preset": "pole-1", "m": 0.2, "l": 0.3, "g": 9.81},
+         "controller": {"type": "fc"}}
+    )
+    assert bundle.scenario.params == replace(pole_params(1), m=0.2, l=0.3, g=9.81)
+    assert pole_params(1, m=0.2).l == pole_params(1).l
 
 
 def test_config_non_finite_values_are_scenario_errors():

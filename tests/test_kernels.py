@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzpole import kernels
+from fuzzpole import kernels, plant
 from fuzzpole.fuzzy import (
     KnowledgeBase,
     LinguisticVariable,
@@ -25,7 +25,9 @@ from fuzzpole.hierarchy import (
     compose_hierarchical,
 )
 from fuzzpole.kernels import compile_kb, control_inputs, fuzzy_force
-from fuzzpole.plant import PlantState, apply_event, set_tilt, step, tap
+from fuzzpole.plant import (
+    PlantParams, PlantState, apply_event, pole_params, set_tilt, step, tap,
+)
 from fuzzpole.rulelang import builtin_pole_kb
 from fuzzpole.sfc import design_gains, linearize, sfc_output
 
@@ -334,3 +336,77 @@ def test_events_applied_at_due_steps(backend):
     assert traj.tilt[i_tilt - 1] == 0.0
     assert traj.tilt[i_tilt] == 0.1
     assert np.all(traj.tilt[i_tilt:] == 0.1)
+
+
+def test_simulation_loop_runs_on_python_floats():
+    """numpy scalars in the arguments (state, params, event values) must not
+    reach the loop's arithmetic: every value the law sees is a float."""
+    seen = []
+
+    def law(*state):
+        seen.append(state)
+        return 0.5 * state[0] - 0.1 * state[3], True
+
+    p = pole_params(1)
+    params = np.array([p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max])
+    data, status, norule = kernels._simulate(
+        np.zeros(5), np.float64(0.2), params, np.float64(0.005), 200, 2, True,
+        np.array([30, 60]), np.array([0, 1]), np.array([0.3, 0.05]),
+        np.float64(1e9), np.float64(1e9), law,
+    )
+    assert status == kernels.STATUS_COMPLETED and norule == 0
+    assert len(seen) == 100
+    assert all(type(v) is float for state in seen for v in state)
+    assert data[59, 6] == 0.0 and data[60, 6] == 0.05  # the tilt took effect
+
+
+def test_overflow_ends_the_run_as_non_finite():
+    """Pole-7 under pole-1 SFC gains with open bounds and a 0.5 s Euler step:
+    the state grows until it overflows and math.sin(inf) raises."""
+    scenario = dataclasses.replace(
+        default_scenario(7, "sfc", nominal_pole=1, dt=0.5, control_period=0.5),
+        track_bound=math.inf, theta_limit_deg=math.inf,
+    )
+    traj = run(scenario)
+    assert traj.termination == "non_finite"
+    assert 1 < traj.data.shape[0] < scenario.n_steps
+    assert np.all(np.isfinite(traj.data))
+    # the row after the last one kept is not finite
+    last = traj.data[-1]
+    p = scenario.params
+    with np.errstate(over="ignore", invalid="ignore"):
+        following = plant.advance(
+            *last[1:7], scenario.dt,
+            p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max, False,
+        )
+    assert not np.all(np.isfinite(following))
+
+
+def test_vanishing_pole_inertia_ends_the_run_as_non_finite():
+    """m * l underflows to 0, so the hinge friction term divides by zero."""
+    scenario = dataclasses.replace(
+        default_scenario(1, "sfc", duration=1.0), params=PlantParams(m=1e-200, l=1e-200)
+    )
+    traj = run(scenario)
+    assert traj.termination == "non_finite"
+    assert traj.data.shape[0] == 1
+
+
+def test_nan_force_ends_the_run_as_non_finite():
+    """A law that returns NaN at step 40 leaves rows 0..39 and stops."""
+    p = pole_params(1)
+    params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
+    calls = []
+
+    def law(theta, theta_dot, x, x_dot):
+        calls.append(theta)
+        return (math.nan if len(calls) > 40 else 1.0), True
+
+    data, status, _ = kernels._simulate(
+        (0.0, 0.0, 0.0, 0.0, 0.0), 0.0, params, 0.005, 100, 1, False,
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+        2.4, 0.8, law,
+    )
+    assert status == kernels.STATUS_NON_FINITE
+    assert data.shape[0] == 40
+    assert np.all(np.isfinite(data))

@@ -5,6 +5,8 @@ import pytest
 
 from fuzzpole.plant import (
     DisturbanceEvent,
+    accelerations,
+    advance,
     PlantError,
     PlantParams,
     PlantState,
@@ -217,3 +219,45 @@ def test_step_validation():
         step(PlantState(), 0.0, 0.0, P1)
     with pytest.raises(PlantError):
         step(PlantState(), 0.0, 0.005, P1, method="verlet")
+
+
+def _rk4_k_tuples(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
+    """Classic RK4 written with k-tuples of (theta', theta_dot', x', x_dot')."""
+    a1, b1 = accelerations(theta, theta_dot, x_dot, f, tilt, *p)
+    k1 = (theta_dot, a1, x_dot, b1)
+    a2, b2 = accelerations(
+        theta + 0.5 * dt * k1[0], theta_dot + 0.5 * dt * k1[1],
+        x_dot + 0.5 * dt * k1[3], f, tilt, *p,
+    )
+    k2 = (theta_dot + 0.5 * dt * k1[1], a2, x_dot + 0.5 * dt * k1[3], b2)
+    a3, b3 = accelerations(
+        theta + 0.5 * dt * k2[0], theta_dot + 0.5 * dt * k2[1],
+        x_dot + 0.5 * dt * k2[3], f, tilt, *p,
+    )
+    k3 = (theta_dot + 0.5 * dt * k2[1], a3, x_dot + 0.5 * dt * k2[3], b3)
+    a4, b4 = accelerations(
+        theta + dt * k3[0], theta_dot + dt * k3[1], x_dot + dt * k3[3], f, tilt, *p,
+    )
+    k4 = (theta_dot + dt * k3[1], a4, x_dot + dt * k3[3], b4)
+    sixth = dt / 6.0
+    return tuple(
+        s + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+        for i, s in enumerate((theta, theta_dot, x, x_dot))
+    )
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_rk4_matches_k_tuple_reference(tilted):
+    """advance's RK4 keeps the bits of the k-tuple formula on random states,
+    forces past saturation, both frictions and every preset."""
+    rng = np.random.default_rng(7 if tilted else 3)
+    for preset in POLE_PRESETS:
+        p = pole_params(preset)
+        params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
+        for _ in range(300):
+            theta, theta_dot, x, x_dot = rng.uniform(-2.0, 2.0, 4).tolist()
+            f = float(rng.uniform(-15.0, 15.0))
+            tilt = float(rng.uniform(-0.2, 0.2)) if tilted else 0.0
+            dt = float(rng.choice([0.001, 0.005, 0.02]))
+            args = (theta, theta_dot, x, x_dot, f, tilt, dt)
+            assert advance(*args, *params, True) == _rk4_k_tuples(*args, *params)
