@@ -21,7 +21,6 @@ from .fuzzy import (
     Precondition,
     Rule,
     aggregate_output,
-    concentrate,
     defuzzify_coa,
     eval_membership,
     fc_output,

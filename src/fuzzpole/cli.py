@@ -4,7 +4,8 @@ Subcommands: ``simulate`` a scenario file, ``compare`` controllers across
 pole presets, ``batch`` the full preset sweep with gains pinned to the
 nominal pole-1 model, and ``lint`` a rule file.
 
-Exit codes: 0 success, 1 diagnostics errors, 2 runtime failure.
+Exit codes: 0 success, 1 diagnostics or invalid input (a scenario, plant,
+rule-file, kernel or SFC design error), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,11 +29,17 @@ from .harness import (
     run,
 )
 from .hierarchy import audit_hierarchy, cart_pole_goals
+from .kernels import KernelError
+from .plant import PlantError
 from .rulelang import Diagnostic, RuleFileError, parse_knowledge_base, validate_kb
+from .sfc import DesignError
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_RUNTIME = 2
+
+# Typed errors that reject an input; the CLI reports them and exits 1.
+_INPUT_ERRORS = (ScenarioError, RuleFileError, PlantError, KernelError, DesignError)
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -206,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, RuleFileError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except OSError as exc:

@@ -8,7 +8,7 @@ knowledge base can be evaluated from any number of threads concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "shoulder_up",
     "shoulder_down",
     "eval_membership",
-    "concentrate",
     "LinguisticVariable",
     "Precondition",
     "Rule",
@@ -187,15 +186,6 @@ class MembershipFunction:
             )
         return _pow_int(base, self.power)
 
-    def support(self) -> tuple[float, float]:
-        """Closure of {v : mu(v) > 0}; shoulders extend to +-inf."""
-        p = self.params
-        if self.kind == TRIANGLE:
-            return p[0], p[2]
-        if self.kind == SHOULDER_UP:
-            return p[0], math.inf
-        return -math.inf, p[1]
-
     def support_at(self, eps: float) -> tuple[float, float]:
         """Interval where mu(v) >= eps, accounting for the power."""
         level = eps ** (1.0 / self.power)
@@ -242,11 +232,6 @@ def shoulder_down(full: float, end: float) -> MembershipFunction:
 def eval_membership(mf: MembershipFunction, v: float) -> float:
     """Degree in [0, 1] to which value v fits the label; exact at breakpoints."""
     return mf(float(v))
-
-
-def concentrate(mf: MembershipFunction) -> MembershipFunction:
-    """Square the curve pointwise: mu'(v) = mu(v)**2."""
-    return replace(mf, power=mf.power * 2)
 
 
 @dataclass(frozen=True)

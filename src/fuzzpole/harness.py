@@ -40,6 +40,7 @@ __all__ = [
     "SignalMetrics",
     "MetricsReport",
     "ScenarioError",
+    "MAX_STEPS",
     "run",
     "compute_metrics",
     "compare",
@@ -56,12 +57,8 @@ log = logging.getLogger(__name__)
 
 TRAJECTORY_HEADER = "t,theta_deg,theta_dot_deg_s,x_m,x_dot_m_s,force_N,tilt_deg"
 
-_TERMINATIONS = {
-    kernels.STATUS_COMPLETED: "completed",
-    kernels.STATUS_POLE_FELL: "pole_fell",
-    kernels.STATUS_LEFT_TRACK: "left_track",
-    kernels.STATUS_NON_FINITE: "non_finite",
-}
+# Longest run a scenario may ask for: 10M steps are ~560 MB of trajectory.
+MAX_STEPS = 10_000_000
 
 DEFAULT_THETA_BAND_DEG = 0.1
 DEFAULT_X_BAND_M = 0.02
@@ -115,6 +112,12 @@ class Scenario:
             raise ScenarioError(
                 f"duration ({self.duration}) must be at least dt ({self.dt})"
             )
+        steps = self.duration / self.dt  # may overflow to inf: test before rounding
+        if steps > MAX_STEPS + 1 or self.n_steps > MAX_STEPS:
+            raise ScenarioError(
+                f"duration {self.duration} s at dt {self.dt} s is {steps:.6g} "
+                f"steps, more than the cap of {MAX_STEPS}"
+            )
         if not math.isfinite(self.x_target):
             raise ScenarioError(f"x_target must be finite, got {self.x_target}")
         for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
@@ -122,7 +125,11 @@ class Scenario:
             if not math.isfinite(value):
                 raise ScenarioError(f"initial {name} must be finite, got {value}")
         ratio = self.control_period / self.dt
-        if self.control_period < self.dt or abs(ratio - round(ratio)) > 1e-9:
+        if (
+            self.control_period < self.dt
+            or math.isinf(ratio)  # round(inf) would raise OverflowError
+            or abs(ratio - round(ratio)) > 1e-9
+        ):
             raise ScenarioError(
                 f"control_period ({self.control_period}) must be an integer "
                 f"multiple of dt ({self.dt})"
@@ -202,9 +209,10 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     events due at a step are applied before that step's control update.
     Control instants where no fuzzy rule fires are mapped to zero force and
     counted in a logged warning, as are events due at or after the end of
-    the run, which are not applied.  A state that overflows or turns NaN
-    ends the run with termination ``non_finite``, keeping the finite rows
-    before it, and a logged warning.  ``backend`` may name the one kernel backend
+    the run, which are not applied.  A state or force that overflows or
+    turns NaN ends the run with termination ``non_finite``, keeping the
+    finite rows before it (none when the first force is not finite), and a
+    logged warning.  ``backend`` may name the one kernel backend
     (``kernels.ACTIVE_BACKEND``); any other value raises ``KernelError``.
     """
     kernels.check_backend(backend)
@@ -245,7 +253,7 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     ctrl = scenario.controller
     if isinstance(ctrl, FuzzyController):
         ck = kernels.compile_kb(ctrl.kb)
-        data, status, norule = kernels.simulate_fuzzy(*common, ck)
+        data, termination, norule = kernels.simulate_fuzzy(*common, ck)
         if norule:
             log.warning(
                 "scenario '%s': no rule fired at %d control instants; "
@@ -260,17 +268,18 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
             reference=(0.0, 0.0, scenario.x_target, 0.0),
             f_max=p.f_max,
         )
-        data, status, _ = kernels.simulate_sfc(*common, gains.k, gains.reference)
+        data, termination, _ = kernels.simulate_sfc(*common, gains.k, gains.reference)
     else:
         raise ScenarioError(f"unknown controller {ctrl!r}")
-    if status == kernels.STATUS_NON_FINITE:
+    if termination == "non_finite":
+        # rows 0 .. len(data) - 1 are finite; there may be none
         log.warning(
-            "scenario '%s': the state stopped being finite after t=%g s; "
-            "the run ends at the last finite row",
+            "scenario '%s': the state or force stopped being finite at "
+            "t=%g s; the run ends at the last finite row before it",
             scenario.name,
-            data[-1, 0],
+            data.shape[0] * scenario.dt,
         )
-    return Trajectory(data, _TERMINATIONS[int(status)])
+    return Trajectory(data, termination)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,6 @@ __all__ = [
 
 RAD2DEG = 180.0 / math.pi
 
-STATUS_COMPLETED = 0
-STATUS_POLE_FELL = 1
-STATUS_LEFT_TRACK = 2
-STATUS_NON_FINITE = 3
-
 # Input slots the simulation harness drives, in fixed units:
 # theta [deg], theta_dot [deg/s], x as the error x - x_target [m], x_dot [m/s].
 DEFAULT_SLOTS: Mapping[str, int] = {"theta": 0, "theta_dot": 1, "x": 2, "x_dot": 3}
@@ -70,18 +65,14 @@ def check_backend(backend: str | None) -> None:
 
 @dataclass(frozen=True)
 class CompiledKB:
-    """Array form of a knowledge base, ready for the simulation kernels.
+    """Table form of a knowledge base: what the fuzzy law reads at each
+    control instant.
 
-    The tables are what the fuzzy law reads at each control instant.  Rules
-    that conclude on the same output label form one group; its curve is the
-    ``conclusions`` row of its first rule, and its window [lo, hi) spans the
+    Rules that conclude on the same output label form one group; its curve
+    is that label sampled on ``omega``, and its window [lo, hi) spans the
     curve's nonzero grid points (lo == hi when it has none).
     """
 
-    lab_kind: np.ndarray  # (L,) int64: 0 triangle, 1 shoulder_up, 2 shoulder_down
-    lab_params: np.ndarray  # (L, 3) float64, unused third slot padded
-    rule_labels: np.ndarray  # (R, C) int64 label row per precondition, -1 pad
-    conclusions: np.ndarray  # (R, N) float64 conclusion curve on the grid
     omega: np.ndarray  # (N,) float64 quantization points
     label_table: tuple  # per label: (kind, p0, p1, p2, power, input slot)
     rule_table: tuple  # per rule: (label rows of its preconditions, group)
@@ -114,30 +105,22 @@ def compile_kb(
                 (_KINDS[mf.kind], p0, p1, p2, mf.power, slots[var.name])
             )
 
-    width = max(len(r.preconditions) for r in kb.rules)
-    rule_labels = np.full((len(kb.rules), width), -1, dtype=np.int64)
     points = kb.output_universe.points()
-    conclusions = np.empty((len(kb.rules), points.shape[0]))
     group_of: dict[str, int] = {}  # conclusion label -> group
     rule_table = []
     group_table = []
-    for i, rule in enumerate(kb.rules):
+    for rule in kb.rules:
         rows = tuple(row_index[(pre.variable, pre.label)] for pre in rule.preconditions)
-        rule_labels[i, : len(rows)] = rows
         label = rule.conclusion[1]
-        conclusions[i] = kb.output.label(label).sample(points)
         if label not in group_of:
             group_of[label] = len(group_table)
-            nonzero = np.flatnonzero(conclusions[i] > 0.0)
+            curve = kb.output.label(label).sample(points)
+            nonzero = np.flatnonzero(curve > 0.0)
             lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-            group_table.append((conclusions[i], lo, hi))
+            group_table.append((curve, lo, hi))
         rule_table.append((rows, group_of[label]))
 
     return CompiledKB(
-        lab_kind=np.asarray([lab[0] for lab in labels], dtype=np.int64),
-        lab_params=np.asarray([lab[1:4] for lab in labels], dtype=np.float64),
-        rule_labels=rule_labels,
-        conclusions=conclusions,
         omega=points,
         label_table=tuple(labels),
         rule_table=tuple(rule_table),
@@ -247,12 +230,14 @@ def _simulate(
     """Closed loop under ``law(theta, theta_dot, x, x_dot) -> (force, fired)``.
 
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
-    status code, count of control instants where the law did not fire).
+    termination, count of control instants where the law did not fire).
+    The termination is ``"completed"``, ``"pole_fell"``, ``"left_track"``
+    or ``"non_finite"``.
 
     Every number in the loop is a Python float: a numpy scalar read from an
     argument would spread into the state and make each step's arithmetic
-    several times slower, with the same IEEE results.  A state that stops
-    being finite ends the run with ``STATUS_NON_FINITE``; only the finite
+    several times slower, with the same IEEE results.  A state or force that
+    stops being finite ends the run as ``"non_finite"``; only the finite
     rows before it are returned.
     """
     theta, theta_dot, x, x_dot, tilt = (float(v) for v in state0)
@@ -266,7 +251,7 @@ def _simulate(
     ev_value = ev_value.tolist()
     advance = plant.advance
     traj = np.empty((n_steps + 1, 7))
-    status = STATUS_COMPLETED
+    termination = "completed"
     rows = n_steps + 1
     norule = 0
     f = 0.0
@@ -294,19 +279,20 @@ def _simulate(
                 g, m_c, m, l, mu_c, mu_p, f_max, rk4,
             )
         except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
-            status = STATUS_NON_FINITE
+            termination = "non_finite"
             rows = k + 1
             break
         # written with `not <=` so that a NaN angle or position stops the run
         if not abs(theta) <= theta_limit:
-            status = STATUS_POLE_FELL
+            termination = "pole_fell"
         elif not abs(x - x_target) <= track_bound:
-            status = STATUS_LEFT_TRACK
-        if status != STATUS_COMPLETED:
-            traj[k + 1] = ((k + 1) * dt, theta, theta_dot, x, x_dot, f, tilt)
-            rows = k + 2
-            break
-    if status == STATUS_COMPLETED:
+            termination = "left_track"
+        else:
+            continue
+        traj[k + 1] = ((k + 1) * dt, theta, theta_dot, x, x_dot, f, tilt)
+        rows = k + 2
+        break
+    if termination == "completed":
         traj[n_steps] = (n_steps * dt, theta, theta_dot, x, x_dot, f, tilt)
     traj = traj[:rows]
     finite = np.isfinite(traj)
@@ -314,8 +300,8 @@ def _simulate(
         # rows are finite up to the first overflow or NaN; keep those
         rows = int(np.argmin(finite.all(axis=1)))
         traj = traj[:rows]
-        status = STATUS_NON_FINITE
-    return traj, status, norule
+        termination = "non_finite"
+    return traj, termination, norule
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +334,7 @@ def simulate_fuzzy(
     """Closed-loop run under the fuzzy controller.
 
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
-    status code, count of control instants where no rule fired).
+    termination, count of control instants where no rule fired).
     """
 
     def law(theta, theta_dot, x, x_dot):

@@ -20,6 +20,7 @@ quantization and defaults to the hull of the output labels at 201 points.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -34,11 +35,7 @@ from .fuzzy import (
     OutputUniverse,
     Precondition,
     Rule,
-    shoulder_down,
-    shoulder_up,
-    triangle,
 )
-from .hierarchy import DEFAULT_VERY_FACTOR
 
 __all__ = [
     "Diagnostic",
@@ -702,95 +699,24 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 # Built-in knowledge base
 
 
-def _three_level(name: str, unit: str, half_width: float, very: bool = False):
-    labels = {
-        "NE": shoulder_down(-half_width, 0.0),
-        "ZE": triangle(-half_width, 0.0, half_width),
-        "PO": shoulder_up(0.0, half_width),
-    }
-    if very:
-        w = DEFAULT_VERY_FACTOR * half_width
-        labels["VS"] = triangle(-w, 0.0, w)
-    return LinguisticVariable(name, unit, labels)
-
-
-def _force_variable() -> LinguisticVariable:
-    w = 10.0 / 3.0
-    return LinguisticVariable(
-        "F",
-        "N",
-        {
-            "NL": shoulder_down(-10.0, -2 * w),
-            "NM": triangle(-10.0, -2 * w, -w),
-            "NS": triangle(-2 * w, -w, 0.0),
-            "ZE": triangle(-w, 0.0, w),
-            "PS": triangle(0.0, w, 2 * w),
-            "PM": triangle(w, 2 * w, 10.0),
-            "PL": shoulder_up(2 * w, 10.0),
-        },
-    )
-
-
-def _rule(name, goal, conds, conclusion):
-    pres = tuple(
-        Precondition(v, lab) if isinstance(lab, str) else Precondition(v, lab[0], lab[1])
-        for v, lab in conds
-    )
-    return Rule(name, pres, ("F", conclusion), goal)
-
-
-def builtin_pole_kb() -> KnowledgeBase:
-    """The built-in cart-pole knowledge base: 13 rules in two goal tiers.
-
-    Nine rules balance the pole (two preconditions each); four move the cart
-    to the target position and are gated on the pole being nearly balanced
-    (the Very-Small labels).  Rule r9 spells the angular-velocity label NL,
-    which the parser and serializer preserve while evaluating it as NE.
-    The cart-position variable x is evaluated on the error x - x_target.
-    """
-    variables = {
-        "theta": _three_level("theta", "deg", 6.25, very=True),
-        "theta_dot": _three_level("theta_dot", "deg/s", 25.0, very=True),
-        "x": _three_level("x", "m", 0.5),
-        "x_dot": _three_level("x_dot", "m/s", 0.25),
-        "F": _force_variable(),
-    }
-    rules = (
-        _rule("r1", 1, [("theta", "PO"), ("theta_dot", "PO")], "PL"),
-        _rule("r2", 1, [("theta", "PO"), ("theta_dot", "ZE")], "PM"),
-        _rule("r3", 1, [("theta", "PO"), ("theta_dot", "NE")], "ZE"),
-        _rule("r4", 1, [("theta", "ZE"), ("theta_dot", "PO")], "PS"),
-        _rule("r5", 1, [("theta", "ZE"), ("theta_dot", "ZE")], "ZE"),
-        _rule("r6", 1, [("theta", "ZE"), ("theta_dot", "NE")], "NS"),
-        _rule("r7", 1, [("theta", "NE"), ("theta_dot", "PO")], "ZE"),
-        _rule("r8", 1, [("theta", "NE"), ("theta_dot", "ZE")], "NM"),
-        _rule("r9", 1, [("theta", "NE"), ("theta_dot", ("NE", "NL"))], "NL"),
-        _rule(
-            "r10", 2,
-            [("theta", "VS"), ("theta_dot", "VS"), ("x", "PO"), ("x_dot", "PO")],
-            "PM",
-        ),
-        _rule(
-            "r11", 2,
-            [("theta", "VS"), ("theta_dot", "VS"), ("x", "PO"), ("x_dot", "ZE")],
-            "PS",
-        ),
-        _rule(
-            "r12", 2,
-            [("theta", "VS"), ("theta_dot", "VS"), ("x", "NE"), ("x_dot", "NE")],
-            "NM",
-        ),
-        _rule(
-            "r13", 2,
-            [("theta", "VS"), ("theta_dot", "VS"), ("x", "NE"), ("x_dot", "ZE")],
-            "NS",
-        ),
-    )
-    return KnowledgeBase(variables, "F", rules, OutputUniverse(-10.0, 10.0, 201))
-
-
 def builtin_pole_source() -> str:
     """Canonical .frl source of the built-in KB, as shipped with the package."""
     return (
         resources.files("fuzzpole").joinpath("kb/pole.frl").read_text(encoding="utf-8")
     )
+
+
+@functools.cache
+def builtin_pole_kb() -> KnowledgeBase:
+    """The built-in cart-pole knowledge base, parsed once from ``kb/pole.frl``.
+
+    Every call returns the same shared KB: copy its ``variables`` and
+    ``labels`` dicts before changing them.  It has 13 rules in two goal
+    tiers.  Nine rules balance the pole (two preconditions
+    each); four move the cart to the target position and are gated on the
+    pole being nearly balanced (the Very-Small labels).  Rule r9 spells the
+    angular-velocity label NL, which the parser and serializer preserve
+    while evaluating it as NE.  The cart-position variable x is evaluated on
+    the error x - x_target.
+    """
+    return load_kb(builtin_pole_source())

@@ -102,6 +102,11 @@ def test_compare_report(tmp_path, capsys):
 
 def test_compare_rejects_bad_poles(capsys):
     assert main(["compare", "--poles", "1,zap"]) == 1
+    for argv in (["compare", "--poles", "0"], ["batch", "--poles", "9"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "unknown pole preset" in err and "internal error" not in err
 
 
 def test_batch_all_poles(tmp_path):
@@ -147,3 +152,39 @@ def test_unreadable_rules_file(tmp_path, capsys):
     code = main(["lint", "--rules", str(tmp_path / "ghost.frl")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+_UNDRIVEN_RULES = """var pressure unit = Pa
+  label LO triangle(0.0, 1.0, 2.0)
+var F unit = N
+  label ZE triangle(-1.0, 0.0, 1.0)
+rule r1: IF pressure IS LO THEN F IS ZE
+"""
+
+
+@pytest.mark.parametrize(
+    "controller, message",
+    [
+        ({"type": "fc", "rules": "boiler.frl"}, "variable 'pressure' has no input slot"),
+        ({"type": "sfc", "desired_poles": [-1, -2, -3]}, "need exactly 4 desired poles"),
+    ],
+    ids=["undriven-variable", "three-poles"],
+)
+def test_simulate_typed_errors_exit_1(tmp_path, capsys, controller, message):
+    (tmp_path / "boiler.frl").write_text(_UNDRIVEN_RULES, encoding="utf-8")
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps({"scenario": {"duration": 1.0}, "controller": controller}),
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
+def test_simulate_rejects_run_over_the_row_cap(scenario_file, capsys):
+    """The cap is checked when the scenario is built: nothing is allocated."""
+    code = main(["simulate", "--scenario", str(scenario_file), "--duration", "1e9"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cap of 10000000" in err and "internal error" not in err

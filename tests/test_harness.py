@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzpole.harness import (
+    MAX_STEPS,
     ScenarioError,
     SignalMetrics,
     Trajectory,
@@ -78,6 +80,15 @@ def test_scenario_validation():
             replace(base, duration=duration)
     one_step = run(replace(base, duration=base.dt))
     assert one_step.completed and one_step.data.shape[0] == 2
+    # the row cap is checked when the scenario is built, before any allocation
+    assert replace(base, duration=MAX_STEPS * base.dt).n_steps == MAX_STEPS
+    for duration in ((MAX_STEPS + 1) * base.dt, 1e9):
+        with pytest.raises(ScenarioError, match=f"cap of {MAX_STEPS}"):
+            replace(base, duration=duration)
+    with pytest.raises(ScenarioError, match="cap"):  # duration / dt overflows
+        replace(base, dt=1e-300, control_period=1e-300, duration=1e300)
+    with pytest.raises(ScenarioError, match="control_period"):  # so does this ratio
+        replace(base, dt=1e-300, duration=1e-300, control_period=1e300)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -481,3 +492,111 @@ def test_config_errors_are_scenario_errors(tmp_path):
         load_scenario(bad_json)
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "does-not-exist.json")
+
+
+# --- scenario-config property ------------------------------------------------
+
+
+def _mostly(valid, invalid):
+    """Draw from ``invalid`` about one time in 24, else from ``valid``."""
+    return st.integers(0, 23).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+_invalid = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+# finite values, tiny and huge ones included: huge states and events are
+# valid input and must end as pole_fell, left_track or non_finite
+_state = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([1e-300, 1e300, -1e300, 1e308]),
+)
+_positive = st.one_of(
+    st.floats(min_value=1e-3, max_value=10.0), st.sampled_from([1e-200, 1e200])
+)
+_presets = _mostly(st.sampled_from(["pole-1", "pole-4", "pole-7", 6]), st.just("pole-9"))
+
+
+@st.composite
+def scenario_configs(draw):
+    plant_cfg = {"preset": draw(_presets)}
+    overrides = st.lists(
+        st.sampled_from(["g", "m", "l", "mu_c", "mu_p", "f_max"]), max_size=2, unique=True
+    )
+    for key in draw(overrides):
+        plant_cfg[key] = draw(_mostly(_positive, _invalid))
+    dt = draw(_mostly(st.sampled_from([0.001, 0.005, 0.02]), _invalid))
+    initial = st.lists(
+        st.sampled_from(["theta_deg", "theta_dot_deg_s", "x_m", "x_dot_m_s", "tilt_deg"]),
+        max_size=3, unique=True,
+    )
+    kinds = st.lists(_mostly(st.sampled_from(["tap", "set_tilt"]), st.just("quake")),
+                     max_size=3)
+    scenario = {
+        "duration": draw(_mostly(st.floats(min_value=0.02, max_value=0.2),
+                                 st.one_of(_invalid, st.floats(0.0, 0.02)))),
+        "dt": dt,
+        "control_period": draw(_mostly(
+            st.integers(min_value=1, max_value=4).map(lambda n: n * dt),
+            st.one_of(_invalid, st.floats(min_value=1e-4, max_value=1e300)),
+        )),
+        "x_target": draw(_mostly(_state, _invalid)),
+        "integrator": draw(_mostly(st.sampled_from(["euler", "rk4"]), st.just("midpoint"))),
+        "initial": {key: draw(_mostly(_state, _invalid)) for key in draw(initial)},
+        "events": [
+            {"t": draw(_mostly(st.floats(min_value=0.0, max_value=0.25), _invalid)),
+             "kind": kind,
+             "delta_theta_dot_deg_s" if kind == "tap" else "angle_deg":
+                 draw(_mostly(_state, _invalid))}
+            for kind in draw(kinds)
+        ],
+    }
+    for key in ("track_bound", "theta_limit_deg"):
+        if draw(st.booleans()):
+            scenario[key] = draw(_mostly(
+                st.one_of(st.floats(min_value=1e-3, max_value=90.0), st.just(math.inf)),
+                _invalid,
+            ))
+    if draw(st.booleans()):
+        controller = {"type": "fc"}
+        if draw(st.booleans()):
+            controller["quantization"] = draw(_mostly(st.sampled_from([3, 51, 201]), st.just(1)))
+    else:
+        controller = {"type": "sfc", "nominal_pole": draw(_presets)}
+    return {"plant": plant_cfg, "scenario": scenario, "controller": controller}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_configs())
+def test_scenario_configs_are_rejected_or_run_finite(cfg):
+    """Every configuration is either a ScenarioError or a run whose rows are
+    all finite and whose termination is one of the four."""
+    try:
+        scenario = scenario_from_config(cfg).scenario
+    except ScenarioError:
+        return
+    assert scenario.duration <= 0.2
+    traj = run(scenario)
+    assert traj.termination in ("completed", "pole_fell", "left_track", "non_finite")
+    assert np.all(np.isfinite(traj.data))
+    if traj.termination == "completed":
+        assert traj.data.shape[0] == scenario.n_steps + 1
+
+
+def test_force_not_finite_at_the_first_step(caplog):
+    """Huge initial state: the SFC sum overflows to inf - inf = NaN at t=0,
+    so no row is finite.  The run still ends as non_finite."""
+    cfg = {
+        "plant": {"preset": "pole-7"},
+        "scenario": {"duration": 0.1, "initial": {
+            "theta_deg": -1e308, "theta_dot_deg_s": -1e308,
+            "x_m": -1e308, "x_dot_m_s": 1e308,
+        }},
+        "controller": {"type": "sfc", "nominal_pole": "pole-7"},
+    }
+    scenario = scenario_from_config(cfg).scenario
+    with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
+        traj = run(scenario)
+    assert traj.termination == "non_finite"
+    assert traj.data.shape == (0, 7)
+    assert "at t=0 s" in caplog.records[0].getMessage()
+    with pytest.raises(ScenarioError, match="empty trajectory"):
+        compute_metrics(traj, scenario)

@@ -107,6 +107,8 @@ def test_composition_reproduces_builtin_position_rules(kb):
     assert composed == builtin
     # highest-priority rules pass through verbatim
     assert tuple(r for r in out.rules if r.goal_index == 1) == tuple(balance)
+    # and the composed KB is the built-in one, whole
+    assert out == kb
 
 
 def three_goal_setup():

@@ -35,12 +35,21 @@ from fuzzpole.sfc import design_gains, linearize, sfc_output
 def test_compiled_tables_shape(kb, compiled_kb):
     ck = compiled_kb
     n_labels = sum(len(v.labels) for v in kb.input_variables)
-    assert ck.lab_kind.shape == (n_labels,)
-    assert ck.lab_params.shape == (n_labels, 3)
-    assert ck.rule_labels.shape == (13, 4)
-    assert ck.conclusions.shape == (13, kb.output_universe.n)
-    assert np.all(ck.rule_labels[:9, 2:] == -1)  # balance rules have 2 preconditions
-    assert np.all(ck.rule_labels[9:] >= 0)
+    assert n_labels == 14
+    assert len(ck.label_table) == n_labels
+    assert len(ck.rule_table) == 13
+    # balance rules have 2 preconditions, position rules 4
+    assert [len(rows) for rows, _ in ck.rule_table] == [2] * 9 + [4] * 4
+    assert all(0 <= i < n_labels for rows, _ in ck.rule_table for i in rows)
+    # one group per conclusion label: its curve, and the window of its nonzero points
+    assert len(ck.group_table) == 7
+    assert sorted({g for _, g in ck.rule_table}) == list(range(7))
+    assert np.array_equal(ck.omega, kb.output_universe.points())
+    for curve, lo, hi in ck.group_table:
+        assert curve.shape == (kb.output_universe.n,)
+        nonzero = np.flatnonzero(curve > 0.0)
+        assert (lo, hi) == (nonzero[0], nonzero[-1] + 1)
+        assert np.all(curve[lo:hi] > 0.0)
 
 
 def test_compile_requires_known_slots(kb):
@@ -354,7 +363,7 @@ def test_simulation_loop_runs_on_python_floats():
         np.array([30, 60]), np.array([0, 1]), np.array([0.3, 0.05]),
         np.float64(1e9), np.float64(1e9), law,
     )
-    assert status == kernels.STATUS_COMPLETED and norule == 0
+    assert status == "completed" and norule == 0
     assert len(seen) == 100
     assert all(type(v) is float for state in seen for v in state)
     assert data[59, 6] == 0.0 and data[60, 6] == 0.05  # the tilt took effect
@@ -407,6 +416,6 @@ def test_nan_force_ends_the_run_as_non_finite():
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
         2.4, 0.8, law,
     )
-    assert status == kernels.STATUS_NON_FINITE
+    assert status == "non_finite"
     assert data.shape[0] == 40
     assert np.all(np.isfinite(data))

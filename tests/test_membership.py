@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from fuzzpole.fuzzy import (
     KBError,
-    concentrate,
     eval_membership,
     shoulder_down,
     shoulder_up,
     triangle,
 )
+from fuzzpole.hierarchy import Concentration, derive_very
 
 ZE = triangle(-6.25, 0.0, 6.25)
 
@@ -46,14 +46,14 @@ def test_shoulders():
 
 
 def test_concentrate_squares_pointwise():
-    conc = concentrate(ZE)
+    conc = derive_very(ZE, Concentration())
     assert conc(0.0) == 1.0  # fixed point of squaring
     v = 6.25 / 2  # membership exactly 0.5
     assert ZE(v) == 0.5
     assert conc(v) == 0.25
     assert conc(10.0) == 0.0
     # double concentration keeps composing
-    assert concentrate(conc)(v) == 0.0625
+    assert derive_very(conc, Concentration())(v) == 0.0625
 
 
 @pytest.mark.parametrize(
@@ -73,21 +73,27 @@ def test_malformed_shapes_rejected(bad):
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_degree_always_in_unit_interval(v):
-    for mf in (ZE, shoulder_up(0.0, 6.25), shoulder_down(-6.25, 0.0), concentrate(ZE)):
+    for mf in (
+        ZE, shoulder_up(0.0, 6.25), shoulder_down(-6.25, 0.0),
+        derive_very(ZE, Concentration()),
+    ):
         d = eval_membership(mf, v)
         assert 0.0 <= d <= 1.0
 
 
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_concentration_never_exceeds_base(v):
-    conc = concentrate(ZE)
+    conc = derive_very(ZE, Concentration())
     assert conc(v) <= ZE(v)
     assert conc(v) == pytest.approx(ZE(v) ** 2)
 
 
 def test_sample_matches_scalar_eval():
     xs = np.linspace(-8.0, 8.0, 1001)
-    for mf in (ZE, shoulder_up(0.0, 6.25), shoulder_down(-6.25, 0.0), concentrate(ZE)):
+    for mf in (
+        ZE, shoulder_up(0.0, 6.25), shoulder_down(-6.25, 0.0),
+        derive_very(ZE, Concentration()),
+    ):
         sampled = mf.sample(xs)
         scalar = np.array([mf(v) for v in xs])
         assert np.array_equal(sampled, scalar)
@@ -108,5 +114,5 @@ def test_support_at_level_set():
     assert lo == pytest.approx(-6.25 + 1e-6 * 6.25)
     assert hi == pytest.approx(6.25 - 1e-6 * 6.25)
     # squaring shrinks the epsilon-support even though the exact support is unchanged
-    c_lo, c_hi = concentrate(ZE).support_at(1e-6)
+    c_lo, c_hi = derive_very(ZE, Concentration()).support_at(1e-6)
     assert lo < c_lo < c_hi < hi

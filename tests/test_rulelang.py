@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -165,6 +167,14 @@ def test_packaged_source_is_canonical(kb):
     source = builtin_pole_source()
     assert source == serialize_kb(kb)
     assert load_kb(source) == kb
+    # the rule file is the only definition of the built-in KB: pin its bytes
+    assert hashlib.sha256(source.encode("utf-8")).hexdigest() == (
+        "6fc18f461bbea2c22a56681c423a7b0d0b5320e0528ebcd891226306236c550e"
+    )
+
+
+def test_builtin_kb_is_parsed_once():
+    assert builtin_pole_kb() is builtin_pole_kb()
 
 
 def test_serialize_round_trip_builtin(kb):
