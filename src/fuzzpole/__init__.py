@@ -22,7 +22,6 @@ from .fuzzy import (
     Rule,
     aggregate_output,
     defuzzify_coa,
-    eval_membership,
     fc_output,
     rule_activation,
     shoulder_down,

@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    INPUT_ERRORS,
     Comparison,
     ScenarioError,
     compare,
@@ -29,17 +30,11 @@ from .harness import (
     run,
 )
 from .hierarchy import audit_hierarchy, cart_pole_goals
-from .kernels import KernelError
-from .plant import PlantError
-from .rulelang import Diagnostic, RuleFileError, parse_knowledge_base, validate_kb
-from .sfc import DesignError
+from .rulelang import Diagnostic, parse_knowledge_base, validate_kb
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_RUNTIME = 2
-
-# Typed errors that reject an input; the CLI reports them and exits 1.
-_INPUT_ERRORS = (ScenarioError, RuleFileError, PlantError, KernelError, DesignError)
 
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
@@ -75,17 +70,20 @@ def cmd_simulate(args) -> int:
     scenario = _apply_overrides(bundle.scenario, args)
     with _maybe_seedless(args):
         traj = run(scenario)
-        report = compute_metrics(
-            traj, scenario, bundle.theta_band_deg, bundle.x_band_m
+        empty = traj.data.shape[0] == 0  # the first force was not finite
+        if not empty:
+            report = compute_metrics(traj, scenario, bundle.theta_band_deg, bundle.x_band_m)
+    print(f"termination: {traj.termination} at t={0.0 if empty else traj.t[-1]:.6g} s")
+    if empty:
+        print("no metrics: the run has no rows to compute them on")
+    else:
+        table = Comparison(
+            [scenario.name],
+            {scenario.name: report},
+            theta_band_deg=bundle.theta_band_deg,
+            x_band_m=bundle.x_band_m,
         )
-    table = Comparison(
-        [scenario.name],
-        {scenario.name: report},
-        theta_band_deg=bundle.theta_band_deg,
-        x_band_m=bundle.x_band_m,
-    )
-    print(f"termination: {traj.termination} at t={traj.t[-1]:.6g} s")
-    print(table.render_text(), end="")
+        print(table.render_text(), end="")
     if args.out:
         emit_trajectory(traj, args.out)
         print(f"trajectory written to {args.out}")
@@ -213,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except OSError as exc:

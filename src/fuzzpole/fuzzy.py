@@ -18,7 +18,6 @@ __all__ = [
     "triangle",
     "shoulder_up",
     "shoulder_down",
-    "eval_membership",
     "LinguisticVariable",
     "Precondition",
     "Rule",
@@ -229,11 +228,6 @@ def shoulder_down(full: float, end: float) -> MembershipFunction:
     return MembershipFunction(SHOULDER_DOWN, (float(full) + 0.0, float(end) + 0.0))
 
 
-def eval_membership(mf: MembershipFunction, v: float) -> float:
-    """Degree in [0, 1] to which value v fits the label; exact at breakpoints."""
-    return mf(float(v))
-
-
 @dataclass(frozen=True)
 class LinguisticVariable:
     """A named physical quantity with labelled membership functions."""
@@ -429,18 +423,13 @@ def defuzzify_coa(
     return num / den
 
 
-def fc_output(
-    kb: KnowledgeBase,
-    inputs: Mapping[str, float],
-    universe: OutputUniverse | None = None,
-) -> float:
+def fc_output(kb: KnowledgeBase, inputs: Mapping[str, float]) -> float:
     """Full pipeline: activate every rule, aggregate, defuzzify to one value."""
-    universe = universe or kb.output_universe
     activations = [
         (rule_activation(rule, inputs, kb), rule.conclusion[1]) for rule in kb.rules
     ]
-    combined = aggregate_output(activations, kb, universe)
+    combined = aggregate_output(activations, kb)
     try:
-        return defuzzify_coa(combined, universe)
+        return defuzzify_coa(combined, kb.output_universe)
     except NoRuleFired:
         raise NoRuleFired(inputs) from None

@@ -14,23 +14,23 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
 from .fuzzy import KnowledgeBase
-from .hierarchy import Achievement, Goal, GoalSpec
 from .plant import (
     DisturbanceEvent,
+    PlantError,
     PlantParams,
     PlantState,
     pole_params,
 )
-from .rulelang import builtin_pole_kb, load_kb
-from .sfc import DEFAULT_DESIRED_POLES, design_gains, linearize
+from .rulelang import RuleFileError, builtin_pole_kb, load_kb
+from .sfc import DEFAULT_DESIRED_POLES, DesignError, design_gains, linearize
 
 __all__ = [
     "FuzzyController",
@@ -40,6 +40,7 @@ __all__ = [
     "SignalMetrics",
     "MetricsReport",
     "ScenarioError",
+    "INPUT_ERRORS",
     "MAX_STEPS",
     "run",
     "compute_metrics",
@@ -66,6 +67,10 @@ DEFAULT_X_BAND_M = 0.02
 
 class ScenarioError(ValueError):
     pass
+
+
+# Typed errors that reject an input: the CLI reports them and exits 1.
+INPUT_ERRORS = (ScenarioError, RuleFileError, PlantError, kernels.KernelError, DesignError)
 
 
 @dataclass(frozen=True)
@@ -443,8 +448,8 @@ def compare(
 ) -> Comparison:
     """Run every scenario and aggregate the metric reports side by side.
 
-    A failing run marks its own column FAILED(reason) and leaves the rest
-    intact.
+    A run rejected with one of ``INPUT_ERRORS`` marks its own column
+    FAILED(reason) and leaves the rest intact; any other error propagates.
     """
     if not scenarios:
         raise ScenarioError("compare needs at least one scenario")
@@ -459,7 +464,7 @@ def compare(
             result.reports[scenario.name] = compute_metrics(
                 traj, scenario, theta_band_deg, x_band_m
             )
-        except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
+        except INPUT_ERRORS as exc:
             log.warning("scenario '%s' failed: %s", scenario.name, exc)
             result.reports[scenario.name] = None
             result.failures[scenario.name] = str(exc)
@@ -510,17 +515,14 @@ def default_scenario(
     pole: str | int = "pole-1",
     controller: str = "fc",
     x_target: float = 0.5,
-    duration: float = 50.0,
-    dt: float = 0.005,
-    control_period: float = 0.005,
-    events: Iterable[DisturbanceEvent] = (),
     nominal_pole: str | int | None = None,
     kb: KnowledgeBase | None = None,
     name: str | None = None,
+    **overrides,
 ) -> Scenario:
     """The standard comparison setup: start at rest at the origin and command
     a step to x_target.  SFC gains are designed on nominal_pole (defaulting to
-    the simulated pole)."""
+    the simulated pole).  Other keyword arguments set ``Scenario`` fields."""
     params = pole_params(pole)
     if controller == "fc":
         ctrl: FuzzyController | SFCController = FuzzyController(
@@ -533,14 +535,7 @@ def default_scenario(
         raise ScenarioError(f"unknown controller '{controller}' (fc or sfc)")
     pole_name = f"pole-{pole}" if isinstance(pole, int) else str(pole)
     return Scenario(
-        name=name or f"{pole_name} {controller}",
-        params=params,
-        controller=ctrl,
-        x_target=x_target,
-        duration=duration,
-        dt=dt,
-        control_period=control_period,
-        events=tuple(events),
+        name or f"{pole_name} {controller}", params, ctrl, x_target=x_target, **overrides
     )
 
 
@@ -549,123 +544,134 @@ class ScenarioBundle:
     scenario: Scenario
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG
     x_band_m: float = DEFAULT_X_BAND_M
-    goals: GoalSpec | None = None
 
 
-def _plant_from_config(cfg: Mapping) -> PlantParams:
-    cfg = dict(cfg)
-    preset = cfg.pop("preset", None)
-    if preset is not None:
-        return pole_params(preset, **{k: float(v) for k, v in cfg.items()})
-    return PlantParams(**{k: float(v) for k, v in cfg.items()})
+# One key table per config section: key -> conversion of its value.  Absent
+# keys are not passed on, so the dataclass defaults apply.
 
 
-def _initial_from_config(cfg: Mapping) -> PlantState:
-    return PlantState(
-        theta=math.radians(float(cfg.get("theta_deg", 0.0))),
-        theta_dot=math.radians(float(cfg.get("theta_dot_deg_s", 0.0))),
-        x=float(cfg.get("x_m", 0.0)),
-        x_dot=float(cfg.get("x_dot_m_s", 0.0)),
-        tilt=math.radians(float(cfg.get("tilt_deg", 0.0))),
-    )
+def _as_is(value):
+    return value
 
 
-def _events_from_config(items: Sequence[Mapping]) -> tuple[DisturbanceEvent, ...]:
+def _radians(value) -> float:
+    return math.radians(float(value))
+
+
+def _poles(values) -> tuple:
+    pair = (list, tuple)
+    return tuple(complex(p[0], p[1]) if isinstance(p, pair) else float(p) for p in values)
+
+
+def _mapping(name: str, cfg) -> Mapping:
+    if not isinstance(cfg, Mapping):
+        raise ScenarioError(f"{name} must be an object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _section(name: str, cfg, schema: Mapping) -> dict:
+    values = {}
+    for key, value in _mapping(name, cfg).items():
+        if key not in schema:
+            raise ScenarioError(
+                f"unknown key {key!r} in {name}; allowed: {', '.join(schema)}"
+            )
+        values[key] = schema[key](value)
+    return values
+
+
+# initial-state key -> (PlantState field, conversion to SI units)
+_INITIAL_KEYS = {
+    "theta_deg": ("theta", _radians),
+    "theta_dot_deg_s": ("theta_dot", _radians),
+    "x_m": ("x", float),
+    "x_dot_m_s": ("x_dot", float),
+    "tilt_deg": ("tilt", _radians),
+}
+# event kind -> key of its value, in degrees
+_EVENT_VALUE_KEYS = {"tap": "delta_theta_dot_deg_s", "set_tilt": "angle_deg"}
+
+
+def _initial(cfg) -> PlantState:
+    schema = {key: convert for key, (_, convert) in _INITIAL_KEYS.items()}
+    values = _section("scenario.initial", cfg, schema)
+    return PlantState(**{_INITIAL_KEYS[k][0]: v for k, v in values.items()})
+
+
+def _events(items) -> tuple[DisturbanceEvent, ...]:
     events = []
-    for item in items:
-        kind = item.get("kind")
-        t = float(item["t"])
-        if kind == "tap":
-            events.append(
-                DisturbanceEvent(
-                    t, "tap", math.radians(float(item["delta_theta_dot_deg_s"]))
-                )
-            )
-        elif kind == "set_tilt":
-            events.append(
-                DisturbanceEvent(t, "set_tilt", math.radians(float(item["angle_deg"])))
-            )
-        else:
-            raise ScenarioError(f"unknown event kind {kind!r} in {item!r}")
+    for i, item in enumerate(items):
+        name = f"scenario.events[{i}]"
+        kind = _mapping(name, item).get("kind")
+        if kind not in _EVENT_VALUE_KEYS:
+            raise ScenarioError(f"unknown event kind {kind!r} in {name} (tap or set_tilt)")
+        value_key = _EVENT_VALUE_KEYS[kind]
+        e = _section(name, item, {"t": float, "kind": str, value_key: _radians})
+        events.append(DisturbanceEvent(e["t"], kind, e[value_key]))
     return tuple(events)
 
 
-def _controller_from_config(cfg: Mapping, base_dir: Path) -> FuzzyController | SFCController:
-    kind = cfg.get("type")
+_TOP_KEYS = dict.fromkeys(("plant", "scenario", "controller", "metrics"), _as_is)
+_PLANT_KEYS = {"preset": _as_is, **{f.name: float for f in fields(PlantParams)}}
+_SCENARIO_KEYS = {
+    "name": str,
+    **dict.fromkeys(("x_target", "duration", "dt", "control_period"), float),
+    **dict.fromkeys(("track_bound", "theta_limit_deg"), float),
+    "integrator": str,
+    "initial": _initial,
+    "events": _events,
+}
+_FC_KEYS = {"type": _as_is, "rules": _as_is, "quantization": int}
+_SFC_KEYS = {"type": _as_is, "nominal_pole": _as_is, "desired_poles": _poles}
+_METRICS_KEYS = {"theta_band_deg": float, "x_band_m": float}
+
+
+def _plant(cfg) -> PlantParams:
+    values = _section("plant", cfg, _PLANT_KEYS)
+    if "preset" in values:
+        return pole_params(values.pop("preset"), **values)
+    return PlantParams(**values)
+
+
+def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
+    kind = _mapping("controller", cfg).get("type")
     if kind == "fc":
-        rules = cfg.get("rules", "builtin")
+        c = _section("controller", cfg, _FC_KEYS)
+        rules = c.get("rules", "builtin")
         if rules == "builtin":
             kb = builtin_pole_kb()
-        else:
-            path = Path(rules)
-            if not path.is_absolute():
-                path = base_dir / path
-            kb = load_kb(path.read_text(encoding="utf-8"))
-        n = cfg.get("quantization")
-        if n is not None:
-            kb = KnowledgeBase(
-                kb.variables,
-                kb.output_variable,
-                kb.rules,
-                replace(kb.output_universe, n=int(n)),
-            )
+        else:  # a relative path is relative to base_dir
+            kb = load_kb((base_dir / rules).read_text(encoding="utf-8"))
+        if "quantization" in c:
+            n = c["quantization"]
+            kb = replace(kb, output_universe=replace(kb.output_universe, n=n))
         return FuzzyController(kb)
     if kind == "sfc":
-        nominal = cfg.get("nominal_pole", "pole-1")
-        poles = cfg.get("desired_poles")
-        desired = (
-            DEFAULT_DESIRED_POLES
-            if poles is None
-            else tuple(
-                complex(p[0], p[1]) if isinstance(p, (list, tuple)) else float(p)
-                for p in poles
-            )
-        )
-        return SFCController(pole_params(nominal), desired)
+        c = _section("controller", cfg, _SFC_KEYS)
+        del c["type"]
+        return SFCController(pole_params(c.pop("nominal_pole", "pole-1")), **c)
     raise ScenarioError(f"unknown controller type {kind!r} (fc or sfc)")
-
-
-def _goals_from_config(items: Sequence[Mapping]) -> GoalSpec:
-    goals = []
-    for item in items:
-        achieve = tuple(
-            Achievement(a["variable"], a["label"], a.get("very"))
-            for a in item.get("achieve", [])
-        )
-        goals.append(Goal(item["name"], tuple(item["variables"]), achieve))
-    return GoalSpec(tuple(goals))
 
 
 def scenario_from_config(cfg: Mapping, base_dir: str | Path = ".") -> ScenarioBundle:
     """Build a scenario from the parsed JSON configuration sections
-    (plant / scenario / controller / metrics, optional goals)."""
+    (plant / scenario / controller / metrics).  Unknown keys and sections
+    that are not objects are rejected; absent keys take the defaults of
+    ``Scenario``, ``PlantState`` and ``ScenarioBundle``, and an absent
+    ``control_period`` is ``dt``."""
     base_dir = Path(base_dir)
     try:
-        params = _plant_from_config(cfg.get("plant", {}))
-        controller = _controller_from_config(cfg.get("controller", {"type": "fc"}), base_dir)
-        s = cfg.get("scenario", {})
+        top = _section("the configuration", cfg, _TOP_KEYS)
+        params = _plant(top.get("plant", {}))
+        controller = _controller(top.get("controller", {"type": "fc"}), base_dir)
+        s = _section("scenario", top.get("scenario", {}), _SCENARIO_KEYS)
+        if "dt" in s:
+            s.setdefault("control_period", s["dt"])
         scenario = Scenario(
-            name=str(s.get("name", "scenario")),
-            params=params,
-            controller=controller,
-            initial=_initial_from_config(s.get("initial", {})),
-            x_target=float(s.get("x_target", 0.0)),
-            duration=float(s.get("duration", 50.0)),
-            dt=float(s.get("dt", 0.005)),
-            control_period=float(s.get("control_period", s.get("dt", 0.005))),
-            events=_events_from_config(s.get("events", [])),
-            track_bound=float(s.get("track_bound", 2.4)),
-            theta_limit_deg=float(s.get("theta_limit_deg", 45.0)),
-            integrator=str(s.get("integrator", "euler")),
+            params=params, controller=controller, **{"name": "scenario", **s}
         )
-        metrics = cfg.get("metrics", {})
-        goals = cfg.get("goals")
-        return ScenarioBundle(
-            scenario,
-            theta_band_deg=float(metrics.get("theta_band_deg", DEFAULT_THETA_BAND_DEG)),
-            x_band_m=float(metrics.get("x_band_m", DEFAULT_X_BAND_M)),
-            goals=_goals_from_config(goals) if goals else None,
-        )
+        metrics = _section("metrics", top.get("metrics", {}), _METRICS_KEYS)
+        return ScenarioBundle(scenario, **metrics)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise

@@ -82,17 +82,14 @@ class CompiledKB:
 _KINDS = {"triangle": 0, "shoulder_up": 1, "shoulder_down": 2}
 
 
-def compile_kb(
-    kb: KnowledgeBase, slots: Mapping[str, int] | None = None
-) -> CompiledKB:
-    slots = DEFAULT_SLOTS if slots is None else slots
+def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     labels: list[tuple[int, float, float, float, int, int]] = []
     row_index: dict[tuple[str, str], int] = {}
     for var in kb.input_variables:
-        if var.name not in slots:
+        if var.name not in DEFAULT_SLOTS:
             raise KernelError(
                 f"variable '{var.name}' has no input slot; the harness drives "
-                f"{sorted(slots)}"
+                f"{sorted(DEFAULT_SLOTS)}"
             )
         for label_name, mf in var.labels.items():
             row_index[(var.name, label_name)] = len(labels)
@@ -102,7 +99,7 @@ def compile_kb(
             else:
                 p0, p1, p2 = p[0], p[1], p[1] + 1.0  # pad keeps divisions finite
             labels.append(
-                (_KINDS[mf.kind], p0, p1, p2, mf.power, slots[var.name])
+                (_KINDS[mf.kind], p0, p1, p2, mf.power, DEFAULT_SLOTS[var.name])
             )
 
     points = kb.output_universe.points()

@@ -95,11 +95,6 @@ class GainVector:
             self, "reference", np.asarray(self.reference, dtype=np.float64).reshape(4)
         )
 
-    def with_target(self, x_target: float) -> "GainVector":
-        return GainVector(
-            self.k, np.array([0.0, 0.0, float(x_target), 0.0]), self.f_max
-        )
-
 
 def _conjugate_closed(poles: np.ndarray, tol: float = 1e-9) -> bool:
     remaining = list(poles)

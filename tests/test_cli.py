@@ -88,6 +88,27 @@ def test_simulate_reports_non_finite_state(tmp_path, capsys):
     assert cells and all(math.isfinite(float(c)) for c in cells)
 
 
+def test_simulate_run_without_rows(tmp_path, capsys):
+    """The first force is not finite, so the run has no rows: simulate reports
+    the termination, says there are no metrics, writes a header-only CSV and
+    exits 0."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "plant": {"preset": "pole-7"},
+        "scenario": {"duration": 0.1, "initial": {
+            "theta_deg": -1e308, "theta_dot_deg_s": -1e308,
+            "x_m": -1e308, "x_dot_m_s": 1e308,
+        }},
+        "controller": {"type": "sfc", "nominal_pole": "pole-7"},
+    }), encoding="utf-8")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "termination: non_finite at t=0 s"
+    assert lines[1] == "no metrics: the run has no rows to compute them on"
+    assert out.read_text() == "t,theta_deg,theta_dot_deg_s,x_m,x_dot_m_s,force_N,tilt_deg\n"
+
+
 def test_compare_report(tmp_path, capsys):
     report = tmp_path / "report.csv"
     code = main(

@@ -2,7 +2,9 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from fuzzpole.harness import (
     run,
     scenario_from_config,
 )
+from fuzzpole.cli import main
 from fuzzpole.plant import PlantState, pole_params, set_tilt, tap
 
 
@@ -200,7 +203,7 @@ def test_compare_failed_cell_isolated(monkeypatch):
 
     def flaky(scenario, backend=None):
         if scenario.name == "broken":
-            raise RuntimeError("synthetic failure")
+            raise ScenarioError("synthetic failure")
         return original(scenario, backend=backend)
 
     monkeypatch.setattr(harness_mod, "run", flaky)
@@ -210,6 +213,19 @@ def test_compare_failed_cell_isolated(monkeypatch):
     csv = result.to_csv()
     assert "FAILED(synthetic failure)" in csv
     assert csv.count("\n") == 8  # header + 6 metrics + termination
+
+
+def test_compare_lets_other_errors_propagate(monkeypatch):
+    """Only the typed input errors become FAILED cells; a programming error
+    in a kernel reaches the caller."""
+    import fuzzpole.harness as harness_mod
+
+    def broken(scenario, backend=None):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(harness_mod, "run", broken)
+    with pytest.raises(RuntimeError, match="kernel bug"):
+        harness_mod.compare([default_scenario(1, "fc", duration=1.0)])
 
 
 def test_compare_grid_matches_published_layout():
@@ -370,17 +386,6 @@ FULL_CONFIG = {
     },
     "controller": {"type": "fc", "rules": "builtin", "quantization": 201},
     "metrics": {"theta_band_deg": 0.2, "x_band_m": 0.05},
-    "goals": [
-        {
-            "name": "balance_pole",
-            "variables": ["theta", "theta_dot"],
-            "achieve": [
-                {"variable": "theta", "label": "ZE", "very": "VS"},
-                {"variable": "theta_dot", "label": "ZE", "very": "VS"},
-            ],
-        },
-        {"name": "position_cart", "variables": ["x", "x_dot"]},
-    ],
 }
 
 
@@ -393,7 +398,6 @@ def test_load_full_config(tmp_path):
     assert s.control_every == 4
     assert len(s.events) == 3
     assert bundle.theta_band_deg == 0.2
-    assert bundle.goals is not None and len(bundle.goals.goals) == 2
 
 
 def test_config_sfc_controller(tmp_path):
@@ -494,6 +498,56 @@ def test_config_errors_are_scenario_errors(tmp_path):
         load_scenario(tmp_path / "does-not-exist.json")
 
 
+_TAP = {"t": 1.0, "kind": "tap", "delta_theta_dot_deg_s": 5.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"controler": {"type": "sfc"}}, "'controler'"),
+        ({"goals": [{"name": "balance_pole", "variables": ["theta"]}]}, "'goals'"),
+        ({"plant": {"preset": "pole-1", "mass": 0.2}}, "'mass'"),
+        ({"scenario": {"duraton": 0.1, "integrater": "rk4"}}, "'duraton'"),
+        ({"scenario": {"initial": {"theta": 1.0}}}, "'theta'"),
+        ({"scenario": {"events": [{**_TAP, "angle_deg": 7.0}]}}, "'angle_deg'"),
+        ({"controller": {"type": "fc", "quantisation": 51}}, "'quantisation'"),
+        ({"controller": {"type": "fc", "nominal_pole": "pole-7"}}, "'nominal_pole'"),
+        ({"controller": {"type": "sfc", "nominal": "pole-7"}}, "'nominal'"),
+        ({"metrics": {"x_band": 0.05}}, "'x_band'"),
+        ([{"plant": {"preset": "pole-1"}}], "the configuration must be an object"),
+        ({"scenario": []}, "scenario must be an object"),
+        ({"plant": "pole-1"}, "plant must be an object"),
+        ({"controller": "fc"}, "controller must be an object"),
+        ({"metrics": 0.1}, "metrics must be an object"),
+        ({"scenario": {"initial": [1.0, 0.0]}}, "scenario.initial must be an object"),
+        ({"scenario": {"events": [_TAP, ["tap", 2.0]]}}, "scenario.events[1] must be an object"),
+    ],
+    ids=[
+        "top", "goals", "plant", "scenario", "initial", "event", "fc", "fc-sfc-key",
+        "sfc", "metrics", "top-list", "scenario-list", "plant-string",
+        "controller-string", "metrics-number", "initial-list", "event-list",
+    ],
+)
+def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cfg, named):
+    """A misspelt or extra key, a ``goals`` section, or a section or event
+    that is not an object is a ScenarioError naming it, and exit 1."""
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        scenario_from_config(cfg)
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+def test_readme_scenario_example_loads():
+    """The JSON example in README's "Scenario files" section is a valid
+    configuration, so the documented schema cannot drift from the key tables."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    bundle = scenario_from_config(json.loads(example))
+    assert bundle.scenario.events and bundle.x_band_m == 0.02
+
+
 # --- scenario-config property ------------------------------------------------
 
 
@@ -515,8 +569,13 @@ _positive = st.one_of(
 _presets = _mostly(st.sampled_from(["pole-1", "pole-4", "pole-7", 6]), st.just("pole-9"))
 
 
+_TYPO_SECTIONS = ["top", "plant", "scenario", "initial", "event", "controller", "metrics"]
+
+
 @st.composite
 def scenario_configs(draw):
+    """A configuration, and whether one key in it is unknown (about one draw
+    in 24)."""
     plant_cfg = {"preset": draw(_presets)}
     overrides = st.lists(
         st.sampled_from(["g", "m", "l", "mu_c", "mu_p", "f_max"]), max_size=2, unique=True
@@ -561,18 +620,32 @@ def scenario_configs(draw):
             controller["quantization"] = draw(_mostly(st.sampled_from([3, 51, 201]), st.just(1)))
     else:
         controller = {"type": "sfc", "nominal_pole": draw(_presets)}
-    return {"plant": plant_cfg, "scenario": scenario, "controller": controller}
+    cfg = {"plant": plant_cfg, "scenario": scenario, "controller": controller}
+    typo = {"typo": 1.0}
+    where = draw(_mostly(st.none(), st.sampled_from(_TYPO_SECTIONS)))
+    if where == "event":
+        scenario["events"].append({"t": 0.1, "kind": "tap", "delta_theta_dot_deg_s": 1.0, **typo})
+    elif where == "metrics":
+        cfg["metrics"] = typo
+    elif where is not None:
+        sections = {"top": cfg, "plant": plant_cfg, "scenario": scenario,
+                    "initial": scenario["initial"], "controller": controller}
+        sections[where].update(typo)
+    return cfg, where is not None
 
 
 @settings(max_examples=150, deadline=None)
 @given(scenario_configs())
-def test_scenario_configs_are_rejected_or_run_finite(cfg):
+def test_scenario_configs_are_rejected_or_run_finite(drawn):
     """Every configuration is either a ScenarioError or a run whose rows are
-    all finite and whose termination is one of the four."""
+    all finite and whose termination is one of the four.  One with an
+    unknown key is always a ScenarioError."""
+    cfg, has_unknown_key = drawn
     try:
         scenario = scenario_from_config(cfg).scenario
     except ScenarioError:
         return
+    assert not has_unknown_key
     assert scenario.duration <= 0.2
     traj = run(scenario)
     assert traj.termination in ("completed", "pole_fell", "left_track", "non_finite")

@@ -211,8 +211,8 @@ def test_folded_kernel_keeps_the_sign_of_a_zero_sum():
         (Rule("r", (Precondition("theta", "A"),), ("F", "N")),),
         OutputUniverse(-1e-300, 1e-300, 3),
     )
-    slots = {"theta": 0}
-    ck = compile_kb(kb, slots)
+    slots = {"theta": 0}  # theta's slot in kernels.DEFAULT_SLOTS
+    ck = compile_kb(kb)
     for theta in (1e-30, 0.5, 1.0):
         assert _agrees_with_reference(kb, ck, [theta], slots)
     assert math.copysign(1.0, fuzzy_force(ck, np.array([1e-30]))[0]) == 1.0

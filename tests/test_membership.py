@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fuzzpole.fuzzy import (
     KBError,
-    eval_membership,
     shoulder_down,
     shoulder_up,
     triangle,
@@ -17,19 +16,19 @@ ZE = triangle(-6.25, 0.0, 6.25)
 
 
 def test_triangle_apex_is_one():
-    assert eval_membership(ZE, 0.0) == 1.0
+    assert ZE(0.0) == 1.0
 
 
 def test_paper_anchor_point():
     # 5 degrees reads as Positive to 0.8 and Zero to 0.2 with the default scales
     po = shoulder_up(0.0, 6.25)
-    assert eval_membership(po, 5.0) == pytest.approx(0.8)
-    assert eval_membership(ZE, 5.0) == pytest.approx(0.2)
+    assert po(5.0) == pytest.approx(0.8)
+    assert ZE(5.0) == pytest.approx(0.2)
 
 
 def test_support_edge_is_zero():
-    assert eval_membership(ZE, 6.25) == 0.0
-    assert eval_membership(ZE, -6.25) == 0.0
+    assert ZE(6.25) == 0.0
+    assert ZE(-6.25) == 0.0
 
 
 def test_shoulders():
@@ -77,7 +76,7 @@ def test_degree_always_in_unit_interval(v):
         ZE, shoulder_up(0.0, 6.25), shoulder_down(-6.25, 0.0),
         derive_very(ZE, Concentration()),
     ):
-        d = eval_membership(mf, v)
+        d = mf(v)
         assert 0.0 <= d <= 1.0
 
 

@@ -163,10 +163,3 @@ def test_sfc_output_clamps():
     gains = design_gains(linearize(P1), f_max=10.0)
     assert sfc_output(gains, PlantState(x=-50.0)) in (-10.0, 10.0)
     assert abs(sfc_output(gains, PlantState(theta=0.3, x=-50.0))) == 10.0
-
-
-def test_gain_vector_with_target():
-    gains = design_gains(linearize(P1))
-    shifted = gains.with_target(0.7)
-    assert np.array_equal(shifted.reference, [0.0, 0.0, 0.7, 0.0])
-    assert np.array_equal(shifted.k, gains.k)
