@@ -35,6 +35,11 @@ __all__ = [
 TRIANGLE = "triangle"
 SHOULDER_UP = "shoulder_up"
 SHOULDER_DOWN = "shoulder_down"
+_PARAM_NAMES = {
+    TRIANGLE: ("left", "peak", "right"),
+    SHOULDER_UP: ("start", "full"),
+    SHOULDER_DOWN: ("full", "end"),
+}
 
 
 class KBError(ValueError):
@@ -97,31 +102,21 @@ class MembershipFunction:
     MAX_POWER = 64
 
     def __post_init__(self):
+        names = _PARAM_NAMES.get(self.kind)
+        if names is None:
+            raise KBError(f"unknown membership shape '{self.kind}'")
+        p = self.params
+        if len(p) != len(names):
+            raise KBError(
+                f"{self.kind} takes {len(names)} parameters ({', '.join(names)}), "
+                f"got {len(p)}"
+            )
         if not (1 <= self.power <= self.MAX_POWER):
             raise KBError(
                 f"power must be in [1, {self.MAX_POWER}], got {self.power}"
             )
-        p = self.params
-        if self.kind == TRIANGLE:
-            if len(p) != 3:
-                raise KBError("triangle takes (left, peak, right)")
-            left, peak, right = p
-            if not (left < peak < right):
-                raise KBError(
-                    f"triangle needs left < peak < right, got {p}"
-                )
-        elif self.kind == SHOULDER_UP:
-            if len(p) != 2:
-                raise KBError("shoulder_up takes (start, full)")
-            if not (p[0] < p[1]):
-                raise KBError(f"shoulder_up needs start < full, got {p}")
-        elif self.kind == SHOULDER_DOWN:
-            if len(p) != 2:
-                raise KBError("shoulder_down takes (full, end)")
-            if not (p[0] < p[1]):
-                raise KBError(f"shoulder_down needs full < end, got {p}")
-        else:
-            raise KBError(f"unknown membership shape '{self.kind}'")
+        if not all(a < b for a, b in zip(p, p[1:])):
+            raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
         if not all(math.isfinite(v) for v in p):
             raise KBError(f"membership parameters must be finite, got {p}")
 

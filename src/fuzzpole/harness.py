@@ -441,29 +441,19 @@ class Comparison:
         return "\n".join(lines) + "\n"
 
 
-def compare(
-    scenarios: Sequence[Scenario],
-    theta_band_deg: float = DEFAULT_THETA_BAND_DEG,
-    x_band_m: float = DEFAULT_X_BAND_M,
-) -> Comparison:
-    """Run every scenario and aggregate the metric reports side by side.
+def compare(scenarios: Sequence[Scenario]) -> Comparison:
+    """Run every scenario and aggregate the metric reports side by side,
+    with the default settling bands.
 
     A run rejected with one of ``INPUT_ERRORS`` marks its own column
     FAILED(reason) and leaves the rest intact; any other error propagates.
     """
     if not scenarios:
         raise ScenarioError("compare needs at least one scenario")
-    result = Comparison(
-        [s.name for s in scenarios],
-        theta_band_deg=theta_band_deg,
-        x_band_m=x_band_m,
-    )
+    result = Comparison([s.name for s in scenarios])
     for scenario in scenarios:
         try:
-            traj = run(scenario)
-            result.reports[scenario.name] = compute_metrics(
-                traj, scenario, theta_band_deg, x_band_m
-            )
+            result.reports[scenario.name] = compute_metrics(run(scenario), scenario)
         except INPUT_ERRORS as exc:
             log.warning("scenario '%s' failed: %s", scenario.name, exc)
             result.reports[scenario.name] = None
@@ -641,7 +631,14 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
         if rules == "builtin":
             kb = builtin_pole_kb()
         else:  # a relative path is relative to base_dir
-            kb = load_kb((base_dir / rules).read_text(encoding="utf-8"))
+            path = base_dir / rules
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ScenarioError(
+                    f"cannot read controller.rules file {path}: {exc}"
+                ) from exc
+            kb = load_kb(text)
         if "quantization" in c:
             n = c["quantization"]
             kb = replace(kb, output_universe=replace(kb.output_universe, n=n))

@@ -56,7 +56,7 @@ KEYWORDS = {"var", "unit", "label", "universe", "rule", "goal", "if", "and", "th
 # rule base (NL read as NE); the original spelling is preserved on the rule.
 LABEL_ALIASES = {"NL": "NE", "PL": "PO"}
 
-_SHAPES = {"triangle": 3, "shoulder_up": 2, "shoulder_down": 2}
+_SHAPES = {"triangle", "shoulder_up", "shoulder_down"}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POWER_RE = re.compile(r"\^(\d+)\Z")
 _PUNCT = "(),:="
@@ -146,26 +146,11 @@ def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     return tokens, _Token("<end of input>", line, col)
 
 
-# Intermediate declarations carrying source locations for resolution errors.
-
-
-@dataclass
-class _LabelDecl:
-    name: _Token
-    shape: _Token
-    params: list[tuple[float, _Token]]
-    power: int
-
-
-@dataclass
-class _VarDecl:
-    name: _Token
-    unit: str
-    labels: list[_LabelDecl]
-
-
 @dataclass
 class _RuleDecl:
+    """A rule as read; resolved once every variable is known, since a rule
+    may name variables declared after it."""
+
     name: _Token
     goal: int
     conds: list[tuple[_Token, _Token]]
@@ -173,28 +158,31 @@ class _RuleDecl:
     out_label: _Token
 
 
-@dataclass
-class _UniverseDecl:
-    lo: float
-    hi: float
-    n: int
-    at: _Token
-
-
 class _SyntaxError(Exception):
     def __init__(self, diag: Diagnostic):
         self.diag = diag
 
 
+def _hull(labels: Iterable[MembershipFunction]) -> tuple[float, float]:
+    lo = min(min(mf.params) for mf in labels)
+    hi = max(max(mf.params) for mf in labels)
+    return lo, hi
+
+
 class _Parser:
+    """Builds labels, variables and the universe as it reads them; only rules
+    wait for :meth:`resolve`."""
+
     def __init__(self, tokens: list[_Token], eof: _Token):
         self.tokens = tokens
         self.eof = eof
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        self.var_decls: list[_VarDecl] = []
+        self.variables: dict[str, LinguisticVariable] = {}
+        self.first_var: _Token | None = None
+        self.universe: OutputUniverse | None = None
+        self.universe_seen = False
         self.rule_decls: list[_RuleDecl] = []
-        self.universe_decl: _UniverseDecl | None = None
 
     def peek(self) -> _Token:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
@@ -207,6 +195,12 @@ class _Parser:
 
     def error(self, tok: _Token, message: str, code: str = "syntax") -> _SyntaxError:
         return _SyntaxError(Diagnostic("error", tok.line, tok.col, message, code))
+
+    def report(self, tok: _Token, message: str, code: str) -> None:
+        self.diagnostics.append(Diagnostic("error", tok.line, tok.col, message, code))
+
+    def failed(self) -> bool:
+        return any(d.severity == "error" for d in self.diagnostics)
 
     def expect_keyword(self, word: str) -> _Token:
         tok = self.next()
@@ -226,13 +220,12 @@ class _Parser:
             raise self.error(tok, f"expected {what} name, found '{tok.text}'")
         return tok
 
-    def expect_number(self) -> tuple[float, _Token]:
+    def expect_number(self) -> float:
         tok = self.next()
         try:
-            value = float(tok.text)
+            return float(tok.text)
         except ValueError:
             raise self.error(tok, f"expected a number, found '{tok.text}'") from None
-        return value, tok
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self.next()
@@ -273,21 +266,23 @@ class _Parser:
     def parse_var(self) -> None:
         self.expect_keyword("var")
         name = self.expect_name("variable")
+        self.first_var = self.first_var or name
         self.expect_keyword("unit")
         self.expect_punct("=")
         unit_tok = self.next()
         if unit_tok is self.eof or unit_tok.text in _PUNCT:
             raise self.error(unit_tok, f"expected a unit, found '{unit_tok.text}'")
-        labels: list[_LabelDecl] = []
+        if self.peek().lower != "label":
+            raise self.error(self.peek(), f"variable '{name.text}' declares no labels")
+        labels: dict[str, MembershipFunction] = {}
         while self.peek().lower == "label":
-            labels.append(self.parse_label())
-        if not labels:
-            raise self.error(
-                self.peek(), f"variable '{name.text}' declares no labels"
-            )
-        self.var_decls.append(_VarDecl(name, unit_tok.text, labels))
+            self.parse_label(name.text, labels)
+        if name.text in self.variables:
+            self.report(name, f"duplicate variable '{name.text}'", "duplicate-variable")
+        elif labels:  # empty only if every label was rejected
+            self.variables[name.text] = LinguisticVariable(name.text, unit_tok.text, labels)
 
-    def parse_label(self) -> _LabelDecl:
+    def parse_label(self, var: str, labels: dict[str, MembershipFunction]) -> None:
         self.expect_keyword("label")
         name = self.expect_name("label")
         shape = self.next()
@@ -308,16 +303,30 @@ class _Parser:
         if m:
             self.next()
             power = int(m.group(1))
-        return _LabelDecl(name, shape, params, power)
+        if name.text in labels:
+            self.report(
+                name, f"duplicate label '{name.text}' on variable '{var}'", "duplicate-label"
+            )
+            return
+        try:
+            labels[name.text] = MembershipFunction(
+                shape.lower, tuple(v + 0.0 for v in params), power
+            )
+        except KBError as exc:
+            self.report(shape, str(exc), "bad-shape")
 
     def parse_universe(self) -> None:
         at = self.expect_keyword("universe")
-        lo, _ = self.expect_number()
-        hi, _ = self.expect_number()
+        lo = self.expect_number()
+        hi = self.expect_number()
         n, _ = self.expect_int("point count")
-        if self.universe_decl is not None:
+        if self.universe_seen:
             raise self.error(at, "duplicate universe declaration", "duplicate-universe")
-        self.universe_decl = _UniverseDecl(lo, hi, n, at)
+        self.universe_seen = True
+        try:
+            self.universe = OutputUniverse(lo, hi, n)
+        except KBError as exc:
+            self.report(at, str(exc), "bad-universe")
 
     def parse_rule(self) -> None:
         self.expect_keyword("rule")
@@ -346,11 +355,100 @@ class _Parser:
         label = self.expect_name("label")
         return var, label
 
-
-def _hull(labels: Iterable[MembershipFunction]) -> tuple[float, float]:
-    lo = min(min(mf.params) for mf in labels)
-    hi = max(max(mf.params) for mf in labels)
-    return lo, hi
+    def resolve(self) -> KnowledgeBase | None:
+        """Resolve the rules against the variables read; None on any error."""
+        if self.failed():
+            return None
+        if not self.rule_decls:
+            at = self.first_var or _Token("", 1, 1)
+            self.report(
+                at, "no output variable defined: the file declares no rules", "no-output"
+            )
+            return None
+        variables = self.variables
+        output_variable = self.rule_decls[0].out_var.text
+        resolved: list[tuple[_RuleDecl, list[Precondition]]] = []
+        seen_rules: set[str] = set()
+        for decl in self.rule_decls:
+            if decl.name.text in seen_rules:
+                self.report(
+                    decl.name, f"duplicate rule name '{decl.name.text}'", "duplicate-rule"
+                )
+            seen_rules.add(decl.name.text)
+            if decl.out_var.text != output_variable:
+                self.report(
+                    decl.out_var,
+                    f"rule '{decl.name.text}' concludes on '{decl.out_var.text}' but "
+                    f"earlier rules conclude on '{output_variable}'; exactly one "
+                    "output variable is allowed",
+                    "multiple-outputs",
+                )
+            if decl.out_var.text not in variables:
+                self.report(
+                    decl.out_var, f"unknown variable '{decl.out_var.text}'", "unknown-variable"
+                )
+            elif decl.out_label.text not in variables[decl.out_var.text].labels:
+                self.report(
+                    decl.out_label,
+                    f"unknown label '{decl.out_label.text}' on variable "
+                    f"'{decl.out_var.text}'",
+                    "unknown-label",
+                )
+            preconditions: list[Precondition] = []
+            seen_vars: set[str] = set()
+            for var_tok, label_tok in decl.conds:
+                if var_tok.text not in variables:
+                    self.report(
+                        var_tok, f"unknown variable '{var_tok.text}'", "unknown-variable"
+                    )
+                    continue
+                if var_tok.text in seen_vars:
+                    self.report(
+                        var_tok,
+                        f"rule '{decl.name.text}' constrains variable "
+                        f"'{var_tok.text}' more than once",
+                        "duplicate-precondition",
+                    )
+                    continue
+                seen_vars.add(var_tok.text)
+                var = variables[var_tok.text]
+                label = label_tok.text
+                spelled = None
+                if label not in var.labels:
+                    alias = LABEL_ALIASES.get(label)
+                    if alias is not None and alias in var.labels:
+                        self.diagnostics.append(
+                            Diagnostic(
+                                "warning", label_tok.line, label_tok.col,
+                                f"label '{label}' is not defined on variable "
+                                f"'{var_tok.text}'; reading it as '{alias}'",
+                                "label-alias",
+                            )
+                        )
+                        spelled, label = label, alias
+                    else:
+                        self.report(
+                            label_tok,
+                            f"unknown label '{label}' on variable '{var_tok.text}'",
+                            "unknown-label",
+                        )
+                        continue
+                preconditions.append(Precondition(var_tok.text, label, spelled))
+            resolved.append((decl, preconditions))
+        if self.failed():
+            return None
+        rules = tuple(
+            Rule(d.name.text, tuple(pres), (d.out_var.text, d.out_label.text), d.goal)
+            for d, pres in resolved
+        )
+        universe = self.universe or OutputUniverse(
+            *_hull(variables[output_variable].labels.values())
+        )
+        try:
+            return KnowledgeBase(variables, output_variable, rules, universe)
+        except KBError as exc:
+            self.diagnostics.append(Diagnostic("error", 1, 1, str(exc), "bad-kb"))
+            return None
 
 
 def parse_knowledge_base(text: str | bytes) -> ParseResult:
@@ -359,175 +457,8 @@ def parse_knowledge_base(text: str | bytes) -> ParseResult:
         text = text.decode("utf-8", errors="replace")
     parser = _Parser(*_tokenize(text))
     parser.parse()
-    diagnostics = parser.diagnostics
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-
-    def err(tok: _Token, message: str, code: str) -> None:
-        diagnostics.append(Diagnostic("error", tok.line, tok.col, message, code))
-
-    variables: dict[str, LinguisticVariable] = {}
-    for decl in parser.var_decls:
-        if decl.name.text in variables:
-            err(decl.name, f"duplicate variable '{decl.name.text}'", "duplicate-variable")
-            continue
-        labels: dict[str, MembershipFunction] = {}
-        for lab in decl.labels:
-            if lab.name.text in labels:
-                err(
-                    lab.name,
-                    f"duplicate label '{lab.name.text}' on variable '{decl.name.text}'",
-                    "duplicate-label",
-                )
-                continue
-            shape = lab.shape.lower
-            if len(lab.params) != _SHAPES[shape]:
-                err(
-                    lab.shape,
-                    f"{shape} takes {_SHAPES[shape]} parameters, got {len(lab.params)}",
-                    "bad-shape",
-                )
-                continue
-            try:
-                labels[lab.name.text] = MembershipFunction(
-                    shape,
-                    tuple(float(v) + 0.0 for v, _ in lab.params),
-                    lab.power,
-                )
-            except KBError as exc:
-                err(lab.shape, str(exc), "bad-shape")
-        if not labels:
-            continue
-        try:
-            variables[decl.name.text] = LinguisticVariable(
-                decl.name.text, decl.unit, labels
-            )
-        except KBError as exc:
-            err(decl.name, str(exc), "bad-variable")
-
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-
-    if not parser.rule_decls:
-        at = parser.var_decls[0].name if parser.var_decls else _Token("", 1, 1)
-        diagnostics.append(
-            Diagnostic(
-                "error", at.line, at.col,
-                "no output variable defined: the file declares no rules", "no-output",
-            )
-        )
-        return ParseResult(None, diagnostics)
-
-    output_variable = parser.rule_decls[0].out_var.text
-    rules: list[Rule] = []
-    seen_rules: set[str] = set()
-    for decl in parser.rule_decls:
-        bad = False
-        if decl.name.text in seen_rules:
-            err(decl.name, f"duplicate rule name '{decl.name.text}'", "duplicate-rule")
-            bad = True
-        seen_rules.add(decl.name.text)
-        if decl.out_var.text != output_variable:
-            err(
-                decl.out_var,
-                f"rule '{decl.name.text}' concludes on '{decl.out_var.text}' but "
-                f"earlier rules conclude on '{output_variable}'; exactly one "
-                "output variable is allowed",
-                "multiple-outputs",
-            )
-            bad = True
-        if decl.out_var.text not in variables:
-            err(decl.out_var, f"unknown variable '{decl.out_var.text}'", "unknown-variable")
-            bad = True
-        elif decl.out_label.text not in variables[decl.out_var.text].labels:
-            err(
-                decl.out_label,
-                f"unknown label '{decl.out_label.text}' on variable "
-                f"'{decl.out_var.text}'",
-                "unknown-label",
-            )
-            bad = True
-        preconditions: list[Precondition] = []
-        seen_vars: set[str] = set()
-        for var_tok, label_tok in decl.conds:
-            if var_tok.text not in variables:
-                err(var_tok, f"unknown variable '{var_tok.text}'", "unknown-variable")
-                bad = True
-                continue
-            if var_tok.text in seen_vars:
-                err(
-                    var_tok,
-                    f"rule '{decl.name.text}' constrains variable "
-                    f"'{var_tok.text}' more than once",
-                    "duplicate-precondition",
-                )
-                bad = True
-                continue
-            seen_vars.add(var_tok.text)
-            var = variables[var_tok.text]
-            label = label_tok.text
-            spelled = None
-            if label not in var.labels:
-                alias = LABEL_ALIASES.get(label)
-                if alias is not None and alias in var.labels:
-                    diagnostics.append(
-                        Diagnostic(
-                            "warning", label_tok.line, label_tok.col,
-                            f"label '{label}' is not defined on variable "
-                            f"'{var_tok.text}'; reading it as '{alias}'",
-                            "label-alias",
-                        )
-                    )
-                    spelled, label = label, alias
-                else:
-                    err(
-                        label_tok,
-                        f"unknown label '{label}' on variable '{var_tok.text}'",
-                        "unknown-label",
-                    )
-                    bad = True
-                    continue
-            preconditions.append(Precondition(var_tok.text, label, spelled))
-        if not preconditions:
-            err(decl.name, f"rule '{decl.name.text}' has no valid preconditions", "empty-rule")
-            bad = True
-        if not bad:
-            rules.append(
-                Rule(
-                    decl.name.text,
-                    tuple(preconditions),
-                    (decl.out_var.text, decl.out_label.text),
-                    decl.goal,
-                )
-            )
-
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-
-    if parser.universe_decl is not None:
-        u = parser.universe_decl
-        try:
-            universe = OutputUniverse(u.lo, u.hi, u.n)
-        except KBError as exc:
-            err(u.at, str(exc), "bad-universe")
-            return ParseResult(None, diagnostics)
-    else:
-        lo, hi = _hull(variables[output_variable].labels.values())
-        if not lo < hi:
-            err(
-                parser.rule_decls[0].out_var,
-                f"cannot derive an output universe for '{output_variable}'",
-                "bad-universe",
-            )
-            return ParseResult(None, diagnostics)
-        universe = OutputUniverse(lo, hi, 201)
-
-    try:
-        kb = KnowledgeBase(variables, output_variable, tuple(rules), universe)
-    except KBError as exc:
-        diagnostics.append(Diagnostic("error", 1, 1, str(exc), "bad-kb"))
-        return ParseResult(None, diagnostics)
-    return ParseResult(kb, diagnostics)
+    kb = parser.resolve()
+    return ParseResult(kb, parser.diagnostics)
 
 
 def load_kb(text: str | bytes) -> KnowledgeBase:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_lint_builtin_rules(tmp_path, capsys):
     assert "ok (" in out
 
 
+def test_lint_reports_the_builtin_alias_once(capsys):
+    rules = Path(__file__).parents[1] / "src" / "fuzzpole" / "kb" / "pole.frl"
+    code = main(["lint", "--rules", str(rules)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "label-alias" in line] == [
+        "42:49: warning: label 'NL' is not defined on variable 'theta_dot'; "
+        "reading it as 'NE' [label-alias]"
+    ]
+    assert lines[-1].endswith(": ok (1 warning(s))")
+
+
 def test_lint_reports_errors(tmp_path, capsys):
     rules = tmp_path / "bad.frl"
     rules.write_text("rule r1: IF a IS b THEN c IS d\n", encoding="utf-8")
@@ -201,6 +214,18 @@ def test_simulate_typed_errors_exit_1(tmp_path, capsys, controller, message):
     assert main(["simulate", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
+
+
+def test_simulate_missing_rules_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps({"controller": {"type": "fc", "rules": "missing.frl"}}),
+        encoding="utf-8",
+    )
+    code = main(["simulate", "--scenario", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "controller.rules" in err and "missing.frl" in err
 
 
 def test_simulate_rejects_run_over_the_row_cap(scenario_file, capsys):

@@ -27,6 +27,7 @@ from fuzzpole.harness import (
 )
 from fuzzpole.cli import main
 from fuzzpole.plant import PlantState, pole_params, set_tilt, tap
+from fuzzpole.rulelang import load_kb
 
 
 def test_flat_trajectory_at_equilibrium_sfc():
@@ -652,6 +653,36 @@ def test_scenario_configs_are_rejected_or_run_finite(drawn):
     assert np.all(np.isfinite(traj.data))
     if traj.termination == "completed":
         assert traj.data.shape[0] == scenario.n_steps + 1
+
+
+_HOLED_KB = """var theta unit = deg
+  label NE shoulder_down(-1.0, 0.0)
+  label ZE triangle(-0.4, 0.0, 0.4)
+  label PO shoulder_up(0.5, 1.0)
+var F unit = N
+  label N triangle(-2.0, -1.0, 0.0)
+  label Z triangle(-1.0, 0.0, 1.0)
+  label P triangle(0.0, 1.0, 2.0)
+rule a: IF theta IS PO THEN F IS P
+rule b: IF theta IS ZE THEN F IS Z
+rule c: IF theta IS NE THEN F IS N
+"""
+
+
+def test_no_rule_fired_applies_zero_force(caplog):
+    """No theta label covers 0.4-0.5 deg: started at 0.45 deg, the pole is
+    still in that hole after 0.1 s, so no rule fires and every force is 0."""
+    scenario = default_scenario(
+        1, "fc", kb=load_kb(_HOLED_KB), x_target=0.0, duration=0.1,
+        initial=PlantState(theta=math.radians(0.45)),
+    )
+    with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
+        traj = run(scenario)
+    assert traj.termination == "completed"
+    assert np.all(np.degrees(traj.theta) < 0.5)
+    assert np.all(traj.force == 0.0)
+    (record,) = caplog.records
+    assert f"no rule fired at {scenario.n_steps} control instants" in record.getMessage()
 
 
 def test_force_not_finite_at_the_first_step(caplog):

@@ -1,6 +1,8 @@
 import hashlib
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fuzzpole.fuzzy import (
@@ -12,6 +14,7 @@ from fuzzpole.fuzzy import (
     Rule,
 )
 from fuzzpole.rulelang import (
+    KEYWORDS,
     builtin_pole_kb,
     builtin_pole_source,
     load_kb,
@@ -128,6 +131,69 @@ def test_universe_and_power_extensions():
 def test_default_universe_is_output_hull():
     result = parse_knowledge_base(MINI_KB)
     assert result.kb.output_universe == OutputUniverse(-2.0, 2.0, 201)
+
+
+SMALL_KB = """var e unit = V
+  label ZE triangle(-1.0, 0.0, 1.0)
+var u unit = N
+  label Z triangle(-1.0, 0.0, 1.0)
+rule a: IF e IS ZE THEN u IS Z
+"""
+_E_LABEL = "label ZE triangle(-1.0, 0.0, 1.0)"
+_RULE_A = "rule a: IF e IS ZE THEN u IS Z"
+
+
+@pytest.mark.parametrize(
+    "text, code, where",
+    [
+        ("", "empty", "1:1"),
+        ("# only a comment\n", "empty", "1:1"),
+        (SMALL_KB.replace("unit = V", "unit V"), "syntax", "1:12"),
+        (SMALL_KB + "var e unit = V\n  " + _E_LABEL + "\n", "duplicate-variable", "6:5"),
+        (SMALL_KB.replace(_E_LABEL, _E_LABEL + "\n  " + _E_LABEL), "duplicate-label", "3:9"),
+        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.0, 1.0)"), "bad-shape", "2:12"),
+        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(1.0, 0.0, -1.0)"), "bad-shape", "2:12"),
+        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(-inf, 0.0, 1.0)"), "bad-shape", "2:12"),
+        (SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^0"), "bad-shape", "2:12"),
+        (SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^99"), "bad-shape", "2:12"),
+        (SMALL_KB + "universe -1.0 1.0 11\nuniverse -1.0 1.0 11\n", "duplicate-universe", "7:1"),
+        (SMALL_KB + "universe 1.0 -1.0 11\n", "bad-universe", "6:1"),
+        (SMALL_KB.replace(_RULE_A, ""), "no-output", "1:5"),
+        (SMALL_KB + _RULE_A + "\n", "duplicate-rule", "6:6"),
+        (SMALL_KB + "rule b: IF e IS ZE THEN e IS ZE\n", "multiple-outputs", "6:25"),
+        (SMALL_KB.replace("IF e IS", "IF q IS"), "unknown-variable", "5:12"),
+        (SMALL_KB.replace("THEN u IS", "THEN q IS"), "unknown-variable", "5:25"),
+        (SMALL_KB.replace("e IS ZE", "e IS QQ"), "unknown-label", "5:17"),
+        (SMALL_KB.replace("u IS Z", "u IS QQ"), "unknown-label", "5:30"),
+        (SMALL_KB.replace("e IS ZE", "e IS ZE AND e IS ZE"), "duplicate-precondition", "5:24"),
+        (SMALL_KB.replace("IF e IS ZE", "IF u IS Z"), "bad-kb", "1:1"),
+    ],
+    ids=[
+        "empty", "comment-only", "syntax", "duplicate-variable", "duplicate-label",
+        "count", "order", "non-finite", "power-0", "power-99", "duplicate-universe",
+        "bad-universe", "no-output", "duplicate-rule", "multiple-outputs",
+        "unknown-variable-condition", "unknown-variable-conclusion",
+        "unknown-label-condition", "unknown-label-conclusion",
+        "duplicate-precondition", "output-in-condition",
+    ],
+)
+def test_parser_error_codes_are_located(text, code, where):
+    assert parse_knowledge_base(SMALL_KB).ok
+    result = parse_knowledge_base(text)
+    assert result.kb is None
+    assert [(d.code, f"{d.line}:{d.col}") for d in result.errors] == [(code, where)]
+
+
+def test_shape_parameter_count_is_named():
+    text = SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.0, 1.0)")
+    (diag,) = parse_knowledge_base(text).errors
+    assert diag.message == "triangle takes 3 parameters (left, peak, right), got 2"
+
+
+def test_declaration_errors_are_listed_with_syntax_errors():
+    text = SMALL_KB.replace(_E_LABEL, "label ZE triangle(1.0, 0.0, -1.0)") + "rule\n"
+    result = parse_knowledge_base(text)
+    assert [(d.code, d.line) for d in result.errors] == [("bad-shape", 2), ("syntax", 7)]
 
 
 # --- built-in knowledge base -------------------------------------------------
@@ -322,3 +388,61 @@ def test_parser_never_raises(blob):
 @given(st.text(max_size=160))
 def test_parser_never_raises_on_text(text):
     parse_knowledge_base(text)
+
+
+# Tokens of the built-in rule file, with the whitespace and comments between
+# them kept so that mutated text stays on its original lines.  A replacement
+# draws from tokens of the same kind, so 25-30% of the mutants get
+# past the syntax checks and reach the building of the KB.
+_POLE_PIECES = re.findall(r"#[^\n]*|\s+|[(),:=]|[^\s(),:=#]+", builtin_pole_source())
+
+
+def _token_kind(piece):
+    try:
+        float(piece)
+        return "number"
+    except ValueError:
+        pass
+    if piece.lower() in KEYWORDS or piece in "(),:=":
+        return piece.lower()
+    return "shape" if piece in ("triangle", "shoulder_up", "shoulder_down") else "name"
+
+
+_POLE_INDICES = [
+    i for i, p in enumerate(_POLE_PIECES) if not p.isspace() and not p.startswith("#")
+]
+_POLE_TOKENS = {}
+for _i in _POLE_INDICES:
+    _POLE_TOKENS.setdefault(_token_kind(_POLE_PIECES[_i]), []).append(_i)
+
+
+@st.composite
+def mutated_pole_sources(draw):
+    """kb/pole.frl with 1-3 token deletions, duplications or replacements."""
+    pieces = list(_POLE_PIECES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(_POLE_INDICES))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace", "replace"]))
+        if op == "delete":
+            pieces[i] = ""
+        elif op == "duplicate":
+            pieces[i] = f"{pieces[i]} {pieces[i]}"
+        else:
+            same_kind = _POLE_TOKENS[_token_kind(_POLE_PIECES[i])]
+            pieces[i] = _POLE_PIECES[draw(st.sampled_from(same_kind))]
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_pole_sources())
+def test_mutated_builtin_is_located_or_round_trips(text):
+    """Mutations that get past the syntax checks reach the KB construction:
+    a rejected file has a located error, an accepted one round-trips."""
+    result = parse_knowledge_base(text)
+    if result.kb is None:
+        assert any(d.line >= 1 and d.col >= 1 for d in result.errors)
+    else:
+        canonical = serialize_kb(result.kb)
+        again = parse_knowledge_base(canonical)
+        assert again.kb == result.kb
+        assert serialize_kb(again.kb) == canonical
