@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "Rule",
     "OutputUniverse",
     "KnowledgeBase",
+    "rule_problems",
     "KBError",
     "MissingInputError",
     "NoRuleFired",
@@ -275,14 +276,40 @@ class Rule:
             raise KBError(f"rule '{self.name}' has no preconditions")
         if self.goal_index < 1:
             raise KBError(f"rule '{self.name}': goal index must be positive")
-        seen = set()
-        for pre in self.preconditions:
-            if pre.variable in seen:
-                raise KBError(
-                    f"rule '{self.name}': variable '{pre.variable}' appears "
-                    "in more than one precondition"
-                )
-            seen.add(pre.variable)
+
+
+def rule_problems(
+    rule: Rule, variables: Mapping[str, LinguisticVariable], output: str
+) -> Iterator[tuple[int, int, str, str]]:
+    """Yield ``(clause, part, message, code)`` for each reference of ``rule``
+    that a KB over ``variables`` with output variable ``output`` cannot resolve.
+
+    ``clause`` is the precondition index or -1 for the conclusion, ``part`` 0
+    for the variable and 1 for the label.  This is the one definition of a
+    well-formed rule: ``KnowledgeBase`` raises the first problem and the
+    rule-file parser reports each at its token."""
+    name, (out_var, out_label) = rule.name, rule.conclusion
+    if out_var != output:
+        message = f"rule '{name}' concludes on '{out_var}' but the output variable is '{output}'"
+        yield -1, 0, message + "; exactly one output variable is allowed", "multiple-outputs"
+    if out_var not in variables:
+        yield -1, 0, f"unknown variable '{out_var}'", "unknown-variable"
+    elif out_label not in variables[out_var].labels:
+        yield -1, 1, f"unknown label '{out_label}' on variable '{out_var}'", "unknown-label"
+    seen: set[str] = set()
+    for i, pre in enumerate(rule.preconditions):  # at most one problem each
+        var, label = pre.variable, pre.label
+        if var not in variables:
+            yield i, 0, f"unknown variable '{var}'", "unknown-variable"
+        elif var in seen:
+            message = f"rule '{name}' constrains variable '{var}' more than once"
+            yield i, 0, message, "duplicate-precondition"
+        elif label not in variables[var].labels:
+            yield i, 1, f"unknown label '{label}' on variable '{var}'", "unknown-label"
+        elif var == output:
+            message = f"rule '{name}' uses the output variable '{var}' in a condition"
+            yield i, 0, message, "output-in-condition"
+        seen.add(var)
 
 
 @dataclass(frozen=True)
@@ -325,28 +352,11 @@ class KnowledgeBase:
     def __post_init__(self):
         object.__setattr__(self, "variables", dict(self.variables))
         object.__setattr__(self, "rules", tuple(self.rules))
+        for rule in self.rules:
+            for _, _, message, _ in rule_problems(rule, self.variables, self.output_variable):
+                raise KBError(message)  # the first problem
         if self.output_variable not in self.variables:
             raise KBError(f"output variable '{self.output_variable}' not defined")
-        for rule in self.rules:
-            out_var, out_label = rule.conclusion
-            if out_var != self.output_variable:
-                raise KBError(
-                    f"rule '{rule.name}' concludes on '{out_var}', expected "
-                    f"output variable '{self.output_variable}'"
-                )
-            self.variables[out_var].label(out_label)
-            for pre in rule.preconditions:
-                if pre.variable not in self.variables:
-                    raise KBError(
-                        f"rule '{rule.name}' references undefined variable "
-                        f"'{pre.variable}'"
-                    )
-                if pre.variable == self.output_variable:
-                    raise KBError(
-                        f"rule '{rule.name}' uses the output variable "
-                        "in a precondition"
-                    )
-                self.variables[pre.variable].label(pre.label)
 
     @property
     def input_variables(self) -> list[LinguisticVariable]:

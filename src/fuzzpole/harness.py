@@ -125,10 +125,6 @@ class Scenario:
             )
         if not math.isfinite(self.x_target):
             raise ScenarioError(f"x_target must be finite, got {self.x_target}")
-        for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
-            value = getattr(self.initial, name)
-            if not math.isfinite(value):
-                raise ScenarioError(f"initial {name} must be finite, got {value}")
         ratio = self.control_period / self.dt
         if (
             self.control_period < self.dt

@@ -41,6 +41,12 @@ class PlantState:
     x_dot: float = 0.0  # m/s
     tilt: float = 0.0  # rad, current track inclination
 
+    def __post_init__(self):
+        for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PlantError(f"state {name} must be finite, got {value}")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.theta, self.theta_dot, self.x, self.x_dot)
 
@@ -199,15 +205,14 @@ def advance(
     )
 
 
-def _check_finite(s: PlantState, f: float) -> None:
-    values = (s.theta, s.theta_dot, s.x, s.x_dot, s.tilt, f)
-    if not all(math.isfinite(v) for v in values):
-        raise PlantError(f"non-finite state or force: state={s}, f={f}")
+def _check_force(f: float) -> None:
+    if not math.isfinite(f):
+        raise PlantError(f"force must be finite, got {f}")
 
 
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
     """(theta_ddot, x_ddot) at the given state under force f (clamped)."""
-    _check_finite(s, f)
+    _check_force(f)
     return accelerations(
         s.theta, s.theta_dot, s.x_dot, f, s.tilt,
         p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max,
@@ -222,7 +227,7 @@ def step(
         raise PlantError(f"dt must be positive, got {dt}")
     if method not in ("euler", "rk4"):
         raise PlantError(f"unknown integrator '{method}'")
-    _check_finite(s, f)
+    _check_force(f)
     theta, theta_dot, x, x_dot = advance(
         s.theta, s.theta_dot, s.x, s.x_dot, f, s.tilt, dt,
         p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max,

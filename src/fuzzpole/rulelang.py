@@ -35,6 +35,7 @@ from .fuzzy import (
     OutputUniverse,
     Precondition,
     Rule,
+    rule_problems,
 )
 
 __all__ = [
@@ -196,8 +197,8 @@ class _Parser:
     def error(self, tok: _Token, message: str, code: str = "syntax") -> _SyntaxError:
         return _SyntaxError(Diagnostic("error", tok.line, tok.col, message, code))
 
-    def report(self, tok: _Token, message: str, code: str) -> None:
-        self.diagnostics.append(Diagnostic("error", tok.line, tok.col, message, code))
+    def report(self, tok: _Token, message: str, code: str, severity: str = "error") -> None:
+        self.diagnostics.append(Diagnostic(severity, tok.line, tok.col, message, code))
 
     def failed(self) -> bool:
         return any(d.severity == "error" for d in self.diagnostics)
@@ -355,8 +356,19 @@ class _Parser:
         label = self.expect_name("label")
         return var, label
 
+    def precondition(self, var_tok: _Token, label_tok: _Token) -> Precondition:
+        """The condition, with an aliased label read as the label it stands for."""
+        var, label = self.variables.get(var_tok.text), label_tok.text
+        alias = LABEL_ALIASES.get(label)
+        if var is not None and label not in var.labels and alias in var.labels:
+            return Precondition(var_tok.text, alias, label)
+        return Precondition(var_tok.text, label)
+
     def resolve(self) -> KnowledgeBase | None:
-        """Resolve the rules against the variables read; None on any error."""
+        """Resolve the rules against the variables read; None on any error.
+
+        Whether a rule fits the variables is decided by
+        :func:`fuzzy.rule_problems`; this only locates each problem."""
         if self.failed():
             return None
         if not self.rule_decls:
@@ -367,7 +379,7 @@ class _Parser:
             return None
         variables = self.variables
         output_variable = self.rule_decls[0].out_var.text
-        resolved: list[tuple[_RuleDecl, list[Precondition]]] = []
+        rules: list[Rule] = []
         seen_rules: set[str] = set()
         for decl in self.rule_decls:
             if decl.name.text in seen_rules:
@@ -375,80 +387,32 @@ class _Parser:
                     decl.name, f"duplicate rule name '{decl.name.text}'", "duplicate-rule"
                 )
             seen_rules.add(decl.name.text)
-            if decl.out_var.text != output_variable:
-                self.report(
-                    decl.out_var,
-                    f"rule '{decl.name.text}' concludes on '{decl.out_var.text}' but "
-                    f"earlier rules conclude on '{output_variable}'; exactly one "
-                    "output variable is allowed",
-                    "multiple-outputs",
-                )
-            if decl.out_var.text not in variables:
-                self.report(
-                    decl.out_var, f"unknown variable '{decl.out_var.text}'", "unknown-variable"
-                )
-            elif decl.out_label.text not in variables[decl.out_var.text].labels:
-                self.report(
-                    decl.out_label,
-                    f"unknown label '{decl.out_label.text}' on variable "
-                    f"'{decl.out_var.text}'",
-                    "unknown-label",
-                )
-            preconditions: list[Precondition] = []
-            seen_vars: set[str] = set()
-            for var_tok, label_tok in decl.conds:
-                if var_tok.text not in variables:
-                    self.report(
-                        var_tok, f"unknown variable '{var_tok.text}'", "unknown-variable"
+            rule = Rule(
+                decl.name.text,
+                tuple(self.precondition(*cond) for cond in decl.conds),
+                (decl.out_var.text, decl.out_label.text),
+                decl.goal,
+            )
+            tokens = [*decl.conds, (decl.out_var, decl.out_label)]  # [-1]: conclusion
+            problems = list(rule_problems(rule, variables, output_variable))
+            for clause, part, message, code in problems:
+                self.report(tokens[clause][part], message, code)
+            # a repeated condition is reported as such, not for its label
+            repeated = {c for c, _, _, code in problems if code == "duplicate-precondition"}
+            for i, pre in enumerate(rule.preconditions):
+                if pre.spelled is not None and i not in repeated:
+                    message = (
+                        f"label '{pre.spelled}' is not defined on variable "
+                        f"'{pre.variable}'; reading it as '{pre.label}'"
                     )
-                    continue
-                if var_tok.text in seen_vars:
-                    self.report(
-                        var_tok,
-                        f"rule '{decl.name.text}' constrains variable "
-                        f"'{var_tok.text}' more than once",
-                        "duplicate-precondition",
-                    )
-                    continue
-                seen_vars.add(var_tok.text)
-                var = variables[var_tok.text]
-                label = label_tok.text
-                spelled = None
-                if label not in var.labels:
-                    alias = LABEL_ALIASES.get(label)
-                    if alias is not None and alias in var.labels:
-                        self.diagnostics.append(
-                            Diagnostic(
-                                "warning", label_tok.line, label_tok.col,
-                                f"label '{label}' is not defined on variable "
-                                f"'{var_tok.text}'; reading it as '{alias}'",
-                                "label-alias",
-                            )
-                        )
-                        spelled, label = label, alias
-                    else:
-                        self.report(
-                            label_tok,
-                            f"unknown label '{label}' on variable '{var_tok.text}'",
-                            "unknown-label",
-                        )
-                        continue
-                preconditions.append(Precondition(var_tok.text, label, spelled))
-            resolved.append((decl, preconditions))
+                    self.report(tokens[i][1], message, "label-alias", "warning")
+            rules.append(rule)
         if self.failed():
             return None
-        rules = tuple(
-            Rule(d.name.text, tuple(pres), (d.out_var.text, d.out_label.text), d.goal)
-            for d, pres in resolved
-        )
         universe = self.universe or OutputUniverse(
             *_hull(variables[output_variable].labels.values())
         )
-        try:
-            return KnowledgeBase(variables, output_variable, rules, universe)
-        except KBError as exc:
-            self.diagnostics.append(Diagnostic("error", 1, 1, str(exc), "bad-kb"))
-            return None
+        return KnowledgeBase(variables, output_variable, tuple(rules), universe)
 
 
 def parse_knowledge_base(text: str | bytes) -> ParseResult:
@@ -491,23 +455,13 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     """Sanity checks the inference engine assumes; all findings are warnings.
 
     Covers: label supports leaving holes in a variable's operating range,
-    uncovered cells in the first-goal rule grid, missing mirror rules, and
-    aliased precondition labels.
+    uncovered cells in the first-goal rule grid, and missing mirror rules.
+    Aliased labels are reported by the parser, at their token.
     """
     out: list[Diagnostic] = []
 
     def warn(message: str, code: str) -> None:
         out.append(Diagnostic("warning", 0, 0, message, code))
-
-    # Alias notes (kept from parse so programmatic KBs are covered too).
-    for rule in kb.rules:
-        for pre in rule.preconditions:
-            if pre.spelled is not None:
-                warn(
-                    f"rule '{rule.name}': label '{pre.spelled}' on variable "
-                    f"'{pre.variable}' is evaluated as '{pre.label}'",
-                    "label-alias",
-                )
 
     # Support coverage: the union of label supports over each input variable's
     # operating range (hull of its breakpoints) must leave no open holes.

@@ -216,6 +216,22 @@ def test_simulate_typed_errors_exit_1(tmp_path, capsys, controller, message):
     assert message in err and "internal error" not in err
 
 
+def test_simulate_reports_rule_file_errors_located(tmp_path, capsys):
+    bad = _UNDRIVEN_RULES.replace("IF pressure IS LO", "IF F IS ZE")
+    (tmp_path / "bad.frl").write_text(bad, encoding="utf-8")
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps({"controller": {"type": "fc", "rules": "bad.frl"}}), encoding="utf-8"
+    )
+    assert main(["simulate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "rule file has errors" in err
+    assert (
+        "5:13: error: rule 'r1' uses the output variable 'F' in a condition "
+        "[output-in-condition]"
+    ) in err
+
+
 def test_simulate_missing_rules_file_exit_1(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(

@@ -26,7 +26,7 @@ from fuzzpole.harness import (
     scenario_from_config,
 )
 from fuzzpole.cli import main
-from fuzzpole.plant import PlantState, pole_params, set_tilt, tap
+from fuzzpole.plant import PlantError, PlantState, pole_params, set_tilt, tap
 from fuzzpole.rulelang import load_kb
 
 
@@ -77,7 +77,7 @@ def test_scenario_validation():
         with pytest.raises(ScenarioError, match="x_target"):
             replace(base, x_target=value)
         for field in ("theta", "theta_dot", "x", "x_dot", "tilt"):
-            with pytest.raises(ScenarioError, match=f"initial {field}"):
+            with pytest.raises(PlantError, match=f"state {field} must be finite"):
                 replace(base, initial=PlantState(**{field: value}))
     for duration in (0.0, 0.004):
         with pytest.raises(ScenarioError, match="duration"):

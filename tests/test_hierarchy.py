@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,16 @@ def test_chain_gates_on_previous_goal_only():
     assert g2.goal_index == 2 and g3.goal_index == 3
 
 
+def test_compose_reuses_an_identical_existing_label(kb):
+    """The built-in KB already carries the VS labels the gates derive, so
+    composing on it keeps them and rebuilds the KB unchanged."""
+    balance = [r for r in kb.rules if r.goal_index == 1]
+    out = compose_hierarchical(
+        cart_pole_goals(), [balance, bare_position_rules()], Narrowed(DEFAULT_VERY_FACTOR), kb
+    )
+    assert out == kb
+
+
 def test_compose_checks_rule_variables():
     spec, rules, base = three_goal_setup()
     rules[0] = [Rule("g1", (Precondition("b", "PO"),), ("out", "PO"))]
@@ -235,3 +247,29 @@ def test_audit_flags_not_narrower(kb):
     widened = KnowledgeBase(variables, "F", kb.rules, kb.output_universe)
     report = audit_hierarchy(widened, cart_pole_goals())
     assert any("not narrower" in v.reason for v in report.violations)
+
+
+def test_audit_flags_goal_index_above_declared_goals(kb):
+    rules = [replace(r, goal_index=3) if r.name == "r10" else r for r in kb.rules]
+    report = audit_hierarchy(kb.with_rules(rules), cart_pole_goals())
+    (violation,) = report.violations
+    assert violation.rule == "r10" and violation.variable == "-"
+    assert violation.reason == "goal index 3 exceeds the 2 declared goals"
+
+
+def test_audit_flags_gate_above_base_label(kb):
+    """A gate whose support lies inside ZE's but which rises above ZE near its
+    off-centre peak is not narrower."""
+    variables = dict(kb.variables)
+    theta = variables["theta"]
+    labels = dict(theta.labels)
+    labels["VS"] = triangle(-1.0, 2.0, 3.0)
+    variables["theta"] = LinguisticVariable("theta", theta.unit, labels)
+    skewed = KnowledgeBase(variables, "F", kb.rules, kb.output_universe)
+    report = audit_hierarchy(skewed, cart_pole_goals())
+    assert {v.variable for v in report.violations} == {"theta"}
+    assert all(
+        v.reason.endswith("membership exceeds the base label somewhere")
+        for v in report.violations
+    )
+    assert len(report.violations) == 4  # one per position rule

@@ -180,6 +180,17 @@ def test_output_universe_validation():
         OutputUniverse(-1.0, 1.0, 2)
 
 
+def test_rule_and_kb_structure_checks(kb):
+    from fuzzpole.fuzzy import KBError, Precondition, Rule
+
+    with pytest.raises(KBError, match="has no preconditions"):
+        Rule("empty", (), ("F", "PM"))
+    with pytest.raises(KBError, match="goal index must be positive"):
+        Rule("r", (Precondition("theta", "ZE"),), ("F", "PM"), goal_index=0)
+    with pytest.raises(KBError, match="output variable 'G' not defined"):
+        KnowledgeBase(kb.variables, "G", (), kb.output_universe)
+
+
 def test_kb_rejects_bad_references(kb):
     from fuzzpole.fuzzy import Precondition, Rule
 

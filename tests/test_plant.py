@@ -93,6 +93,18 @@ def test_non_finite_input_rejected():
         derivatives(PlantState(), math.inf, P1)
 
 
+@pytest.mark.parametrize("field", ["theta", "theta_dot", "x", "x_dot", "tilt"])
+def test_state_must_be_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PlantError, match=f"state {field} must be finite"):
+            PlantState(**{field: value})
+
+
+def test_step_that_overflows_raises():
+    with pytest.raises(PlantError, match="state x must be finite"):
+        step(PlantState(x=1e308, x_dot=1e308), 0.0, 10.0, P1)
+
+
 def test_param_validation():
     with pytest.raises(PlantError):
         PlantParams(m=-1.0)

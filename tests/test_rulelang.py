@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fuzzpole.fuzzy import (
+    KBError,
     KnowledgeBase,
     LinguisticVariable,
     MembershipFunction,
@@ -143,45 +144,90 @@ _E_LABEL = "label ZE triangle(-1.0, 0.0, 1.0)"
 _RULE_A = "rule a: IF e IS ZE THEN u IS Z"
 
 
-@pytest.mark.parametrize(
-    "text, code, where",
-    [
-        ("", "empty", "1:1"),
-        ("# only a comment\n", "empty", "1:1"),
-        (SMALL_KB.replace("unit = V", "unit V"), "syntax", "1:12"),
-        (SMALL_KB + "var e unit = V\n  " + _E_LABEL + "\n", "duplicate-variable", "6:5"),
-        (SMALL_KB.replace(_E_LABEL, _E_LABEL + "\n  " + _E_LABEL), "duplicate-label", "3:9"),
-        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.0, 1.0)"), "bad-shape", "2:12"),
-        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(1.0, 0.0, -1.0)"), "bad-shape", "2:12"),
-        (SMALL_KB.replace(_E_LABEL, "label ZE triangle(-inf, 0.0, 1.0)"), "bad-shape", "2:12"),
-        (SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^0"), "bad-shape", "2:12"),
-        (SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^99"), "bad-shape", "2:12"),
-        (SMALL_KB + "universe -1.0 1.0 11\nuniverse -1.0 1.0 11\n", "duplicate-universe", "7:1"),
-        (SMALL_KB + "universe 1.0 -1.0 11\n", "bad-universe", "6:1"),
-        (SMALL_KB.replace(_RULE_A, ""), "no-output", "1:5"),
-        (SMALL_KB + _RULE_A + "\n", "duplicate-rule", "6:6"),
-        (SMALL_KB + "rule b: IF e IS ZE THEN e IS ZE\n", "multiple-outputs", "6:25"),
-        (SMALL_KB.replace("IF e IS", "IF q IS"), "unknown-variable", "5:12"),
-        (SMALL_KB.replace("THEN u IS", "THEN q IS"), "unknown-variable", "5:25"),
-        (SMALL_KB.replace("e IS ZE", "e IS QQ"), "unknown-label", "5:17"),
-        (SMALL_KB.replace("u IS Z", "u IS QQ"), "unknown-label", "5:30"),
-        (SMALL_KB.replace("e IS ZE", "e IS ZE AND e IS ZE"), "duplicate-precondition", "5:24"),
-        (SMALL_KB.replace("IF e IS ZE", "IF u IS Z"), "bad-kb", "1:1"),
-    ],
-    ids=[
-        "empty", "comment-only", "syntax", "duplicate-variable", "duplicate-label",
-        "count", "order", "non-finite", "power-0", "power-99", "duplicate-universe",
-        "bad-universe", "no-output", "duplicate-rule", "multiple-outputs",
-        "unknown-variable-condition", "unknown-variable-conclusion",
-        "unknown-label-condition", "unknown-label-conclusion",
-        "duplicate-precondition", "output-in-condition",
-    ],
-)
+# Rows past the declarations: the rules fit no knowledge base over SMALL_KB's
+# variables, which only fuzzy.rule_problems decides.
+_RESOLVE_ROWS = [
+    pytest.param(SMALL_KB + "rule b: IF e IS ZE THEN e IS ZE\n", "multiple-outputs", "6:25",
+                 id="multiple-outputs"),
+    pytest.param(SMALL_KB.replace("IF e IS", "IF q IS"), "unknown-variable", "5:12",
+                 id="unknown-variable-condition"),
+    pytest.param(SMALL_KB.replace("THEN u IS", "THEN q IS"), "unknown-variable", "5:25",
+                 id="unknown-variable-conclusion"),
+    pytest.param(SMALL_KB.replace("e IS ZE", "e IS QQ"), "unknown-label", "5:17",
+                 id="unknown-label-condition"),
+    pytest.param(SMALL_KB.replace("u IS Z", "u IS QQ"), "unknown-label", "5:30",
+                 id="unknown-label-conclusion"),
+    pytest.param(SMALL_KB.replace("e IS ZE", "e IS ZE AND e IS ZE"), "duplicate-precondition",
+                 "5:24", id="duplicate-precondition"),
+    pytest.param(SMALL_KB.replace("IF e IS ZE", "IF u IS Z"), "output-in-condition", "5:12",
+                 id="output-in-condition"),
+]
+
+
+# Rows that the parser decides: syntax, declarations and rule names.
+_PARSE_ROWS = [
+    pytest.param("", "empty", "1:1",
+                 id="empty"),
+    pytest.param("# only a comment\n", "empty", "1:1",
+                 id="comment-only"),
+    pytest.param(SMALL_KB.replace("unit = V", "unit V"), "syntax", "1:12",
+                 id="syntax"),
+    pytest.param(SMALL_KB.replace("unit = V", "unit = ("), "syntax", "1:14",
+                 id="no-unit"),
+    pytest.param(SMALL_KB.replace("rule a:", "rule a goal 0:"), "syntax", "5:13",
+                 id="goal-0"),
+    pytest.param(SMALL_KB + "var e unit = V\n  " + _E_LABEL + "\n", "duplicate-variable", "6:5",
+                 id="duplicate-variable"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, _E_LABEL + "\n  " + _E_LABEL), "duplicate-label", "3:9",
+                 id="duplicate-label"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.0, 1.0)"), "bad-shape", "2:12",
+                 id="count"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE triangle(1.0, 0.0, -1.0)"), "bad-shape", "2:12",
+                 id="order"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE triangle(-inf, 0.0, 1.0)"), "bad-shape", "2:12",
+                 id="non-finite"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^0"), "bad-shape", "2:12",
+                 id="power-0"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^99"), "bad-shape", "2:12",
+                 id="power-99"),
+    pytest.param(SMALL_KB + "universe -1.0 1.0 11\nuniverse -1.0 1.0 11\n", "duplicate-universe", "7:1",
+                 id="duplicate-universe"),
+    pytest.param(SMALL_KB + "universe 1.0 -1.0 11\n", "bad-universe", "6:1",
+                 id="bad-universe"),
+    pytest.param(SMALL_KB.replace(_RULE_A, ""), "no-output", "1:5",
+                 id="no-output"),
+    pytest.param(SMALL_KB + _RULE_A + "\n", "duplicate-rule", "6:6",
+                 id="duplicate-rule"),
+]
+
+
+@pytest.mark.parametrize("text, code, where", _PARSE_ROWS + _RESOLVE_ROWS)
 def test_parser_error_codes_are_located(text, code, where):
     assert parse_knowledge_base(SMALL_KB).ok
     result = parse_knowledge_base(text)
     assert result.kb is None
     assert [(d.code, f"{d.line}:{d.col}") for d in result.errors] == [(code, where)]
+
+
+_RULE_RE = re.compile(r"rule (\w+): IF (.+) THEN (\w+) IS (\w+)")
+
+
+@pytest.mark.parametrize("text, code, where", _RESOLVE_ROWS)
+def test_knowledge_base_raises_the_parsers_first_error(text, code, where):
+    """The parser and KnowledgeBase share one definition of a well-formed
+    rule: built from the same variables and rules, the KB raises the message
+    the parser reports first."""
+    small = parse_knowledge_base(SMALL_KB).kb
+    rules = tuple(
+        Rule(name, tuple(Precondition(*c.split(" IS ")) for c in conds.split(" AND ")),
+             (out_var, out_label))
+        for name, conds, out_var, out_label in _RULE_RE.findall(text)
+    )
+    first = parse_knowledge_base(text).errors[0]
+    assert first.code == code
+    with pytest.raises(KBError) as err:
+        KnowledgeBase(small.variables, rules[0].conclusion[0], rules, small.output_universe)
+    assert str(err.value) == first.message
 
 
 def test_shape_parameter_count_is_named():
@@ -267,11 +313,9 @@ def test_canonical_output_ignores_declaration_order():
 
 
 def test_validate_builtin_single_alias_warning(kb):
-    diags = validate_kb(kb)
-    assert all(d.severity == "warning" for d in diags)
-    assert len(diags) == 1
-    assert diags[0].code == "label-alias"
-    assert "r9" in diags[0].message
+    # the parser reports the r9 alias, once and located; validate_kb finds
+    # nothing else to say about the built-in rule base
+    assert validate_kb(kb) == []
 
 
 def test_validate_flags_grid_gap(kb):

@@ -161,5 +161,7 @@ def test_sfc_output_odd_about_reference():
 
 def test_sfc_output_clamps():
     gains = design_gains(linearize(P1), f_max=10.0)
-    assert sfc_output(gains, PlantState(x=-50.0)) in (-10.0, 10.0)
+    # the x gain is negative, so far from the target u takes the sign of x
+    assert sfc_output(gains, PlantState(x=-50.0)) == -10.0
+    assert sfc_output(gains, PlantState(x=50.0)) == 10.0
     assert abs(sfc_output(gains, PlantState(theta=0.3, x=-50.0))) == 10.0
