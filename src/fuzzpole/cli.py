@@ -113,7 +113,10 @@ def _run_comparison(args, poles, controllers, nominal_pole=None) -> int:
         result = compare(scenarios)
     print(result.render_text(), end="")
     if args.report:
-        Path(args.report).write_text(result.to_csv(), encoding="utf-8", newline="\n")
+        try:
+            Path(args.report).write_text(result.to_csv(), encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write report to {args.report}: {exc}") from exc
         print(f"report written to {args.report}")
     return EXIT_RUNTIME if result.failures else EXIT_OK
 

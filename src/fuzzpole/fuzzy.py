@@ -8,7 +8,7 @@ knowledge base can be evaluated from any number of threads concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,11 +36,15 @@ __all__ = [
 TRIANGLE = "triangle"
 SHOULDER_UP = "shoulder_up"
 SHOULDER_DOWN = "shoulder_down"
-_PARAM_NAMES = {
-    TRIANGLE: ("left", "peak", "right"),
-    SHOULDER_UP: ("start", "full"),
-    SHOULDER_DOWN: ("full", "end"),
+# shape -> (parameter names, trapezoid corners (a, b, c, d) of its parameters):
+# the curve rises on [a, b], is 1 on [b, c] and falls on [c, d]
+_SHAPES = {
+    TRIANGLE: (("left", "peak", "right"), lambda left, peak, right: (left, peak, peak, right)),
+    SHOULDER_UP: (("start", "full"), lambda start, full: (start, full, math.inf, math.inf)),
+    SHOULDER_DOWN: (("full", "end"), lambda full, end: (-math.inf, -math.inf, full, end)),
 }
+SHAPES = tuple(_SHAPES)
+_MIRROR = {TRIANGLE: TRIANGLE, SHOULDER_UP: SHOULDER_DOWN, SHOULDER_DOWN: SHOULDER_UP}
 
 
 class KBError(ValueError):
@@ -92,20 +96,26 @@ class MembershipFunction:
     physical units of the owning variable.  ``power > 1`` squares (or further
     sharpens) the base curve; it is how concentrated ("Very") labels are
     represented without leaving the parametric world.
+
+    Every shape is evaluated as the trapezoid ``corners`` (a, b, c, d) it maps
+    to, with a shoulder's open side at infinity.
     """
 
     kind: str
     params: tuple[float, ...]
     power: int = 1
+    corners: tuple[float, float, float, float] = field(
+        init=False, compare=False, repr=False
+    )
 
     # Six successive concentrations; beyond this the curve is numerically a
     # step function and evaluation cost would grow without bound.
     MAX_POWER = 64
 
     def __post_init__(self):
-        names = _PARAM_NAMES.get(self.kind)
-        if names is None:
+        if self.kind not in _SHAPES:
             raise KBError(f"unknown membership shape '{self.kind}'")
+        names, corners = _SHAPES[self.kind]
         p = self.params
         if len(p) != len(names):
             raise KBError(
@@ -120,94 +130,48 @@ class MembershipFunction:
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
         if not all(math.isfinite(v) for v in p):
             raise KBError(f"membership parameters must be finite, got {p}")
+        object.__setattr__(self, "corners", corners(*p))
 
     def __call__(self, v: float) -> float:
-        p = self.params
-        if self.kind == TRIANGLE:
-            left, peak, right = p
-            if v <= left or v >= right:
-                base = 0.0
-            elif v < peak:
-                base = (v - left) / (peak - left)
-            elif v == peak:
-                base = 1.0
-            else:
-                base = (right - v) / (right - peak)
-        elif self.kind == SHOULDER_UP:
-            start, full = p
-            if v <= start:
-                base = 0.0
-            elif v >= full:
-                base = 1.0
-            else:
-                base = (v - start) / (full - start)
+        # This comparison order keeps a degree's zeros +0.0 and a NaN input
+        # NaN; fuzzpole.kernels evaluates the corners in the same order.
+        a, b, c, d = self.corners
+        if v < b:
+            base = 0.0 if v <= a else (v - a) / (b - a)
+        elif v <= c:
+            base = 1.0
+        elif v >= d:
+            base = 0.0
         else:
-            full, end = p
-            if v <= full:
-                base = 1.0
-            elif v >= end:
-                base = 0.0
-            else:
-                base = (end - v) / (end - full)
+            base = (d - v) / (d - c)
         return _pow_int(base, self.power)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same arithmetic as the scalar path."""
         xs = np.asarray(xs, dtype=np.float64)
-        p = self.params
-        if self.kind == TRIANGLE:
-            left, peak, right = p
-            with np.errstate(invalid="ignore"):
-                up = (xs - left) / (peak - left)
-                down = (right - xs) / (right - peak)
-            base = np.where(
-                (xs <= left) | (xs >= right),
-                0.0,
-                np.where(xs < peak, up, np.where(xs == peak, 1.0, down)),
-            )
-        elif self.kind == SHOULDER_UP:
-            start, full = p
-            base = np.where(
-                xs <= start,
-                0.0,
-                np.where(xs >= full, 1.0, (xs - start) / (full - start)),
-            )
-        else:
-            full, end = p
-            base = np.where(
-                xs <= full,
-                1.0,
-                np.where(xs >= end, 0.0, (end - xs) / (end - full)),
-            )
+        a, b, c, d = self.corners
+        with np.errstate(invalid="ignore"):  # inf - inf on a shoulder's open side
+            up = (xs - a) / (b - a)
+            down = (d - xs) / (d - c)
+        base = np.where(
+            xs < b,
+            np.where(xs <= a, 0.0, up),
+            np.where(xs <= c, 1.0, np.where(xs >= d, 0.0, down)),
+        )
         return _pow_int(base, self.power)
 
     def support_at(self, eps: float) -> tuple[float, float]:
         """Interval where mu(v) >= eps, accounting for the power."""
         level = eps ** (1.0 / self.power)
-        p = self.params
-        if self.kind == TRIANGLE:
-            left, peak, right = p
-            return left + level * (peak - left), right - level * (right - peak)
-        if self.kind == SHOULDER_UP:
-            start, full = p
-            return start + level * (full - start), math.inf
-        full, end = p
-        return -math.inf, end - level * (end - full)
+        a, b, c, d = self.corners
+        lo = a + level * (b - a) if a > -math.inf else a
+        hi = d - level * (d - c) if d < math.inf else d
+        return lo, hi
 
     def mirrored(self) -> "MembershipFunction":
         """Reflection about zero: mu'(v) = mu(-v)."""
-        p = self.params
-        if self.kind == TRIANGLE:
-            return MembershipFunction(
-                TRIANGLE, (-p[2] + 0.0, -p[1] + 0.0, -p[0] + 0.0), self.power
-            )
-        if self.kind == SHOULDER_UP:
-            return MembershipFunction(
-                SHOULDER_DOWN, (-p[1] + 0.0, -p[0] + 0.0), self.power
-            )
-        return MembershipFunction(
-            SHOULDER_UP, (-p[1] + 0.0, -p[0] + 0.0), self.power
-        )
+        params = tuple(-v + 0.0 for v in reversed(self.params))
+        return MembershipFunction(_MIRROR[self.kind], params, self.power)
 
 
 def triangle(left: float, peak: float, right: float) -> MembershipFunction:

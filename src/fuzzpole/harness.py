@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -439,14 +439,19 @@ class Comparison:
 
 def compare(scenarios: Sequence[Scenario]) -> Comparison:
     """Run every scenario and aggregate the metric reports side by side,
-    with the default settling bands.
+    with the default settling bands.  Scenario names must be unique: the
+    columns are keyed by them.
 
     A run rejected with one of ``INPUT_ERRORS`` marks its own column
     FAILED(reason) and leaves the rest intact; any other error propagates.
     """
     if not scenarios:
         raise ScenarioError("compare needs at least one scenario")
-    result = Comparison([s.name for s in scenarios])
+    names = [s.name for s in scenarios]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ScenarioError(f"scenario names must be unique, repeated: {repeated}")
+    result = Comparison(names)
     for scenario in scenarios:
         try:
             result.reports[scenario.name] = compute_metrics(run(scenario), scenario)
@@ -607,7 +612,7 @@ _SCENARIO_KEYS = {
     "initial": _initial,
     "events": _events,
 }
-_FC_KEYS = {"type": _as_is, "rules": _as_is, "quantization": int}
+_FC_KEYS = {"type": _as_is, "rules": _as_is}
 _SFC_KEYS = {"type": _as_is, "nominal_pole": _as_is, "desired_poles": _poles}
 _METRICS_KEYS = {"theta_band_deg": float, "x_band_m": float}
 
@@ -635,9 +640,6 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
                     f"cannot read controller.rules file {path}: {exc}"
                 ) from exc
             kb = load_kb(text)
-        if "quantization" in c:
-            n = c["quantization"]
-            kb = replace(kb, output_universe=replace(kb.output_universe, n=n))
         return FuzzyController(kb)
     if kind == "sfc":
         c = _section("controller", cfg, _SFC_KEYS)

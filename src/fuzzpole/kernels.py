@@ -3,11 +3,12 @@
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
 control law it calls at each control instant.  The fuzzy law evaluates a
 knowledge base compiled once to tables (:func:`compile_kb`) in folded,
-windowed form: scalar memberships and rule strengths, one strength per
-conclusion label, and clip/max aggregation and left-to-right center-of-area
-sums over only the grid points the active labels cover.  That is the
-arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.  The SFC law is
-``-k (state - reference)``.  The plant is stepped by
+windowed form: scalar memberships, each read off a label's trapezoid
+corners with no branch on its shape; scalar rule strengths, one strength
+per conclusion label; and clip/max aggregation and left-to-right
+center-of-area sums over only the grid points the active labels cover.
+That is the arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.
+The SFC law is ``-k (state - reference)``.  The plant is stepped by
 :func:`fuzzpole.plant.advance`.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
@@ -74,16 +75,13 @@ class CompiledKB:
     """
 
     omega: np.ndarray  # (N,) float64 quantization points
-    label_table: tuple  # per label: (kind, p0, p1, p2, power, input slot)
+    label_table: tuple  # per label: (corners a, b, c, d, power, input slot)
     rule_table: tuple  # per rule: (label rows of its preconditions, group)
     group_table: tuple  # per group: (curve, lo, hi)
 
 
-_KINDS = {"triangle": 0, "shoulder_up": 1, "shoulder_down": 2}
-
-
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
-    labels: list[tuple[int, float, float, float, int, int]] = []
+    labels: list[tuple[float, float, float, float, int, int]] = []
     row_index: dict[tuple[str, str], int] = {}
     for var in kb.input_variables:
         if var.name not in DEFAULT_SLOTS:
@@ -93,14 +91,7 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
             )
         for label_name, mf in var.labels.items():
             row_index[(var.name, label_name)] = len(labels)
-            p = mf.params
-            if mf.kind == "triangle":
-                p0, p1, p2 = p
-            else:
-                p0, p1, p2 = p[0], p[1], p[1] + 1.0  # pad keeps divisions finite
-            labels.append(
-                (_KINDS[mf.kind], p0, p1, p2, mf.power, DEFAULT_SLOTS[var.name])
-            )
+            labels.append((*mf.corners, mf.power, DEFAULT_SLOTS[var.name]))
 
     points = kb.output_universe.points()
     group_of: dict[str, int] = {}  # conclusion label -> group
@@ -141,8 +132,8 @@ def control_inputs(
 def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
     """Folded, windowed inference on a sequence of Python floats.
 
-    Degrees and rule strengths are scalar, with the branches of
-    ``MembershipFunction.__call__`` and the ``<`` min of
+    Degrees and rule strengths are scalar, with the trapezoid comparisons
+    of ``MembershipFunction.__call__`` and the ``<`` min of
     ``fuzzy.rule_activation``, so a NaN degree is skipped.  The rules of a
     group fold into one strength, exactly, since no strength is NaN:
     max_r min(a_r, c) == min(max_r a_r, c).  Clip/max and the center-of-area
@@ -150,36 +141,21 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
     outside it is +-0.0, so the left-to-right sums keep their bits.
     """
     degrees = []
-    for kind, p0, p1, p2, power, slot in ck.label_table:
+    for a, b, c, d, power, slot in ck.label_table:
         v = inputs[slot]
-        if kind == 0:
-            if v <= p0 or v >= p2:
-                d = 0.0
-            elif v < p1:
-                d = (v - p0) / (p1 - p0)
-            elif v == p1:
-                d = 1.0
-            else:
-                d = (p2 - v) / (p2 - p1)
-        elif kind == 1:
-            if v <= p0:
-                d = 0.0
-            elif v >= p1:
-                d = 1.0
-            else:
-                d = (v - p0) / (p1 - p0)
+        if v < b:
+            mu = 0.0 if v <= a else (v - a) / (b - a)
+        elif v <= c:
+            mu = 1.0
+        elif v >= d:
+            mu = 0.0
         else:
-            if v <= p0:
-                d = 1.0
-            elif v >= p1:
-                d = 0.0
-            else:
-                d = (p1 - v) / (p1 - p0)
+            mu = (d - v) / (d - c)
         if power > 1:
-            base = d
+            base = mu
             for _ in range(power - 1):
-                d = d * base
-        degrees.append(d)
+                mu = mu * base
+        degrees.append(mu)
 
     strength = [0.0] * len(ck.group_table)
     for rows, group in ck.rule_table:

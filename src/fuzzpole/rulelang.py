@@ -12,16 +12,18 @@ Grammar (keywords case-insensitive, ``#`` starts a line comment)::
                      "THEN" NAME "IS" NAME
     cond          := NAME "IS" NAME
 
-SHAPE is one of triangle/shoulder_up/shoulder_down and POWER is ``^k`` for a
-label raised to an integer power (how concentrated labels are written down).
-The output variable is the one rule conclusions target; ``universe`` pins its
-quantization and defaults to the hull of the output labels at 201 points.
+SHAPE is one of ``fuzzy.SHAPES`` (triangle/shoulder_up/shoulder_down) and
+POWER is ``^k`` for a label raised to an integer power (how concentrated
+labels are written down).  The output variable is the one most rule
+conclusions target; ``universe`` pins its quantization and defaults to the
+hull of the output labels at 201 points.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
@@ -35,6 +37,7 @@ from .fuzzy import (
     OutputUniverse,
     Precondition,
     Rule,
+    SHAPES,
     rule_problems,
 )
 
@@ -57,7 +60,6 @@ KEYWORDS = {"var", "unit", "label", "universe", "rule", "goal", "if", "and", "th
 # rule base (NL read as NE); the original spelling is preserved on the rule.
 LABEL_ALIASES = {"NL": "NE", "PL": "PO"}
 
-_SHAPES = {"triangle", "shoulder_up", "shoulder_down"}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POWER_RE = re.compile(r"\^(\d+)\Z")
 _PUNCT = "(),:="
@@ -287,11 +289,9 @@ class _Parser:
         self.expect_keyword("label")
         name = self.expect_name("label")
         shape = self.next()
-        if shape.lower not in _SHAPES:
+        if shape.lower not in SHAPES:
             raise self.error(
-                shape,
-                f"expected a shape (triangle, shoulder_up, shoulder_down), "
-                f"found '{shape.text}'",
+                shape, f"expected a shape ({', '.join(SHAPES)}), found '{shape.text}'"
             )
         self.expect_punct("(")
         params = [self.expect_number()]
@@ -378,7 +378,10 @@ class _Parser:
             )
             return None
         variables = self.variables
-        output_variable = self.rule_decls[0].out_var.text
+        # the variable most conclusions name (ties: the first named), so that
+        # one mistyped conclusion is reported there and nowhere else
+        named = Counter(decl.out_var.text for decl in self.rule_decls)
+        output_variable = max(named, key=named.get)
         rules: list[Rule] = []
         seen_rules: set[str] = set()
         for decl in self.rule_decls:

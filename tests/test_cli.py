@@ -122,6 +122,20 @@ def test_compare_report(tmp_path, capsys):
     assert "Max. theta overshoot (deg)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, what", [("simulate", "trajectory"), ("compare", "report")])
+def test_unwritable_output_path_exits_1(scenario_file, tmp_path, capsys, command, what):
+    """--out and --report fail alike on a path that cannot be written: a
+    typed error naming the path, and exit 1."""
+    path = tmp_path / "no-such-dir" / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(scenario_file), "--out", str(path)]
+    else:
+        argv = ["compare", "--poles", "1", "--controllers", "sfc", "--report", str(path)]
+    assert main([*argv, "--duration", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {what} to {path}" in err and "internal error" not in err
+
+
 def test_compare_rejects_bad_poles(capsys):
     assert main(["compare", "--poles", "1,zap"]) == 1
     for argv in (["compare", "--poles", "0"], ["batch", "--poles", "9"]):

@@ -229,6 +229,15 @@ def test_compare_lets_other_errors_propagate(monkeypatch):
         harness_mod.compare([default_scenario(1, "fc", duration=1.0)])
 
 
+def test_compare_rejects_repeated_names():
+    """Columns are keyed by scenario name: two scenarios named alike would
+    show one run's results in both columns, so compare refuses them."""
+    fc = default_scenario(1, "fc", duration=1.0, name="x")
+    sfc = default_scenario(7, "sfc", nominal_pole=1, duration=1.0, name="x")
+    with pytest.raises(ScenarioError, match=r"unique, repeated: \['x'\]"):
+        compare([fc, sfc])
+
+
 def test_compare_grid_matches_published_layout():
     scenarios = [
         default_scenario(pole, ctrl, duration=2.0, name=f"pole-{pole} {ctrl.upper()}")
@@ -385,7 +394,7 @@ FULL_CONFIG = {
             {"t": 15.0, "kind": "tap", "delta_theta_dot_deg_s": 20.0},
         ],
     },
-    "controller": {"type": "fc", "rules": "builtin", "quantization": 201},
+    "controller": {"type": "fc", "rules": "builtin"},
     "metrics": {"theta_band_deg": 0.2, "x_band_m": 0.05},
 }
 
@@ -512,6 +521,7 @@ _TAP = {"t": 1.0, "kind": "tap", "delta_theta_dot_deg_s": 5.0}
         ({"scenario": {"initial": {"theta": 1.0}}}, "'theta'"),
         ({"scenario": {"events": [{**_TAP, "angle_deg": 7.0}]}}, "'angle_deg'"),
         ({"controller": {"type": "fc", "quantisation": 51}}, "'quantisation'"),
+        ({"controller": {"type": "fc", "quantization": 51}}, "'quantization'"),
         ({"controller": {"type": "fc", "nominal_pole": "pole-7"}}, "'nominal_pole'"),
         ({"controller": {"type": "sfc", "nominal": "pole-7"}}, "'nominal'"),
         ({"metrics": {"x_band": 0.05}}, "'x_band'"),
@@ -524,7 +534,8 @@ _TAP = {"t": 1.0, "kind": "tap", "delta_theta_dot_deg_s": 5.0}
         ({"scenario": {"events": [_TAP, ["tap", 2.0]]}}, "scenario.events[1] must be an object"),
     ],
     ids=[
-        "top", "goals", "plant", "scenario", "initial", "event", "fc", "fc-sfc-key",
+        "top", "goals", "plant", "scenario", "initial", "event", "fc", "fc-quantization",
+        "fc-sfc-key",
         "sfc", "metrics", "top-list", "scenario-list", "plant-string",
         "controller-string", "metrics-number", "initial-list", "event-list",
     ],
@@ -617,8 +628,6 @@ def scenario_configs(draw):
             ))
     if draw(st.booleans()):
         controller = {"type": "fc"}
-        if draw(st.booleans()):
-            controller["quantization"] = draw(_mostly(st.sampled_from([3, 51, 201]), st.just(1)))
     else:
         controller = {"type": "sfc", "nominal_pole": draw(_presets)}
     cfg = {"plant": plant_cfg, "scenario": scenario, "controller": controller}

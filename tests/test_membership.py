@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,19 @@ from hypothesis import given, strategies as st
 
 from fuzzpole.fuzzy import (
     KBError,
+    KnowledgeBase,
+    LinguisticVariable,
+    MembershipFunction,
+    OutputUniverse,
+    Precondition,
+    Rule,
+    fc_output,
     shoulder_down,
     shoulder_up,
     triangle,
 )
 from fuzzpole.hierarchy import Concentration, derive_very
+from fuzzpole.kernels import compile_kb, fuzzy_force
 
 ZE = triangle(-6.25, 0.0, 6.25)
 
@@ -63,6 +72,7 @@ def test_concentrate_squares_pointwise():
         lambda: shoulder_up(2.0, 2.0),
         lambda: shoulder_down(5.0, 1.0),
         lambda: triangle(0.0, math.nan, 2.0),
+        lambda: MembershipFunction("hexagon", (0.0, 1.0)),
     ],
 )
 def test_malformed_shapes_rejected(bad):
@@ -115,3 +125,77 @@ def test_support_at_level_set():
     # squaring shrinks the epsilon-support even though the exact support is unchanged
     c_lo, c_hi = derive_very(ZE, Concentration()).support_at(1e-6)
     assert lo < c_lo < c_hi < hi
+    # a shoulder's support is open on its flat side
+    up = shoulder_up(0.0, 6.25)
+    assert up.support_at(0.5) == (3.125, math.inf)
+    down = shoulder_down(-6.25, 0.0)
+    assert down.support_at(0.5) == (-math.inf, -3.125)
+    # squared, the 0.25 level is the base curve's 0.5 level
+    assert derive_very(up, Concentration()).support_at(0.25) == (3.125, math.inf)
+
+
+def test_corners_are_derived_and_not_compared():
+    """Each shape is one trapezoid (a, b, c, d); the corners follow kind and
+    params and stay out of equality, hashing and repr."""
+    tri = triangle(-1.0, 0.0, 2.0)
+    assert tri.corners == (-1.0, 0.0, 0.0, 2.0)
+    assert shoulder_up(0.0, 1.0).corners == (0.0, 1.0, math.inf, math.inf)
+    assert shoulder_down(0.0, 1.0).corners == (-math.inf, -math.inf, 0.0, 1.0)
+    assert repr(tri) == "MembershipFunction(kind='triangle', params=(-1.0, 0.0, 2.0), power=1)"
+    assert hash(tri) == hash(MembershipFunction("triangle", (-1.0, 0.0, 2.0)))
+    assert replace(tri, params=(0.0, 1.0, 2.0)).corners == (0.0, 1.0, 1.0, 2.0)
+
+
+# Shapes with a breakpoint at 0, where -0.0 is an input, and their degrees
+# at 0.0, -0.0, inf, -inf and NaN; "rising" and "falling" end at 0
+_EDGE_SHAPES = [
+    (triangle(-6.25, 0.0, 6.25), ["1.0", "1.0", "0.0", "0.0", "nan"]),
+    (triangle(0.0, 0.5, 1.0), ["0.0", "0.0", "0.0", "0.0", "nan"]),
+    (triangle(-1.0, -0.5, 0.0), ["0.0", "0.0", "0.0", "0.0", "nan"]),
+    (shoulder_up(0.0, 6.25), ["0.0", "0.0", "1.0", "0.0", "nan"]),
+    (shoulder_down(-6.25, 0.0), ["0.0", "0.0", "0.0", "1.0", "nan"]),
+]
+
+
+def _edge_inputs(mf):
+    xs = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for p in mf.params:
+        xs += [p, p - 1e-12, p + 1e-12, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+    return xs
+
+
+def _probe_kb(mf):
+    """theta carries ``mf``; a second rule always fires, so the force is
+    mu / (1 + mu), strictly increasing in the degree mu of ``mf``."""
+    variables = {
+        "theta": LinguisticVariable("theta", "deg", {"L": mf}),
+        "x": LinguisticVariable("x", "m", {"Z": triangle(-1.0, 0.0, 1.0)}),
+        "F": LinguisticVariable("F", "N", {"Z": triangle(-1.0, 0.0, 1.0),
+                                           "P": shoulder_up(0.0, 1.0)}),
+    }
+    rules = (
+        Rule("probe", (Precondition("theta", "L"),), ("F", "P")),
+        Rule("always", (Precondition("x", "Z"),), ("F", "Z")),
+    )
+    return KnowledgeBase(variables, "F", rules, OutputUniverse(-1.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "shape, at_specials", _EDGE_SHAPES, ids=["ZE", "rising", "falling", "PO", "NE"]
+)
+def test_membership_paths_agree_bit_for_bit(shape, at_specials, power):
+    """__call__, sample and the compiled kernel give the same bits at the
+    breakpoints, next to them, at +-0 and +-inf and for NaN, compared as
+    repr so that the sign of a zero counts.  A zero degree is +0.0."""
+    mf = replace(shape, power=power)
+    xs = _edge_inputs(mf)
+    scalar = [repr(mf(v)) for v in xs]
+    assert scalar[:5] == at_specials
+    assert "-0.0" not in scalar
+    assert [repr(d) for d in mf.sample(np.array(xs)).tolist()] == scalar
+    kb = _probe_kb(mf)
+    ck = compile_kb(kb)
+    for v in xs:
+        force, fired = fuzzy_force(ck, np.array([v, 0.0, 0.0, 0.0]))
+        assert fired and repr(force) == repr(float(fc_output(kb, {"theta": v, "x": 0.0})))

@@ -194,6 +194,10 @@ _PARSE_ROWS = [
                  id="duplicate-universe"),
     pytest.param(SMALL_KB + "universe 1.0 -1.0 11\n", "bad-universe", "6:1",
                  id="bad-universe"),
+    pytest.param(SMALL_KB + "universe inf 10 201\n", "bad-universe", "6:1",
+                 id="infinite-universe"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE hexagon(-1.0, 0.0, 1.0)"), "syntax", "2:12",
+                 id="unknown-shape"),
     pytest.param(SMALL_KB.replace(_RULE_A, ""), "no-output", "1:5",
                  id="no-output"),
     pytest.param(SMALL_KB + _RULE_A + "\n", "duplicate-rule", "6:6",
@@ -234,6 +238,32 @@ def test_shape_parameter_count_is_named():
     text = SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.0, 1.0)")
     (diag,) = parse_knowledge_base(text).errors
     assert diag.message == "triangle takes 3 parameters (left, peak, right), got 2"
+
+
+def test_unknown_shape_lists_the_shapes():
+    text = SMALL_KB.replace(_E_LABEL, "label ZE hexagon(-1.0, 0.0, 1.0)")
+    (diag,) = parse_knowledge_base(text).errors
+    assert diag.message == (
+        "expected a shape (triangle, shoulder_up, shoulder_down), found 'hexagon'"
+    )
+
+
+def test_mistyped_conclusion_is_reported_at_its_token():
+    """The output variable is the one most conclusions name, so one mistyped
+    conclusion variable is reported at that conclusion, not as every other
+    rule disagreeing with it."""
+    source = builtin_pole_source()
+    r1 = next(line for line in source.splitlines() if line.startswith("rule r1 "))
+    assert r1.endswith("THEN F IS PL")
+    text = source.replace(r1, r1.replace("THEN F", "THEN theta"))
+    row = source.splitlines().index(r1) + 1
+    col = r1.index("THEN F") + len("THEN ") + 1
+    result = parse_knowledge_base(text)
+    assert result.kb is None
+    assert [(d.code, d.line, d.col) for d in result.errors] == [
+        ("multiple-outputs", row, col),
+        ("unknown-label", row, col + len("theta IS ")),
+    ]
 
 
 def test_declaration_errors_are_listed_with_syntax_errors():
