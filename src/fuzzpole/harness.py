@@ -30,7 +30,9 @@ from .plant import (
     pole_params,
 )
 from .rulelang import RuleFileError, builtin_pole_kb, load_kb
-from .sfc import DEFAULT_DESIRED_POLES, DesignError, design_gains, linearize
+from .sfc import (
+    DEFAULT_DESIRED_POLES, DesignError, check_desired_poles, design_gains, linearize,
+)
 
 __all__ = [
     "FuzzyController",
@@ -83,12 +85,17 @@ class FuzzyController:
 @dataclass(frozen=True)
 class SFCController:
     """Gains are designed once on the declared nominal model (pole placement)
-    and never re-tuned for the plant actually simulated."""
+    and never re-tuned for the plant actually simulated.  The desired poles
+    are checked on construction (``DesignError``); the gains are designed
+    by ``run``."""
 
     nominal: PlantParams
     desired_poles: tuple = DEFAULT_DESIRED_POLES
 
     kind = "sfc"
+
+    def __post_init__(self):
+        check_desired_poles(self.desired_poles)
 
 
 @dataclass(frozen=True)
@@ -644,7 +651,11 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
     if kind == "sfc":
         c = _section("controller", cfg, _SFC_KEYS)
         del c["type"]
-        return SFCController(pole_params(c.pop("nominal_pole", "pole-1")), **c)
+        nominal = pole_params(c.pop("nominal_pole", "pole-1"))
+        try:
+            return SFCController(nominal, **c)
+        except DesignError as exc:  # the desired poles, checked on construction
+            raise ScenarioError(f"controller.desired_poles: {exc}") from exc
     raise ScenarioError(f"unknown controller type {kind!r} (fc or sfc)")
 
 

@@ -2,11 +2,11 @@
 
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
 control law it calls at each control instant.  The fuzzy law evaluates a
-knowledge base compiled once to tables (:func:`compile_kb`) in folded,
-windowed form: scalar memberships, each read off a label's trapezoid
-corners with no branch on its shape; scalar rule strengths, one strength
-per conclusion label; and clip/max aggregation and left-to-right
-center-of-area sums over only the grid points the active labels cover.
+knowledge base compiled once to tables (:func:`compile_kb`) in folded form:
+scalar memberships, each read off a label's trapezoid corners with no
+branch on its shape; scalar rule strengths, one strength per conclusion
+label; then one stacked clip/max over the conclusion curves and one
+left-to-right pass that sums both center-of-area rows over the full grid.
 That is the arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.
 The SFC law is ``-k (state - reference)``.  The plant is stepped by
 :func:`fuzzpole.plant.advance`.
@@ -69,15 +69,14 @@ class CompiledKB:
     """Table form of a knowledge base: what the fuzzy law reads at each
     control instant.
 
-    Rules that conclude on the same output label form one group; its curve
-    is that label sampled on ``omega``, and its window [lo, hi) spans the
-    curve's nonzero grid points (lo == hi when it has none).
+    Rules that conclude on the same output label form one group; its row of
+    ``curves`` is that label sampled on the output grid.
     """
 
-    omega: np.ndarray  # (N,) float64 quantization points
     label_table: tuple  # per label: (corners a, b, c, d, power, input slot)
     rule_table: tuple  # per rule: (label rows of its preconditions, group)
-    group_table: tuple  # per group: (curve, lo, hi)
+    curves: np.ndarray  # (groups, N) conclusion curves on the grid
+    weights: np.ndarray  # (2, N) rows: the grid points, ones
 
 
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
@@ -96,23 +95,19 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     points = kb.output_universe.points()
     group_of: dict[str, int] = {}  # conclusion label -> group
     rule_table = []
-    group_table = []
     for rule in kb.rules:
         rows = tuple(row_index[(pre.variable, pre.label)] for pre in rule.preconditions)
-        label = rule.conclusion[1]
-        if label not in group_of:
-            group_of[label] = len(group_table)
-            curve = kb.output.label(label).sample(points)
-            nonzero = np.flatnonzero(curve > 0.0)
-            lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-            group_table.append((curve, lo, hi))
-        rule_table.append((rows, group_of[label]))
+        group = group_of.setdefault(rule.conclusion[1], len(group_of))
+        rule_table.append((rows, group))
+    curves = np.empty((len(group_of), points.shape[0]))
+    for label, group in group_of.items():
+        curves[group] = kb.output.label(label).sample(points)
 
     return CompiledKB(
-        omega=points,
         label_table=tuple(labels),
         rule_table=tuple(rule_table),
-        group_table=tuple(group_table),
+        curves=curves,
+        weights=np.stack([points, np.ones_like(points)]),
     )
 
 
@@ -130,15 +125,16 @@ def control_inputs(
 
 
 def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
-    """Folded, windowed inference on a sequence of Python floats.
+    """Folded inference on a sequence of Python floats.
 
     Degrees and rule strengths are scalar, with the trapezoid comparisons
     of ``MembershipFunction.__call__`` and the ``<`` min of
     ``fuzzy.rule_activation``, so a NaN degree is skipped.  The rules of a
     group fold into one strength, exactly, since no strength is NaN:
-    max_r min(a_r, c) == min(max_r a_r, c).  Clip/max and the center-of-area
-    sums run only over the union of the active groups' windows; every term
-    outside it is +-0.0, so the left-to-right sums keep their bits.
+    max_r min(a_r, c) == min(max_r a_r, c).  Clip/max runs once over the
+    stacked curves, and both center-of-area sums run left to right over the
+    full grid in one accumulate, as in ``fuzzy.defuzzify_coa``; its sums
+    start at +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
     """
     degrees = []
     for a, b, c, d, power, slot in ck.label_table:
@@ -157,7 +153,7 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
                 mu = mu * base
         degrees.append(mu)
 
-    strength = [0.0] * len(ck.group_table)
+    strength = [0.0] * ck.curves.shape[0]
     for rows, group in ck.rule_table:
         alpha = 1.0
         for i in rows:
@@ -167,33 +163,13 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
         if alpha > strength[group]:
             strength[group] = alpha
 
-    omega = ck.omega
-    lo = omega.shape[0]
-    hi = 0
-    active = []
-    for alpha, (curve, g_lo, g_hi) in zip(strength, ck.group_table):
-        if alpha > 0.0 and g_lo < g_hi:
-            active.append((alpha, curve))
-            if g_lo < lo:
-                lo = g_lo
-            if g_hi > hi:
-                hi = g_hi
-    if not active:
+    # initial=0.0 is the all-zero aggregate of fc_output, and the result of
+    # a rule base with no rules.  Accumulate, unlike sum, adds in order.
+    mu = np.maximum.reduce(np.minimum(np.array(strength)[:, None], ck.curves), initial=0.0)
+    num, den = np.add.accumulate(ck.weights * mu, axis=1)[:, -1].tolist()
+    if den == 0.0:
         return 0.0, False
-    alpha, curve = active[0]
-    mu = np.minimum(alpha, curve[lo:hi])
-    for alpha, curve in active[1:]:
-        np.maximum(mu, np.minimum(alpha, curve[lo:hi]), out=mu)
-    # np.add.accumulate is np.cumsum without its wrapper: left to right
-    den = float(np.add.accumulate(mu)[-1])
-    num = float(np.add.accumulate(omega[lo:hi] * mu)[-1])
-    if num == 0.0:
-        # A zero sum is -0.0 only if every term is: that takes the terms
-        # outside the window too, so sum over the whole grid.
-        full = np.zeros_like(omega)
-        full[lo:hi] = mu
-        num = float(np.add.accumulate(omega * full)[-1])
-    return num / den, True
+    return (0.0 + num) / den, True
 
 
 def _simulate(

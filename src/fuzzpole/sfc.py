@@ -16,6 +16,7 @@ __all__ = [
     "GainVector",
     "DesignError",
     "linearize",
+    "check_desired_poles",
     "design_gains",
     "sfc_output",
     "DEFAULT_DESIRED_POLES",
@@ -112,6 +113,21 @@ def _conjugate_closed(poles: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
+def check_desired_poles(desired_poles) -> np.ndarray:
+    """The desired poles as a complex array of four, closed under conjugation.
+
+    Raises DesignError otherwise.  This needs no model, so a scenario can be
+    checked when it is read, before any gains are designed."""
+    poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
+    if poles.shape != (4,):
+        raise DesignError(f"need exactly 4 desired poles, got {poles.shape[0]}")
+    if not _conjugate_closed(poles):
+        raise DesignError(
+            f"desired poles {poles} are not closed under conjugation"
+        )
+    return poles
+
+
 def design_gains(
     model: LinearModel,
     desired_poles=DEFAULT_DESIRED_POLES,
@@ -120,17 +136,12 @@ def design_gains(
 ) -> GainVector:
     """Pole placement via Ackermann's formula for the single-input pair.
 
-    Raises DesignError when the pole set is not closed under conjugation or
-    the pair is uncontrollable (reporting the controllability-matrix rank);
-    the achieved closed-loop eigenvalues are verified against the request.
+    Raises DesignError when the pole set fails :func:`check_desired_poles`
+    or the pair is uncontrollable (reporting the controllability-matrix
+    rank); the achieved closed-loop eigenvalues are verified against the
+    request.
     """
-    poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
-    if poles.shape != (4,):
-        raise DesignError(f"need exactly 4 desired poles, got {poles.shape[0]}")
-    if not _conjugate_closed(poles):
-        raise DesignError(
-            f"desired poles {poles} are not closed under conjugation"
-        )
+    poles = check_desired_poles(desired_poles)
     A, B = model.A, model.B
     ctrb = np.hstack([B, A @ B, A @ A @ B, A @ A @ A @ B])
     rank = int(np.linalg.matrix_rank(ctrb))

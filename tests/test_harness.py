@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzpole.harness import (
     MAX_STEPS,
+    SFCController,
     ScenarioError,
     SignalMetrics,
     Trajectory,
@@ -27,7 +28,8 @@ from fuzzpole.harness import (
 )
 from fuzzpole.cli import main
 from fuzzpole.plant import PlantError, PlantState, pole_params, set_tilt, tap
-from fuzzpole.rulelang import load_kb
+from fuzzpole.rulelang import builtin_pole_kb, load_kb
+from fuzzpole.sfc import DesignError
 
 
 def test_flat_trajectory_at_equilibrium_sfc():
@@ -425,6 +427,29 @@ def test_config_sfc_controller(tmp_path):
     assert bundle.scenario.controller.nominal == pole_params(1)
 
 
+@pytest.mark.parametrize(
+    "poles, message",
+    [
+        ([-1, -2, -3], "need exactly 4 desired poles, got 3"),
+        ([-1, -2, [-1, 1], [-1, 2]], "not closed under conjugation"),
+    ],
+    ids=["three-poles", "unpaired-complex"],
+)
+def test_config_rejects_poles_that_cannot_be_placed(tmp_path, capsys, poles, message):
+    """A desired pole set of the wrong count, or one with a complex pole
+    whose conjugate is missing, is rejected when the controller is built,
+    and when a scenario file is read, as a ScenarioError naming the key."""
+    written = tuple(complex(*p) if isinstance(p, list) else p for p in poles)
+    with pytest.raises(DesignError, match=message):
+        SFCController(pole_params(1), written)
+    cfg = {"controller": {"type": "sfc", "desired_poles": poles}}
+    with pytest.raises(ScenarioError, match=f"controller.desired_poles: .*{message}"):
+        scenario_from_config(cfg)
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert "controller.desired_poles" in err and "internal error" not in err
+
+
 def test_config_rules_from_file(tmp_path):
     from fuzzpole.rulelang import builtin_pole_source
 
@@ -692,6 +717,23 @@ def test_no_rule_fired_applies_zero_force(caplog):
     assert np.all(traj.force == 0.0)
     (record,) = caplog.records
     assert f"no rule fired at {scenario.n_steps} control instants" in record.getMessage()
+
+
+def test_rule_less_controller_counts_every_instant(caplog):
+    """A rule base with no rules runs to the end with zero force, and every
+    control instant counts as one where no rule fired."""
+    scenario = default_scenario(
+        1, "fc", kb=builtin_pole_kb().with_rules([]), duration=1.0,
+        dt=0.005, control_period=0.02,
+    )
+    with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
+        traj = run(scenario)
+    assert traj.completed
+    assert np.all(traj.force == 0.0)
+    instants = len(range(0, scenario.n_steps, scenario.control_every))
+    assert instants == 50
+    (record,) = caplog.records
+    assert f"no rule fired at {instants} control instants" in record.getMessage()
 
 
 def test_force_not_finite_at_the_first_step(caplog):

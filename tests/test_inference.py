@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fuzzpole.fuzzy import (
+    KBError,
     KnowledgeBase,
+    LinguisticVariable,
     MissingInputError,
     NoRuleFired,
     OutputUniverse,
@@ -10,6 +14,7 @@ from fuzzpole.fuzzy import (
     defuzzify_coa,
     fc_output,
     rule_activation,
+    triangle,
 )
 
 # Frozen via an independent brute-force script: theta = 5 deg, theta_dot = 0,
@@ -136,6 +141,11 @@ def test_coa_all_zero_raises(kb):
         defuzzify_coa(np.zeros(kb.output_universe.n), kb.output_universe)
 
 
+def test_coa_rejects_degrees_off_the_grid(kb):
+    with pytest.raises(KBError, match=r"degrees shape \(200,\) does not match universe n=201"):
+        defuzzify_coa(np.ones(200), kb.output_universe)
+
+
 def pole_only_kb(kb):
     return kb.with_rules([r for r in kb.rules if r.goal_index == 1])
 
@@ -174,10 +184,22 @@ def test_fc_output_no_rule_fired_carries_inputs(kb):
 
 
 def test_output_universe_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(KBError, match="min < max"):
         OutputUniverse(1.0, 1.0, 201)
-    with pytest.raises(Exception):
+    with pytest.raises(KBError, match="3 <= n"):
         OutputUniverse(-1.0, 1.0, 2)
+    for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(KBError, match="universe bounds must be finite"):
+            OutputUniverse(lo, hi)
+
+
+def test_variable_needs_labels_and_names_an_unknown_label():
+    with pytest.raises(KBError, match="variable 'theta' has no labels"):
+        LinguisticVariable("theta", "deg", {})
+    var = LinguisticVariable("theta", "deg", {"ZE": triangle(-1.0, 0.0, 1.0)})
+    assert var.label("ZE") == triangle(-1.0, 0.0, 1.0)
+    with pytest.raises(KBError, match="unknown label 'PS' on variable 'theta'"):
+        var.label("PS")
 
 
 def test_rule_and_kb_structure_checks(kb):

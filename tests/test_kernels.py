@@ -41,15 +41,20 @@ def test_compiled_tables_shape(kb, compiled_kb):
     # balance rules have 2 preconditions, position rules 4
     assert [len(rows) for rows, _ in ck.rule_table] == [2] * 9 + [4] * 4
     assert all(0 <= i < n_labels for rows, _ in ck.rule_table for i in rows)
-    # one group per conclusion label: its curve, and the window of its nonzero points
-    assert len(ck.group_table) == 7
+    # one group per conclusion label: its curve sampled on the output grid
     assert sorted({g for _, g in ck.rule_table}) == list(range(7))
-    assert np.array_equal(ck.omega, kb.output_universe.points())
-    for curve, lo, hi in ck.group_table:
-        assert curve.shape == (kb.output_universe.n,)
-        nonzero = np.flatnonzero(curve > 0.0)
-        assert (lo, hi) == (nonzero[0], nonzero[-1] + 1)
-        assert np.all(curve[lo:hi] > 0.0)
+    n = kb.output_universe.n
+    points = kb.output_universe.points()
+    assert ck.curves.shape == (7, n)
+    conclusions = {}
+    for rule, (_, g) in zip(kb.rules, ck.rule_table):
+        conclusions.setdefault(g, rule.conclusion[1])
+    for g, label in conclusions.items():
+        assert np.array_equal(ck.curves[g], kb.output.label(label).sample(points))
+    # center-of-area weights: the grid points, then ones
+    assert ck.weights.shape == (2, n)
+    assert np.array_equal(ck.weights[0], points)
+    assert np.all(ck.weights[1] == 1.0)
 
 
 def test_compile_requires_known_slots(kb):
@@ -162,6 +167,8 @@ _COMPOSED = {
 # At n = 3 the grid is (-10, 0, 10), where PS is zero: whatever fires, the
 # aggregated output is zero everywhere.
 _COMPOSED[("PS only", 3)] = _composed_kb(Concentration(), 3, only_label="PS")
+# No rules: no curves to stack, and no rule ever fires.
+_COMPOSED[("no rules", 201)] = builtin_pole_kb().with_rules([])
 _COMPILED = {key: compile_kb(kb) for key, kb in _COMPOSED.items()}
 _SCALES = (12.0, 45.0, 1.0, 0.5)
 
@@ -199,23 +206,23 @@ def test_folded_kernel_no_nonzero_grid_point():
 
 
 def test_folded_kernel_keeps_the_sign_of_a_zero_sum():
-    """The only nonzero grid point of the conclusion is negative, and its
-    product with a tiny strength underflows to -0.0; the point at 0.0 outside
-    the window makes the full left-to-right sum +0.0."""
-    variables = {
-        "theta": LinguisticVariable("theta", "deg", {"A": shoulder_up(0.0, 1.0)}),
-        "F": LinguisticVariable("F", "N", {"N": shoulder_down(-1e-300, -5e-301)}),
-    }
-    kb = KnowledgeBase(
-        variables, "F",
-        (Rule("r", (Precondition("theta", "A"),), ("F", "N")),),
-        OutputUniverse(-1e-300, 1e-300, 3),
-    )
-    slots = {"theta": 0}  # theta's slot in kernels.DEFAULT_SLOTS
-    ck = compile_kb(kb)
-    for theta in (1e-30, 0.5, 1.0):
-        assert _agrees_with_reference(kb, ck, [theta], slots)
-    assert math.copysign(1.0, fuzzy_force(ck, np.array([1e-30]))[0]) == 1.0
+    """The conclusion's only nonzero grid point is its leftmost, and its
+    product with a tiny strength underflows to -0.0.  fc_output starts its
+    sums at +0.0, so its force is +0.0 even when every term is -0.0, as on
+    the all-negative grid."""
+    for universe in (OutputUniverse(-1e-300, 1e-300, 3), OutputUniverse(-3e-300, -1e-300, 3)):
+        lo = universe.lo
+        variables = {
+            "theta": LinguisticVariable("theta", "deg", {"A": shoulder_up(0.0, 1.0)}),
+            "F": LinguisticVariable("F", "N", {"N": shoulder_down(lo, 0.9 * lo)}),
+        }
+        rule = Rule("r", (Precondition("theta", "A"),), ("F", "N"))
+        kb = KnowledgeBase(variables, "F", (rule,), universe)
+        slots = {"theta": 0}  # theta's slot in kernels.DEFAULT_SLOTS
+        ck = compile_kb(kb)
+        for theta in (1e-30, 0.5, 1.0):
+            assert _agrees_with_reference(kb, ck, [theta], slots)
+        assert math.copysign(1.0, fuzzy_force(ck, np.array([1e-30]))[0]) == 1.0
 
 
 def test_fuzzy_force_reports_no_rule(kb, backend):
