@@ -77,9 +77,16 @@ INPUT_ERRORS = (ScenarioError, RuleFileError, PlantError, kernels.KernelError, D
 
 @dataclass(frozen=True)
 class FuzzyController:
+    """The rule base must read only variables the harness drives
+    (``kernels.DEFAULT_SLOTS``); it is checked on construction
+    (``KernelError``) and compiled by ``run``."""
+
     kb: KnowledgeBase
 
     kind = "fc"
+
+    def __post_init__(self):
+        kernels.check_input_slots(self.kb)
 
 
 @dataclass(frozen=True)
@@ -107,13 +114,17 @@ class Scenario:
     x_target: float = 0.0
     duration: float = 50.0
     dt: float = 0.005
-    control_period: float = 0.005
+    control_period: float | None = None  # None: every step, dt
     events: tuple[DisturbanceEvent, ...] = ()
     track_bound: float = 2.4
     theta_limit_deg: float = 45.0
     integrator: str = "euler"
 
     def __post_init__(self):
+        if not isinstance(self.controller, (FuzzyController, SFCController)):
+            raise ScenarioError(f"unknown controller {self.controller!r}")
+        if self.control_period is None:
+            object.__setattr__(self, "control_period", self.dt)
         for name in ("dt", "duration", "control_period"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -269,16 +280,9 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
                 scenario.name,
                 norule,
             )
-    elif isinstance(ctrl, SFCController):
-        gains = design_gains(
-            linearize(ctrl.nominal),
-            ctrl.desired_poles,
-            reference=(0.0, 0.0, scenario.x_target, 0.0),
-            f_max=p.f_max,
-        )
-        data, termination, _ = kernels.simulate_sfc(*common, gains.k, gains.reference)
     else:
-        raise ScenarioError(f"unknown controller {ctrl!r}")
+        gains = design_gains(linearize(ctrl.nominal), ctrl.desired_poles)
+        data, termination, _ = kernels.simulate_sfc(*common, gains.k)
     if termination == "non_finite":
         # rows 0 .. len(data) - 1 are finite; there may be none
         log.warning(
@@ -647,7 +651,10 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
                     f"cannot read controller.rules file {path}: {exc}"
                 ) from exc
             kb = load_kb(text)
-        return FuzzyController(kb)
+        try:
+            return FuzzyController(kb)
+        except kernels.KernelError as exc:  # an undriven variable
+            raise ScenarioError(f"controller.rules: {exc}") from exc
     if kind == "sfc":
         c = _section("controller", cfg, _SFC_KEYS)
         del c["type"]
@@ -663,16 +670,13 @@ def scenario_from_config(cfg: Mapping, base_dir: str | Path = ".") -> ScenarioBu
     """Build a scenario from the parsed JSON configuration sections
     (plant / scenario / controller / metrics).  Unknown keys and sections
     that are not objects are rejected; absent keys take the defaults of
-    ``Scenario``, ``PlantState`` and ``ScenarioBundle``, and an absent
-    ``control_period`` is ``dt``."""
+    ``Scenario``, ``PlantState`` and ``ScenarioBundle``."""
     base_dir = Path(base_dir)
     try:
         top = _section("the configuration", cfg, _TOP_KEYS)
         params = _plant(top.get("plant", {}))
         controller = _controller(top.get("controller", {"type": "fc"}), base_dir)
         s = _section("scenario", top.get("scenario", {}), _SCENARIO_KEYS)
-        if "dt" in s:
-            s.setdefault("control_period", s["dt"])
         scenario = Scenario(
             params=params, controller=controller, **{"name": "scenario", **s}
         )

@@ -8,8 +8,8 @@ branch on its shape; scalar rule strengths, one strength per conclusion
 label; then one stacked clip/max over the conclusion curves and one
 left-to-right pass that sums both center-of-area rows over the full grid.
 That is the arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.
-The SFC law is ``-k (state - reference)``.  The plant is stepped by
-:func:`fuzzpole.plant.advance`.
+The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
+The plant is stepped by :func:`fuzzpole.plant.advance`.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -32,6 +32,7 @@ __all__ = [
     "KernelError",
     "check_backend",
     "CompiledKB",
+    "check_input_slots",
     "compile_kb",
     "DEFAULT_SLOTS",
     "control_inputs",
@@ -79,15 +80,21 @@ class CompiledKB:
     weights: np.ndarray  # (2, N) rows: the grid points, ones
 
 
-def compile_kb(kb: KnowledgeBase) -> CompiledKB:
-    labels: list[tuple[float, float, float, float, int, int]] = []
-    row_index: dict[tuple[str, str], int] = {}
+def check_input_slots(kb: KnowledgeBase) -> None:
+    """Raise KernelError for an input variable the harness does not drive."""
     for var in kb.input_variables:
         if var.name not in DEFAULT_SLOTS:
             raise KernelError(
                 f"variable '{var.name}' has no input slot; the harness drives "
                 f"{sorted(DEFAULT_SLOTS)}"
             )
+
+
+def compile_kb(kb: KnowledgeBase) -> CompiledKB:
+    check_input_slots(kb)
+    labels: list[tuple[float, float, float, float, int, int]] = []
+    row_index: dict[tuple[str, str], int] = {}
+    for var in kb.input_variables:
         for label_name, mf in var.labels.items():
             row_index[(var.name, label_name)] = len(labels)
             labels.append((*mf.corners, mf.power, DEFAULT_SLOTS[var.name]))
@@ -113,11 +120,10 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
 
 def control_inputs(
     theta: float, theta_dot: float, x: float, x_dot: float, x_target: float
-) -> np.ndarray:
-    """State as the controller sees it (degrees, position error)."""
-    return np.array(
-        [theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot]
-    )
+) -> tuple[float, float, float, float]:
+    """State as the fuzzy law reads it, in ``DEFAULT_SLOTS`` order: angles
+    in degrees, the cart as its error from the target."""
+    return (theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +182,8 @@ def _simulate(
     state0, x_target, params, dt, n_steps, control_every, rk4,
     ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
 ):
-    """Closed loop under ``law(theta, theta_dot, x, x_dot) -> (force, fired)``.
+    """Closed loop under
+    ``law(theta, theta_dot, x, x_dot, x_target) -> (force, fired)``.
 
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
     termination, count of control instants where the law did not fire).
@@ -214,7 +221,7 @@ def _simulate(
                 tilt = ev_value[ev_i]
             ev_i += 1
         if k % control_every == 0:
-            f, fired = law(theta, theta_dot, x, x_dot)
+            f, fired = law(theta, theta_dot, x, x_dot, x_target)
             if not fired:
                 norule += 1
             if f > f_max:
@@ -286,10 +293,8 @@ def simulate_fuzzy(
     termination, count of control instants where no rule fired).
     """
 
-    def law(theta, theta_dot, x, x_dot):
-        return _fuzzy_force(
-            (theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot), ck
-        )
+    def law(theta, theta_dot, x, x_dot, x_target):
+        return _fuzzy_force(control_inputs(theta, theta_dot, x, x_dot, x_target), ck)
 
     return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,
@@ -311,16 +316,12 @@ def simulate_sfc(
     track_bound: float,
     theta_limit: float,
     k_gains: np.ndarray,
-    reference: np.ndarray,
 ):
     """Closed-loop run under the state-feedback controller."""
     k0, k1, k2, k3 = (float(v) for v in k_gains)
-    r0, r1, r2, r3 = (float(v) for v in reference)
 
-    def law(theta, theta_dot, x, x_dot):
-        u = (k0 * (theta - r0) + k1 * (theta_dot - r1)
-             + k2 * (x - r2) + k3 * (x_dot - r3))
-        return -u, True
+    def law(theta, theta_dot, x, x_dot, x_target):
+        return -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot), True
 
     return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,

@@ -26,8 +26,6 @@ __all__ = [
 # experiments; deliberately modest so gains stay tied to the nominal model.
 DEFAULT_DESIRED_POLES = (-1.5, -1.6, -2.0, -2.2)
 
-_STATE_ORDER = ("theta", "theta_dot", "x", "x_dot")
-
 
 class DesignError(ValueError):
     pass
@@ -58,12 +56,7 @@ def linearize(p: PlantParams) -> LinearModel:
     row and angle row are kinematic identities.
     """
     total = p.m_c + p.m
-    d = 4.0 / 3.0 - p.m / total
-    if d <= 0.0:
-        raise DesignError(
-            f"degenerate linearization denominator 4/3 - m/(m_c+m) = {d:g}"
-        )
-    denom = p.l * d
+    denom = p.l * (4.0 / 3.0 - p.m / total)  # m_c, m > 0: the factor is > 1/3
     dth_acc_dtheta = p.g / denom
     dth_acc_df = -1.0 / (total * denom)
     dx_acc_dtheta = -p.m * p.l * dth_acc_dtheta / total
@@ -138,8 +131,10 @@ def design_gains(
 
     Raises DesignError when the pole set fails :func:`check_desired_poles`
     or the pair is uncontrollable (reporting the controllability-matrix
-    rank); the achieved closed-loop eigenvalues are verified against the
-    request.
+    rank).  The achieved closed-loop characteristic polynomial is verified
+    against the requested one, coefficient by coefficient, so poles may
+    repeat: the eigenvalues of a near-defective closed loop move by about
+    eps**(1/4) and could not be compared at a useful tolerance.
     """
     poles = check_desired_poles(desired_poles)
     A, B = model.A, model.B
@@ -156,12 +151,11 @@ def design_gains(
         phi = phi @ A + float(np.real(c)) * np.eye(4)
     k = np.linalg.solve(ctrb.T, np.array([0.0, 0.0, 0.0, 1.0])) @ phi
 
-    achieved = np.linalg.eigvals(A - B @ k.reshape(1, 4))
-    want = np.sort_complex(poles)
-    got = np.sort_complex(achieved)
-    if not np.allclose(got, want, atol=1e-6, rtol=1e-6):
+    achieved = np.poly(A - B @ k.reshape(1, 4))
+    if np.any(np.abs(achieved - coeffs) > 1e-9 * np.maximum(1.0, np.abs(coeffs))):
         raise DesignError(
-            f"placement verification failed: wanted {want}, achieved {got}"
+            f"placement verification failed: wanted characteristic polynomial "
+            f"{coeffs}, achieved {achieved}"
         )
     return GainVector(k, np.asarray(reference, dtype=np.float64), f_max)
 

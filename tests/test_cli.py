@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fuzzpole import cli
 from fuzzpole.cli import main
 from fuzzpole.rulelang import builtin_pole_source
 
@@ -145,6 +146,49 @@ def test_compare_rejects_bad_poles(capsys):
         assert "unknown pole preset" in err and "internal error" not in err
 
 
+_REJECTED_FILES = {
+    "rk2.json": {"scenario": {"integrator": "rk2"}},
+    "far-poles.json": {
+        "scenario": {"duration": 1.0},
+        "controller": {"type": "sfc", "desired_poles": [-1000, -1001, -1002, -1003]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--controllers", ","], "compare needs at least one scenario"),
+        (["compare", "--poles", ","], "--poles is empty"),
+        (["compare", "--poles", "1", "--dt", "0"], "dt must be positive, got 0.0"),
+        (["simulate", "--scenario", "rk2.json"], "unknown integrator 'rk2'"),
+        (["simulate", "--scenario", "far-poles.json"], "placement verification failed"),
+    ],
+    ids=["no-controllers", "no-poles", "zero-dt", "rk2-integrator", "unverified-poles"],
+)
+def test_rejected_inputs_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, cfg in _REJECTED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "error, printed",
+    [(OSError("disk gone"), "error: disk gone"), (RuntimeError("bug"), "internal error: bug")],
+    ids=["os-error", "internal-error"],
+)
+def test_runtime_failures_exit_2(monkeypatch, capsys, error, printed):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_compare", fail)
+    assert main(["compare"]) == 2
+    assert capsys.readouterr().err == printed + "\n"
+
+
 def test_batch_all_poles(tmp_path):
     report = tmp_path / "batch.csv"
     code = main(["batch", "--all-poles", "--duration", "1.0", "--report", str(report)])
@@ -194,6 +238,14 @@ def test_lint_flags_audit_violation(tmp_path, capsys):
     code = main(["lint", "--rules", str(rules)])
     assert code == 1
     assert "audit" in capsys.readouterr().out
+
+
+def test_lint_skips_the_audit_without_the_goal_variables(tmp_path, capsys):
+    rules = tmp_path / "boiler.frl"
+    rules.write_text(_UNDRIVEN_RULES, encoding="utf-8")
+    assert main(["lint", "--rules", str(rules)]) == 0
+    out = capsys.readouterr().out
+    assert "audit: skipped (rule base does not use the cart-pole goal variables)" in out
 
 
 def test_unreadable_rules_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzpole.harness import (
     MAX_STEPS,
+    FuzzyController,
     SFCController,
     ScenarioError,
     SignalMetrics,
@@ -27,6 +28,7 @@ from fuzzpole.harness import (
     scenario_from_config,
 )
 from fuzzpole.cli import main
+from fuzzpole.kernels import KernelError
 from fuzzpole.plant import PlantError, PlantState, pole_params, set_tilt, tap
 from fuzzpole.rulelang import builtin_pole_kb, load_kb
 from fuzzpole.sfc import DesignError
@@ -39,6 +41,7 @@ def test_flat_trajectory_at_equilibrium_sfc():
     assert traj.termination == "completed"
     assert np.all(traj.theta == 0.0)
     assert np.all(traj.x == 0.0)
+    assert np.all(traj.x_dot == 0.0)
     assert np.all(traj.force == 0.0)
     assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(2.0)
     assert np.all(np.diff(traj.t) > 0)
@@ -95,6 +98,20 @@ def test_scenario_validation():
         replace(base, dt=1e-300, control_period=1e-300, duration=1e300)
     with pytest.raises(ScenarioError, match="control_period"):  # so does this ratio
         replace(base, dt=1e-300, duration=1e-300, control_period=1e300)
+    with pytest.raises(ScenarioError, match="unknown controller 'bang-bang'"):
+        replace(base, controller="bang-bang")
+
+
+def test_absent_control_period_is_dt():
+    """Built in code or read from a file, a scenario without a control
+    period updates the force at every step."""
+    for scenario in (
+        default_scenario(1, "fc", dt=0.01, duration=1.0),
+        scenario_from_config({"scenario": {"dt": 0.01, "duration": 1.0}}).scenario,
+    ):
+        assert scenario.control_period == 0.01 and scenario.control_every == 1
+        assert run(scenario).completed
+    assert default_scenario(1, "fc").control_period == 0.005
 
 
 # --- metrics -----------------------------------------------------------------
@@ -448,6 +465,37 @@ def test_config_rejects_poles_that_cannot_be_placed(tmp_path, capsys, poles, mes
     assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
     assert "controller.desired_poles" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("pole", [-2.0, -5.0])
+def test_config_repeated_desired_poles_run(tmp_path, capsys, pole):
+    cfg = {
+        "scenario": {"x_target": 0.5, "duration": 10.0},
+        "controller": {"type": "sfc", "desired_poles": [pole] * 4},
+    }
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 0
+    assert "termination: completed" in capsys.readouterr().out
+
+
+_BOILER_RULES = """var pressure unit = Pa
+  label LO triangle(0.0, 1.0, 2.0)
+var F unit = N
+  label ZE triangle(-1.0, 0.0, 1.0)
+rule r1: IF pressure IS LO THEN F IS ZE
+"""
+
+
+def test_undriven_variable_fails_when_the_controller_is_built(tmp_path):
+    """A rule base over a variable the harness does not drive is rejected
+    by FuzzyController, and in a scenario file as a ScenarioError naming the
+    key, before anything runs."""
+    message = "variable 'pressure' has no input slot"
+    with pytest.raises(KernelError, match=message):
+        FuzzyController(load_kb(_BOILER_RULES))
+    (tmp_path / "boiler.frl").write_text(_BOILER_RULES, encoding="utf-8")
+    cfg = {"controller": {"type": "fc", "rules": "boiler.frl"}}
+    with pytest.raises(ScenarioError, match=f"controller.rules: {message}"):
+        scenario_from_config(cfg, base_dir=tmp_path)
 
 
 def test_config_rules_from_file(tmp_path):

@@ -56,6 +56,11 @@ def test_narrowed_rejects_shoulders():
         derive_very(shoulder_up(0.0, 6.25), Narrowed(0.5))
 
 
+def test_derive_very_rejects_a_non_mode():
+    with pytest.raises(HierarchyError, match="unknown Very mode 0.5"):
+        derive_very(ZE, 0.5)
+
+
 @pytest.mark.parametrize("mode", [Narrowed(0.3), Concentration()])
 def test_narrowing_law(mode):
     """Very labels sit pointwise under the base with strictly smaller
@@ -170,6 +175,12 @@ def test_compose_checks_rule_variables():
     rules[0] = [Rule("g1", (Precondition("b", "PO"),), ("out", "PO"))]
     with pytest.raises(HierarchyError):
         compose_hierarchical(spec, rules, Narrowed(0.5), base)
+
+
+def test_compose_needs_one_rule_set_per_goal():
+    spec, rules, base = three_goal_setup()
+    with pytest.raises(HierarchyError, match="3 goals but 2 rule sets"):
+        compose_hierarchical(spec, rules[:2], Narrowed(0.5), base)
 
 
 def test_compose_rejects_label_collision():

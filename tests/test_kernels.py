@@ -414,7 +414,7 @@ def test_nan_force_ends_the_run_as_non_finite():
     params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
     calls = []
 
-    def law(theta, theta_dot, x, x_dot):
+    def law(theta, theta_dot, x, x_dot, x_target):
         calls.append(theta)
         return (math.nan if len(calls) > 40 else 1.0), True
 

@@ -67,19 +67,11 @@ def test_linearize_uses_frictionless_dynamics():
     assert np.array_equal(linearize(pole_params(1)).A, linearize(P1).A)
 
 
-def test_degenerate_denominator_rejected():
-    # unreachable with positive masses, so poke the guard with a raw namespace
-    from types import SimpleNamespace
-
-    fake = SimpleNamespace(g=9.8, m_c=-0.95, m=1.0, l=0.5)
-    with pytest.raises(DesignError) as err:
-        linearize(fake)
-    assert "denominator" in str(err.value)
-
-
 def test_model_rejects_non_finite_entries():
     with pytest.raises(DesignError):
         LinearModel(np.full((4, 4), np.nan), np.zeros((4, 1)))
+    with pytest.raises(DesignError, match=r"A must be 4x4, got \(3, 3\)"):
+        LinearModel(np.eye(3), np.zeros((4, 1)))
 
 
 def test_design_places_poles_exactly():
@@ -114,6 +106,24 @@ def test_design_accepts_conjugate_pairs():
     assert np.allclose(
         np.sort_complex(achieved), np.sort_complex(np.asarray(poles)), atol=1e-6
     )
+
+
+@pytest.mark.parametrize("pole", [-2.0, -5.0])
+def test_design_places_repeated_poles(pole):
+    """A fourfold pole: the closed loop's characteristic polynomial is
+    (s - p)^4, although its eigenvalues scatter by ~eps**(1/4) about p."""
+    model = linearize(P1)
+    gains = design_gains(model, (pole,) * 4)
+    closed = np.poly(model.A - model.B @ gains.k.reshape(1, 4))
+    binomial = [1.0, -4 * pole, 6 * pole**2, -4 * pole**3, pole**4]
+    assert np.allclose(closed, binomial, rtol=1e-12, atol=0.0)
+
+
+def test_design_rejects_a_placement_it_cannot_verify():
+    """Poles near -1000 on pole-1 need gains so large that the achieved
+    polynomial is off by ~3e-6 relative: the design is refused."""
+    with pytest.raises(DesignError, match="placement verification failed"):
+        design_gains(linearize(P1), (-1000.0, -1001.0, -1002.0, -1003.0))
 
 
 def test_design_rejects_unpaired_complex_poles():
