@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -48,17 +47,12 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_overrides(scenario, args):
-    updates = {}
-    if args.dt is not None:
-        updates["dt"] = args.dt
-        if scenario.control_period < args.dt:
-            updates["control_period"] = args.dt
-    if args.duration is not None:
-        updates["duration"] = args.duration
-    if args.target is not None:
-        updates["x_target"] = args.target
-    return replace(scenario, **updates) if updates else scenario
+def _overrides(args) -> dict:
+    """Scenario fields set on the command line.  They are applied when the
+    scenario is built, so an absent control period resolves against the
+    final ``dt``; a period written in a scenario file is kept."""
+    values = {"dt": args.dt, "duration": args.duration, "x_target": args.target}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _maybe_seedless(args):
@@ -66,8 +60,8 @@ def _maybe_seedless(args):
 
 
 def cmd_simulate(args) -> int:
-    bundle = load_scenario(args.scenario)
-    scenario = _apply_overrides(bundle.scenario, args)
+    bundle = load_scenario(args.scenario, **_overrides(args))
+    scenario = bundle.scenario
     with _maybe_seedless(args):
         traj = run(scenario)
         empty = traj.data.shape[0] == 0  # the first force was not finite
@@ -107,8 +101,9 @@ def _run_comparison(args, poles, controllers, nominal_pole=None) -> int:
     for pole in poles:
         for controller in controllers:
             name = f"pole-{pole} {controller.upper()}"
-            s = default_scenario(pole, controller, nominal_pole=nominal_pole, name=name)
-            scenarios.append(_apply_overrides(s, args))
+            scenarios.append(default_scenario(
+                pole, controller, nominal_pole=nominal_pole, name=name, **_overrides(args)
+            ))
     with _maybe_seedless(args):
         result = compare(scenarios)
     print(result.render_text(), end="")

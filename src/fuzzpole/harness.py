@@ -666,17 +666,21 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
     raise ScenarioError(f"unknown controller type {kind!r} (fc or sfc)")
 
 
-def scenario_from_config(cfg: Mapping, base_dir: str | Path = ".") -> ScenarioBundle:
+def scenario_from_config(
+    cfg: Mapping, base_dir: str | Path = ".", **scenario_keys
+) -> ScenarioBundle:
     """Build a scenario from the parsed JSON configuration sections
     (plant / scenario / controller / metrics).  Unknown keys and sections
     that are not objects are rejected; absent keys take the defaults of
-    ``Scenario``, ``PlantState`` and ``ScenarioBundle``."""
+    ``Scenario``, ``PlantState`` and ``ScenarioBundle``.  Keyword arguments
+    set keys of the scenario section over what ``cfg`` holds."""
     base_dir = Path(base_dir)
     try:
         top = _section("the configuration", cfg, _TOP_KEYS)
         params = _plant(top.get("plant", {}))
         controller = _controller(top.get("controller", {"type": "fc"}), base_dir)
-        s = _section("scenario", top.get("scenario", {}), _SCENARIO_KEYS)
+        section = {**_mapping("scenario", top.get("scenario", {})), **scenario_keys}
+        s = _section("scenario", section, _SCENARIO_KEYS)
         scenario = Scenario(
             params=params, controller=controller, **{"name": "scenario", **s}
         )
@@ -688,7 +692,9 @@ def scenario_from_config(cfg: Mapping, base_dir: str | Path = ".") -> ScenarioBu
         raise ScenarioError(f"invalid scenario configuration: {exc}") from exc
 
 
-def load_scenario(path: str | Path) -> ScenarioBundle:
+def load_scenario(path: str | Path, **scenario_keys) -> ScenarioBundle:
+    """Build the scenario of a JSON file, with ``scenario_keys`` set over the
+    keys of its scenario section (see :func:`scenario_from_config`)."""
     path = Path(path)
     try:
         cfg = json.loads(path.read_text(encoding="utf-8"))
@@ -696,7 +702,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_config(cfg, base_dir=path.parent)
+    return scenario_from_config(cfg, base_dir=path.parent, **scenario_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ control law it calls at each control instant.  The fuzzy law evaluates a
 knowledge base compiled once to tables (:func:`compile_kb`) in folded form:
 scalar memberships, each read off a label's trapezoid corners with no
 branch on its shape; scalar rule strengths, one strength per conclusion
-label; then one stacked clip/max over the conclusion curves and one
+label; then one clip/max over the coverage layers, which hold at each grid
+point only the conclusion curves that are nonzero there, and one
 left-to-right pass that sums both center-of-area rows over the full grid.
 That is the arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
@@ -70,14 +71,20 @@ class CompiledKB:
     """Table form of a knowledge base: what the fuzzy law reads at each
     control instant.
 
-    Rules that conclude on the same output label form one group; its row of
-    ``curves`` is that label sampled on the output grid.
+    Rules that conclude on the same output label form one group, whose
+    conclusion curve is that label sampled on the output grid.  The curves
+    are stored as coverage layers: column j of ``layer_group`` lists, in
+    group order, the groups whose curve is nonzero at grid point j, and the
+    same column of ``layer_curve`` holds their values there, then 0.0 where
+    fewer groups cover the point than there are layers.
     """
 
     label_table: tuple  # per label: (corners a, b, c, d, power, input slot)
     rule_table: tuple  # per rule: (label rows of its preconditions, group)
-    curves: np.ndarray  # (groups, N) conclusion curves on the grid
-    weights: np.ndarray  # (2, N) rows: the grid points, ones
+    groups: int  # number of groups
+    points: np.ndarray  # (N,) the output grid
+    layer_group: np.ndarray  # (L, N) covering groups; L the largest coverage
+    layer_curve: np.ndarray  # (L, N) their curves' values
 
 
 def check_input_slots(kb: KnowledgeBase) -> None:
@@ -91,6 +98,13 @@ def check_input_slots(kb: KnowledgeBase) -> None:
 
 
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
+    """Compile ``kb`` to the tables of :class:`CompiledKB`.
+
+    Input labels become rows of trapezoid corners, rules become their
+    precondition rows and conclusion group, and the conclusion curves become
+    coverage layers.  Raises KernelError for an input variable the harness
+    does not drive.
+    """
     check_input_slots(kb)
     labels: list[tuple[float, float, float, float, int, int]] = []
     row_index: dict[tuple[str, str], int] = {}
@@ -109,12 +123,20 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     curves = np.empty((len(group_of), points.shape[0]))
     for label, group in group_of.items():
         curves[group] = kb.output.label(label).sample(points)
+    # Sorting each column on "is zero" moves the covering groups to the
+    # top, in group order (a stable sort); the rows below the largest
+    # coverage hold only zeros and are dropped.
+    zero = curves == 0.0
+    depth = int((~zero).sum(axis=0).max(initial=0))
+    layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
 
     return CompiledKB(
         label_table=tuple(labels),
         rule_table=tuple(rule_table),
-        curves=curves,
-        weights=np.stack([points, np.ones_like(points)]),
+        groups=len(group_of),
+        points=points,
+        layer_group=layer_group,
+        layer_curve=np.take_along_axis(curves, layer_group, axis=0),
     )
 
 
@@ -138,9 +160,12 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
     ``fuzzy.rule_activation``, so a NaN degree is skipped.  The rules of a
     group fold into one strength, exactly, since no strength is NaN:
     max_r min(a_r, c) == min(max_r a_r, c).  Clip/max runs once over the
-    stacked curves, and both center-of-area sums run left to right over the
-    full grid in one accumulate, as in ``fuzzy.defuzzify_coa``; its sums
-    start at +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
+    coverage layers.  A curve left out at a grid point is +0.0 there, and
+    min(s, +0.0) is +0.0 for a strength s >= +0.0, which the max's initial
+    +0.0 already is; so mu is fc_output's aggregate bit for bit.  Both
+    center-of-area sums run left to right over the full grid in one
+    accumulate, as in ``fuzzy.defuzzify_coa``; its sums start at +0.0,
+    hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
     """
     degrees = []
     for a, b, c, d, power, slot in ck.label_table:
@@ -159,7 +184,7 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
                 mu = mu * base
         degrees.append(mu)
 
-    strength = [0.0] * ck.curves.shape[0]
+    strength = [0.0] * ck.groups
     for rows, group in ck.rule_table:
         alpha = 1.0
         for i in rows:
@@ -170,9 +195,16 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
             strength[group] = alpha
 
     # initial=0.0 is the all-zero aggregate of fc_output, and the result of
-    # a rule base with no rules.  Accumulate, unlike sum, adds in order.
-    mu = np.maximum.reduce(np.minimum(np.array(strength)[:, None], ck.curves), initial=0.0)
-    num, den = np.add.accumulate(ck.weights * mu, axis=1)[:, -1].tolist()
+    # a rule base with no rules.  Row 1 of the center-of-area block is mu,
+    # row 0 the grid points times mu.  Accumulate, unlike sum, adds in order.
+    coa = np.empty((2, ck.points.shape[0]))
+    mu = np.maximum.reduce(
+        np.minimum(np.array(strength)[ck.layer_group], ck.layer_curve),
+        initial=0.0,
+        out=coa[1],
+    )
+    np.multiply(ck.points, mu, out=coa[0])
+    num, den = np.add.accumulate(coa, axis=1)[:, -1].tolist()
     if den == 0.0:
         return 0.0, False
     return (0.0 + num) / den, True

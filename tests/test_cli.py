@@ -42,6 +42,43 @@ def test_simulate_overrides(scenario_file, capsys):
     assert "t=1 s" in capsys.readouterr().out
 
 
+def test_compare_dt_override_sets_an_unwritten_control_period(monkeypatch, capsys):
+    """With no period written, the control period is the overriding dt,
+    not the 5 ms of the default dt."""
+    built = []
+
+    def record(scenarios):
+        built.extend(scenarios)
+        return real_compare(scenarios)
+
+    real_compare = cli.compare
+    monkeypatch.setattr(cli, "compare", record)
+    argv = ["compare", "--poles", "1", "--controllers", "fc", "--dt", "0.002",
+            "--duration", "0.5"]
+    assert main(argv) == 0
+    assert [(s.dt, s.control_period, s.control_every) for s in built] == [(0.002, 0.002, 1)]
+
+
+def _dt_override_file(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"scenario": scenario}), encoding="utf-8")
+    return ["simulate", "--scenario", str(path), "--dt", "0.002"]
+
+
+def test_simulate_dt_override_without_written_period(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    argv = _dt_override_file(tmp_path, {"duration": 0.5})
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 251  # header + 0.5 s at 2 ms
+
+
+def test_simulate_dt_override_keeps_a_written_period(tmp_path, capsys):
+    argv = _dt_override_file(tmp_path, {"duration": 0.5, "control_period": 0.005})
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "control_period (0.005) must be an integer multiple of dt (0.002)" in err
+
+
 def test_simulate_missing_file(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(tmp_path / "nope.json")])
     assert code == 1

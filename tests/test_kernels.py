@@ -16,6 +16,7 @@ from fuzzpole.fuzzy import (
     fc_output,
     shoulder_down,
     shoulder_up,
+    triangle,
 )
 from fuzzpole.harness import default_scenario, run
 from fuzzpole.hierarchy import (
@@ -32,6 +33,26 @@ from fuzzpole.rulelang import builtin_pole_kb
 from fuzzpole.sfc import design_gains, linearize, sfc_output
 
 
+def _conclusion_curves(kb, ck):
+    """Each group's conclusion curve: its label sampled on the output grid."""
+    points = kb.output_universe.points()
+    labels = {}
+    for rule, (_, g) in zip(kb.rules, ck.rule_table):
+        labels.setdefault(g, rule.conclusion[1])
+    return {g: kb.output.label(label).sample(points) for g, label in labels.items()}
+
+
+def _curve_from_layers(ck, group):
+    """A group's curve rebuilt from the coverage layers: its value where it
+    takes a layer, 0.0 elsewhere."""
+    taken = (ck.layer_group == group) & (ck.layer_curve != 0.0)
+    assert np.all(taken.sum(axis=0) <= 1)  # at most one layer per grid point
+    layers, columns = np.nonzero(taken)
+    curve = np.zeros(ck.points.shape[0])
+    curve[columns] = ck.layer_curve[layers, columns]
+    return curve
+
+
 def test_compiled_tables_shape(kb, compiled_kb):
     ck = compiled_kb
     n_labels = sum(len(v.labels) for v in kb.input_variables)
@@ -41,20 +62,17 @@ def test_compiled_tables_shape(kb, compiled_kb):
     # balance rules have 2 preconditions, position rules 4
     assert [len(rows) for rows, _ in ck.rule_table] == [2] * 9 + [4] * 4
     assert all(0 <= i < n_labels for rows, _ in ck.rule_table for i in rows)
-    # one group per conclusion label: its curve sampled on the output grid
+    # one group per conclusion label
     assert sorted({g for _, g in ck.rule_table}) == list(range(7))
+    assert ck.groups == 7
     n = kb.output_universe.n
-    points = kb.output_universe.points()
-    assert ck.curves.shape == (7, n)
-    conclusions = {}
-    for rule, (_, g) in zip(kb.rules, ck.rule_table):
-        conclusions.setdefault(g, rule.conclusion[1])
-    for g, label in conclusions.items():
-        assert np.array_equal(ck.curves[g], kb.output.label(label).sample(points))
-    # center-of-area weights: the grid points, then ones
-    assert ck.weights.shape == (2, n)
-    assert np.array_equal(ck.weights[0], points)
-    assert np.all(ck.weights[1] == 1.0)
+    assert np.array_equal(ck.points, kb.output_universe.points())
+    # at most two of the seven conclusion curves are nonzero at a grid point
+    assert ck.layer_group.shape == ck.layer_curve.shape == (2, n)
+    curves = _conclusion_curves(kb, ck)
+    assert sorted(curves) == list(range(7))
+    for g, curve in curves.items():
+        assert np.array_equal(_curve_from_layers(ck, g), curve)
 
 
 def test_compile_requires_known_slots(kb):
@@ -169,6 +187,21 @@ _COMPOSED = {
 _COMPOSED[("PS only", 3)] = _composed_kb(Concentration(), 3, only_label="PS")
 # No rules: no curves to stack, and no rule ever fires.
 _COMPOSED[("no rules", 201)] = builtin_pole_kb().with_rules([])
+
+
+def _three_deep_kb():
+    """The built-in rules over output labels 4 N apart and 12 N wide, on a
+    1 N grid: up to three curves cover a grid point, and every label's
+    corners are grid points, where its curve is exactly zero."""
+    builtin = builtin_pole_kb()
+    names = ("NL", "NM", "NS", "ZE", "PS", "PM", "PL")
+    peaks = range(-12, 13, 4)
+    labels = {name: triangle(p - 6.0, p, p + 6.0) for name, p in zip(names, peaks)}
+    variables = {**builtin.variables, "F": LinguisticVariable("F", "N", labels)}
+    return KnowledgeBase(variables, "F", builtin.rules, OutputUniverse(-12.0, 12.0, 25))
+
+
+_COMPOSED[("3 deep", 25)] = _three_deep_kb()
 _COMPILED = {key: compile_kb(kb) for key, kb in _COMPOSED.items()}
 _SCALES = (12.0, 45.0, 1.0, 0.5)
 
@@ -195,6 +228,49 @@ def _kb_and_inputs(draw):
 def test_folded_kernel_matches_reference_on_composed_kbs(case):
     key, inputs = case
     assert _agrees_with_reference(_COMPOSED[key], _COMPILED[key], inputs)
+
+
+def _one_label_kb():
+    variables = {
+        "theta": LinguisticVariable("theta", "deg", {"A": shoulder_up(0.0, 1.0)}),
+        "F": LinguisticVariable("F", "N", {"Z": triangle(-1.0, 0.0, 1.0)}),
+    }
+    rule = Rule("r", (Precondition("theta", "A"),), ("F", "Z"))
+    return KnowledgeBase(variables, "F", (rule,), OutputUniverse(-1.0, 1.0, 11))
+
+
+_LAYER_CASES = {
+    ("builtin", 201): builtin_pole_kb(),
+    **_COMPOSED,
+    ("one label", 11): _one_label_kb(),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LAYER_CASES), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_layer_tables_rebuild_the_conclusion_curves(key):
+    """Every group's curve comes back exactly from the coverage layers, and
+    there are as many layers as curves cover the most covered grid point."""
+    kb = _LAYER_CASES[key]
+    ck = compile_kb(kb)
+    curves = _conclusion_curves(kb, ck)
+    n = kb.output_universe.n
+    assert ck.groups == len(curves)
+    coverage = np.zeros(n, dtype=np.int64)
+    for g, curve in curves.items():
+        assert np.array_equal(_curve_from_layers(ck, g), curve)
+        coverage += curve != 0.0
+    assert ck.layer_group.shape == ck.layer_curve.shape == (coverage.max(initial=0), n)
+    assert np.array_equal((ck.layer_curve != 0.0).sum(axis=0), coverage)
+
+
+def test_three_deep_kb_takes_three_layers():
+    """Three curves cover each peak.  At 2 N the NS and PM curves have a
+    corner, so they are exactly zero there and take no layer."""
+    ck = _COMPILED[("3 deep", 25)]
+    assert ck.layer_group.shape == (3, 25)
+    j = 14  # grid point 2.0
+    assert ck.points[j] == 2.0
+    assert np.count_nonzero(ck.layer_curve[:, j]) == 2
 
 
 def test_folded_kernel_no_nonzero_grid_point():
