@@ -95,8 +95,9 @@ def _parse_poles(text: str) -> list[int]:
 
 
 def _run_comparison(args, poles, controllers, nominal_pole=None) -> int:
-    """Run each controller on each pole preset; SFC gains are designed on
-    ``nominal_pole``, or on the simulated pole when it is None."""
+    """Run each controller on each pole preset.  SFC gains are designed as
+    the scenarios are built, before any run, on ``nominal_pole``, or on the
+    simulated pole when it is None."""
     scenarios = []
     for pole in poles:
         for controller in controllers:

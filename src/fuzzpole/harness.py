@@ -30,9 +30,7 @@ from .plant import (
     pole_params,
 )
 from .rulelang import RuleFileError, builtin_pole_kb, load_kb
-from .sfc import (
-    DEFAULT_DESIRED_POLES, DesignError, check_desired_poles, design_gains, linearize,
-)
+from .sfc import DEFAULT_DESIRED_POLES, DesignError, GainVector, design_gains, linearize
 
 __all__ = [
     "FuzzyController",
@@ -91,18 +89,19 @@ class FuzzyController:
 
 @dataclass(frozen=True)
 class SFCController:
-    """Gains are designed once on the declared nominal model (pole placement)
-    and never re-tuned for the plant actually simulated.  The desired poles
-    are checked on construction (``DesignError``); the gains are designed
-    by ``run``."""
+    """Gains are designed on construction, by pole placement on the declared
+    nominal model (``DesignError`` when the poles cannot be placed), and
+    never re-tuned for the plant actually simulated."""
 
     nominal: PlantParams
     desired_poles: tuple = DEFAULT_DESIRED_POLES
+    gains: GainVector = field(init=False, compare=False, repr=False)
 
     kind = "sfc"
 
     def __post_init__(self):
-        check_desired_poles(self.desired_poles)
+        gains = design_gains(linearize(self.nominal), self.desired_poles)
+        object.__setattr__(self, "gains", gains)
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,11 @@ class Trajectory:
 
 def _event_arrays(scenario: Scenario):
     events = sorted(scenario.events, key=lambda e: e.t)
+    # a step at or past the end is never applied, so it is capped there and
+    # a time of 1e300 s cannot overflow the step count
     steps = np.array(
-        [int(round(e.t / scenario.dt)) for e in events], dtype=np.int64
+        [int(round(min(e.t / scenario.dt, scenario.n_steps))) for e in events],
+        dtype=np.int64,
     )
     kinds = np.array(
         [0 if e.kind == "tap" else 1 for e in events], dtype=np.int64
@@ -233,6 +235,10 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     finite rows before it (none when the first force is not finite), and a
     logged warning.  ``backend`` may name the one kernel backend
     (``kernels.ACTIVE_BACKEND``); any other value raises ``KernelError``.
+
+    Every check that can reject the controller ran when it was built: an
+    SFC controller holds its designed gains, and a fuzzy controller's rule
+    base, compiled here, was checked against the driven variables.
     """
     kernels.check_backend(backend)
     p = scenario.params
@@ -281,8 +287,7 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
                 norule,
             )
     else:
-        gains = design_gains(linearize(ctrl.nominal), ctrl.desired_poles)
-        data, termination, _ = kernels.simulate_sfc(*common, gains.k)
+        data, termination, _ = kernels.simulate_sfc(*common, ctrl.gains.k)
     if termination == "non_finite":
         # rows 0 .. len(data) - 1 are finite; there may be none
         log.warning(
@@ -349,12 +354,21 @@ def _signal_metrics(t: np.ndarray, y: np.ndarray, setpoint: float, band: float) 
     return SignalMetrics(overshoot, undershoot, settling)
 
 
+def _check_band(name: str, band: float) -> None:
+    if not 0.0 < band < math.inf:  # NaN fails too
+        raise ScenarioError(f"{name} must be positive and finite, got {band}")
+
+
 def compute_metrics(
     traj: Trajectory,
     scenario: Scenario,
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG,
     x_band_m: float = DEFAULT_X_BAND_M,
 ) -> MetricsReport:
+    """The step-response metrics of a run with at least one row.  A settling
+    band must be positive and finite (``ScenarioError``)."""
+    _check_band("theta_band_deg", theta_band_deg)
+    _check_band("x_band_m", x_band_m)
     if traj.data.shape[0] == 0:
         raise ScenarioError("cannot compute metrics of an empty trajectory")
     theta_deg = np.degrees(traj.theta)
@@ -523,8 +537,9 @@ def default_scenario(
     **overrides,
 ) -> Scenario:
     """The standard comparison setup: start at rest at the origin and command
-    a step to x_target.  SFC gains are designed on nominal_pole (defaulting to
-    the simulated pole).  Other keyword arguments set ``Scenario`` fields."""
+    a step to x_target.  SFC gains are designed here, on nominal_pole
+    (defaulting to the simulated pole).  Other keyword arguments set
+    ``Scenario`` fields."""
     params = pole_params(pole)
     if controller == "fc":
         ctrl: FuzzyController | SFCController = FuzzyController(
@@ -543,26 +558,59 @@ def default_scenario(
 
 @dataclass(frozen=True)
 class ScenarioBundle:
+    """A scenario and the settling bands of its metrics section."""
+
     scenario: Scenario
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG
     x_band_m: float = DEFAULT_X_BAND_M
 
+    def __post_init__(self):
+        _check_band("metrics.theta_band_deg", self.theta_band_deg)
+        _check_band("metrics.x_band_m", self.x_band_m)
+
 
 # One key table per config section: key -> conversion of its value.  Absent
-# keys are not passed on, so the dataclass defaults apply.
+# keys are not passed on, so the dataclass defaults apply.  A conversion
+# raises TypeError or ValueError on a value of the wrong JSON type, which
+# ``_section`` reports under the key.
 
 
 def _as_is(value):
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {type(value).__name__}")
+    return value
+
+
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list, got {type(value).__name__}")
+    return value
+
+
 def _radians(value) -> float:
-    return math.radians(float(value))
+    return math.radians(_number(value))
+
+
+def _pole(value) -> complex | float:
+    if not isinstance(value, (list, tuple)):
+        return _number(value)
+    if len(value) != 2:
+        raise ValueError(f"a complex pole is a [re, im] pair, got {list(value)}")
+    return complex(_number(value[0]), _number(value[1]))
 
 
 def _poles(values) -> tuple:
-    pair = (list, tuple)
-    return tuple(complex(p[0], p[1]) if isinstance(p, pair) else float(p) for p in values)
+    return tuple(_pole(p) for p in _list(values))
 
 
 def _mapping(name: str, cfg) -> Mapping:
@@ -578,7 +626,12 @@ def _section(name: str, cfg, schema: Mapping) -> dict:
             raise ScenarioError(
                 f"unknown key {key!r} in {name}; allowed: {', '.join(schema)}"
             )
-        values[key] = schema[key](value)
+        try:
+            values[key] = schema[key](value)
+        except ScenarioError:  # a nested section names its own key
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{name}.{key}: {exc}") from exc
     return values
 
 
@@ -586,8 +639,8 @@ def _section(name: str, cfg, schema: Mapping) -> dict:
 _INITIAL_KEYS = {
     "theta_deg": ("theta", _radians),
     "theta_dot_deg_s": ("theta_dot", _radians),
-    "x_m": ("x", float),
-    "x_dot_m_s": ("x_dot", float),
+    "x_m": ("x", _number),
+    "x_dot_m_s": ("x_dot", _number),
     "tilt_deg": ("tilt", _radians),
 }
 # event kind -> key of its value, in degrees
@@ -602,30 +655,30 @@ def _initial(cfg) -> PlantState:
 
 def _events(items) -> tuple[DisturbanceEvent, ...]:
     events = []
-    for i, item in enumerate(items):
+    for i, item in enumerate(_list(items)):
         name = f"scenario.events[{i}]"
         kind = _mapping(name, item).get("kind")
-        if kind not in _EVENT_VALUE_KEYS:
+        if not isinstance(kind, str) or kind not in _EVENT_VALUE_KEYS:
             raise ScenarioError(f"unknown event kind {kind!r} in {name} (tap or set_tilt)")
         value_key = _EVENT_VALUE_KEYS[kind]
-        e = _section(name, item, {"t": float, "kind": str, value_key: _radians})
+        e = _section(name, item, {"t": _number, "kind": _as_is, value_key: _radians})
         events.append(DisturbanceEvent(e["t"], kind, e[value_key]))
     return tuple(events)
 
 
 _TOP_KEYS = dict.fromkeys(("plant", "scenario", "controller", "metrics"), _as_is)
-_PLANT_KEYS = {"preset": _as_is, **{f.name: float for f in fields(PlantParams)}}
+_PLANT_KEYS = {"preset": _as_is, **{f.name: _number for f in fields(PlantParams)}}
 _SCENARIO_KEYS = {
-    "name": str,
-    **dict.fromkeys(("x_target", "duration", "dt", "control_period"), float),
-    **dict.fromkeys(("track_bound", "theta_limit_deg"), float),
-    "integrator": str,
+    "name": _string,
+    **dict.fromkeys(("x_target", "duration", "dt", "control_period"), _number),
+    **dict.fromkeys(("track_bound", "theta_limit_deg"), _number),
+    "integrator": _string,
     "initial": _initial,
     "events": _events,
 }
-_FC_KEYS = {"type": _as_is, "rules": _as_is}
+_FC_KEYS = {"type": _as_is, "rules": _string}
 _SFC_KEYS = {"type": _as_is, "nominal_pole": _as_is, "desired_poles": _poles}
-_METRICS_KEYS = {"theta_band_deg": float, "x_band_m": float}
+_METRICS_KEYS = {"theta_band_deg": _number, "x_band_m": _number}
 
 
 def _plant(cfg) -> PlantParams:
@@ -661,7 +714,7 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
         nominal = pole_params(c.pop("nominal_pole", "pole-1"))
         try:
             return SFCController(nominal, **c)
-        except DesignError as exc:  # the desired poles, checked on construction
+        except DesignError as exc:  # the gains are designed on construction
             raise ScenarioError(f"controller.desired_poles: {exc}") from exc
     raise ScenarioError(f"unknown controller type {kind!r} (fc or sfc)")
 
@@ -700,7 +753,7 @@ def load_scenario(path: str | Path, **scenario_keys) -> ScenarioBundle:
         cfg = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_config(cfg, base_dir=path.parent, **scenario_keys)
 

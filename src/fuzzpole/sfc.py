@@ -16,7 +16,6 @@ __all__ = [
     "GainVector",
     "DesignError",
     "linearize",
-    "check_desired_poles",
     "design_gains",
     "sfc_output",
     "DEFAULT_DESIRED_POLES",
@@ -106,21 +105,6 @@ def _conjugate_closed(poles: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
-def check_desired_poles(desired_poles) -> np.ndarray:
-    """The desired poles as a complex array of four, closed under conjugation.
-
-    Raises DesignError otherwise.  This needs no model, so a scenario can be
-    checked when it is read, before any gains are designed."""
-    poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
-    if poles.shape != (4,):
-        raise DesignError(f"need exactly 4 desired poles, got {poles.shape[0]}")
-    if not _conjugate_closed(poles):
-        raise DesignError(
-            f"desired poles {poles} are not closed under conjugation"
-        )
-    return poles
-
-
 def design_gains(
     model: LinearModel,
     desired_poles=DEFAULT_DESIRED_POLES,
@@ -129,14 +113,21 @@ def design_gains(
 ) -> GainVector:
     """Pole placement via Ackermann's formula for the single-input pair.
 
-    Raises DesignError when the pole set fails :func:`check_desired_poles`
-    or the pair is uncontrollable (reporting the controllability-matrix
-    rank).  The achieved closed-loop characteristic polynomial is verified
+    Raises DesignError when the desired poles are not four finite poles
+    closed under conjugation, when the pair is uncontrollable (reporting the
+    controllability-matrix rank), or when the placement cannot be verified.
+    The achieved closed-loop characteristic polynomial is verified
     against the requested one, coefficient by coefficient, so poles may
     repeat: the eigenvalues of a near-defective closed loop move by about
     eps**(1/4) and could not be compared at a useful tolerance.
     """
-    poles = check_desired_poles(desired_poles)
+    poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
+    if poles.shape != (4,):
+        raise DesignError(f"need exactly 4 desired poles, got {poles.shape[0]}")
+    if not np.all(np.isfinite(poles)):
+        raise DesignError(f"desired poles must be finite, got {poles}")
+    if not _conjugate_closed(poles):
+        raise DesignError(f"desired poles {poles} are not closed under conjugation")
     A, B = model.A, model.B
     ctrb = np.hstack([B, A @ B, A @ A @ B, A @ A @ A @ B])
     rank = int(np.linalg.matrix_rank(ctrb))

@@ -199,7 +199,10 @@ _REJECTED_FILES = {
         (["compare", "--poles", ","], "--poles is empty"),
         (["compare", "--poles", "1", "--dt", "0"], "dt must be positive, got 0.0"),
         (["simulate", "--scenario", "rk2.json"], "unknown integrator 'rk2'"),
-        (["simulate", "--scenario", "far-poles.json"], "placement verification failed"),
+        (
+            ["simulate", "--scenario", "far-poles.json"],
+            "controller.desired_poles: placement verification failed",
+        ),
     ],
     ids=["no-controllers", "no-poles", "zero-dt", "rk2-integrator", "unverified-poles"],
 )

@@ -31,7 +31,7 @@ from fuzzpole.cli import main
 from fuzzpole.kernels import KernelError
 from fuzzpole.plant import PlantError, PlantState, pole_params, set_tilt, tap
 from fuzzpole.rulelang import builtin_pole_kb, load_kb
-from fuzzpole.sfc import DesignError
+from fuzzpole.sfc import DEFAULT_DESIRED_POLES, DesignError, design_gains, linearize
 
 
 def test_flat_trajectory_at_equilibrium_sfc():
@@ -444,27 +444,49 @@ def test_config_sfc_controller(tmp_path):
     assert bundle.scenario.controller.nominal == pole_params(1)
 
 
+_FAR_POLES = [-1000.0, -1001.0, -1002.0, -1003.0]
+
+
 @pytest.mark.parametrize(
-    "poles, message",
+    "poles, written, message",
     [
-        ([-1, -2, -3], "need exactly 4 desired poles, got 3"),
-        ([-1, -2, [-1, 1], [-1, 2]], "not closed under conjugation"),
+        ([-1, -2, -3], (-1, -2, -3), "need exactly 4 desired poles, got 3"),
+        (
+            [-1, -2, [-1, 1], [-1, 2]],
+            (-1, -2, complex(-1, 1), complex(-1, 2)),
+            "not closed under conjugation",
+        ),
+        ([math.nan, -1, -2, -3], (math.nan, -1, -2, -3), "desired poles must be finite"),
+        (_FAR_POLES, tuple(_FAR_POLES), "placement verification failed"),
+        ([[1]], None, re.escape("a complex pole is a [re, im] pair, got [1]")),
     ],
-    ids=["three-poles", "unpaired-complex"],
+    ids=["three-poles", "unpaired-complex", "nan-pole", "far-poles", "malformed-pair"],
 )
-def test_config_rejects_poles_that_cannot_be_placed(tmp_path, capsys, poles, message):
-    """A desired pole set of the wrong count, or one with a complex pole
-    whose conjugate is missing, is rejected when the controller is built,
-    and when a scenario file is read, as a ScenarioError naming the key."""
-    written = tuple(complex(*p) if isinstance(p, list) else p for p in poles)
-    with pytest.raises(DesignError, match=message):
-        SFCController(pole_params(1), written)
+def test_config_rejects_poles_that_cannot_be_placed(tmp_path, capsys, poles, written, message):
+    """A desired pole set that cannot be placed on the nominal model is
+    rejected when the controller is built (``DesignError``), and when a
+    scenario file is read, as a ScenarioError naming the key.  So is an
+    entry that is neither a number nor a [re, im] pair, which has no
+    Python form (``written`` is None)."""
+    if written is not None:
+        with pytest.raises(DesignError, match=message):
+            SFCController(pole_params(1), written)
     cfg = {"controller": {"type": "sfc", "desired_poles": poles}}
     with pytest.raises(ScenarioError, match=f"controller.desired_poles: .*{message}"):
         scenario_from_config(cfg)
     assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
-    assert "controller.desired_poles" in err and "internal error" not in err
+    assert "error: controller.desired_poles: " in err and "internal error" not in err
+
+
+def test_sfc_gains_are_designed_when_the_controller_is_built():
+    """The controller holds the gains of its nominal model and poles; they
+    take no part in equality, so two controllers of one design compare
+    equal."""
+    ctrl = SFCController(pole_params(1))
+    expected = design_gains(linearize(pole_params(1)), DEFAULT_DESIRED_POLES)
+    assert np.array_equal(ctrl.gains.k, expected.k)
+    assert ctrl == SFCController(pole_params(1)) and "gains" not in repr(ctrl)
 
 
 @pytest.mark.parametrize("pole", [-2.0, -5.0])
@@ -550,14 +572,14 @@ def test_events_past_the_end_are_logged(caplog):
     kick = math.radians(20.0)
     scenario = default_scenario(
         1, "sfc", x_target=0.0, duration=20.0, name="short taps",
-        events=(tap(15.0, kick), tap(35.0, kick), set_tilt(20.0, 0.1)),
+        events=(tap(15.0, kick), tap(35.0, kick), set_tilt(20.0, 0.1), tap(1e300, kick)),
     )
     with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
         traj = run(scenario)
     assert traj.completed and np.all(traj.tilt == 0.0)
     warnings = [r.getMessage() for r in caplog.records]
     assert len(warnings) == 1
-    assert "'short taps'" in warnings[0] and "2 event(s)" in warnings[0]
+    assert "'short taps'" in warnings[0] and "3 event(s)" in warnings[0]
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
@@ -577,6 +599,10 @@ def test_config_errors_are_scenario_errors(tmp_path):
     bad_json.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioError):
         load_scenario(bad_json)
+    long_number = tmp_path / "long.json"  # too many digits for json to read
+    long_number.write_text('{"scenario": {"duration": %s}}' % ("1" * 5000), encoding="utf-8")
+    with pytest.raises(ScenarioError, match="is not valid JSON"):
+        load_scenario(long_number)
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "does-not-exist.json")
 
@@ -623,6 +649,59 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
     assert named in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"scenario": {"initial": {"theta_deg": "abc"}}},
+         "scenario.initial.theta_deg: must be a number, got str"),
+        ({"scenario": {"events": 5}}, "scenario.events: must be a list, got int"),
+        ({"scenario": {"events": _TAP}}, "scenario.events: must be a list, got dict"),
+        ({"controller": {"type": "fc", "rules": 5}}, "controller.rules: must be a string, got int"),
+        ({"scenario": {"duration": True}}, "scenario.duration: must be a number, got bool"),
+        ({"scenario": {"dt": "2"}}, "scenario.dt: must be a number, got str"),
+        ({"scenario": {"x_target": [1]}}, "scenario.x_target: must be a number, got list"),
+        ({"scenario": {"track_bound": None}}, "scenario.track_bound: must be a number, got NoneType"),
+        ({"plant": {"m": 10**400}}, "plant.m: int too large to convert to float"),
+        ({"scenario": {"events": [{**_TAP, "t": "1"}]}},
+         "scenario.events[0].t: must be a number, got str"),
+        ({"scenario": {"events": [{**_TAP, "kind": ["tap"]}]}},
+         "unknown event kind ['tap'] in scenario.events[0]"),
+        ({"scenario": {"name": 5}}, "scenario.name: must be a string, got int"),
+        ({"metrics": {"x_band_m": False}}, "metrics.x_band_m: must be a number, got bool"),
+    ],
+    ids=[
+        "initial-string", "events-number", "events-object", "rules-number", "duration-true",
+        "dt-string", "number-list", "number-null", "huge-integer", "event-t-string",
+        "event-kind-list", "name-number", "band-false",
+    ],
+)
+def test_config_values_of_the_wrong_type_name_their_key(tmp_path, capsys, cfg, named):
+    """A value of the wrong JSON type is a ScenarioError naming its key,
+    and exit 1: number keys take JSON numbers only (not true or "2"),
+    ``events`` and ``desired_poles`` take lists, and names and paths take
+    strings."""
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        scenario_from_config(cfg)
+    assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("band", [math.nan, 0.0, -0.02, math.inf])
+@pytest.mark.parametrize("key", ["theta_band_deg", "x_band_m"])
+def test_settling_bands_must_be_positive_and_finite(key, band):
+    """A NaN band would read every signal as settled at t = 0, and a
+    negative one as never settled: the metrics section and
+    ``compute_metrics`` both reject a band outside (0, inf)."""
+    message = f"{key} must be positive and finite, got {band}"
+    with pytest.raises(ScenarioError, match=re.escape(f"metrics.{message}")):
+        scenario_from_config({"metrics": {key: band}})
+    scenario = default_scenario(1, "sfc", duration=0.1)
+    traj = run(scenario)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        compute_metrics(traj, scenario, **{key: band})
+
+
 def test_readme_scenario_example_loads():
     """The JSON example in README's "Scenario files" section is a valid
     configuration, so the documented schema cannot drift from the key tables."""
@@ -655,12 +734,28 @@ _presets = _mostly(st.sampled_from(["pole-1", "pole-4", "pole-7", 6]), st.just("
 
 
 _TYPO_SECTIONS = ["top", "plant", "scenario", "initial", "event", "controller", "metrics"]
+_NOT_NUMBERS = st.sampled_from([True, "2", [1], None])
+# (desired poles as written, whether they can be placed on every preset)
+_POLE_SETS = [
+    ([-1.5, -1.6, -2.0, -2.2], True),
+    ([[-1.0, 1.0], [-1.0, -1.0], -2.0, -3.0], True),
+    ([-1.0, -2.0, -3.0], False),
+    ([-1.0, -2.0, [-1.0, 1.0], [-1.0, 2.0]], False),
+    ([[1]], False),
+    ([-1000.0, -1001.0, -1002.0, -1003.0], False),
+]
+_poles = _mostly(st.sampled_from(_POLE_SETS[:2]), st.sampled_from(_POLE_SETS[2:]))
+_band = _mostly(
+    st.floats(min_value=1e-3, max_value=10.0), st.sampled_from([math.nan, 0.0, -0.02, math.inf])
+)
 
 
 @st.composite
 def scenario_configs(draw):
-    """A configuration, and whether one key in it is unknown (about one draw
-    in 24)."""
+    """A configuration, and whether it must be rejected: about one draw in
+    24 each has an unknown key or a number key that holds no number, an SFC
+    pole set that cannot be placed, or a settling band outside (0, inf)."""
+    must_reject = False
     plant_cfg = {"preset": draw(_presets)}
     overrides = st.lists(
         st.sampled_from(["g", "m", "l", "mu_c", "mu_p", "f_max"]), max_size=2, unique=True
@@ -686,7 +781,9 @@ def scenario_configs(draw):
         "integrator": draw(_mostly(st.sampled_from(["euler", "rk4"]), st.just("midpoint"))),
         "initial": {key: draw(_mostly(_state, _invalid)) for key in draw(initial)},
         "events": [
-            {"t": draw(_mostly(st.floats(min_value=0.0, max_value=0.25), _invalid)),
+            {"t": draw(_mostly(
+                st.one_of(st.floats(min_value=0.0, max_value=0.25), st.just(1e300)), _invalid
+            )),
              "kind": kind,
              "delta_theta_dot_deg_s" if kind == "tap" else "angle_deg":
                  draw(_mostly(_state, _invalid))}
@@ -703,38 +800,63 @@ def scenario_configs(draw):
         controller = {"type": "fc"}
     else:
         controller = {"type": "sfc", "nominal_pole": draw(_presets)}
-    cfg = {"plant": plant_cfg, "scenario": scenario, "controller": controller}
+        if draw(st.booleans()):
+            controller["desired_poles"], placeable = draw(_poles)
+            must_reject |= not placeable
+    metrics = {}
+    for key in ("theta_band_deg", "x_band_m"):
+        if draw(st.booleans()):
+            metrics[key] = draw(_band)
+            must_reject |= not 0.0 < metrics[key] < math.inf
+    cfg = {"plant": plant_cfg, "scenario": scenario, "controller": controller,
+           "metrics": metrics}
+    number_keys = [
+        (section, key)
+        for section in (plant_cfg, scenario, scenario["initial"], metrics, *scenario["events"])
+        for key, value in section.items()
+        if isinstance(value, float)
+    ]
+    if draw(_mostly(st.just(False), st.just(True))):
+        section, key = draw(st.sampled_from(number_keys))
+        section[key] = draw(_NOT_NUMBERS)
+        must_reject = True
     typo = {"typo": 1.0}
     where = draw(_mostly(st.none(), st.sampled_from(_TYPO_SECTIONS)))
     if where == "event":
         scenario["events"].append({"t": 0.1, "kind": "tap", "delta_theta_dot_deg_s": 1.0, **typo})
-    elif where == "metrics":
-        cfg["metrics"] = typo
     elif where is not None:
         sections = {"top": cfg, "plant": plant_cfg, "scenario": scenario,
-                    "initial": scenario["initial"], "controller": controller}
+                    "initial": scenario["initial"], "controller": controller,
+                    "metrics": metrics}
         sections[where].update(typo)
-    return cfg, where is not None
+    return cfg, must_reject or where is not None
 
 
 @settings(max_examples=150, deadline=None)
 @given(scenario_configs())
 def test_scenario_configs_are_rejected_or_run_finite(drawn):
     """Every configuration is either a ScenarioError or a run whose rows are
-    all finite and whose termination is one of the four.  One with an
-    unknown key is always a ScenarioError."""
-    cfg, has_unknown_key = drawn
+    all finite and whose termination is one of the four; a run with rows
+    has metrics under the configured bands.  A configuration drawn to be
+    rejected always is a ScenarioError."""
+    cfg, must_reject = drawn
     try:
-        scenario = scenario_from_config(cfg).scenario
+        bundle = scenario_from_config(cfg)
     except ScenarioError:
         return
-    assert not has_unknown_key
+    assert not must_reject
+    scenario = bundle.scenario
     assert scenario.duration <= 0.2
     traj = run(scenario)
     assert traj.termination in ("completed", "pole_fell", "left_track", "non_finite")
     assert np.all(np.isfinite(traj.data))
     if traj.termination == "completed":
         assert traj.data.shape[0] == scenario.n_steps + 1
+    if traj.data.shape[0]:
+        report = compute_metrics(traj, scenario, bundle.theta_band_deg, bundle.x_band_m)
+        assert report.termination == traj.termination
+        for signal in (report.theta, report.x):
+            assert signal.settling_time is None or 0.0 <= signal.settling_time <= traj.t[-1]
 
 
 _HOLED_KB = """var theta unit = deg
