@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -667,7 +667,7 @@ def _events(items) -> tuple[DisturbanceEvent, ...]:
 
 
 _TOP_KEYS = dict.fromkeys(("plant", "scenario", "controller", "metrics"), _as_is)
-_PLANT_KEYS = {"preset": _as_is, **{f.name: _number for f in fields(PlantParams)}}
+_PLANT_KEYS = {"preset": pole_params, **{f.name: _number for f in fields(PlantParams)}}
 _SCENARIO_KEYS = {
     "name": _string,
     **dict.fromkeys(("x_target", "duration", "dt", "control_period"), _number),
@@ -677,15 +677,19 @@ _SCENARIO_KEYS = {
     "events": _events,
 }
 _FC_KEYS = {"type": _as_is, "rules": _string}
-_SFC_KEYS = {"type": _as_is, "nominal_pole": _as_is, "desired_poles": _poles}
+_SFC_KEYS = {"type": _as_is, "nominal_pole": pole_params, "desired_poles": _poles}
 _METRICS_KEYS = {"theta_band_deg": _number, "x_band_m": _number}
 
 
 def _plant(cfg) -> PlantParams:
     values = _section("plant", cfg, _PLANT_KEYS)
-    if "preset" in values:
-        return pole_params(values.pop("preset"), **values)
-    return PlantParams(**values)
+    params = values.pop("preset", PlantParams())
+    for key, value in values.items():  # one at a time, so an error names its key
+        try:
+            params = replace(params, **{key: value})
+        except PlantError as exc:
+            raise ScenarioError(f"plant.{key}: {exc}") from exc
+    return params
 
 
 def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
@@ -711,7 +715,7 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
     if kind == "sfc":
         c = _section("controller", cfg, _SFC_KEYS)
         del c["type"]
-        nominal = pole_params(c.pop("nominal_pole", "pole-1"))
+        nominal = c.pop("nominal_pole") if "nominal_pole" in c else pole_params("pole-1")
         try:
             return SFCController(nominal, **c)
         except DesignError as exc:  # the gains are designed on construction

@@ -282,6 +282,7 @@ def audit_hierarchy(kb: KnowledgeBase, goal_spec: GoalSpec) -> AuditReport:
     """
     goals = goal_spec.goals
     violations: list[Violation] = []
+    reasons: dict[tuple[str, str, str], str | None] = {}  # one check per gate pair
     for rule in kb.rules:
         i = rule.goal_index
         if i < 2:
@@ -305,8 +306,11 @@ def audit_hierarchy(kb: KnowledgeBase, goal_spec: GoalSpec) -> AuditReport:
                     )
                 )
                 continue
-            var = kb.variables[entry.variable]
-            reason = _is_narrower(var.label(pre.label), var.label(entry.label))
+            pair = (entry.variable, pre.label, entry.label)
+            if pair not in reasons:
+                var = kb.variables[entry.variable]
+                reasons[pair] = _is_narrower(var.label(pre.label), var.label(entry.label))
+            reason = reasons[pair]
             if reason is not None:
                 violations.append(
                     Violation(

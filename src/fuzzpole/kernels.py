@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -152,8 +152,12 @@ def control_inputs(
 # Control laws and the simulation loop
 
 
-def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
-    """Folded inference on a sequence of Python floats.
+def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
+    """The fuzzy law of ``ck``: ``force(inputs) -> (force, fired)`` on a
+    sequence of Python floats in ``DEFAULT_SLOTS`` order.
+
+    The law owns its center-of-area block and the block its sums accumulate
+    into; both are allocated here, once, and overwritten at each call.
 
     Degrees and rule strengths are scalar, with the trapezoid comparisons
     of ``MembershipFunction.__call__`` and the ``<`` min of
@@ -167,47 +171,58 @@ def _fuzzy_force(inputs, ck: CompiledKB) -> tuple[float, bool]:
     accumulate, as in ``fuzzy.defuzzify_coa``; its sums start at +0.0,
     hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
     """
-    degrees = []
-    for a, b, c, d, power, slot in ck.label_table:
-        v = inputs[slot]
-        if v < b:
-            mu = 0.0 if v <= a else (v - a) / (b - a)
-        elif v <= c:
-            mu = 1.0
-        elif v >= d:
-            mu = 0.0
-        else:
-            mu = (d - v) / (d - c)
-        if power > 1:
-            base = mu
-            for _ in range(power - 1):
-                mu = mu * base
-        degrees.append(mu)
+    label_table, rule_table, groups = ck.label_table, ck.rule_table, ck.groups
+    points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
+    # Row 0 of the center-of-area block is the grid points times the
+    # aggregate, row 1 the aggregate.  Accumulate, unlike sum, adds in order.
+    coa = np.empty((2, points.shape[0]))
+    weighted, aggregate = coa
+    sums = np.empty_like(coa)
+    totals = sums[:, -1]
 
-    strength = [0.0] * ck.groups
-    for rows, group in ck.rule_table:
-        alpha = 1.0
-        for i in rows:
-            d = degrees[i]
-            if d < alpha:
-                alpha = d
-        if alpha > strength[group]:
-            strength[group] = alpha
+    def force(inputs: Sequence[float]) -> tuple[float, bool]:
+        degrees = []
+        for a, b, c, d, power, slot in label_table:
+            v = inputs[slot]
+            if v < b:
+                mu = 0.0 if v <= a else (v - a) / (b - a)
+            elif v <= c:
+                mu = 1.0
+            elif v >= d:
+                mu = 0.0
+            else:
+                mu = (d - v) / (d - c)
+            if power > 1:
+                base = mu
+                for _ in range(power - 1):
+                    mu = mu * base
+            degrees.append(mu)
 
-    # initial=0.0 is the all-zero aggregate of fc_output, and the result of
-    # a rule base with no rules.  Row 1 of the center-of-area block is mu,
-    # row 0 the grid points times mu.  Accumulate, unlike sum, adds in order.
-    coa = np.empty((2, ck.points.shape[0]))
-    mu = np.maximum.reduce(
-        np.minimum(np.array(strength)[ck.layer_group], ck.layer_curve),
-        initial=0.0,
-        out=coa[1],
-    )
-    np.multiply(ck.points, mu, out=coa[0])
-    num, den = np.add.accumulate(coa, axis=1)[:, -1].tolist()
-    if den == 0.0:
-        return 0.0, False
-    return (0.0 + num) / den, True
+        strength = [0.0] * groups
+        for rows, group in rule_table:
+            alpha = 1.0
+            for i in rows:
+                d = degrees[i]
+                if d < alpha:
+                    alpha = d
+            if alpha > strength[group]:
+                strength[group] = alpha
+
+        # initial=0.0 is the all-zero aggregate of fc_output, and the result
+        # of a rule base with no rules.
+        np.maximum.reduce(
+            np.minimum(np.array(strength)[layer_group], layer_curve),
+            initial=0.0,
+            out=aggregate,
+        )
+        np.multiply(points, aggregate, out=weighted)
+        np.add.accumulate(coa, axis=1, out=sums)
+        num, den = totals.tolist()
+        if den == 0.0:
+            return 0.0, False
+        return (0.0 + num) / den, True
+
+    return force
 
 
 def _simulate(
@@ -301,7 +316,7 @@ def fuzzy_force(
 ) -> tuple[float, bool]:
     """Single controller evaluation: crisp force and whether any rule fired."""
     check_backend(backend)
-    return _fuzzy_force(np.asarray(inputs, dtype=np.float64).tolist(), ck)
+    return _fuzzy_law(ck)(np.asarray(inputs, dtype=np.float64).tolist())
 
 
 def simulate_fuzzy(
@@ -325,8 +340,10 @@ def simulate_fuzzy(
     termination, count of control instants where no rule fired).
     """
 
+    force = _fuzzy_law(ck)
+
     def law(theta, theta_dot, x, x_dot, x_target):
-        return _fuzzy_force(control_inputs(theta, theta_dot, x, x_dot, x_target), ck)
+        return force(control_inputs(theta, theta_dot, x, x_dot, x_target))
 
     return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,

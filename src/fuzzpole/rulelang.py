@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fuzzy import (
     KBError,
@@ -104,8 +104,7 @@ class RuleFileError(ValueError):
         super().__init__(f"rule file has errors:\n{lines}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -115,38 +114,41 @@ class _Token:
         return self.text.lower()
 
 
+# A comment, a punctuation mark or a word; what lies between matches is
+# whitespace (``str.isspace``, the set ``\s`` matches).
+_TOKEN_RE = re.compile(r"#[^\n]*|[(),:=]|[^\s(),:=#]+")
+
+
 def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     """Total tokenizer: every input decomposes into punctuation and words.
 
     Also returns an end-of-input marker carrying the final position, so
-    errors at the end of the file stay located."""
+    errors at the end of the file stay located.  Columns count characters
+    from 1."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and not (text[j].isspace() or text[j] in _PUNCT or text[j] == "#"):
-                j += 1
-            tokens.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens, _Token("<end of input>", line, col)
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    scanned = 0  # text before this index has been counted for newlines
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        newlines = text.count("\n", scanned, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", scanned, start) + 1
+        scanned = m.end()
+        word = m.group()
+        if word[0] != "#":
+            tokens.append(_Token(word, line, start - line_start + 1))
+    newlines = text.count("\n", scanned)
+    if newlines:
+        line += newlines
+        line_start = text.rindex("\n") + 1
+    # A comment does not advance the column, so the marker after a comment
+    # that ends the text stands at its "#", which is the first on its line
+    # because no word holds one.
+    stop = text.find("#", line_start)
+    if stop < 0:
+        stop = len(text)
+    return tokens, _Token("<end of input>", line, stop - line_start + 1)
 
 
 @dataclass

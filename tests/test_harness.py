@@ -668,16 +668,21 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
          "unknown event kind ['tap'] in scenario.events[0]"),
         ({"scenario": {"name": 5}}, "scenario.name: must be a string, got int"),
         ({"metrics": {"x_band_m": False}}, "metrics.x_band_m: must be a number, got bool"),
+        ({"plant": {"preset": "pole-9"}}, "plant.preset: unknown pole preset 'pole-9'"),
+        ({"controller": {"type": "sfc", "nominal_pole": "pole-9"}},
+         "controller.nominal_pole: unknown pole preset 'pole-9'"),
+        ({"plant": {"m": -1.0}}, "plant.m: m must be positive and finite, got -1.0"),
     ],
     ids=[
         "initial-string", "events-number", "events-object", "rules-number", "duration-true",
         "dt-string", "number-list", "number-null", "huge-integer", "event-t-string",
-        "event-kind-list", "name-number", "band-false",
+        "event-kind-list", "name-number", "band-false", "unknown-preset",
+        "unknown-nominal-pole", "plant-value",
     ],
 )
 def test_config_values_of_the_wrong_type_name_their_key(tmp_path, capsys, cfg, named):
-    """A value of the wrong JSON type is a ScenarioError naming its key,
-    and exit 1: number keys take JSON numbers only (not true or "2"),
+    """A value of the wrong JSON type, an unknown pole preset or a plant
+    value out of range is a ScenarioError naming its key, and exit 1: number keys take JSON numbers only (not true or "2"),
     ``events`` and ``desired_poles`` take lists, and names and paths take
     strings."""
     with pytest.raises(ScenarioError, match=re.escape(named)):

@@ -257,7 +257,13 @@ def test_audit_flags_not_narrower(kb):
     variables["theta"] = LinguisticVariable("theta", theta.unit, labels)
     widened = KnowledgeBase(variables, "F", kb.rules, kb.output_universe)
     report = audit_hierarchy(widened, cart_pole_goals())
-    assert any("not narrower" in v.reason for v in report.violations)
+    goal_2 = [r.name for r in kb.rules if r.goal_index == 2]
+    assert len(goal_2) == 4
+    # one violation per offending rule, though the pair is checked once
+    assert [v.rule for v in report.violations] == goal_2
+    assert {v.variable for v in report.violations} == {"theta"}
+    (reason,) = {v.reason for v in report.violations}
+    assert reason.startswith("label 'VS' is not narrower than 'ZE': support")
 
 
 def test_audit_flags_goal_index_above_declared_goals(kb):

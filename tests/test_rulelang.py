@@ -16,6 +16,7 @@ from fuzzpole.fuzzy import (
 )
 from fuzzpole.rulelang import (
     KEYWORDS,
+    _tokenize,
     builtin_pole_kb,
     builtin_pole_source,
     load_kb,
@@ -101,6 +102,35 @@ def test_keywords_case_insensitive_and_comments():
     text = MINI_KB.replace("IF", "if").replace("THEN", "then").replace("rule", "RULE")
     result = parse_knowledge_base(text)
     assert result.ok
+
+
+@pytest.mark.parametrize(
+    "text, tokens, end",
+    [
+        # every str.isspace character separates words and advances the
+        # column by one; only "\n" starts a line
+        ("a\tb\rc\x0bd\x1ce\x85f\xa0g\u2028h é=",
+         [("a", 1, 1), ("b", 1, 3), ("c", 1, 5), ("d", 1, 7), ("e", 1, 9),
+          ("f", 1, 11), ("g", 1, 13), ("h", 1, 15), ("é", 1, 17), ("=", 1, 18)],
+         (1, 19)),
+        ("rule r1# note\nx", [("rule", 1, 1), ("r1", 1, 6), ("x", 2, 1)], (2, 2)),
+        # a comment does not advance the column: the end of input after a
+        # trailing comment is placed at its "#"
+        ("var x # trailing", [("var", 1, 1), ("x", 1, 5)], (1, 7)),
+        ("", [], (1, 1)),
+        ("(x)  \n\t# c\n", [("(", 1, 1), ("x", 1, 2), (")", 1, 3)], (3, 1)),
+        ("a:=\n\n b,", [("a", 1, 1), (":", 1, 2), ("=", 1, 3), ("b", 3, 2), (",", 3, 3)],
+         (3, 4)),
+    ],
+    ids=["whitespace", "hash-after-word", "trailing-comment", "empty", "comment-line",
+         "blank-line"],
+)
+def test_tokenize_positions(text, tokens, end):
+    """Tokens and the end-of-input marker carry (text, line, col), columns
+    counted in characters from 1."""
+    got, eof = _tokenize(text)
+    assert [(t.text, t.line, t.col) for t in got] == tokens
+    assert (eof.text, eof.line, eof.col) == ("<end of input>", *end)
 
 
 def test_label_alias_warns_and_resolves():
