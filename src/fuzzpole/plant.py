@@ -105,6 +105,55 @@ def pole_params(preset: str | int, **overrides) -> PlantParams:
     return PlantParams(**{"m": mass, "l": length / 2.0, **overrides})
 
 
+def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> float:
+    """Force on the cart: ``f`` clamped to +-f_max, less the slope force
+    (``total`` is ``m_c + m``)."""
+    if f > f_max:
+        f = f_max
+    elif f < -f_max:
+        f = -f_max
+    return f - total * g * math.sin(tilt)
+
+
+def _dynamics(
+    theta: float,
+    theta_dot: float,
+    x_dot: float,
+    f: float,
+    g: float,
+    m: float,
+    l: float,
+    ml: float,
+    total: float,
+    mu_c: float,
+    mu_p: float,
+) -> tuple[float, float]:
+    """(theta_ddot, x_ddot) under the net cart force ``f``: the equations of
+    motion, and the only place they are written.
+
+    ``ml`` is ``m * l`` and ``total`` is ``m_c + m``, computed once by the
+    caller; the products and quotients that use them round as when written
+    out.  ``friction`` is ``mu_c * sgn(x_dot)``, with the same bits for any
+    mu_c that is not NaN."""
+    if x_dot > 0.0:
+        friction = mu_c
+    elif x_dot < 0.0:
+        friction = -mu_c
+    else:
+        friction = mu_c * 0.0
+    sin_t = math.sin(theta)
+    cos_t = math.cos(theta)
+    theta_ddot = (
+        g * sin_t
+        + cos_t * ((-f - ml * theta_dot * theta_dot * sin_t + friction) / total)
+        - mu_p * theta_dot / ml
+    ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
+    x_ddot = (
+        f + ml * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - friction
+    ) / total
+    return theta_ddot, x_ddot
+
+
 def accelerations(
     theta: float,
     theta_dot: float,
@@ -119,30 +168,13 @@ def accelerations(
     mu_p: float,
     f_max: float,
 ) -> tuple[float, float]:
-    """Scalar core of the dynamics, shared by ``step`` and the simulation loop."""
-    if f > f_max:
-        f = f_max
-    elif f < -f_max:
-        f = -f_max
+    """(theta_ddot, x_ddot) under the applied force ``f`` (clamped) on a
+    track tilted by ``tilt``."""
     total = m_c + m
-    f = f - total * g * math.sin(tilt)  # slope as an equivalent cart force
-    if x_dot > 0.0:
-        sgn = 1.0
-    elif x_dot < 0.0:
-        sgn = -1.0
-    else:
-        sgn = 0.0
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    theta_ddot = (
-        g * sin_t
-        + cos_t * ((-f - m * l * theta_dot * theta_dot * sin_t + mu_c * sgn) / total)
-        - mu_p * theta_dot / (m * l)
-    ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
-    x_ddot = (
-        f + m * l * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - mu_c * sgn
-    ) / total
-    return theta_ddot, x_ddot
+    return _dynamics(
+        theta, theta_dot, x_dot, _net_force(f, tilt, g, total, f_max),
+        g, m, l, m * l, total, mu_c, mu_p,
+    )
 
 
 def advance(
@@ -164,14 +196,24 @@ def advance(
 ) -> tuple[float, float, float, float]:
     """One fixed step; forward Euler by default, classic RK4 when asked.
 
+    The force and the tilt are fixed for the step, so the net cart force
+    (``f`` clamped, less the slope force) is prepared once, and every stage
+    evaluates the equations of motion on it: once for Euler, four times for
+    RK4.  Each stage gets the value ``accelerations`` would build from the
+    same arguments, so the step is bit for bit the one written with
+    ``accelerations``.
+
     Euler advances velocities by the accelerations and positions by the old
     velocities (explicit Euler on the first-order system).  RK4 holds its
     stage values in locals: stage i has angular velocity p_i, cart velocity
     v_i and accelerations (a_i, b_i), and the step is the usual weighted sum
     dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    total = m_c + m
+    ml = m * l
+    f = _net_force(f, tilt, g, total, f_max)
     if not rk4:
-        theta_ddot, x_ddot = accelerations(
-            theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
+        theta_ddot, x_ddot = _dynamics(
+            theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p
         )
         return (
             theta + theta_dot * dt,
@@ -179,23 +221,17 @@ def advance(
             x + x_dot * dt,
             x_dot + x_ddot * dt,
         )
-    a1, b1 = accelerations(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max)
+    a1, b1 = _dynamics(theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p)
     h = 0.5 * dt
     p2 = theta_dot + h * a1
     v2 = x_dot + h * b1
-    a2, b2 = accelerations(
-        theta + h * theta_dot, p2, v2, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-    )
+    a2, b2 = _dynamics(theta + h * theta_dot, p2, v2, f, g, m, l, ml, total, mu_c, mu_p)
     p3 = theta_dot + h * a2
     v3 = x_dot + h * b2
-    a3, b3 = accelerations(
-        theta + h * p2, p3, v3, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-    )
+    a3, b3 = _dynamics(theta + h * p2, p3, v3, f, g, m, l, ml, total, mu_c, mu_p)
     p4 = theta_dot + dt * a3
     v4 = x_dot + dt * b3
-    a4, b4 = accelerations(
-        theta + dt * p3, p4, v4, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max
-    )
+    a4, b4 = _dynamics(theta + dt * p3, p4, v4, f, g, m, l, ml, total, mu_c, mu_p)
     sixth = dt / 6.0
     return (
         theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),

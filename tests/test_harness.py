@@ -755,11 +755,39 @@ _band = _mostly(
 )
 
 
+# controller.rules files over variables the harness does not drive, written
+# once per session to the directory the property reads scenarios from
+_UNDRIVEN_RULES = {
+    "boiler.frl": _BOILER_RULES,
+    "capital.frl": _BOILER_RULES.replace("pressure", "Theta"),
+    "mixed.frl": "var theta unit = deg\n  label LO triangle(0.0, 1.0, 2.0)\n"
+    + _BOILER_RULES.replace("IF pressure", "IF theta IS LO AND pressure"),
+}
+
+
+@pytest.fixture(scope="session")
+def rules_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("rules")
+    for name, text in _UNDRIVEN_RULES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+def test_undriven_rule_files_parse(rules_dir):
+    """Each undriven rule file is a well-formed rule base, so the property
+    below rejects it for its variables alone."""
+    for name in _UNDRIVEN_RULES:
+        kb = load_kb((rules_dir / name).read_text(encoding="utf-8"))
+        with pytest.raises(KernelError, match="has no input slot"):
+            FuzzyController(kb)
+
+
 @st.composite
 def scenario_configs(draw):
     """A configuration, and whether it must be rejected: about one draw in
     24 each has an unknown key or a number key that holds no number, an SFC
-    pole set that cannot be placed, or a settling band outside (0, inf)."""
+    pole set that cannot be placed, an FC rule file over a variable the
+    harness does not drive, or a settling band outside (0, inf)."""
     must_reject = False
     plant_cfg = {"preset": draw(_presets)}
     overrides = st.lists(
@@ -803,6 +831,10 @@ def scenario_configs(draw):
             ))
     if draw(st.booleans()):
         controller = {"type": "fc"}
+        rules = draw(_mostly(st.none(), st.sampled_from(sorted(_UNDRIVEN_RULES))))
+        if rules is not None:
+            controller["rules"] = rules
+            must_reject = True
     else:
         controller = {"type": "sfc", "nominal_pole": draw(_presets)}
         if draw(st.booleans()):
@@ -839,14 +871,15 @@ def scenario_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(scenario_configs())
-def test_scenario_configs_are_rejected_or_run_finite(drawn):
+def test_scenario_configs_are_rejected_or_run_finite(rules_dir, drawn):
     """Every configuration is either a ScenarioError or a run whose rows are
     all finite and whose termination is one of the four; a run with rows
     has metrics under the configured bands.  A configuration drawn to be
-    rejected always is a ScenarioError."""
+    rejected always is a ScenarioError.  Rule files are read from the
+    session's ``rules_dir``."""
     cfg, must_reject = drawn
     try:
-        bundle = scenario_from_config(cfg)
+        bundle = scenario_from_config(cfg, base_dir=rules_dir)
     except ScenarioError:
         return
     assert not must_reject

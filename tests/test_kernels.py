@@ -502,3 +502,64 @@ def test_nan_force_ends_the_run_as_non_finite():
     assert status == "non_finite"
     assert data.shape[0] == 40
     assert np.all(np.isfinite(data))
+
+
+_EDGE_FORCES = (-0.0, 5e-324, 1e308, 11.0, -11.0, 3.0)  # pole-1 f_max is 10
+
+
+def _edge_run(n_steps, state0=(0.0, 0.0, 0.0, 0.0, 0.0), track_bound=1e9,
+              theta_limit=1e9, nan_at=None):
+    """``_simulate`` under a law that cycles through ``_EDGE_FORCES``, and
+    NaN at call ``nan_at``; returns the run and the clamped forces the rows
+    must hold, one per step."""
+    p = pole_params(1)
+    params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
+    laws = []
+
+    def law(theta, theta_dot, x, x_dot, x_target):
+        k = len(laws)
+        laws.append(math.nan if k == nan_at else _EDGE_FORCES[k % len(_EDGE_FORCES)])
+        return laws[-1], True
+
+    data, status, _ = kernels._simulate(
+        state0, 0.0, params, 0.005, n_steps, 1, True,
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+        track_bound, theta_limit, law,
+    )
+    clamped = [f if not abs(f) > p.f_max else math.copysign(p.f_max, f) for f in laws]
+    return data, status, clamped
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["completed", "pole_fell", "left_track", "non_finite"])
+def test_row_writer_keeps_the_bits(case):
+    """Every row the loop writes holds t = k * dt and the clamped force bit
+    for bit: -0.0 stays -0.0, the subnormal 5e-324 and 1e308 survive, forces
+    past f_max are clamped, and the final row of each termination, written
+    after the step that ended the run, carries t = (k + 1) * dt and the force
+    of that step."""
+    kwargs = {
+        "completed": {},
+        "pole_fell": {"state0": (0.3, 0.0, 0.0, 0.0, 0.0), "theta_limit": 0.35},
+        "left_track": {"state0": (0.0, 0.0, 0.0, 1.0, 0.0), "track_bound": 0.05},
+        "non_finite": {"nan_at": 20},
+    }[case]
+    data, status, clamped = _edge_run(60, **kwargs)
+    assert status == case
+    rows = data.shape[0]
+    assert data.flags.c_contiguous and data.dtype == np.float64
+    assert 7 < rows <= 61
+    assert np.array_equal(data[:, 0].view(np.uint64), _bits([k * 0.005 for k in range(rows)]))
+    # row k holds the force applied over step k; the row after the last step
+    # repeats the force of that step
+    forces = clamped[:rows] if case == "non_finite" else (clamped + clamped[-1:])[:rows]
+    assert np.array_equal(data[:, 5].view(np.uint64), _bits(forces))
+    if case == "non_finite":
+        assert rows == 20  # the NaN row and the ones after it are dropped
+    else:
+        assert len(clamped) == rows - 1
+    assert data[0, 5].view(np.uint64) == np.float64(-0.0).view(np.uint64)
+    assert np.all(np.isfinite(data))

@@ -258,11 +258,9 @@ def _rk4_k_tuples(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
     )
 
 
-@pytest.mark.parametrize("tilted", [False, True])
-def test_rk4_matches_k_tuple_reference(tilted):
-    """advance's RK4 keeps the bits of the k-tuple formula on random states,
-    forces past saturation, both frictions and every preset."""
-    rng = np.random.default_rng(7 if tilted else 3)
+def _random_steps(rng, tilted):
+    """(arguments of one step, plant parameters) over every preset: random
+    states, forces past saturation, both frictions, 1-20 ms steps."""
     for preset in POLE_PRESETS:
         p = pole_params(preset)
         params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
@@ -271,5 +269,63 @@ def test_rk4_matches_k_tuple_reference(tilted):
             f = float(rng.uniform(-15.0, 15.0))
             tilt = float(rng.uniform(-0.2, 0.2)) if tilted else 0.0
             dt = float(rng.choice([0.001, 0.005, 0.02]))
-            args = (theta, theta_dot, x, x_dot, f, tilt, dt)
-            assert advance(*args, *params, True) == _rk4_k_tuples(*args, *params)
+            yield (theta, theta_dot, x, x_dot, f, tilt, dt), params
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_rk4_matches_k_tuple_reference(tilted):
+    """advance's RK4 keeps the bits of the k-tuple formula on random states,
+    forces past saturation, both frictions and every preset."""
+    rng = np.random.default_rng(7 if tilted else 3)
+    for args, params in _random_steps(rng, tilted):
+        assert advance(*args, *params, True) == _rk4_k_tuples(*args, *params)
+
+
+def _euler_reference(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
+    """Explicit Euler on the first-order system, from ``accelerations``."""
+    theta_ddot, x_ddot = accelerations(theta, theta_dot, x_dot, f, tilt, *p)
+    return (
+        theta + theta_dot * dt,
+        theta_dot + theta_ddot * dt,
+        x + x_dot * dt,
+        x_dot + x_ddot * dt,
+    )
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_euler_matches_accelerations_reference(tilted):
+    """advance's Euler step, which prepares the net force itself, keeps the
+    bits of the update built from ``accelerations`` on random states,
+    forces past saturation, both frictions and every preset."""
+    rng = np.random.default_rng(11 if tilted else 5)
+    for args, params in _random_steps(rng, tilted):
+        assert advance(*args, *params, False) == _euler_reference(*args, *params)
+
+
+def _accelerations_written_out(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max):
+    """The equations of motion written out in one piece, as in the
+    benchmark papers: clamp, slope force, then the two accelerations."""
+    f = min(max(f, -f_max), f_max)
+    total = m_c + m
+    f = f - total * g * math.sin(tilt)
+    sgn = 1.0 if x_dot > 0.0 else -1.0 if x_dot < 0.0 else 0.0
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    theta_ddot = (
+        g * sin_t
+        + cos_t * ((-f - m * l * theta_dot * theta_dot * sin_t + mu_c * sgn) / total)
+        - mu_p * theta_dot / (m * l)
+    ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
+    x_ddot = (
+        f + m * l * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - mu_c * sgn
+    ) / total
+    return theta_ddot, x_ddot
+
+
+def test_accelerations_match_the_written_out_equations():
+    """Splitting the force preparation from the equations of motion keeps
+    every bit, cart at rest (sgn 0) and -0.0 velocity included."""
+    rng = np.random.default_rng(13)
+    for (theta, theta_dot, _, x_dot, f, tilt, _), params in _random_steps(rng, True):
+        for v in (x_dot, 0.0, -0.0):
+            args = (theta, theta_dot, v, f, tilt, *params)
+            assert accelerations(*args) == _accelerations_written_out(*args)
