@@ -55,7 +55,6 @@ from .plant import (
     PlantParams,
     PlantState,
     POLE_PRESETS,
-    apply_event,
     derivatives,
     pole_params,
     step,

@@ -2,13 +2,17 @@
 
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
 control law it calls at each control instant.  The fuzzy law evaluates a
-knowledge base compiled once to tables (:func:`compile_kb`) in folded form:
-scalar memberships, each read off a label's trapezoid corners with no
-branch on its shape; scalar rule strengths, one strength per conclusion
-label; then one clip/max over the coverage layers, which hold at each grid
-point only the conclusion curves that are nonzero there, and one
+knowledge base compiled once (:func:`compile_kb`) in folded form.  Its front
+end is a generated function: straight-line Python that reads each label's
+degree off its trapezoid corners, with no branch on its shape, and folds
+the rule strengths to one strength per conclusion label.  Its source is
+built from indices only and cached by the rule base's structure, so rule
+bases that differ only in their numbers share it; the numbers are bound as
+arguments.  Then comes one clip/max over the coverage layers, which hold at
+each grid point only the conclusion curves that are nonzero there, and one
 left-to-right pass that sums both center-of-area rows over the full grid.
-That is the arithmetic of :func:`fuzzpole.fuzzy.fc_output` bit for bit.
+Every scalar operation is the one :func:`fuzzpole.fuzzy.fc_output` performs,
+on the same values in the same order, so the force is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
 The plant is stepped by :func:`fuzzpole.plant.advance`.
 
@@ -18,6 +22,7 @@ callers that record or select one.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -73,20 +78,20 @@ def check_backend(backend: str | None) -> None:
 
 @dataclass(frozen=True)
 class CompiledKB:
-    """Table form of a knowledge base: what the fuzzy law reads at each
+    """Compiled form of a knowledge base: what the fuzzy law reads at each
     control instant.
 
-    Rules that conclude on the same output label form one group, whose
-    conclusion curve is that label sampled on the output grid.  The curves
-    are stored as coverage layers: column j of ``layer_group`` lists, in
-    group order, the groups whose curve is nonzero at grid point j, and the
-    same column of ``layer_curve`` holds their values there, then 0.0 where
-    fewer groups cover the point than there are layers.
+    Rules that conclude on the same output label form one group.
+    ``strengths(inputs)`` maps the input values, in ``DEFAULT_SLOTS``
+    order, to one strength per group.  Each group's conclusion curve is its
+    label sampled on the output grid.  The curves are stored as coverage
+    layers: column j of ``layer_group`` lists, in group order, the groups
+    whose curve is nonzero at grid point j, and the same column of
+    ``layer_curve`` holds their values there, then 0.0 where fewer groups
+    cover the point than there are layers.
     """
 
-    label_table: tuple  # per label: (corners a, b, c, d, power, input slot)
-    rule_table: tuple  # per rule: (label rows of its preconditions, group)
-    groups: int  # number of groups
+    strengths: Callable[[Sequence[float]], list]  # inputs -> strength per group
     points: np.ndarray  # (N,) the output grid
     layer_group: np.ndarray  # (L, N) covering groups; L the largest coverage
     layer_curve: np.ndarray  # (L, N) their curves' values
@@ -102,31 +107,102 @@ def check_input_slots(kb: KnowledgeBase) -> None:
             )
 
 
-def compile_kb(kb: KnowledgeBase) -> CompiledKB:
-    """Compile ``kb`` to the tables of :class:`CompiledKB`.
+def _front_end(kb: KnowledgeBase):
+    """Split ``kb``'s memberships and rules into structure and numbers.
 
-    Input labels become rows of trapezoid corners, rules become their
-    precondition rows and conclusion group, and the conclusion curves become
-    coverage layers.  Raises KernelError for an input variable the harness
-    does not drive.
+    Returns ``(structure, numbers, conclusions)``.  ``structure`` is
+    ``(labels, rules, groups)``: per input label its ``(power, slot)``, per
+    rule its ``(rows, group)`` (the label indices of its preconditions and
+    its conclusion group), and the number of groups.  ``numbers`` holds, per
+    label, its corners and widths ``a, b, b - a, c, d, d - c``, as the
+    corners are stored.  ``conclusions`` lists the conclusion labels in
+    group order.
     """
-    check_input_slots(kb)
-    labels: list[tuple[float, float, float, float, int, int]] = []
+    labels: list[tuple[int, int]] = []
+    numbers: list = []
     row_index: dict[tuple[str, str], int] = {}
     for var in kb.input_variables:
         for label_name, mf in var.labels.items():
             row_index[(var.name, label_name)] = len(labels)
-            labels.append((*mf.corners, mf.power, DEFAULT_SLOTS[var.name]))
-
-    points = kb.output_universe.points()
+            labels.append((mf.power, DEFAULT_SLOTS[var.name]))
+            a, b, c, d = mf.corners
+            numbers.extend((a, b, b - a, c, d, d - c))
     group_of: dict[str, int] = {}  # conclusion label -> group
-    rule_table = []
-    for rule in kb.rules:
-        rows = tuple(row_index[(pre.variable, pre.label)] for pre in rule.preconditions)
-        group = group_of.setdefault(rule.conclusion[1], len(group_of))
-        rule_table.append((rows, group))
-    curves = np.empty((len(group_of), points.shape[0]))
-    for label, group in group_of.items():
+    rules = tuple(
+        (
+            tuple(row_index[(pre.variable, pre.label)] for pre in rule.preconditions),
+            group_of.setdefault(rule.conclusion[1], len(group_of)),
+        )
+        for rule in kb.rules
+    )
+    return (tuple(labels), rules, len(group_of)), numbers, list(group_of)
+
+
+@functools.lru_cache(maxsize=64)
+def _strengths_binder(structure) -> Callable[..., Callable[[Sequence[float]], list]]:
+    """Generate, once per ``structure`` of :func:`_front_end`, a binder
+    ``bind(*numbers) -> strengths``.
+
+    The source is built from indices only (label k, slot i, group g): every
+    number of the rule base reaches it as an argument of the binder, so rule
+    bases that differ only in their numbers share one binder.  The body is
+    straight-line code that does what the loop over the rule base would:
+    label k's degree ``u{k}`` by the comparison chain of
+    ``MembershipFunction.__call__``, raised to its power by left-to-right
+    multiplication as in ``fuzzy._pow_int``; each rule's ``<`` min from 1.0
+    as in ``fuzzy.rule_activation``, so a NaN degree is skipped; and the
+    ``>`` max into its group from 0.0.
+    """
+    labels, rules, groups = structure
+    params = ", ".join(
+        f"a{k}, b{k}, w{k}, c{k}, d{k}, z{k}" for k in range(len(labels))
+    )
+    body = [f"def bind({params}):", "    def strengths(inputs):"]
+    body += [f"        x{i} = inputs[{i}]" for i in sorted({i for _, i in labels})]
+    for k, (power, i) in enumerate(labels):
+        body += [
+            f"        if x{i} < b{k}:",
+            f"            u{k} = 0.0 if x{i} <= a{k} else (x{i} - a{k}) / w{k}",
+            f"        elif x{i} <= c{k}:",
+            f"            u{k} = 1.0",
+            f"        elif x{i} >= d{k}:",
+            f"            u{k} = 0.0",
+            "        else:",
+            f"            u{k} = (d{k} - x{i}) / z{k}",
+        ]
+        if power > 1:
+            body.append(f"        u{k} = " + " * ".join([f"u{k}"] * power))
+    body += [f"        g{g} = 0.0" for g in range(groups)]
+    for rows, g in rules:
+        body.append("        s = 1.0")
+        for k in rows:
+            body.append(f"        if u{k} < s: s = u{k}")
+        body.append(f"        if s > g{g}: g{g} = s")
+    body += [
+        "        return [" + ", ".join(f"g{g}" for g in range(groups)) + "]",
+        "    return strengths",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(body), "<fuzzpole.kernels strengths>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def compile_kb(kb: KnowledgeBase) -> CompiledKB:
+    """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
+
+    Memberships and rule strengths become one generated function,
+    ``strengths``: the binder that :func:`_strengths_binder` generates for
+    the rule base's structure, applied to its corners and widths.  The
+    binder is cached by structure, so compiling a rule base whose labels
+    and rules are shaped like one compiled before generates no code.  The
+    conclusion curves become coverage layers.  Raises KernelError for an
+    input variable the harness does not drive.
+    """
+    check_input_slots(kb)
+    structure, numbers, conclusions = _front_end(kb)
+    points = kb.output_universe.points()
+    curves = np.empty((len(conclusions), points.shape[0]))
+    for group, label in enumerate(conclusions):
         curves[group] = kb.output.label(label).sample(points)
     # Sorting each column on "is zero" moves the covering groups to the
     # top, in group order (a stable sort); the rows below the largest
@@ -136,9 +212,7 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
 
     return CompiledKB(
-        label_table=tuple(labels),
-        rule_table=tuple(rule_table),
-        groups=len(group_of),
+        strengths=_strengths_binder(structure)(*numbers),
         points=points,
         layer_group=layer_group,
         layer_curve=np.take_along_axis(curves, layer_group, axis=0),
@@ -164,19 +238,20 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
     The law owns its center-of-area block and the block its sums accumulate
     into; both are allocated here, once, and overwritten at each call.
 
-    Degrees and rule strengths are scalar, with the trapezoid comparisons
-    of ``MembershipFunction.__call__`` and the ``<`` min of
-    ``fuzzy.rule_activation``, so a NaN degree is skipped.  The rules of a
-    group fold into one strength, exactly, since no strength is NaN:
-    max_r min(a_r, c) == min(max_r a_r, c).  Clip/max runs once over the
-    coverage layers.  A curve left out at a grid point is +0.0 there, and
-    min(s, +0.0) is +0.0 for a strength s >= +0.0, which the max's initial
-    +0.0 already is; so mu is fc_output's aggregate bit for bit.  Both
-    center-of-area sums run left to right over the full grid in one
-    accumulate, as in ``fuzzy.defuzzify_coa``; its sums start at +0.0,
-    hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
+    Degrees and rule strengths come from ``ck.strengths``, generated code
+    that performs the scalar operations of ``MembershipFunction.__call__``
+    and ``fuzzy.rule_activation`` on the same values in the same order, so
+    each strength is the one ``fc_output`` computes, and a NaN degree is
+    skipped.  The rules of a group fold into one strength, exactly, since
+    no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip/max
+    runs once over the coverage layers.  A curve left out at a grid point
+    is +0.0 there, and min(s, +0.0) is +0.0 for a strength s >= +0.0, which
+    the max's initial +0.0 already is; so mu is fc_output's aggregate bit
+    for bit.  Both center-of-area sums run left to right over the full grid
+    in one accumulate, as in ``fuzzy.defuzzify_coa``; its sums start at
+    +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
     """
-    label_table, rule_table, groups = ck.label_table, ck.rule_table, ck.groups
+    strengths = ck.strengths
     points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
     # Row 0 of the center-of-area block is the grid points times the
     # aggregate, row 1 the aggregate.  Accumulate, unlike sum, adds in order.
@@ -186,37 +261,10 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
     totals = sums[:, -1]
 
     def force(inputs: Sequence[float]) -> tuple[float, bool]:
-        degrees = []
-        for a, b, c, d, power, slot in label_table:
-            v = inputs[slot]
-            if v < b:
-                mu = 0.0 if v <= a else (v - a) / (b - a)
-            elif v <= c:
-                mu = 1.0
-            elif v >= d:
-                mu = 0.0
-            else:
-                mu = (d - v) / (d - c)
-            if power > 1:
-                base = mu
-                for _ in range(power - 1):
-                    mu = mu * base
-            degrees.append(mu)
-
-        strength = [0.0] * groups
-        for rows, group in rule_table:
-            alpha = 1.0
-            for i in rows:
-                d = degrees[i]
-                if d < alpha:
-                    alpha = d
-            if alpha > strength[group]:
-                strength[group] = alpha
-
         # initial=0.0 is the all-zero aggregate of fc_output, and the result
         # of a rule base with no rules.
         np.maximum.reduce(
-            np.minimum(np.array(strength)[layer_group], layer_curve),
+            np.minimum(np.array(strengths(inputs))[layer_group], layer_curve),
             initial=0.0,
             out=aggregate,
         )

@@ -25,7 +25,6 @@ __all__ = [
     "pole_params",
     "derivatives",
     "step",
-    "apply_event",
 ]
 
 
@@ -278,7 +277,8 @@ class DisturbanceEvent:
 
     kind 'tap' adds value (rad/s) to the pole's angular velocity at time t;
     kind 'set_tilt' sets the track inclination to value (rad), so un-tilting
-    is set_tilt with value 0.
+    is set_tilt with value 0.  The simulation loop
+    (:func:`fuzzpole.kernels._simulate`) is the one place that applies them.
     """
 
     t: float
@@ -301,8 +301,3 @@ def tap(t: float, delta_theta_dot: float) -> DisturbanceEvent:
 def set_tilt(t: float, angle: float) -> DisturbanceEvent:
     return DisturbanceEvent(t, "set_tilt", angle)
 
-
-def apply_event(s: PlantState, e: DisturbanceEvent) -> PlantState:
-    if e.kind == "tap":
-        return replace(s, theta_dot=s.theta_dot + e.value)
-    return replace(s, tilt=e.value)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fuzzpole.fuzzy import (
     Precondition,
     Rule,
     fc_output,
+    rule_activation,
     shoulder_down,
     shoulder_up,
     triangle,
@@ -27,19 +30,18 @@ from fuzzpole.hierarchy import (
 )
 from fuzzpole.kernels import compile_kb, control_inputs, fuzzy_force
 from fuzzpole.plant import (
-    PlantParams, PlantState, apply_event, pole_params, set_tilt, step, tap,
+    PlantParams, PlantState, pole_params, set_tilt, step, tap,
 )
 from fuzzpole.rulelang import builtin_pole_kb
 from fuzzpole.sfc import design_gains, linearize, sfc_output
 
 
-def _conclusion_curves(kb, ck):
-    """Each group's conclusion curve: its label sampled on the output grid."""
+def _conclusion_curves(kb):
+    """Each group's conclusion curve: its label sampled on the output grid.
+    Groups are numbered by the first rule that concludes on their label."""
     points = kb.output_universe.points()
-    labels = {}
-    for rule, (_, g) in zip(kb.rules, ck.rule_table):
-        labels.setdefault(g, rule.conclusion[1])
-    return {g: kb.output.label(label).sample(points) for g, label in labels.items()}
+    labels = dict.fromkeys(rule.conclusion[1] for rule in kb.rules)
+    return {g: kb.output.label(label).sample(points) for g, label in enumerate(labels)}
 
 
 def _curve_from_layers(ck, group):
@@ -55,21 +57,25 @@ def _curve_from_layers(ck, group):
 
 def test_compiled_tables_shape(kb, compiled_kb):
     ck = compiled_kb
+    (labels, rules, groups), numbers, conclusions = kernels._front_end(kb)
     n_labels = sum(len(v.labels) for v in kb.input_variables)
     assert n_labels == 14
-    assert len(ck.label_table) == n_labels
-    assert len(ck.rule_table) == 13
+    assert len(labels) == n_labels
+    assert len(numbers) == 6 * n_labels  # a, b, b - a, c, d, d - c per label
+    assert len(rules) == 13
     # balance rules have 2 preconditions, position rules 4
-    assert [len(rows) for rows, _ in ck.rule_table] == [2] * 9 + [4] * 4
-    assert all(0 <= i < n_labels for rows, _ in ck.rule_table for i in rows)
+    assert [len(rows) for rows, _ in rules] == [2] * 9 + [4] * 4
+    assert all(0 <= i < n_labels for rows, _ in rules for i in rows)
     # one group per conclusion label
-    assert sorted({g for _, g in ck.rule_table}) == list(range(7))
-    assert ck.groups == 7
+    assert sorted({g for _, g in rules}) == list(range(7))
+    assert groups == 7
+    assert conclusions == list(dict.fromkeys(r.conclusion[1] for r in kb.rules))
+    assert len(ck.strengths([0.0] * 4)) == 7
     n = kb.output_universe.n
     assert np.array_equal(ck.points, kb.output_universe.points())
     # at most two of the seven conclusion curves are nonzero at a grid point
     assert ck.layer_group.shape == ck.layer_curve.shape == (2, n)
-    curves = _conclusion_curves(kb, ck)
+    curves = _conclusion_curves(kb)
     assert sorted(curves) == list(range(7))
     for g, curve in curves.items():
         assert np.array_equal(_curve_from_layers(ck, g), curve)
@@ -130,19 +136,38 @@ def test_fuzzy_force_matches_reference_pipeline(kb, compiled_kb, backend):
     )
 
 
-def _same_bits(a, b):
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+_NAMES = ("theta", "theta_dot", "x", "x_dot")  # in kernels.DEFAULT_SLOTS order
+
+
+def _group_strengths(kb, activations):
+    """Per conclusion label, in group order, the ``>`` max from 0.0 of the
+    activations of the rules that conclude on it."""
+    strengths = {}
+    for rule, alpha in zip(kb.rules, activations):
+        label = rule.conclusion[1]
+        if alpha > strengths.setdefault(label, 0.0):
+            strengths[label] = alpha
+    return list(strengths.values())
 
 
 def _agrees_with_reference(kb, ck, inputs, slots=kernels.DEFAULT_SLOTS):
-    """fuzzy_force equals fc_output, sign of zero included, and reports
-    (0.0, False) exactly when fc_output finds no rule fired."""
-    force, fired = fuzzy_force(ck, np.array(inputs, dtype=np.float64))
+    """ck.strengths equals the per-group max of fuzzy.rule_activation, and
+    fuzzy_force equals fc_output, both by repr, so the sign of a zero and a
+    NaN count; fuzzy_force reports (0.0, False) exactly when fc_output finds
+    no rule fired."""
+    values = {name: inputs[i] for name, i in slots.items()}
+    activations = [rule_activation(rule, values, kb) for rule in kb.rules]
+    if repr(ck.strengths(list(inputs))) != repr(_group_strengths(kb, activations)):
+        return False
+    return repr(fuzzy_force(ck, np.array(inputs, dtype=np.float64))) == _fc_repr(kb, values)
+
+
+def _fc_repr(kb, values):
+    """repr of fc_output's (force, fired); (0.0, False) when no rule fired."""
     try:
-        reference = fc_output(kb, {name: inputs[i] for name, i in slots.items()})
+        return repr((float(fc_output(kb, values)), True))  # a numpy float's repr differs
     except NoRuleFired:
-        return (force, fired) == (0.0, False) and _same_bits(force, 0.0)
-    return fired and _same_bits(force, reference)
+        return repr((0.0, False))
 
 
 def _composed_kb(mode, n, only_label=None):
@@ -204,6 +229,11 @@ def _three_deep_kb():
 _COMPOSED[("3 deep", 25)] = _three_deep_kb()
 _COMPILED = {key: compile_kb(kb) for key, kb in _COMPOSED.items()}
 _SCALES = (12.0, 45.0, 1.0, 0.5)
+_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+
+
+def _breakpoints(kb, name):
+    return sorted({p for mf in kb.variables[name].labels.values() for p in mf.params})
 
 
 @st.composite
@@ -211,14 +241,12 @@ def _kb_and_inputs(draw):
     key = draw(st.sampled_from(sorted(_COMPOSED)))
     kb = _COMPOSED[key]
     inputs = []
-    for name, scale in zip(("theta", "theta_dot", "x", "x_dot"), _SCALES):
-        var = kb.variables[name]
-        breakpoints = sorted({p for mf in var.labels.values() for p in mf.params})
+    for name, scale in zip(_NAMES, _SCALES):
         inputs.append(draw(st.one_of(
             st.floats(-scale, scale, allow_nan=False),
-            st.sampled_from(breakpoints),
+            st.sampled_from(_breakpoints(kb, name)),
             st.floats(-scale / 100, scale / 100),
-            st.just(math.nan),
+            st.sampled_from(_SPECIALS),
         )))
     return key, inputs
 
@@ -228,6 +256,32 @@ def _kb_and_inputs(draw):
 def test_folded_kernel_matches_reference_on_composed_kbs(case):
     key, inputs = case
     assert _agrees_with_reference(_COMPOSED[key], _COMPILED[key], inputs)
+
+
+@pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_kernel_matches_reference_on_edge_grid(key):
+    """Every combination of NaN, +-inf, +-0 and the label breakpoints on the
+    four slots.  fc_output reads its inputs only through the rule
+    activations, so it runs once per distinct activation vector."""
+    kb, ck = _COMPOSED[key], _COMPILED[key]
+    values = [
+        _SPECIALS + tuple(p for p in _breakpoints(kb, name) if p != 0.0) for name in _NAMES
+    ]
+    forces = {}
+    for row in itertools.product(*values):
+        named = dict(zip(_NAMES, row))
+        activations = [rule_activation(rule, named, kb) for rule in kb.rules]
+        assert repr(ck.strengths(row)) == repr(_group_strengths(kb, activations)), row
+        activated = repr(activations)
+        if activated not in forces:
+            forces[activated] = _fc_repr(kb, named)
+        assert repr(fuzzy_force(ck, np.array(row))) == forces[activated], row
+
+
+def test_concentrated_labels_compile_to_powers():
+    """The Concentration KBs of the grids above carry squared labels."""
+    (labels, _, _), _, _ = kernels._front_end(_COMPOSED[("sq", 201)])
+    assert {power for power, _ in labels} == {1, 2}
 
 
 def _one_label_kb():
@@ -252,15 +306,81 @@ def test_layer_tables_rebuild_the_conclusion_curves(key):
     there are as many layers as curves cover the most covered grid point."""
     kb = _LAYER_CASES[key]
     ck = compile_kb(kb)
-    curves = _conclusion_curves(kb, ck)
+    curves = _conclusion_curves(kb)
     n = kb.output_universe.n
-    assert ck.groups == len(curves)
+    assert len(ck.strengths([0.0] * 4)) == len(curves)
     coverage = np.zeros(n, dtype=np.int64)
     for g, curve in curves.items():
         assert np.array_equal(_curve_from_layers(ck, g), curve)
         coverage += curve != 0.0
     assert ck.layer_group.shape == ck.layer_curve.shape == (coverage.max(initial=0), n)
     assert np.array_equal((ck.layer_curve != 0.0).sum(axis=0), coverage)
+
+
+def test_one_slot_kb_reads_a_one_element_input():
+    kb = _one_label_kb()
+    ck = compile_kb(kb)
+    for theta in (*_SPECIALS, -1.0, 0.5, 1.0, 2.0):
+        assert len(ck.strengths([theta])) == 1
+        assert _agrees_with_reference(kb, ck, [theta], {"theta": 0})
+
+
+def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
+    """Widths (Narrowed 0.12 against 0.5) and the grid size n change no
+    code: the second compile of each pair reuses the cached binder."""
+    builtin_51 = KnowledgeBase(
+        kb.variables, kb.output_variable, kb.rules,
+        OutputUniverse(kb.output_universe.lo, kb.output_universe.hi, 51),
+    )
+    pairs = (
+        (_composed_kb(Narrowed(0.12), 51), _composed_kb(Narrowed(0.5), 401)),
+        (kb, builtin_51),
+    )
+    for first, second in pairs:
+        assert kernels._front_end(first)[0] == kernels._front_end(second)[0]
+        ck_first = compile_kb(first)
+        hits = kernels._strengths_binder.cache_info().hits
+        ck_second = compile_kb(second)
+        assert kernels._strengths_binder.cache_info().hits == hits + 1
+        assert ck_second.strengths.__code__ is ck_first.strengths.__code__
+    narrow, wide = (compile_kb(k) for k in pairs[0])
+    inputs = [1.0, 5.0, 0.1, 0.05]
+    assert narrow.strengths(inputs) != wide.strengths(inputs)
+
+
+def test_rule_rows_are_part_of_the_structure(kb):
+    """r4 rewritten to read theta_dot NE: the labels are shaped alike, the
+    rules are not, and so are the strengths."""
+    r4 = kb.rules[3]
+    assert r4.name == "r4"
+    rewired = kb.with_rules(
+        dataclasses.replace(
+            r, preconditions=(r.preconditions[0], Precondition("theta_dot", "NE"))
+        ) if r is r4 else r
+        for r in kb.rules
+    )
+    (labels, rules, _), _, _ = kernels._front_end(kb)
+    (labels_rewired, rules_rewired, _), _, _ = kernels._front_end(rewired)
+    assert labels == labels_rewired and rules != rules_rewired
+    inputs = [0.0, 30.0, 0.0, 0.0]  # only r4 fires in the built-in KB
+    ck, ck_rewired = compile_kb(kb), compile_kb(rewired)
+    assert ck.strengths(inputs) != ck_rewired.strengths(inputs)
+    for base, compiled in ((kb, ck), (rewired, ck_rewired)):
+        assert _agrees_with_reference(base, compiled, inputs)
+
+
+_GENERATED_NAME = re.compile(r"inputs|s|[xugabcwdz]\d+")
+
+
+@pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_generated_source_holds_no_kb_number_or_name(key):
+    """The only floats in the generated code are its 0.0 and 1.0; every
+    name in it is an index-numbered local, corner or the inputs."""
+    code = _COMPILED[key].strengths.__code__
+    assert {c for c in code.co_consts if isinstance(c, float)} <= {0.0, 1.0}
+    assert not [c for c in code.co_consts if isinstance(c, str)]
+    names = code.co_varnames + code.co_freevars + code.co_names
+    assert all(_GENERATED_NAME.fullmatch(name) for name in names), names
 
 
 def test_three_deep_kb_takes_three_layers():
@@ -354,7 +474,8 @@ def test_simulation_matches_manual_loop(kb, compiled_kb):
 @pytest.mark.parametrize("controller", ["fc", "sfc"])
 def test_simulation_matches_manual_loop_with_events(kb, controller):
     """RK4, a tap between control instants, a tilt on one, and the force held
-    over four steps: the simulation loop against plant.step/apply_event plus
+    over four steps: the simulation loop against plant.step, the event rule
+    written out (a tap adds to theta_dot, a tilt sets the tilt) and
     fc_output or sfc_output, exactly."""
     scenario = dataclasses.replace(
         default_scenario(
@@ -374,8 +495,12 @@ def test_simulation_matches_manual_loop_with_events(kb, controller):
     rows = []  # row k: the state after step k's events, the force over step k
     for k in range(scenario.n_steps):
         for e in scenario.events:
-            if int(round(e.t / scenario.dt)) == k:
-                s = apply_event(s, e)
+            if int(round(e.t / scenario.dt)) != k:
+                continue
+            if e.kind == "tap":
+                s = dataclasses.replace(s, theta_dot=s.theta_dot + e.value)
+            else:
+                s = dataclasses.replace(s, tilt=e.value)
         if k % scenario.control_every == 0:
             if controller == "fc":
                 inputs = control_inputs(*s.as_tuple(), scenario.x_target)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fuzzpole.harness import default_scenario, run
 from fuzzpole.plant import (
     DisturbanceEvent,
     accelerations,
@@ -11,7 +13,6 @@ from fuzzpole.plant import (
     PlantParams,
     PlantState,
     POLE_PRESETS,
-    apply_event,
     derivatives,
     pole_params,
     set_tilt,
@@ -83,7 +84,7 @@ def test_tilt_enters_as_cart_bias():
     # and the slope tips the pole uphill (positive theta)
     assert th_dd > 0.0
     # untilting restores the equilibrium exactly
-    assert derivatives(apply_event(tilted, set_tilt(0.0, 0.0)), 0.0, p) == (0.0, 0.0)
+    assert derivatives(dataclasses.replace(tilted, tilt=0.0), 0.0, p) == (0.0, 0.0)
 
 
 def test_non_finite_input_rejected():
@@ -198,17 +199,27 @@ def test_energy_drift_shrinks_linearly_with_dt():
     assert 1.6 < drifts[1] / drifts[2] < 2.4
 
 
+def _run_at_rest(*events):
+    """One second of pole-1 SFC holding the origin, where every force is
+    zero: only the events move the state."""
+    return run(default_scenario(1, "sfc", x_target=0.0, duration=1.0, events=events))
+
+
 def test_tap_event():
-    s = apply_event(PlantState(), tap(15.0, 0.35))
-    assert s == PlantState(theta_dot=0.35)
+    traj = _run_at_rest(tap(0.5, 0.35))
+    k = 100  # 0.5 s at dt 5 ms
+    assert np.all(traj.data[:k, 1:] == 0.0)
+    # the tap is applied before step k: row k holds it, nothing else moved
+    assert traj.data[k, 1:5].tolist() == [0.0, 0.35, 0.0, 0.0]
 
 
 def test_set_tilt_event():
-    e = set_tilt(20.0, math.radians(7.0))
+    e = set_tilt(0.2, math.radians(7.0))
     assert e.value == pytest.approx(0.1222, abs=1e-4)
-    s = apply_event(PlantState(), e)
-    assert s.tilt == e.value
-    assert apply_event(s, set_tilt(45.0, 0.0)).tilt == 0.0
+    traj = _run_at_rest(e, set_tilt(0.45, 0.0))
+    assert np.all(traj.tilt[:40] == 0.0)
+    assert np.all(traj.tilt[40:90] == e.value)
+    assert np.all(traj.tilt[90:] == 0.0)
 
 
 def test_event_validation():
