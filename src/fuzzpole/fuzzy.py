@@ -8,6 +8,7 @@ knowledge base can be evaluated from any number of threads concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -75,6 +76,11 @@ class NoRuleFired(RuntimeError):
         super().__init__(f"aggregated output is zero everywhere{detail}")
 
 
+def _is_int(value) -> bool:
+    """True for an integer of any integral type except ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _pow_int(value, power: int):
     """Integer power by repeated multiplication (works for scalars and arrays).
 
@@ -122,9 +128,9 @@ class MembershipFunction:
                 f"{self.kind} takes {len(names)} parameters ({', '.join(names)}), "
                 f"got {len(p)}"
             )
-        if not (1 <= self.power <= self.MAX_POWER):
+        if not (_is_int(self.power) and 1 <= self.power <= self.MAX_POWER):
             raise KBError(
-                f"power must be in [1, {self.MAX_POWER}], got {self.power}"
+                f"power must be an integer in [1, {self.MAX_POWER}], got {self.power!r}"
             )
         if not all(a < b for a, b in zip(p, p[1:])):
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
@@ -291,9 +297,9 @@ class OutputUniverse:
             raise KBError(f"universe bounds must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise KBError(f"universe needs min < max, got [{self.lo}, {self.hi}]")
-        if not (3 <= self.n <= self.MAX_POINTS):
+        if not (_is_int(self.n) and 3 <= self.n <= self.MAX_POINTS):
             raise KBError(
-                f"universe needs 3 <= n <= {self.MAX_POINTS}, got {self.n}"
+                f"universe needs an integer 3 <= n <= {self.MAX_POINTS}, got {self.n!r}"
             )
 
     def points(self) -> np.ndarray:
@@ -373,20 +379,20 @@ def defuzzify_coa(
 ) -> float:
     """Discrete center of area: sum(w_j * mu_j) / sum(mu_j).
 
-    Sums run left to right so that this reference and the compiled kernel in
-    :mod:`fuzzpole.kernels` round identically.
+    Sums run left to right on Python floats, so that this reference and the
+    compiled kernel in :mod:`fuzzpole.kernels` round identically and both
+    return a Python ``float``.
     """
     degrees = np.asarray(out, dtype=np.float64)
     if degrees.shape != (universe.n,):
         raise KBError(
             f"degrees shape {degrees.shape} does not match universe n={universe.n}"
         )
-    points = universe.points()
     num = 0.0
     den = 0.0
-    for j in range(universe.n):
-        num += points[j] * degrees[j]
-        den += degrees[j]
+    for w, mu in zip(universe.points().tolist(), degrees.tolist()):
+        num += w * mu
+        den += mu
     if den == 0.0:
         raise NoRuleFired()
     return num / den

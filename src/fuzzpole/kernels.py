@@ -292,9 +292,14 @@ def _simulate(
 
     Every number in the loop is a Python float: a numpy scalar read from an
     argument would spread into the state and make each step's arithmetic
-    several times slower, with the same IEEE results.  A state or force that
-    stops being finite ends the run as ``"non_finite"``; only the finite
-    rows before it are returned.
+    several times slower, with the same IEEE results.
+
+    A run ends in one place.  The two bound tests after each step break
+    the loop, and one row after it holds the state after the last step
+    taken, so a termination and a completion write the same row.  A state
+    or force that stops being finite ends the run as ``"non_finite"``, with
+    only the finite rows before it kept; ``advance`` raising counts as
+    such a state, which fails the angle test.
 
     Rows are packed straight into the preallocated trajectory with
     ``struct``, which stores the same float64 bits as numpy's row
@@ -314,9 +319,9 @@ def _simulate(
     write_row = _ROW.pack_into
     row_size = _ROW.size
     termination = "completed"
-    rows = n_steps + 1
     norule = 0
     f = 0.0
+    k = -1  # no step taken yet; the loop takes none when n_steps is 0
     ev_i = 0
     n_ev = len(ev_step)
     for k in range(n_steps):
@@ -341,31 +346,21 @@ def _simulate(
                 g, m_c, m, l, mu_c, mu_p, f_max, rk4,
             )
         except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
-            termination = "non_finite"
-            rows = k + 1
-            break
+            theta = theta_dot = x = x_dot = math.nan  # caught by the scan below
         # written with `not <=` so that a NaN angle or position stops the run
         if not abs(theta) <= theta_limit:
             termination = "pole_fell"
-        elif not abs(x - x_target) <= track_bound:
+            break
+        if not abs(x - x_target) <= track_bound:
             termination = "left_track"
-        else:
-            continue
-        write_row(
-            traj, row_size * (k + 1), (k + 1) * dt, theta, theta_dot, x, x_dot, f, tilt
-        )
-        rows = k + 2
-        break
-    if termination == "completed":
-        write_row(
-            traj, row_size * n_steps, n_steps * dt, theta, theta_dot, x, x_dot, f, tilt
-        )
-    traj = traj[:rows]
+            break
+    k += 1  # row k holds the state after the last step taken
+    write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
+    traj = traj[: k + 1]
     finite = np.isfinite(traj)
     if not finite.all():
         # rows are finite up to the first overflow or NaN; keep those
-        rows = int(np.argmin(finite.all(axis=1)))
-        traj = traj[:rows]
+        traj = traj[: int(np.argmin(finite.all(axis=1)))]
         termination = "non_finite"
     return traj, termination, norule
 

@@ -153,29 +153,6 @@ def _dynamics(
     return theta_ddot, x_ddot
 
 
-def accelerations(
-    theta: float,
-    theta_dot: float,
-    x_dot: float,
-    f: float,
-    tilt: float,
-    g: float,
-    m_c: float,
-    m: float,
-    l: float,
-    mu_c: float,
-    mu_p: float,
-    f_max: float,
-) -> tuple[float, float]:
-    """(theta_ddot, x_ddot) under the applied force ``f`` (clamped) on a
-    track tilted by ``tilt``."""
-    total = m_c + m
-    return _dynamics(
-        theta, theta_dot, x_dot, _net_force(f, tilt, g, total, f_max),
-        g, m, l, m * l, total, mu_c, mu_p,
-    )
-
-
 def advance(
     theta: float,
     theta_dot: float,
@@ -198,9 +175,8 @@ def advance(
     The force and the tilt are fixed for the step, so the net cart force
     (``f`` clamped, less the slope force) is prepared once, and every stage
     evaluates the equations of motion on it: once for Euler, four times for
-    RK4.  Each stage gets the value ``accelerations`` would build from the
-    same arguments, so the step is bit for bit the one written with
-    ``accelerations``.
+    RK4.  :func:`derivatives` evaluates the same two functions, so each
+    stage gets the accelerations it would return for the stage's state.
 
     Euler advances velocities by the accelerations and positions by the old
     velocities (explicit Euler on the first-order system).  RK4 holds its
@@ -248,9 +224,10 @@ def _check_force(f: float) -> None:
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
     """(theta_ddot, x_ddot) at the given state under force f (clamped)."""
     _check_force(f)
-    return accelerations(
-        s.theta, s.theta_dot, s.x_dot, f, s.tilt,
-        p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max,
+    total = p.m_c + p.m
+    return _dynamics(
+        s.theta, s.theta_dot, s.x_dot, _net_force(f, s.tilt, p.g, total, p.f_max),
+        p.g, p.m, p.l, p.m * p.l, total, p.mu_c, p.mu_p,
     )
 
 

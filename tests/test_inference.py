@@ -188,6 +188,9 @@ def test_output_universe_validation():
         OutputUniverse(1.0, 1.0, 201)
     with pytest.raises(KBError, match="3 <= n"):
         OutputUniverse(-1.0, 1.0, 2)
+    for n in (3.5, 201.0, True):
+        with pytest.raises(KBError, match="integer 3 <= n"):
+            OutputUniverse(0.0, 1.0, n)
     for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(KBError, match="universe bounds must be finite"):
             OutputUniverse(lo, hi)

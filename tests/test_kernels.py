@@ -165,9 +165,20 @@ def _agrees_with_reference(kb, ck, inputs, slots=kernels.DEFAULT_SLOTS):
 def _fc_repr(kb, values):
     """repr of fc_output's (force, fired); (0.0, False) when no rule fired."""
     try:
-        return repr((float(fc_output(kb, values)), True))  # a numpy float's repr differs
+        return repr((fc_output(kb, values), True))
     except NoRuleFired:
         return repr((0.0, False))
+
+
+def test_fc_output_returns_the_kernels_float(kb, compiled_kb):
+    """fc_output returns a Python float whose repr is fuzzy_force's, with no
+    conversion on either side."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        inputs = rng.uniform([-12, -45, -1, -0.5], [12, 45, 1, 0.5]).tolist()
+        force = _fc_reference(kb, inputs)
+        assert type(force) is float
+        assert repr(force) == repr(fuzzy_force(compiled_kb, np.array(inputs))[0])
 
 
 def _composed_kb(mode, n, only_label=None):
@@ -633,7 +644,7 @@ _EDGE_FORCES = (-0.0, 5e-324, 1e308, 11.0, -11.0, 3.0)  # pole-1 f_max is 10
 
 
 def _edge_run(n_steps, state0=(0.0, 0.0, 0.0, 0.0, 0.0), track_bound=1e9,
-              theta_limit=1e9, nan_at=None):
+              theta_limit=1e9, nan_at=None, dt=0.005):
     """``_simulate`` under a law that cycles through ``_EDGE_FORCES``, and
     NaN at call ``nan_at``; returns the run and the clamped forces the rows
     must hold, one per step."""
@@ -647,7 +658,7 @@ def _edge_run(n_steps, state0=(0.0, 0.0, 0.0, 0.0, 0.0), track_bound=1e9,
         return laws[-1], True
 
     data, status, _ = kernels._simulate(
-        state0, 0.0, params, 0.005, n_steps, 1, True,
+        state0, 0.0, params, dt, n_steps, 1, True,
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
         track_bound, theta_limit, law,
     )
@@ -688,3 +699,26 @@ def test_row_writer_keeps_the_bits(case):
         assert len(clamped) == rows - 1
     assert data[0, 5].view(np.uint64) == np.float64(-0.0).view(np.uint64)
     assert np.all(np.isfinite(data))
+
+
+def test_a_raising_step_ends_the_run_as_non_finite():
+    """Open bounds and a 0.5 s RK4 step: the state grows until ``advance``
+    raises (math.sin of an infinite angle) at some step k.  The run keeps
+    rows 0..k, written before that step, each with t = k * dt and its
+    clamped force bit for bit, and ends as non_finite."""
+    data, status, clamped = _edge_run(
+        400, (0.1, 0.0, 0.0, 0.0, 0.0), math.inf, math.inf, dt=0.5
+    )
+    assert status == "non_finite"
+    rows = data.shape[0]
+    assert 7 < rows < 400
+    assert len(clamped) == rows  # no row follows the step that raised
+    assert np.array_equal(data[:, 0].view(np.uint64), _bits([k * 0.5 for k in range(rows)]))
+    assert np.array_equal(data[:, 5].view(np.uint64), _bits(clamped))
+    assert np.all(np.isfinite(data))
+    p = pole_params(1)
+    with pytest.raises(ValueError, match="math domain error"):
+        plant.advance(
+            *data[-1, 1:7].tolist(), 0.5,
+            p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max, True,
+        )

@@ -73,6 +73,8 @@ def test_concentrate_squares_pointwise():
         lambda: shoulder_down(5.0, 1.0),
         lambda: triangle(0.0, math.nan, 2.0),
         lambda: MembershipFunction("hexagon", (0.0, 1.0)),
+        lambda: MembershipFunction("triangle", (0.0, 1.0, 2.0), 2.0),
+        lambda: MembershipFunction("triangle", (0.0, 1.0, 2.0), True),
     ],
 )
 def test_malformed_shapes_rejected(bad):

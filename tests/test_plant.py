@@ -7,7 +7,6 @@ import pytest
 from fuzzpole.harness import default_scenario, run
 from fuzzpole.plant import (
     DisturbanceEvent,
-    accelerations,
     advance,
     PlantError,
     PlantParams,
@@ -244,21 +243,29 @@ def test_step_validation():
         step(PlantState(), 0.0, 0.005, P1, method="verlet")
 
 
+def _accelerations(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max):
+    """``derivatives`` on the flat arguments the references below pass."""
+    return derivatives(
+        PlantState(theta, theta_dot, 0.0, x_dot, tilt), f,
+        PlantParams(g, m_c, m, l, mu_c, mu_p, f_max),
+    )
+
+
 def _rk4_k_tuples(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
     """Classic RK4 written with k-tuples of (theta', theta_dot', x', x_dot')."""
-    a1, b1 = accelerations(theta, theta_dot, x_dot, f, tilt, *p)
+    a1, b1 = _accelerations(theta, theta_dot, x_dot, f, tilt, *p)
     k1 = (theta_dot, a1, x_dot, b1)
-    a2, b2 = accelerations(
+    a2, b2 = _accelerations(
         theta + 0.5 * dt * k1[0], theta_dot + 0.5 * dt * k1[1],
         x_dot + 0.5 * dt * k1[3], f, tilt, *p,
     )
     k2 = (theta_dot + 0.5 * dt * k1[1], a2, x_dot + 0.5 * dt * k1[3], b2)
-    a3, b3 = accelerations(
+    a3, b3 = _accelerations(
         theta + 0.5 * dt * k2[0], theta_dot + 0.5 * dt * k2[1],
         x_dot + 0.5 * dt * k2[3], f, tilt, *p,
     )
     k3 = (theta_dot + 0.5 * dt * k2[1], a3, x_dot + 0.5 * dt * k2[3], b3)
-    a4, b4 = accelerations(
+    a4, b4 = _accelerations(
         theta + dt * k3[0], theta_dot + dt * k3[1], x_dot + dt * k3[3], f, tilt, *p,
     )
     k4 = (theta_dot + dt * k3[1], a4, x_dot + dt * k3[3], b4)
@@ -293,8 +300,8 @@ def test_rk4_matches_k_tuple_reference(tilted):
 
 
 def _euler_reference(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
-    """Explicit Euler on the first-order system, from ``accelerations``."""
-    theta_ddot, x_ddot = accelerations(theta, theta_dot, x_dot, f, tilt, *p)
+    """Explicit Euler on the first-order system, from ``derivatives``."""
+    theta_ddot, x_ddot = _accelerations(theta, theta_dot, x_dot, f, tilt, *p)
     return (
         theta + theta_dot * dt,
         theta_dot + theta_ddot * dt,
@@ -306,7 +313,7 @@ def _euler_reference(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
 @pytest.mark.parametrize("tilted", [False, True])
 def test_euler_matches_accelerations_reference(tilted):
     """advance's Euler step, which prepares the net force itself, keeps the
-    bits of the update built from ``accelerations`` on random states,
+    bits of the update built from ``derivatives`` on random states,
     forces past saturation, both frictions and every preset."""
     rng = np.random.default_rng(11 if tilted else 5)
     for args, params in _random_steps(rng, tilted):
@@ -339,4 +346,4 @@ def test_accelerations_match_the_written_out_equations():
     for (theta, theta_dot, _, x_dot, f, tilt, _), params in _random_steps(rng, True):
         for v in (x_dot, 0.0, -0.0):
             args = (theta, theta_dot, v, f, tilt, *params)
-            assert accelerations(*args) == _accelerations_written_out(*args)
+            assert _accelerations(*args) == _accelerations_written_out(*args)
