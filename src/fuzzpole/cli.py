@@ -131,7 +131,7 @@ def cmd_batch(args) -> int:
 def cmd_lint(args) -> int:
     try:
         text = Path(args.rules).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         print(f"error: cannot read {args.rules}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     result = parse_knowledge_base(text)

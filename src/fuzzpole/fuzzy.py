@@ -45,7 +45,6 @@ _SHAPES = {
     SHOULDER_DOWN: (("full", "end"), lambda full, end: (-math.inf, -math.inf, full, end)),
 }
 SHAPES = tuple(_SHAPES)
-_MIRROR = {TRIANGLE: TRIANGLE, SHOULDER_UP: SHOULDER_DOWN, SHOULDER_DOWN: SHOULDER_UP}
 
 
 class KBError(ValueError):
@@ -173,11 +172,6 @@ class MembershipFunction:
         lo = a + level * (b - a) if a > -math.inf else a
         hi = d - level * (d - c) if d < math.inf else d
         return lo, hi
-
-    def mirrored(self) -> "MembershipFunction":
-        """Reflection about zero: mu'(v) = mu(-v)."""
-        params = tuple(-v + 0.0 for v in reversed(self.params))
-        return MembershipFunction(_MIRROR[self.kind], params, self.power)
 
 
 def triangle(left: float, peak: float, right: float) -> MembershipFunction:

@@ -662,7 +662,12 @@ def _events(items) -> tuple[DisturbanceEvent, ...]:
             raise ScenarioError(f"unknown event kind {kind!r} in {name} (tap or set_tilt)")
         value_key = _EVENT_VALUE_KEYS[kind]
         e = _section(name, item, {"t": _number, "kind": _as_is, value_key: _radians})
-        events.append(DisturbanceEvent(e["t"], kind, e[value_key]))
+        try:
+            events.append(DisturbanceEvent(e["t"], kind, e[value_key]))
+        except KeyError as exc:
+            raise ScenarioError(f"{name}: missing key {exc}") from exc
+        except PlantError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
     return tuple(events)
 
 
@@ -703,11 +708,12 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
             path = base_dir / rules
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ScenarioError(
-                    f"cannot read controller.rules file {path}: {exc}"
-                ) from exc
-            kb = load_kb(text)
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+                raise ScenarioError(f"cannot read controller.rules file {path}: {exc}") from exc
+            try:
+                kb = load_kb(text)
+            except RuleFileError as exc:
+                raise ScenarioError(f"controller.rules: {path}: {exc}") from exc
         try:
             return FuzzyController(kb)
         except kernels.KernelError as exc:  # an undriven variable
@@ -731,22 +737,14 @@ def scenario_from_config(
     that are not objects are rejected; absent keys take the defaults of
     ``Scenario``, ``PlantState`` and ``ScenarioBundle``.  Keyword arguments
     set keys of the scenario section over what ``cfg`` holds."""
-    base_dir = Path(base_dir)
-    try:
-        top = _section("the configuration", cfg, _TOP_KEYS)
-        params = _plant(top.get("plant", {}))
-        controller = _controller(top.get("controller", {"type": "fc"}), base_dir)
-        section = {**_mapping("scenario", top.get("scenario", {})), **scenario_keys}
-        s = _section("scenario", section, _SCENARIO_KEYS)
-        scenario = Scenario(
-            params=params, controller=controller, **{"name": "scenario", **s}
-        )
-        metrics = _section("metrics", top.get("metrics", {}), _METRICS_KEYS)
-        return ScenarioBundle(scenario, **metrics)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"invalid scenario configuration: {exc}") from exc
+    top = _section("the configuration", cfg, _TOP_KEYS)
+    params = _plant(top.get("plant", {}))
+    controller = _controller(top.get("controller", {"type": "fc"}), Path(base_dir))
+    section = {**_mapping("scenario", top.get("scenario", {})), **scenario_keys}
+    s = _section("scenario", section, _SCENARIO_KEYS)
+    scenario = Scenario(params=params, controller=controller, **{"name": "scenario", **s})
+    metrics = _section("metrics", top.get("metrics", {}), _METRICS_KEYS)
+    return ScenarioBundle(scenario, **metrics)
 
 
 def load_scenario(path: str | Path, **scenario_keys) -> ScenarioBundle:

@@ -122,7 +122,7 @@ _TOKEN_RE = re.compile(r"#[^\n]*|[(),:=]|[^\s(),:=#]+")
 def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     """Total tokenizer: every input decomposes into punctuation and words.
 
-    Also returns an end-of-input marker carrying the final position, so
+    Also returns an end-of-input marker just past the last character, so
     errors at the end of the file stay located.  Columns count characters
     from 1."""
     tokens: list[_Token] = []
@@ -142,13 +142,7 @@ def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     if newlines:
         line += newlines
         line_start = text.rindex("\n") + 1
-    # A comment does not advance the column, so the marker after a comment
-    # that ends the text stands at its "#", which is the first on its line
-    # because no word holds one.
-    stop = text.find("#", line_start)
-    if stop < 0:
-        stop = len(text)
-    return tokens, _Token("<end of input>", line, stop - line_start + 1)
+    return tokens, _Token("<end of input>", line, len(text) - line_start + 1)
 
 
 @dataclass
@@ -179,7 +173,7 @@ class _Parser:
     wait for :meth:`resolve`."""
 
     def __init__(self, tokens: list[_Token], eof: _Token):
-        self.tokens = tokens
+        self.tokens = [*tokens, eof]  # the cursor stops at eof
         self.eof = eof
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
@@ -190,11 +184,11 @@ class _Parser:
         self.rule_decls: list[_RuleDecl] = []
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
-        tok = self.peek()
-        if self.pos < len(self.tokens):
+        tok = self.tokens[self.pos]
+        if tok is not self.eof:
             self.pos += 1
         return tok
 
@@ -241,11 +235,6 @@ class _Parser:
         return value, tok
 
     def parse(self) -> None:
-        if not self.tokens:
-            self.diagnostics.append(
-                Diagnostic("error", 1, 1, "no output variable defined: input is empty", "empty")
-            )
-            return
         while self.peek() is not self.eof:
             tok = self.peek()
             try:
@@ -443,13 +432,17 @@ def load_kb(text: str | bytes) -> KnowledgeBase:
 
 
 def _mirror_map(var: LinguisticVariable) -> dict[str, str] | None:
-    """Pair every label with its reflection about zero, or None if impossible."""
+    """Pair every label with its reflection about zero, or None if impossible.
+
+    The reflection of corners (a, b, c, d) at power k is (-d, -c, -b, -a) at
+    power k; the first label with those corners is the partner."""
+    by_shape: dict[tuple, str] = {}
+    for name, mf in var.labels.items():
+        by_shape.setdefault((mf.corners, mf.power), name)
     mapping: dict[str, str] = {}
     for name, mf in var.labels.items():
-        mirrored = mf.mirrored()
-        partner = next(
-            (other for other, omf in var.labels.items() if omf == mirrored), None
-        )
+        a, b, c, d = mf.corners
+        partner = by_shape.get(((-d, -c, -b, -a), mf.power))
         if partner is None:
             return None
         mapping[name] = partner
@@ -480,29 +473,21 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                     "coverage-hole",
                 )
 
-    # First-goal rule grid: every combination of the labels those rules use
-    # should be handled by some rule.
-    goal1 = [r for r in kb.rules if r.goal_index == 1]
-    if goal1:
-        grid_vars: list[str] = []
-        used: dict[str, list[str]] = {}
-        for rule in goal1:
-            for pre in rule.preconditions:
-                if pre.variable not in used:
-                    grid_vars.append(pre.variable)
-                    used[pre.variable] = []
-                if pre.label not in used[pre.variable]:
-                    used[pre.variable].append(pre.label)
-        for cell in product(*(used[v] for v in grid_vars)):
-            hit = False
-            for rule in goal1:
-                by_var = {p.variable: p.label for p in rule.preconditions}
-                if all(by_var.get(v, cell[i]) == cell[i] for i, v in enumerate(grid_vars)):
-                    hit = True
-                    break
-            if not hit:
-                pretty = ", ".join(f"{v}={c}" for v, c in zip(grid_vars, cell))
-                warn(f"no goal-1 rule covers the grid cell ({pretty})", "grid-gap")
+    # First-goal rule grid (none without goal-1 rules): every combination of
+    # the labels those rules use should be handled by some rule.
+    goal1 = [
+        {p.variable: p.label for p in r.preconditions} for r in kb.rules if r.goal_index == 1
+    ]
+    used: dict[str, dict[str, None]] = {}  # variable -> its labels, both in first-use order
+    for by_var in goal1:
+        for var, label in by_var.items():
+            used.setdefault(var, {})[label] = None
+    for cell in product(*used.values()) if goal1 else ():
+        if not any(
+            all(by_var.get(v, c) == c for v, c in zip(used, cell)) for by_var in goal1
+        ):
+            pretty = ", ".join(f"{v}={c}" for v, c in zip(used, cell))
+            warn(f"no goal-1 rule covers the grid cell ({pretty})", "grid-gap")
 
     # Mirror symmetry: each rule should have a counterpart under reflection
     # of every label about zero.

@@ -115,11 +115,11 @@ def design_gains(
 
     Raises DesignError when the desired poles are not four finite poles
     closed under conjugation, when the pair is uncontrollable (reporting the
-    controllability-matrix rank), or when the placement cannot be verified.
-    The achieved closed-loop characteristic polynomial is verified
-    against the requested one, coefficient by coefficient, so poles may
-    repeat: the eigenvalues of a near-defective closed loop move by about
-    eps**(1/4) and could not be compared at a useful tolerance.
+    controllability-matrix rank), or when the placement overflows or cannot
+    be verified.  The achieved closed-loop characteristic polynomial is
+    verified against the requested one, coefficient by coefficient, so poles
+    may repeat: the eigenvalues of a near-defective closed loop move by
+    about eps**(1/4) and could not be compared at a useful tolerance.
     """
     poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
     if poles.shape != (4,):
@@ -141,6 +141,8 @@ def design_gains(
     for c in coeffs:
         phi = phi @ A + float(np.real(c)) * np.eye(4)
     k = np.linalg.solve(ctrb.T, np.array([0.0, 0.0, 0.0, 1.0])) @ phi
+    if not np.all(np.isfinite(k)):  # huge poles overflow the polynomial
+        raise DesignError(f"gains are not finite for desired poles {poles}")
 
     achieved = np.poly(A - B @ k.reshape(1, 4))
     if np.any(np.abs(achieved - coeffs) > 1e-9 * np.maximum(1.0, np.abs(coeffs))):

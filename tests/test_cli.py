@@ -294,6 +294,15 @@ def test_unreadable_rules_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_lint_rejects_a_rules_file_that_is_not_utf8(tmp_path, capsys):
+    rules = tmp_path / "utf16.frl"
+    rules.write_bytes("var x unit = m\n".encode("utf-16"))
+    assert main(["lint", "--rules", str(rules)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read {rules}: 'utf-8' codec can't decode" in err
+    assert "internal error" not in err
+
+
 _UNDRIVEN_RULES = """var pressure unit = Pa
   label LO triangle(0.0, 1.0, 2.0)
 var F unit = N
@@ -331,7 +340,7 @@ def test_simulate_reports_rule_file_errors_located(tmp_path, capsys):
     )
     assert main(["simulate", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "rule file has errors" in err
+    assert f"error: controller.rules: {tmp_path / 'bad.frl'}: rule file has errors:\n" in err
     assert (
         "5:13: error: rule 'r1' uses the output variable 'F' in a condition "
         "[output-in-condition]"

@@ -520,6 +520,14 @@ def test_undriven_variable_fails_when_the_controller_is_built(tmp_path):
         scenario_from_config(cfg, base_dir=tmp_path)
 
 
+def test_a_rules_file_that_is_not_utf8_is_a_scenario_error(tmp_path):
+    (tmp_path / "utf16.frl").write_bytes("var \u03b8 unit = deg\n".encode("utf-16"))
+    cfg = {"controller": {"type": "fc", "rules": "utf16.frl"}}
+    with pytest.raises(ScenarioError, match="cannot read controller.rules file .*utf16.frl: "
+                       "'utf-8' codec can't decode"):
+        scenario_from_config(cfg, base_dir=tmp_path)
+
+
 def test_config_rules_from_file(tmp_path):
     from fuzzpole.rulelang import builtin_pole_source
 
@@ -672,12 +680,25 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
         ({"controller": {"type": "sfc", "nominal_pole": "pole-9"}},
          "controller.nominal_pole: unknown pole preset 'pole-9'"),
         ({"plant": {"m": -1.0}}, "plant.m: m must be positive and finite, got -1.0"),
+        ({"scenario": {"events": [{"kind": "tap", "delta_theta_dot_deg_s": 5.0}]}},
+         "scenario.events[0]: missing key 't'"),
+        ({"scenario": {"events": [_TAP, {"t": 1.0, "kind": "set_tilt"}]}},
+         "scenario.events[1]: missing key 'angle_deg'"),
+        ({"scenario": {"events": [{**_TAP, "t": -1.0}]}},
+         "scenario.events[0]: event time must be finite and >= 0, got -1.0"),
+        ({"scenario": {"events": [_TAP, {**_TAP, "delta_theta_dot_deg_s": math.inf}]}},
+         "scenario.events[1]: event value must be finite, got inf"),
+        ({"controller": {"type": "fc", "rules": "no\u0000such.frl"}},
+         "cannot read controller.rules file"),
+        ({"controller": {"type": "sfc", "desired_poles": [1e300, 1e300, -1e300, -1e300]}},
+         "controller.desired_poles: gains are not finite for desired poles"),
     ],
     ids=[
         "initial-string", "events-number", "events-object", "rules-number", "duration-true",
         "dt-string", "number-list", "number-null", "huge-integer", "event-t-string",
         "event-kind-list", "name-number", "band-false", "unknown-preset",
-        "unknown-nominal-pole", "plant-value",
+        "unknown-nominal-pole", "plant-value", "event-no-t", "event-no-value",
+        "event-t-negative", "event-value-inf", "rules-path-nul", "poles-overflow",
     ],
 )
 def test_config_values_of_the_wrong_type_name_their_key(tmp_path, capsys, cfg, named):
@@ -866,21 +887,39 @@ def scenario_configs(draw):
                     "initial": scenario["initial"], "controller": controller,
                     "metrics": metrics}
         sections[where].update(typo)
-    return cfg, must_reject or where is not None
+    return cfg, must_reject or where is not None, ""
+
+
+@st.composite
+def configs_with_an_event_missing_a_key(draw):
+    """A configuration that is valid but for one event that lacks its time
+    or its value key, and the start of the message that must reject it."""
+    events = [_TAP] * draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["tap", "set_tilt"]))
+    value_key = "delta_theta_dot_deg_s" if kind == "tap" else "angle_deg"
+    missing = draw(st.sampled_from(["t", value_key]))
+    broken = {"t": 0.1, "kind": kind, value_key: 1.0}
+    del broken[missing]
+    i = draw(st.integers(0, len(events)))
+    events.insert(i, broken)
+    cfg = {"scenario": {"duration": 0.1, "events": events}}
+    return cfg, True, f"scenario.events[{i}]: missing key '{missing}'"
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenario_configs())
+@given(_mostly(scenario_configs(), configs_with_an_event_missing_a_key()))
 def test_scenario_configs_are_rejected_or_run_finite(rules_dir, drawn):
     """Every configuration is either a ScenarioError or a run whose rows are
     all finite and whose termination is one of the four; a run with rows
     has metrics under the configured bands.  A configuration drawn to be
-    rejected always is a ScenarioError.  Rule files are read from the
-    session's ``rules_dir``."""
-    cfg, must_reject = drawn
+    rejected always is a ScenarioError, and one whose only fault is an event
+    without its time or value key names that event.  Rule files are read
+    from the session's ``rules_dir``."""
+    cfg, must_reject, message_start = drawn
     try:
         bundle = scenario_from_config(cfg, base_dir=rules_dir)
-    except ScenarioError:
+    except ScenarioError as exc:
+        assert str(exc).startswith(message_start)
         return
     assert not must_reject
     scenario = bundle.scenario

@@ -110,16 +110,6 @@ def test_sample_matches_scalar_eval():
         assert np.array_equal(sampled, scalar)
 
 
-def test_mirrored_reflects_about_zero():
-    po = shoulder_up(1.0, 4.0)
-    ne = po.mirrored()
-    for v in (-5.0, -4.0, -2.5, -1.0, 0.0, 3.0):
-        assert ne(v) == po(-v)
-    tri = triangle(-1.0, 2.0, 7.0)
-    for v in (-7.5, -2.0, 1.0, 2.0):
-        assert tri.mirrored()(v) == tri(-v)
-
-
 def test_support_at_level_set():
     lo, hi = ZE.support_at(1e-6)
     assert lo == pytest.approx(-6.25 + 1e-6 * 6.25)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,9 +115,9 @@ def test_keywords_case_insensitive_and_comments():
           ("f", 1, 11), ("g", 1, 13), ("h", 1, 15), ("é", 1, 17), ("=", 1, 18)],
          (1, 19)),
         ("rule r1# note\nx", [("rule", 1, 1), ("r1", 1, 6), ("x", 2, 1)], (2, 2)),
-        # a comment does not advance the column: the end of input after a
-        # trailing comment is placed at its "#"
-        ("var x # trailing", [("var", 1, 1), ("x", 1, 5)], (1, 7)),
+        # the end of input stands just past the last character, a trailing
+        # comment's included
+        ("var x # trailing", [("var", 1, 1), ("x", 1, 5)], (1, 17)),
         ("", [], (1, 1)),
         ("(x)  \n\t# c\n", [("(", 1, 1), ("x", 1, 2), (")", 1, 3)], (3, 1)),
         ("a:=\n\n b,", [("a", 1, 1), (":", 1, 2), ("=", 1, 3), ("b", 3, 2), (",", 3, 3)],
@@ -196,9 +197,9 @@ _RESOLVE_ROWS = [
 
 # Rows that the parser decides: syntax, declarations and rule names.
 _PARSE_ROWS = [
-    pytest.param("", "empty", "1:1",
+    pytest.param("", "no-output", "1:1",
                  id="empty"),
-    pytest.param("# only a comment\n", "empty", "1:1",
+    pytest.param("# only a comment\n", "no-output", "1:1",
                  id="comment-only"),
     pytest.param(SMALL_KB.replace("unit = V", "unit V"), "syntax", "1:12",
                  id="syntax"),
@@ -395,6 +396,60 @@ def test_validate_flags_coverage_hole():
     assert result.ok
     diags = validate_kb(result.kb)
     assert any(d.code == "coverage-hole" for d in diags)
+
+
+# Mutual reflections about zero: a triangle pair, the two shoulders and a
+# squared label that is its own reflection, with corners at 0.0 and -0.0.
+_MIRRORED_LABELS = {
+    "NE": MembershipFunction("shoulder_down", (-2.0, -0.0)),
+    "NS": MembershipFunction("triangle", (-3.0, -1.5, -0.0)),
+    "VZ": MembershipFunction("triangle", (-0.5, -0.0, 0.5), 2),
+    "PS": MembershipFunction("triangle", (0.0, 1.5, 3.0)),
+    "PO": MembershipFunction("shoulder_up", (0.0, 2.0)),
+}
+
+
+def _warnings(labels):
+    """``validate_kb`` of a rule base with no rules whose input has
+    ``labels`` and whose output is one symmetric label, as (code, message)."""
+    variables = {
+        "e": LinguisticVariable("e", "V", labels),
+        "u": LinguisticVariable("u", "N", {"Z": MembershipFunction("triangle", (-1.0, 0.0, 1.0))}),
+    }
+    kb = KnowledgeBase(variables, "u", (), OutputUniverse(-1.0, 1.0, 3))
+    return [(d.code, d.message) for d in validate_kb(kb)]
+
+
+_ASYMMETRIC = [("asymmetric-labels", "variable 'e': labels are not mirror-symmetric about zero")]
+
+
+def test_mirror_pairs_are_matched_by_corners():
+    assert _warnings(_MIRRORED_LABELS) == []  # no rules: no goal-1 grid either
+    squared = replace(_MIRRORED_LABELS["PS"], power=2)  # its partner NS is not
+    assert _warnings({**_MIRRORED_LABELS, "PS": squared}) == _ASYMMETRIC
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+@pytest.mark.parametrize(
+    "name, index",
+    [(name, i) for name, mf in _MIRRORED_LABELS.items() for i in range(len(mf.params))],
+)
+def test_a_corner_one_ulp_off_breaks_the_mirror(name, index, toward):
+    mf = _MIRRORED_LABELS[name]
+    params = list(mf.params)
+    params[index] = float(np.nextafter(params[index], toward))
+    moved = {**_MIRRORED_LABELS, name: replace(mf, params=tuple(params))}
+    assert _warnings(moved) == _ASYMMETRIC
+
+
+def test_the_first_of_twin_labels_is_the_mirror_partner():
+    """PO2 has PO's corners: NE pairs with PO, the first, so rule c (NE)
+    mirrors rule a (PO) and nothing is missing."""
+    twins = MINI_KB.replace(
+        "label PO shoulder_up(0.0, 1.0)",
+        "label PO shoulder_up(0.0, 1.0)\n  label PO2 shoulder_up(0.0, 1.0)",
+    )
+    assert validate_kb(load_kb(twins)) == []
 
 
 def test_validate_flags_missing_mirror_rule():

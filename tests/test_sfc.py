@@ -126,6 +126,12 @@ def test_design_rejects_a_placement_it_cannot_verify():
         design_gains(linearize(P1), (-1000.0, -1001.0, -1002.0, -1003.0))
 
 
+def test_design_rejects_poles_whose_gains_overflow():
+    """Poles of 1e300 overflow the characteristic polynomial."""
+    with pytest.raises(DesignError, match="gains are not finite for desired poles"):
+        design_gains(linearize(P1), (1e300, 1e300, -1e300, -1e300))
+
+
 def test_design_rejects_unpaired_complex_poles():
     model = linearize(P1)
     with pytest.raises(DesignError):

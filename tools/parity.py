@@ -15,13 +15,18 @@ The grid is fixed:
 * the scenario files ``scenarios/*.json``;
 * 8,000 ``kernels.fuzzy_force`` inputs on each of 8 rule bases (uniform,
   near-zero, label-corner, NaN, +-0 and +-inf values), drawn by a seeded
-  ``random.Random``.
+  ``random.Random``;
+* the rule files of those 8 rule bases (``serialize_kb``) and 2,000 copies
+  of ``kb/pole.frl`` with 1-3 seeded token deletions, duplications or
+  same-kind replacements, in 8 groups of 250.
 
 A run's digest covers its trajectory bytes, its termination and its CSV
 bytes; a rule base's digest covers the ``repr`` of every (force, fired)
-pair.  The default mode names each run whose digest differs from the
-record, or is missing from it, and exits 1 if there is any.  A change that
-alters outputs on purpose records the grid again and says why.
+pair; a rule file's digest covers its parse diagnostics and, when it
+parses, the ``validate_kb`` warnings and ``audit_hierarchy`` violations.
+The default mode names each run whose digest differs from the record, or
+is missing from it, and exits 1 if there is any.  A change that alters
+outputs on purpose records the grid again and says why.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import itertools
 import json
 import platform
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -45,16 +51,19 @@ import numpy as np  # noqa: E402
 
 from fuzzpole import kernels  # noqa: E402
 from fuzzpole.fuzzy import (  # noqa: E402
-    KnowledgeBase, LinguisticVariable, OutputUniverse, triangle,
+    SHAPES, KnowledgeBase, LinguisticVariable, OutputUniverse, triangle,
 )
 from fuzzpole.harness import (  # noqa: E402
     default_scenario, emit_trajectory, load_scenario, run,
 )
 from fuzzpole.hierarchy import (  # noqa: E402
-    Concentration, Narrowed, cart_pole_goals, compose_hierarchical,
+    Concentration, Narrowed, audit_hierarchy, cart_pole_goals, compose_hierarchical,
 )
 from fuzzpole.plant import set_tilt, tap  # noqa: E402
-from fuzzpole.rulelang import builtin_pole_kb  # noqa: E402
+from fuzzpole.rulelang import (  # noqa: E402
+    KEYWORDS, builtin_pole_kb, builtin_pole_source, parse_knowledge_base, serialize_kb,
+    validate_kb,
+)
 
 RECORD = ROOT / "tools" / "parity.json"
 EVENTS = (tap(2.013, 0.4), set_tilt(4.5, 0.12))
@@ -62,6 +71,7 @@ INPUTS_PER_KB = 8_000
 SEED = 20131
 _SCALES = (12.0, 45.0, 1.0, 0.5)  # theta, theta_dot, x, x_dot
 _SPECIALS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0)
+MUTANTS, MUTANT_GROUP = 2_000, 250
 
 
 def _digest(traj) -> str:
@@ -162,12 +172,67 @@ def _law_inputs(kb, rng: random.Random):
         yield row
 
 
+def _lines_digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
 def _law_digest(kb, rng: random.Random) -> str:
     ck = kernels.compile_kb(kb)
-    h = hashlib.sha256()
-    for row in _law_inputs(kb, rng):
-        h.update(repr(kernels.fuzzy_force(ck, np.array(row))).encode() + b"\n")
-    return h.hexdigest()
+    return _lines_digest(
+        repr(kernels.fuzzy_force(ck, np.array(row))) for row in _law_inputs(kb, rng)
+    )
+
+
+def _rule_file_lines(text: str):
+    """One line per parse diagnostic, then per ``validate_kb`` warning and
+    ``audit_hierarchy`` violation when the text parses."""
+    result = parse_knowledge_base(text)
+    found = [*result.diagnostics]
+    if result.kb is not None:
+        found += validate_kb(result.kb)
+    for d in found:
+        yield repr((d.severity, d.line, d.col, d.code, d.message))
+    if result.kb is not None:
+        for v in audit_hierarchy(result.kb, cart_pole_goals()).violations:
+            yield repr((v.rule, v.variable, v.reason))
+
+
+def _token_kind(word: str) -> str:
+    try:
+        float(word)
+        return "number"
+    except ValueError:
+        pass
+    if word.lower() in KEYWORDS or word in "(),:=":
+        return word.lower()
+    return "shape" if word in SHAPES else "name"
+
+
+def mutated_pole_sources(rng: random.Random):
+    """``kb/pole.frl`` (which has no comments) with 1-3 token deletions,
+    duplications or replacements by a token of the same kind; the
+    whitespace between tokens is kept, so every token stays on its line."""
+    pieces = re.findall(r"\s+|[(),:=]|[^\s(),:=#]+", builtin_pole_source())
+    assert "".join(pieces) == builtin_pole_source()
+    indices = [i for i, p in enumerate(pieces) if not p.isspace()]
+    by_kind: dict[str, list[int]] = {}
+    for i in indices:
+        by_kind.setdefault(_token_kind(pieces[i]), []).append(i)
+    for _ in range(MUTANTS):
+        text = list(pieces)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.choice(indices)
+            op = rng.choice(("delete", "duplicate", "replace", "replace"))
+            if op == "delete":
+                text[i] = ""
+            elif op == "duplicate":
+                text[i] = f"{text[i]} {text[i]}"
+            else:
+                text[i] = pieces[rng.choice(by_kind[_token_kind(pieces[i])])]
+        yield "".join(text)
 
 
 def digests() -> dict[str, str]:
@@ -175,6 +240,14 @@ def digests() -> dict[str, str]:
     rng = random.Random(SEED)
     for name, kb in law_kbs():
         out[f"fuzzy_force {name}"] = _law_digest(kb, rng)
+        out[f"rule file {name}"] = _lines_digest(_rule_file_lines(serialize_kb(kb)))
+    texts = list(mutated_pole_sources(random.Random(SEED)))
+    for start in range(0, MUTANTS, MUTANT_GROUP):
+        group = texts[start:start + MUTANT_GROUP]
+        name = f"rule file mutants {start}-{start + MUTANT_GROUP - 1}"
+        out[name] = _lines_digest(
+            line for i, text in enumerate(group) for line in (f"#{i}", *_rule_file_lines(text))
+        )
     return out
 
 
