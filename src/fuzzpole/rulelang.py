@@ -513,14 +513,14 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             for r in kb.rules
         }
         for rule in kb.rules:
-            mirrored_sig = (
+            reflected_sig = (
                 frozenset(
                     (p.variable, mirrors[p.variable][p.label])
                     for p in rule.preconditions
                 ),
                 mirrors[kb.output_variable][rule.conclusion[1]],
             )
-            if mirrored_sig not in signatures:
+            if reflected_sig not in signatures:
                 warn(
                     f"rule '{rule.name}' has no mirror-image counterpart",
                     "missing-mirror-rule",
