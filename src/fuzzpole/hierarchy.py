@@ -273,12 +273,23 @@ def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | No
     return None
 
 
+def _gate_problem(var: LinguisticVariable, very: str, base: str) -> str | None:
+    """None when label ``very`` of ``var`` gates its label ``base``
+    correctly, else why it does not."""
+    if base not in var.labels:
+        return f"base label '{base}' of the achievement gate is not defined"
+    reason = _is_narrower(var.label(very), var.labels[base])
+    if reason is None:
+        return None
+    return f"label '{very}' is not narrower than '{base}': {reason}"
+
+
 def audit_hierarchy(kb: KnowledgeBase, goal_spec: GoalSpec) -> AuditReport:
     """Check lower-priority rules for the achievement gates of the goal above.
 
     Every rule at goal index i >= 2 must carry one precondition per entry of
     goal i-1's achievement predicate, and each gating label must be strictly
-    narrower than the base label it sharpens.
+    narrower than the base label it sharpens, which the variable must define.
     """
     goals = goal_spec.goals
     violations: list[Violation] = []
@@ -309,15 +320,8 @@ def audit_hierarchy(kb: KnowledgeBase, goal_spec: GoalSpec) -> AuditReport:
             pair = (entry.variable, pre.label, entry.label)
             if pair not in reasons:
                 var = kb.variables[entry.variable]
-                reasons[pair] = _is_narrower(var.label(pre.label), var.label(entry.label))
+                reasons[pair] = _gate_problem(var, pre.label, entry.label)
             reason = reasons[pair]
             if reason is not None:
-                violations.append(
-                    Violation(
-                        rule.name,
-                        entry.variable,
-                        f"label '{pre.label}' is not narrower than "
-                        f"'{entry.label}': {reason}",
-                    )
-                )
+                violations.append(Violation(rule.name, entry.variable, reason))
     return AuditReport(tuple(violations))

@@ -8,11 +8,16 @@ degree off its trapezoid corners, with no branch on its shape, and folds
 the rule strengths to one strength per conclusion label.  Its source is
 built from indices only and cached by the rule base's structure, so rule
 bases that differ only in their numbers share it; the numbers are bound as
-arguments.  Then comes one clip/max over the coverage layers, which hold at
+arguments.  Then comes one clip over the coverage layers, which hold at
 each grid point only the conclusion curves that are nonzero there, and one
-left-to-right pass that sums both center-of-area rows over the full grid.
-Every scalar operation is the one :func:`fuzzpole.fuzzy.fc_output` performs,
-on the same values in the same order, so the force is its force bit for bit.
+max over them: a single binary ``np.maximum`` when there are two layers, as
+on ``kb/pole.frl``, and a reduce from 0.0 otherwise.  Last, one
+left-to-right accumulate over a complex array, the grid points times the
+aggregate as its real part and the aggregate as its imaginary part, gives
+both center-of-area sums: a complex addition is two independent IEEE
+additions, one per part.  Every scalar operation is the one
+:func:`fuzzpole.fuzzy.fc_output` performs, on the same values in the same
+order, so the force is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
 The plant is stepped by :func:`fuzzpole.plant.advance`.
 
@@ -233,47 +238,73 @@ def control_inputs(
 
 def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
     """The fuzzy law of ``ck``: ``force(inputs) -> (force, fired)`` on a
-    sequence of Python floats in ``DEFAULT_SLOTS`` order.
+    sequence of Python floats in ``DEFAULT_SLOTS`` order, with the force a
+    Python float.
 
-    The law owns its center-of-area block and the block its sums accumulate
-    into; both are allocated here, once, and overwritten at each call.
+    The law owns its buffers, allocated here once and overwritten at each
+    call, and binds the numpy callables it calls, so a call looks up no
+    attribute of ``np``.
 
     Degrees and rule strengths come from ``ck.strengths``, generated code
     that performs the scalar operations of ``MembershipFunction.__call__``
     and ``fuzzy.rule_activation`` on the same values in the same order, so
     each strength is the one ``fc_output`` computes, and a NaN degree is
     skipped.  The rules of a group fold into one strength, exactly, since
-    no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip/max
-    runs once over the coverage layers.  A curve left out at a grid point
-    is +0.0 there, and min(s, +0.0) is +0.0 for a strength s >= +0.0, which
+    no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip runs
+    once over the coverage layers.  A curve left out at a grid point is
+    +0.0 there, and min(s, +0.0) is +0.0 for a strength s >= +0.0, which
     the max's initial +0.0 already is; so mu is fc_output's aggregate bit
-    for bit.  Both center-of-area sums run left to right over the full grid
-    in one accumulate, as in ``fuzzy.defuzzify_coa``; its sums start at
-    +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
+    for bit.  With exactly two layers the max is one binary maximum of the
+    two clipped layers: each is +0.0, positive or NaN, so the initial +0.0
+    changes neither, and max(max(+0.0, top), bottom) == max(top, bottom).
+    Any other depth (0, 1, 3 or more) takes the reduce from +0.0.
+
+    Both center-of-area sums run left to right over the full grid in one
+    accumulate, as in ``fuzzy.defuzzify_coa``: its terms are one complex
+    array, the grid points times mu as the real part and mu as the
+    imaginary part, and a complex addition adds the real parts and the
+    imaginary parts apart, each with one IEEE addition, so each running sum
+    is the one a real accumulate of its row gives.  fc_output's sums start
+    at +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
     """
     strengths = ck.strengths
     points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
-    # Row 0 of the center-of-area block is the grid points times the
-    # aggregate, row 1 the aggregate.  Accumulate, unlike sum, adds in order.
-    coa = np.empty((2, points.shape[0]))
-    weighted, aggregate = coa
-    sums = np.empty_like(coa)
-    totals = sums[:, -1]
+    array, minimum, maximum, multiply = np.array, np.minimum, np.maximum, np.multiply
+    accumulate = np.add.accumulate
+    clipped = np.empty(layer_curve.shape)
+    # Row 0 holds the center-of-area terms, row 1 their running sums:
+    # accumulate, unlike sum, adds in order.  (Rows are taken by index:
+    # unpacking a 2-D array costs more than the rest of the setup.)
+    coa = np.empty((2, points.shape[0]), dtype=np.complex128)
+    terms, sums = coa[0], coa[1]
+    weighted, aggregate = terms.real, terms.imag
 
-    def force(inputs: Sequence[float]) -> tuple[float, bool]:
-        # initial=0.0 is the all-zero aggregate of fc_output, and the result
-        # of a rule base with no rules.
-        np.maximum.reduce(
-            np.minimum(np.array(strengths(inputs))[layer_group], layer_curve),
-            initial=0.0,
-            out=aggregate,
-        )
-        np.multiply(points, aggregate, out=weighted)
-        np.add.accumulate(coa, axis=1, out=sums)
-        num, den = totals.tolist()
+    def center_of_area() -> tuple[float, bool]:
+        multiply(points, aggregate, out=weighted)
+        accumulate(terms, out=sums)
+        total = sums.item(-1)  # a Python complex: num + den * 1j
+        den = total.imag
         if den == 0.0:
             return 0.0, False
-        return (0.0 + num) / den, True
+        return (0.0 + total.real) / den, True
+
+    if len(clipped) == 2:
+        top, bottom = clipped[0], clipped[1]
+
+        def force(inputs: Sequence[float]) -> tuple[float, bool]:
+            minimum(array(strengths(inputs))[layer_group], layer_curve, out=clipped)
+            maximum(top, bottom, out=aggregate)
+            return center_of_area()
+
+    else:
+        reduce = maximum.reduce
+
+        def force(inputs: Sequence[float]) -> tuple[float, bool]:
+            minimum(array(strengths(inputs))[layer_group], layer_curve, out=clipped)
+            # initial=0.0 is the all-zero aggregate of fc_output, and the
+            # result of a rule base with no rules.
+            reduce(clipped, initial=0.0, out=aggregate)
+            return center_of_area()
 
     return force
 

@@ -135,13 +135,16 @@ def design_gains(
         raise DesignError(
             f"(A, B) pair is uncontrollable: controllability matrix rank {rank} < 4"
         )
-    coeffs = np.poly(poles)  # monic characteristic polynomial
-    coeffs = np.real_if_close(coeffs, tol=1e6)
-    phi = np.zeros((4, 4))
-    for c in coeffs:
-        phi = phi @ A + float(np.real(c)) * np.eye(4)
-    k = np.linalg.solve(ctrb.T, np.array([0.0, 0.0, 0.0, 1.0])) @ phi
-    if not np.all(np.isfinite(k)):  # huge poles overflow the polynomial
+    # Huge poles overflow the polynomial to inf, and inf * 0 is NaN; the
+    # finiteness check below rejects such gains, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(poles)  # monic characteristic polynomial
+        coeffs = np.real_if_close(coeffs, tol=1e6)
+        phi = np.zeros((4, 4))
+        for c in coeffs:
+            phi = phi @ A + float(np.real(c)) * np.eye(4)
+        k = np.linalg.solve(ctrb.T, np.array([0.0, 0.0, 0.0, 1.0])) @ phi
+    if not np.all(np.isfinite(k)):
         raise DesignError(f"gains are not finite for desired poles {poles}")
 
     achieved = np.poly(A - B @ k.reshape(1, 4))

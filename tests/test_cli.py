@@ -280,6 +280,24 @@ def test_lint_flags_audit_violation(tmp_path, capsys):
     assert "audit" in capsys.readouterr().out
 
 
+def test_lint_reports_a_missing_base_label_as_an_audit_violation(tmp_path, capsys):
+    """theta_dot's ZE renamed ZZ, in its rules too: the goal-2 gates still
+    sharpen theta_dot ZE, which the file no longer defines."""
+    source = builtin_pole_source()
+    source = source.replace("  label ZE triangle(-25.0,", "  label ZZ triangle(-25.0,")
+    source = source.replace("theta_dot IS ZE", "theta_dot IS ZZ")
+    assert source.count("ZZ") == 4
+    rules = tmp_path / "renamed.frl"
+    rules.write_text(source, encoding="utf-8")
+    assert main(["lint", "--rules", str(rules)]) == 1
+    audit = [line for line in capsys.readouterr().out.splitlines() if "audit:" in line]
+    assert audit == [
+        f"0:0: error: audit: rule '{name}', variable 'theta_dot': base label 'ZE' "
+        "of the achievement gate is not defined [hierarchy-audit]"
+        for name in ("r10", "r11", "r12", "r13")
+    ]
+
+
 def test_lint_skips_the_audit_without_the_goal_variables(tmp_path, capsys):
     rules = tmp_path / "boiler.frl"
     rules.write_text(_UNDRIVEN_RULES, encoding="utf-8")

@@ -290,3 +290,19 @@ def test_audit_flags_gate_above_base_label(kb):
         for v in report.violations
     )
     assert len(report.violations) == 4  # one per position rule
+
+
+def test_audit_flags_a_base_label_the_variable_lacks(kb):
+    """A goal spec that names a base label the variable does not define
+    gives one violation per gated rule, not a KBError."""
+    spec = GoalSpec(
+        (
+            Goal("balance_pole", ("theta",), (Achievement("theta", "ZZ", "VS"),)),
+            Goal("position_cart", ("x", "x_dot")),
+        )
+    )
+    report = audit_hierarchy(kb, spec)
+    assert [v.rule for v in report.violations] == ["r10", "r11", "r12", "r13"]
+    assert {(v.variable, v.reason) for v in report.violations} == {
+        ("theta", "base label 'ZZ' of the achievement gate is not defined")
+    }

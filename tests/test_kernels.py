@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -287,6 +288,63 @@ def test_kernel_matches_reference_on_edge_grid(key):
         if activated not in forces:
             forces[activated] = _fc_repr(kb, named)
         assert repr(fuzzy_force(ck, np.array(row))) == forces[activated], row
+
+
+# Coverage depth of each probe rule base: its number of layers, which picks
+# the law's max (one binary maximum at depth 2, a reduce from 0.0 otherwise).
+_DEPTHS = {
+    ("no rules", 201): 0,
+    ("PS only", 3): 0,
+    **{(name, 3): 1 for name in ("sq", "n0.12", "n0.5")},
+    **{(name, n): 2 for name in ("sq", "n0.12", "n0.5") for n in (51, 201, 401)},
+    ("3 deep", 25): 3,
+}
+
+
+def test_probe_kbs_take_every_path_of_the_law():
+    """The probes cover depths 0 to 3; a compile_kb change that moved a
+    probe to another depth, and so off its path of the law, shows here."""
+    assert sorted(_DEPTHS) == sorted(_COMPOSED)
+    assert set(_DEPTHS.values()) == {0, 1, 2, 3}
+    for key, depth in _DEPTHS.items():
+        n = _COMPOSED[key].output_universe.n
+        assert _COMPILED[key].layer_curve.shape == (depth, n), key
+
+
+def _near_breakpoint_rows(kb, rng, count):
+    """``count`` rows, each slot drawn from NaN, +-inf, +-0.0, its labels'
+    breakpoints and the floats one ulp either side of each breakpoint."""
+    values = [
+        _SPECIALS + tuple(
+            v
+            for p in _breakpoints(kb, name)
+            for v in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))
+        )
+        for name in _NAMES
+    ]
+    return [[rng.choice(slot) for slot in values] for _ in range(count)]
+
+
+@pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_one_law_matches_reference_one_ulp_around_breakpoints(key):
+    """One law, built once and called row after row as in a run, so its
+    buffers carry over, gives fc_output's (force, fired) by repr on every
+    row, at every depth."""
+    kb = _COMPOSED[key]
+    law = kernels._fuzzy_law(_COMPILED[key])
+    rng = random.Random(f"ulp {key}")
+    for row in _near_breakpoint_rows(kb, rng, 200):
+        assert repr(law(row)) == _fc_repr(kb, dict(zip(_NAMES, row))), row
+
+
+@pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_law_returns_a_python_float(key):
+    """The force is a Python float, never a numpy scalar, which would
+    spread into the simulation loop's state and slow every step."""
+    law = kernels._fuzzy_law(_COMPILED[key])
+    for row in ([0.0] * 4, [1.0, 5.0, 0.1, 0.05], [30.0, 0.0, 0.0, 0.0], [math.nan] * 4):
+        force, fired = law(row)
+        assert type(force) is float and type(fired) is bool
 
 
 def test_concentrated_labels_compile_to_powers():

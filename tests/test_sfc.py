@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,16 @@ def test_design_rejects_poles_whose_gains_overflow():
     """Poles of 1e300 overflow the characteristic polynomial."""
     with pytest.raises(DesignError, match="gains are not finite for desired poles"):
         design_gains(linearize(P1), (1e300, 1e300, -1e300, -1e300))
+
+
+def test_design_rejects_overflowing_poles_without_a_warning():
+    """Four poles at -1e80 overflow the polynomial to inf and then NaN.
+    With warnings as errors that is still a DesignError, not a numpy
+    RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DesignError, match="gains are not finite for desired poles"):
+            design_gains(linearize(P1), (-1e80,) * 4)
 
 
 def test_design_rejects_unpaired_complex_poles():
