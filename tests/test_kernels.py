@@ -329,22 +329,16 @@ def _near_breakpoint_rows(kb, rng, count):
 def test_one_law_matches_reference_one_ulp_around_breakpoints(key):
     """One law, built once and called row after row as in a run, so its
     buffers carry over, gives fc_output's (force, fired) by repr on every
-    row, at every depth."""
+    row, at every depth.  The force is a Python float, never a numpy
+    scalar, which would spread into the simulation loop's state and slow
+    every step."""
     kb = _COMPOSED[key]
     law = kernels._fuzzy_law(_COMPILED[key])
     rng = random.Random(f"ulp {key}")
     for row in _near_breakpoint_rows(kb, rng, 200):
-        assert repr(law(row)) == _fc_repr(kb, dict(zip(_NAMES, row))), row
-
-
-@pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
-def test_law_returns_a_python_float(key):
-    """The force is a Python float, never a numpy scalar, which would
-    spread into the simulation loop's state and slow every step."""
-    law = kernels._fuzzy_law(_COMPILED[key])
-    for row in ([0.0] * 4, [1.0, 5.0, 0.1, 0.05], [30.0, 0.0, 0.0, 0.0], [math.nan] * 4):
         force, fired = law(row)
         assert type(force) is float and type(fired) is bool
+        assert repr((force, fired)) == _fc_repr(kb, dict(zip(_NAMES, row))), row
 
 
 def test_concentrated_labels_compile_to_powers():

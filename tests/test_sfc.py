@@ -129,19 +129,14 @@ def test_design_rejects_a_placement_it_cannot_verify():
 
 
 def test_design_rejects_poles_whose_gains_overflow():
-    """Poles of 1e300 overflow the characteristic polynomial."""
-    with pytest.raises(DesignError, match="gains are not finite for desired poles"):
-        design_gains(linearize(P1), (1e300, 1e300, -1e300, -1e300))
-
-
-def test_design_rejects_overflowing_poles_without_a_warning():
-    """Four poles at -1e80 overflow the polynomial to inf and then NaN.
-    With warnings as errors that is still a DesignError, not a numpy
-    RuntimeWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DesignError, match="gains are not finite for desired poles"):
-            design_gains(linearize(P1), (-1e80,) * 4)
+    """Poles of 1e300 overflow the characteristic polynomial, and four poles
+    at -1e80 overflow it to inf and then NaN.  With warnings as errors both
+    are still a DesignError, not a numpy RuntimeWarning."""
+    for poles in ((1e300, 1e300, -1e300, -1e300), (-1e80,) * 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DesignError, match="gains are not finite for desired poles"):
+                design_gains(linearize(P1), poles)
 
 
 def test_design_rejects_unpaired_complex_poles():

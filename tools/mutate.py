@@ -3,9 +3,9 @@ temporary copy of ``src/`` and name each mutant the tests fail to catch.
 
 Run it from the root of a checkout:
 
-    python tools/mutate.py                               # every mutant, tests/
-    python tools/mutate.py tests/test_kernels.py         # only these tests
-    python tools/mutate.py --only "7f row" -k row_writer # one mutant, pytest -k
+    python tools/mutate.py                                # against tests/
+    python tools/mutate.py tests/test_kernels.py          # against these tests
+    python tools/mutate.py tests/test_kernels.py::test_row_writer_keeps_the_bits
 
 Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
@@ -102,11 +102,11 @@ MUTANTS = (
 )
 
 
-def _pytest(src: Path, tests: list[str], extra: list[str]) -> bool:
+def _pytest(src: Path, tests: list[str]) -> bool:
     """True when the tests pass with ``src`` as the package's source."""
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "-o", f"pythonpath={src}", *extra, *tests,
+        "-o", f"pythonpath={src}", *tests,
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     return done.returncode == 0
@@ -126,43 +126,29 @@ def _apply(src: Path, mutant: Mutant) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tests", nargs="*", default=["tests"], help="test paths (default tests/)")
-    parser.add_argument(
-        "--only", action="append", metavar="NAME", help="run only this mutant (repeatable)"
-    )
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("-k", metavar="EXPR", help="pytest -k expression selecting tests")
     args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(f"{mutant.name}  ({mutant.path})")
-        return 0
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant(s): {sorted(unknown)}")
-    extra = ["-k", args.k] if args.k else []
     failed = 0
     with tempfile.TemporaryDirectory(prefix="fuzzpole-mutate-") as tmp:
         src = Path(tmp) / "src"
         ignore = shutil.ignore_patterns("__pycache__")
         shutil.copytree(ROOT / "src", src, ignore=ignore)
-        if not _pytest(src, args.tests, extra):
+        if not _pytest(src, args.tests):
             print("the tests fail on the unmutated source; no mutant was run")
             return 2
-        for mutant in mutants:
+        for mutant in MUTANTS:
             start = time.perf_counter()
             shutil.rmtree(src)
             shutil.copytree(ROOT / "src", src, ignore=ignore)
             if not _apply(src, mutant):
                 verdict = "STALE (snippet not found exactly once)"
                 failed += 1
-            elif _pytest(src, args.tests, extra):
+            elif _pytest(src, args.tests):
                 verdict = "SURVIVED"
                 failed += 1
             else:
                 verdict = "caught"
             print(f"{verdict:9s} {mutant.name} ({time.perf_counter() - start:.0f} s)", flush=True)
-    print(f"{len(mutants) - failed} of {len(mutants)} mutants caught")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants caught")
     return 1 if failed else 0
 
 
