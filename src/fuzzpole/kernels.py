@@ -9,9 +9,9 @@ the rule strengths to one strength per conclusion label.  Its source is
 built from indices only and cached by the rule base's structure, so rule
 bases that differ only in their numbers share it; the numbers are bound as
 arguments.  Then comes one clip over the coverage layers, which hold at
-each grid point only the conclusion curves that are nonzero there, and one
-max over them: a single binary ``np.maximum`` when there are two layers, as
-on ``kb/pole.frl``, and a reduce from 0.0 otherwise.  Last, one
+each grid point only the conclusion curves that are nonzero there, padded
+with +0.0 rows to at least two, and one fold of binary ``np.maximum``
+calls over them (one call on the two layers of ``kb/pole.frl``).  Last, one
 left-to-right accumulate over a complex array, the grid points times the
 aggregate as its real part and the aggregate as its imaginary part, gives
 both center-of-area sums: a complex addition is two independent IEEE
@@ -251,13 +251,13 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
     each strength is the one ``fc_output`` computes, and a NaN degree is
     skipped.  The rules of a group fold into one strength, exactly, since
     no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip runs
-    once over the coverage layers.  A curve left out at a grid point is
-    +0.0 there, and min(s, +0.0) is +0.0 for a strength s >= +0.0, which
-    the max's initial +0.0 already is; so mu is fc_output's aggregate bit
-    for bit.  With exactly two layers the max is one binary maximum of the
-    two clipped layers: each is +0.0, positive or NaN, so the initial +0.0
-    changes neither, and max(max(+0.0, top), bottom) == max(top, bottom).
-    Any other depth (0, 1, 3 or more) takes the reduce from +0.0.
+    once over the coverage layers, into the first ``depth`` rows of a
+    buffer of ``max(depth, 2)`` rows whose other rows stay +0.0.  Every
+    clipped value is +0.0 or positive (strengths start at +0.0 and are
+    never NaN; curves are sampled with +0.0 zeros), so +0.0, from a pad
+    row or a curve left out at a grid point, changes no max, and the fold
+    max(max(r0, r1), r2) is fc_output's max(max(max(+0.0, r0), r1), r2)
+    bit for bit.
 
     Both center-of-area sums run left to right over the full grid in one
     accumulate, as in ``fuzzy.defuzzify_coa``: its terms are one complex
@@ -271,7 +271,10 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
     points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
     array, minimum, maximum, multiply = np.array, np.minimum, np.maximum, np.multiply
     accumulate = np.add.accumulate
-    clipped = np.empty(layer_curve.shape)
+    depth = len(layer_curve)
+    clipped = np.zeros((max(depth, 2), points.shape[0]))
+    covered = clipped[:depth]
+    top, bottom, rest = clipped[0], clipped[1], tuple(clipped[2:])
     # Row 0 holds the center-of-area terms, row 1 their running sums:
     # accumulate, unlike sum, adds in order.  (Rows are taken by index:
     # unpacking a 2-D array costs more than the rest of the setup.)
@@ -279,7 +282,11 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
     terms, sums = coa[0], coa[1]
     weighted, aggregate = terms.real, terms.imag
 
-    def center_of_area() -> tuple[float, bool]:
+    def force(inputs: Sequence[float]) -> tuple[float, bool]:
+        minimum(array(strengths(inputs))[layer_group], layer_curve, out=covered)
+        maximum(top, bottom, out=aggregate)
+        for layer in rest:
+            maximum(aggregate, layer, out=aggregate)
         multiply(points, aggregate, out=weighted)
         accumulate(terms, out=sums)
         total = sums.item(-1)  # a Python complex: num + den * 1j
@@ -287,24 +294,6 @@ def _fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]
         if den == 0.0:
             return 0.0, False
         return (0.0 + total.real) / den, True
-
-    if len(clipped) == 2:
-        top, bottom = clipped[0], clipped[1]
-
-        def force(inputs: Sequence[float]) -> tuple[float, bool]:
-            minimum(array(strengths(inputs))[layer_group], layer_curve, out=clipped)
-            maximum(top, bottom, out=aggregate)
-            return center_of_area()
-
-    else:
-        reduce = maximum.reduce
-
-        def force(inputs: Sequence[float]) -> tuple[float, bool]:
-            minimum(array(strengths(inputs))[layer_group], layer_curve, out=clipped)
-            # initial=0.0 is the all-zero aggregate of fc_output, and the
-            # result of a rule base with no rules.
-            reduce(clipped, initial=0.0, out=aggregate)
-            return center_of_area()
 
     return force
 

@@ -116,7 +116,14 @@ class _Token(NamedTuple):
 
 # A comment, a punctuation mark or a word; what lies between matches is
 # whitespace (``str.isspace``, the set ``\s`` matches).
-_TOKEN_RE = re.compile(r"#[^\n]*|[(),:=]|[^\s(),:=#]+")
+_WORD = r"[^\s(),:=#]+"
+_TOKEN_RE = re.compile(rf"#[^\n]*|[(),:=]|{_WORD}")
+_UNIT_RE = re.compile(rf"{_WORD}\Z")  # a unit is read as one word
+
+
+def _is_name(text: str) -> bool:
+    """Whether ``text`` reads as a name: an identifier and no keyword."""
+    return _IDENT_RE.match(text) is not None and text.lower() not in KEYWORDS
 
 
 def _tokenize(text: str) -> tuple[list[_Token], _Token]:
@@ -215,7 +222,7 @@ class _Parser:
 
     def expect_name(self, what: str) -> _Token:
         tok = self.next()
-        if not _IDENT_RE.match(tok.text) or tok.lower in KEYWORDS:
+        if not _is_name(tok.text):
             raise self.error(tok, f"expected {what} name, found '{tok.text}'")
         return tok
 
@@ -410,10 +417,11 @@ class _Parser:
 
 
 def parse_knowledge_base(text: str | bytes) -> ParseResult:
-    """Parse rule-file text; failures come back as located diagnostics."""
+    """Parse rule-file text; failures come back as located diagnostics.
+    One leading byte-order mark (U+FEFF) is dropped."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    parser = _Parser(*_tokenize(text))
+    parser = _Parser(*_tokenize(text.removeprefix("\ufeff")))
     parser.parse()
     kb = parser.resolve()
     return ParseResult(kb, parser.diagnostics)
@@ -542,29 +550,43 @@ def _label_sort_key(item: tuple[str, MembershipFunction]) -> tuple[float, str]:
     return (mf.params[0], name)
 
 
+def _name(text: str, what: str) -> str:
+    """``text``, or KBError when the parser would not read it as a name."""
+    if not _is_name(text):
+        raise KBError(f"{what} name '{text}' is not an identifier or is a keyword")
+    return text
+
+
 def serialize_kb(kb: KnowledgeBase) -> str:
-    """Deterministic canonical text; parse(serialize(kb)) equals kb."""
+    """Deterministic canonical text; parse(serialize(kb)) equals kb.
+
+    Raises KBError for a name or unit the text could not carry: a name
+    that is not an identifier or is a keyword, a unit that is not one word.
+    """
     lines: list[str] = []
     ordered = sorted(
         (v for v in kb.input_variables), key=lambda v: v.name
     ) + [kb.output]
     for var in ordered:
-        lines.append(f"var {var.name} unit = {var.unit}")
+        if not _UNIT_RE.match(var.unit):
+            raise KBError(f"unit '{var.unit}' of variable '{var.name}' is not one word")
+        lines.append(f"var {_name(var.name, 'variable')} unit = {var.unit}")
         for name, mf in sorted(var.labels.items(), key=_label_sort_key):
             params = ", ".join(_fmt(p) for p in mf.params)
             power = f" ^{mf.power}" if mf.power > 1 else ""
-            lines.append(f"  label {name} {mf.kind}({params}){power}")
+            lines.append(f"  label {_name(name, 'label')} {mf.kind}({params}){power}")
         lines.append("")
     u = kb.output_universe
     lines.append(f"universe {_fmt(u.lo)} {_fmt(u.hi)} {u.n}")
     lines.append("")
     for rule in kb.rules:
         conds = " AND ".join(
-            f"{p.variable} IS {p.written_label}" for p in rule.preconditions
+            f"{p.variable} IS {_name(p.written_label, 'label')}"
+            for p in rule.preconditions
         )
         out_var, out_label = rule.conclusion
         lines.append(
-            f"rule {rule.name} goal {rule.goal_index}: "
+            f"rule {_name(rule.name, 'rule')} goal {rule.goal_index}: "
             f"IF {conds} THEN {out_var} IS {out_label}"
         )
     return "\n".join(lines) + "\n"

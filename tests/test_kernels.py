@@ -290,8 +290,8 @@ def test_kernel_matches_reference_on_edge_grid(key):
         assert repr(fuzzy_force(ck, np.array(row))) == forces[activated], row
 
 
-# Coverage depth of each probe rule base: its number of layers, which picks
-# the law's max (one binary maximum at depth 2, a reduce from 0.0 otherwise).
+# Coverage depth of each probe rule base: its number of layers.  The law
+# pads depths 0 and 1 with +0.0 rows and folds each layer past the second.
 _DEPTHS = {
     ("no rules", 201): 0,
     ("PS only", 3): 0,
@@ -302,8 +302,9 @@ _DEPTHS = {
 
 
 def test_probe_kbs_take_every_path_of_the_law():
-    """The probes cover depths 0 to 3; a compile_kb change that moved a
-    probe to another depth, and so off its path of the law, shows here."""
+    """The probes cover depths 0 to 3, so the law's zero pad rows (depths 0
+    and 1) and its fold past the second layer (depth 3) are run; a
+    compile_kb change that moved a probe to another depth shows here."""
     assert sorted(_DEPTHS) == sorted(_COMPOSED)
     assert set(_DEPTHS.values()) == {0, 1, 2, 3}
     for key, depth in _DEPTHS.items():

@@ -360,6 +360,38 @@ def test_serialize_deterministic(kb):
     assert serialize_kb(kb) == serialize_kb(builtin_pole_kb())
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [("var", "1x"), ("label", "a b"), ("rule", "if"), ("var", "IS"),
+     ("unit", "deg s"), ("unit", "N(m)")],
+)
+def test_serialize_rejects_what_would_not_parse(field, text):
+    """A name the parser would not read back, or a unit of more than one
+    word, is a KBError naming it, not text that fails to parse."""
+    n = {"var": "e", "label": "P", "rule": "a", "unit": "V", field: text}
+    mf = MembershipFunction("triangle", (-1.0, 0.0, 1.0))
+    kb = KnowledgeBase(
+        {
+            n["var"]: LinguisticVariable(n["var"], n["unit"], {n["label"]: mf}),
+            "u": LinguisticVariable("u", "N", {"Z": mf}),
+        },
+        "u",
+        (Rule(n["rule"], (Precondition(n["var"], n["label"]),), ("u", "Z"), 1),),
+        OutputUniverse(-1.0, 1.0, 21),
+    )
+    with pytest.raises(KBError, match=re.escape(f"'{text}'")):
+        serialize_kb(kb)
+
+
+def test_a_leading_byte_order_mark_is_dropped(kb):
+    source = builtin_pole_source()
+    plain = parse_knowledge_base(source)
+    for text in ("\ufeff" + source, "\ufeff".encode() + source.encode()):
+        result = parse_knowledge_base(text)
+        assert result.kb == kb
+        assert result.diagnostics == plain.diagnostics
+
+
 def test_canonical_output_ignores_declaration_order():
     shuffled = MINI_KB.replace(
         'label NE shoulder_down(-1.0, 0.0)\n  label ZE triangle(-1.0, 0.0, 1.0)',
