@@ -165,6 +165,18 @@ class MembershipFunction:
         )
         return _pow_int(base, self.power)
 
+    @property
+    def exact_key(self) -> tuple[str, tuple[str, ...], int]:
+        """A hashable key of the exact curve: the shape, ``float.hex`` of
+        each parameter and the power.  Unlike ``==``, it tells -0.0 from
+        0.0.  :meth:`from_exact_key` builds the label back."""
+        return self.kind, tuple(float(p).hex() for p in self.params), self.power
+
+    @classmethod
+    def from_exact_key(cls, key: tuple[str, tuple[str, ...], int]) -> "MembershipFunction":
+        kind, params, power = key
+        return cls(kind, tuple(map(float.fromhex, params)), power)
+
     def support_at(self, eps: float) -> tuple[float, float]:
         """Interval where mu(v) >= eps, accounting for the power."""
         level = eps ** (1.0 / self.power)
@@ -238,6 +250,10 @@ class Rule:
     def __post_init__(self):
         if not self.preconditions:
             raise KBError(f"rule '{self.name}' has no preconditions")
+        if not _is_int(self.goal_index):
+            raise KBError(
+                f"rule '{self.name}': goal index must be an integer, got {self.goal_index!r}"
+            )
         if self.goal_index < 1:
             raise KBError(f"rule '{self.name}': goal index must be positive")
 

@@ -494,16 +494,17 @@ def compare(scenarios: Sequence[Scenario]) -> Comparison:
 _DEG = kernels.RAD2DEG
 _DEGREE_COLUMNS = np.array([1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG])
 _ROW_FORMAT = ",".join(["%.6g"] * 7) + "\n"
-_EMIT_BLOCK_ROWS = 1024
+_EMIT_BLOCK_ROWS = 512
+_BLOCK_FORMAT = _ROW_FORMAT * _EMIT_BLOCK_ROWS  # a full block's rows, one format
 
 
 def emit_trajectory(traj: Trajectory, destination: str | Path | IO[str]) -> None:
     """Write the trajectory as CSV, angles in degrees, 6 significant digits.
 
-    Rows are scaled to degrees, turned into Python floats, formatted and
-    written a block at a time, so the transient memory is one block, not
-    the whole text; ``"%.6g"`` formats a float exactly as ``f"{v:.6g}"``
-    does.
+    Rows are scaled to degrees, turned into Python floats, formatted by one
+    ``%`` over the block and written a block at a time, so the transient
+    memory is one block, not the whole text; ``"%.6g"`` formats a float
+    exactly as ``f"{v:.6g}"`` does.
     """
     if hasattr(destination, "write"):
         _write_rows(traj.data, destination)
@@ -519,8 +520,10 @@ def emit_trajectory(traj: Trajectory, destination: str | Path | IO[str]) -> None
 def _write_rows(data, out):
     out.write(TRAJECTORY_HEADER + "\n")
     for start in range(0, data.shape[0], _EMIT_BLOCK_ROWS):
-        block = (data[start:start + _EMIT_BLOCK_ROWS] * _DEGREE_COLUMNS).tolist()
-        out.write("".join([_ROW_FORMAT % tuple(row) for row in block]))
+        block = data[start:start + _EMIT_BLOCK_ROWS] * _DEGREE_COLUMNS
+        rows = block.shape[0]
+        fmt = _BLOCK_FORMAT if rows == _EMIT_BLOCK_ROWS else _ROW_FORMAT * rows
+        out.write(fmt % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

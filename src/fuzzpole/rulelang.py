@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .fuzzy import (
     KBError,
@@ -104,21 +105,17 @@ class RuleFileError(ValueError):
         super().__init__(f"rule file has errors:\n{lines}")
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
-
-
 # A comment, a punctuation mark or a word; what lies between matches is
-# whitespace (``str.isspace``, the set ``\s`` matches).
+# whitespace (``str.isspace``, the set ``\s`` matches).  Group 1 is the
+# token: a comment leaves it None.
 _WORD = r"[^\s(),:=#]+"
-_TOKEN_RE = re.compile(rf"#[^\n]*|[(),:=]|{_WORD}")
+_TOKEN_RE = re.compile(rf"#[^\n]*|([(),:=]|{_WORD})")
 _UNIT_RE = re.compile(rf"{_WORD}\Z")  # a unit is read as one word
+
+# A token is a plain ``(text, offset)`` tuple, the offset the index of its
+# first character in the text read.  Its line and column are worked out only
+# when a diagnostic names it, by :func:`_locator`.
+_Token = tuple[str, int]
 
 
 def _is_name(text: str) -> bool:
@@ -130,26 +127,25 @@ def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     """Total tokenizer: every input decomposes into punctuation and words.
 
     Also returns an end-of-input marker just past the last character, so
-    errors at the end of the file stay located.  Columns count characters
-    from 1."""
-    tokens: list[_Token] = []
-    line, line_start = 1, 0  # line_start: index of the line's first character
-    scanned = 0  # text before this index has been counted for newlines
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        newlines = text.count("\n", scanned, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", scanned, start) + 1
-        scanned = m.end()
-        word = m.group()
-        if word[0] != "#":
-            tokens.append(_Token(word, line, start - line_start + 1))
-    newlines = text.count("\n", scanned)
-    if newlines:
-        line += newlines
-        line_start = text.rindex("\n") + 1
-    return tokens, _Token("<end of input>", line, len(text) - line_start + 1)
+    errors at the end of the file stay located."""
+    tokens = [(word, m.start()) for m in _TOKEN_RE.finditer(text) if (word := m[1])]
+    return tokens, ("<end of input>", len(text))
+
+
+def _locator(text: str) -> Callable[[int], tuple[int, int]]:
+    """``locate(offset) -> (line, col)`` for ``text``, both from 1; columns
+    count characters and only "\n" starts a line.
+
+    The newlines are found once, when the locator is made, and each lookup
+    bisects them, so a file with a diagnostic on every line still takes
+    linear time."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
+
+    def locate(offset: int) -> tuple[int, int]:
+        line = bisect_left(newlines, offset)  # the newlines before offset
+        return line + 1, offset - (newlines[line - 1] if line else -1)
+
+    return locate
 
 
 @dataclass
@@ -179,9 +175,10 @@ class _Parser:
     """Builds labels, variables and the universe as it reads them; only rules
     wait for :meth:`resolve`."""
 
-    def __init__(self, tokens: list[_Token], eof: _Token):
-        self.tokens = [*tokens, eof]  # the cursor stops at eof
-        self.eof = eof
+    def __init__(self, text: str):
+        self.text = text
+        tokens, self.eof = _tokenize(text)
+        self.tokens = [*tokens, self.eof]  # the cursor stops at eof
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.variables: dict[str, LinguisticVariable] = {}
@@ -193,67 +190,78 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def at(self, keyword: str) -> bool:
+        """Whether the next token is ``keyword``, in any case."""
+        return self.tokens[self.pos][0].lower() == keyword
+
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
         if tok is not self.eof:
             self.pos += 1
         return tok
 
+    @functools.cached_property
+    def locate(self) -> Callable[[int], tuple[int, int]]:
+        return _locator(self.text)  # made with the first diagnostic
+
+    def diagnostic(self, severity: str, tok: _Token, message: str, code: str) -> Diagnostic:
+        return Diagnostic(severity, *self.locate(tok[1]), message, code)
+
     def error(self, tok: _Token, message: str, code: str = "syntax") -> _SyntaxError:
-        return _SyntaxError(Diagnostic("error", tok.line, tok.col, message, code))
+        return _SyntaxError(self.diagnostic("error", tok, message, code))
 
     def report(self, tok: _Token, message: str, code: str, severity: str = "error") -> None:
-        self.diagnostics.append(Diagnostic(severity, tok.line, tok.col, message, code))
+        self.diagnostics.append(self.diagnostic(severity, tok, message, code))
 
     def failed(self) -> bool:
         return any(d.severity == "error" for d in self.diagnostics)
 
     def expect_keyword(self, word: str) -> _Token:
         tok = self.next()
-        if tok.lower != word:
-            raise self.error(tok, f"expected '{word.upper()}', found '{tok.text}'")
+        if tok[0].lower() != word:
+            raise self.error(tok, f"expected '{word.upper()}', found '{tok[0]}'")
         return tok
 
     def expect_punct(self, ch: str) -> _Token:
         tok = self.next()
-        if tok.text != ch:
-            raise self.error(tok, f"expected '{ch}', found '{tok.text}'")
+        if tok[0] != ch:
+            raise self.error(tok, f"expected '{ch}', found '{tok[0]}'")
         return tok
 
     def expect_name(self, what: str) -> _Token:
         tok = self.next()
-        if not _is_name(tok.text):
-            raise self.error(tok, f"expected {what} name, found '{tok.text}'")
+        if not _is_name(tok[0]):
+            raise self.error(tok, f"expected {what} name, found '{tok[0]}'")
         return tok
 
     def expect_number(self) -> float:
         tok = self.next()
         try:
-            return float(tok.text)
+            return float(tok[0])
         except ValueError:
-            raise self.error(tok, f"expected a number, found '{tok.text}'") from None
+            raise self.error(tok, f"expected a number, found '{tok[0]}'") from None
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self.next()
         try:
-            value = int(tok.text)
+            value = int(tok[0])
         except ValueError:
-            raise self.error(tok, f"expected an integer {what}, found '{tok.text}'") from None
+            raise self.error(tok, f"expected an integer {what}, found '{tok[0]}'") from None
         return value, tok
 
     def parse(self) -> None:
         while self.peek() is not self.eof:
-            tok = self.peek()
             try:
-                if tok.lower == "var":
+                if self.at("var"):
                     self.parse_var()
-                elif tok.lower == "rule":
+                elif self.at("rule"):
                     self.parse_rule()
-                elif tok.lower == "universe":
+                elif self.at("universe"):
                     self.parse_universe()
                 else:
+                    tok = self.peek()
                     raise self.error(
-                        tok, f"expected 'VAR', 'RULE' or 'UNIVERSE', found '{tok.text}'"
+                        tok, f"expected 'VAR', 'RULE' or 'UNIVERSE', found '{tok[0]}'"
                     )
             except _SyntaxError as err:
                 self.diagnostics.append(err.diag)
@@ -261,7 +269,9 @@ class _Parser:
 
     def recover(self) -> None:
         """Skip to the next plausible statement start."""
-        while self.peek() is not self.eof and self.peek().lower not in ("var", "rule", "universe"):
+        while self.peek() is not self.eof and self.peek()[0].lower() not in (
+            "var", "rule", "universe"
+        ):
             self.next()
 
     def parse_var(self) -> None:
@@ -271,46 +281,45 @@ class _Parser:
         self.expect_keyword("unit")
         self.expect_punct("=")
         unit_tok = self.next()
-        if unit_tok is self.eof or unit_tok.text in _PUNCT:
-            raise self.error(unit_tok, f"expected a unit, found '{unit_tok.text}'")
-        if self.peek().lower != "label":
-            raise self.error(self.peek(), f"variable '{name.text}' declares no labels")
+        if unit_tok is self.eof or unit_tok[0] in _PUNCT:
+            raise self.error(unit_tok, f"expected a unit, found '{unit_tok[0]}'")
+        if not self.at("label"):
+            raise self.error(self.peek(), f"variable '{name[0]}' declares no labels")
         labels: dict[str, MembershipFunction] = {}
-        while self.peek().lower == "label":
-            self.parse_label(name.text, labels)
-        if name.text in self.variables:
-            self.report(name, f"duplicate variable '{name.text}'", "duplicate-variable")
+        while self.at("label"):
+            self.parse_label(name[0], labels)
+        if name[0] in self.variables:
+            self.report(name, f"duplicate variable '{name[0]}'", "duplicate-variable")
         elif labels:  # empty only if every label was rejected
-            self.variables[name.text] = LinguisticVariable(name.text, unit_tok.text, labels)
+            self.variables[name[0]] = LinguisticVariable(name[0], unit_tok[0], labels)
 
     def parse_label(self, var: str, labels: dict[str, MembershipFunction]) -> None:
         self.expect_keyword("label")
         name = self.expect_name("label")
         shape = self.next()
-        if shape.lower not in SHAPES:
+        kind = shape[0].lower()
+        if kind not in SHAPES:
             raise self.error(
-                shape, f"expected a shape ({', '.join(SHAPES)}), found '{shape.text}'"
+                shape, f"expected a shape ({', '.join(SHAPES)}), found '{shape[0]}'"
             )
         self.expect_punct("(")
         params = [self.expect_number()]
-        while self.peek().text == ",":
+        while self.peek()[0] == ",":
             self.next()
             params.append(self.expect_number())
         self.expect_punct(")")
         power = 1
-        m = _POWER_RE.match(self.peek().text)
+        m = _POWER_RE.match(self.peek()[0])
         if m:
             self.next()
             power = int(m.group(1))
-        if name.text in labels:
+        if name[0] in labels:
             self.report(
-                name, f"duplicate label '{name.text}' on variable '{var}'", "duplicate-label"
+                name, f"duplicate label '{name[0]}' on variable '{var}'", "duplicate-label"
             )
             return
         try:
-            labels[name.text] = MembershipFunction(
-                shape.lower, tuple(v + 0.0 for v in params), power
-            )
+            labels[name[0]] = MembershipFunction(kind, tuple(v + 0.0 for v in params), power)
         except KBError as exc:
             self.report(shape, str(exc), "bad-shape")
 
@@ -331,7 +340,7 @@ class _Parser:
         self.expect_keyword("rule")
         name = self.expect_name("rule")
         goal = 1
-        if self.peek().lower == "goal":
+        if self.at("goal"):
             self.next()
             goal, goal_tok = self.expect_int("goal index")
             if goal < 1:
@@ -339,7 +348,7 @@ class _Parser:
         self.expect_punct(":")
         self.expect_keyword("if")
         conds = [self.parse_cond()]
-        while self.peek().lower == "and":
+        while self.at("and"):
             self.next()
             conds.append(self.parse_cond())
         self.expect_keyword("then")
@@ -356,11 +365,11 @@ class _Parser:
 
     def precondition(self, var_tok: _Token, label_tok: _Token) -> Precondition:
         """The condition, with an aliased label read as the label it stands for."""
-        var, label = self.variables.get(var_tok.text), label_tok.text
+        var, label = self.variables.get(var_tok[0]), label_tok[0]
         alias = LABEL_ALIASES.get(label)
         if var is not None and label not in var.labels and alias in var.labels:
-            return Precondition(var_tok.text, alias, label)
-        return Precondition(var_tok.text, label)
+            return Precondition(var_tok[0], alias, label)
+        return Precondition(var_tok[0], label)
 
     def resolve(self) -> KnowledgeBase | None:
         """Resolve the rules against the variables read; None on any error.
@@ -370,28 +379,28 @@ class _Parser:
         if self.failed():
             return None
         if not self.rule_decls:
-            at = self.first_var or _Token("", 1, 1)
             self.report(
-                at, "no output variable defined: the file declares no rules", "no-output"
+                self.first_var or ("", 0),
+                "no output variable defined: the file declares no rules",
+                "no-output",
             )
             return None
         variables = self.variables
         # the variable most conclusions name (ties: the first named), so that
         # one mistyped conclusion is reported there and nowhere else
-        named = Counter(decl.out_var.text for decl in self.rule_decls)
+        named = Counter(decl.out_var[0] for decl in self.rule_decls)
         output_variable = max(named, key=named.get)
         rules: list[Rule] = []
         seen_rules: set[str] = set()
         for decl in self.rule_decls:
-            if decl.name.text in seen_rules:
-                self.report(
-                    decl.name, f"duplicate rule name '{decl.name.text}'", "duplicate-rule"
-                )
-            seen_rules.add(decl.name.text)
+            name = decl.name[0]
+            if name in seen_rules:
+                self.report(decl.name, f"duplicate rule name '{name}'", "duplicate-rule")
+            seen_rules.add(name)
             rule = Rule(
-                decl.name.text,
+                name,
                 tuple(self.precondition(*cond) for cond in decl.conds),
-                (decl.out_var.text, decl.out_label.text),
+                (decl.out_var[0], decl.out_label[0]),
                 decl.goal,
             )
             tokens = [*decl.conds, (decl.out_var, decl.out_label)]  # [-1]: conclusion
@@ -421,7 +430,7 @@ def parse_knowledge_base(text: str | bytes) -> ParseResult:
     One leading byte-order mark (U+FEFF) is dropped."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    parser = _Parser(*_tokenize(text.removeprefix("\ufeff")))
+    parser = _Parser(text.removeprefix("\ufeff"))
     parser.parse()
     kb = parser.resolve()
     return ParseResult(kb, parser.diagnostics)

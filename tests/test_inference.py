@@ -212,6 +212,10 @@ def test_rule_and_kb_structure_checks(kb):
         Rule("empty", (), ("F", "PM"))
     with pytest.raises(KBError, match="goal index must be positive"):
         Rule("r", (Precondition("theta", "ZE"),), ("F", "PM"), goal_index=0)
+    # goals serialize_kb could not write (``goal True``) fail here
+    for goal in (True, 1.5, "2"):
+        with pytest.raises(KBError, match="goal index must be an integer"):
+            Rule("r", (Precondition("theta", "ZE"),), ("F", "PM"), goal_index=goal)
     with pytest.raises(KBError, match="output variable 'G' not defined"):
         KnowledgeBase(kb.variables, "G", (), kb.output_universe)
 

@@ -17,6 +17,7 @@ from fuzzpole.fuzzy import (
 )
 from fuzzpole.rulelang import (
     KEYWORDS,
+    _locator,
     _tokenize,
     builtin_pole_kb,
     builtin_pole_source,
@@ -127,11 +128,12 @@ def test_keywords_case_insensitive_and_comments():
          "blank-line"],
 )
 def test_tokenize_positions(text, tokens, end):
-    """Tokens and the end-of-input marker carry (text, line, col), columns
-    counted in characters from 1."""
-    got, eof = _tokenize(text)
-    assert [(t.text, t.line, t.col) for t in got] == tokens
-    assert (eof.text, eof.line, eof.col) == ("<end of input>", *end)
+    """Tokens and the end-of-input marker carry (text, offset); the offset
+    reads as (line, col), columns counted in characters from 1."""
+    got, (eof, eof_offset) = _tokenize(text)
+    locate = _locator(text)
+    assert [(word, *locate(offset)) for word, offset in got] == tokens
+    assert (eof, *locate(eof_offset)) == ("<end of input>", *end)
 
 
 def test_label_alias_warns_and_resolves():
