@@ -165,18 +165,6 @@ class MembershipFunction:
         )
         return _pow_int(base, self.power)
 
-    @property
-    def exact_key(self) -> tuple[str, tuple[str, ...], int]:
-        """A hashable key of the exact curve: the shape, ``float.hex`` of
-        each parameter and the power.  Unlike ``==``, it tells -0.0 from
-        0.0.  :meth:`from_exact_key` builds the label back."""
-        return self.kind, tuple(float(p).hex() for p in self.params), self.power
-
-    @classmethod
-    def from_exact_key(cls, key: tuple[str, tuple[str, ...], int]) -> "MembershipFunction":
-        kind, params, power = key
-        return cls(kind, tuple(map(float.fromhex, params)), power)
-
     def support_at(self, eps: float) -> tuple[float, float]:
         """Interval where mu(v) >= eps, accounting for the power."""
         level = eps ** (1.0 / self.power)

@@ -494,7 +494,7 @@ def compare(scenarios: Sequence[Scenario]) -> Comparison:
 _DEG = kernels.RAD2DEG
 _DEGREE_COLUMNS = np.array([1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG])
 _ROW_FORMAT = ",".join(["%.6g"] * 7) + "\n"
-_EMIT_BLOCK_ROWS = 512
+_EMIT_BLOCK_ROWS = 256
 _BLOCK_FORMAT = _ROW_FORMAT * _EMIT_BLOCK_ROWS  # a full block's rows, one format
 
 

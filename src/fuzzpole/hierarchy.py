@@ -5,7 +5,6 @@ behind those labels, and auditing an existing rule base against that contract.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -252,18 +251,10 @@ class AuditReport:
         return not self.violations
 
 
-@functools.lru_cache(maxsize=256)
-def _is_narrower(very_key: tuple, base_key: tuple) -> str | None:
-    """None when label `very` is pointwise <= label `base` with strictly
-    smaller support, else a human-readable reason.  Support is taken at the
-    1e-6 level so that squared labels (whose exact support is unchanged)
-    still qualify.
-
-    The labels come as their ``exact_key``: the check is memoized on the
-    exact curves, since a pass over many rule bases meets the same few
-    gate pairs again."""
-    very = MembershipFunction.from_exact_key(very_key)
-    base = MembershipFunction.from_exact_key(base_key)
+def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | None:
+    """None when `very` is pointwise <= `base` with strictly smaller support,
+    else a human-readable reason.  Support is taken at the 1e-6 level so that
+    squared labels (whose exact support is unchanged) still qualify."""
     b_lo, b_hi = base.support_at(SUPPORT_EPS)
     v_lo, v_hi = very.support_at(SUPPORT_EPS)
     if not (v_lo > b_lo and v_hi < b_hi):
@@ -287,7 +278,7 @@ def _gate_problem(var: LinguisticVariable, very: str, base: str) -> str | None:
     correctly, else why it does not."""
     if base not in var.labels:
         return f"base label '{base}' of the achievement gate is not defined"
-    reason = _is_narrower(var.label(very).exact_key, var.labels[base].exact_key)
+    reason = _is_narrower(var.label(very), var.labels[base])
     if reason is None:
         return None
     return f"label '{very}' is not narrower than '{base}': {reason}"

@@ -10,8 +10,7 @@ built from indices only and cached by the rule base's structure, so rule
 bases that differ only in their numbers share it; the numbers are bound as
 arguments.  Then comes one clip over the coverage layers, which hold at
 each grid point only the conclusion curves that are nonzero there, padded
-with +0.0 rows to at least two (built once per distinct output side and
-shared read-only), and one fold of binary ``np.maximum``
+with +0.0 rows to at least two, and one fold of binary ``np.maximum``
 calls over them (one call on the two layers of ``kb/pole.frl``).  Last, one
 left-to-right accumulate over a complex array, the grid points times the
 aggregate as its real part and the aggregate as its imaginary part, gives
@@ -37,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import plant
-from .fuzzy import KnowledgeBase, MembershipFunction, OutputUniverse
+from .fuzzy import KnowledgeBase
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -194,36 +193,6 @@ def _strengths_binder(structure) -> Callable[..., Callable[[Sequence[float]], li
     return namespace["bind"]
 
 
-@functools.lru_cache(maxsize=32)
-def _output_layers(
-    labels: tuple, universe: tuple[str, str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(points, layer_group, layer_curve)`` of :class:`CompiledKB`, built
-    once per distinct output side.
-
-    ``labels`` holds the ``exact_key`` of each conclusion label in group
-    order and ``universe`` is ``(lo.hex(), hi.hex(), n)``: exact bits, so a
-    -0.0 parameter or bound never shares an entry with a 0.0 one.  Every
-    rule base with this output side shares the arrays, so they are
-    read-only; the fuzzy law only reads them.
-    """
-    lo, hi, n = universe
-    points = OutputUniverse(float.fromhex(lo), float.fromhex(hi), n).points()
-    curves = np.empty((len(labels), points.shape[0]))
-    for group, key in enumerate(labels):
-        curves[group] = MembershipFunction.from_exact_key(key).sample(points)
-    # Sorting each column on "is zero" moves the covering groups to the
-    # top, in group order (a stable sort); the rows below the largest
-    # coverage hold only zeros and are dropped.
-    zero = curves == 0.0
-    depth = int((~zero).sum(axis=0).max(initial=0))
-    layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
-    layer_curve = np.take_along_axis(curves, layer_group, axis=0)
-    for array in (points, layer_group, layer_curve):
-        array.flags.writeable = False
-    return points, layer_group, layer_curve
-
-
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
 
@@ -232,22 +201,27 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     the rule base's structure, applied to its corners and widths.  The
     binder is cached by structure, so compiling a rule base whose labels
     and rules are shaped like one compiled before generates no code.  The
-    conclusion curves become coverage layers, cached by
-    :func:`_output_layers` on the conclusion labels and the universe.
-    Raises KernelError for an input variable the harness does not drive.
+    conclusion curves become coverage layers.  Raises KernelError for an
+    input variable the harness does not drive.
     """
     check_input_slots(kb)
     structure, numbers, conclusions = _front_end(kb)
-    u = kb.output_universe
-    points, layer_group, layer_curve = _output_layers(
-        tuple(kb.output.label(label).exact_key for label in conclusions),
-        (float(u.lo).hex(), float(u.hi).hex(), u.n),
-    )
+    points = kb.output_universe.points()
+    curves = np.empty((len(conclusions), points.shape[0]))
+    for group, label in enumerate(conclusions):
+        curves[group] = kb.output.label(label).sample(points)
+    # Sorting each column on "is zero" moves the covering groups to the
+    # top, in group order (a stable sort); the rows below the largest
+    # coverage hold only zeros and are dropped.
+    zero = curves == 0.0
+    depth = int((~zero).sum(axis=0).max(initial=0))
+    layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
+
     return CompiledKB(
         strengths=_strengths_binder(structure)(*numbers),
         points=points,
         layer_group=layer_group,
-        layer_curve=layer_curve,
+        layer_curve=np.take_along_axis(curves, layer_group, axis=0),
     )
 
 

@@ -12,7 +12,6 @@ from fuzzpole.fuzzy import (
     shoulder_up,
     triangle,
 )
-from fuzzpole import hierarchy
 from fuzzpole.hierarchy import (
     Achievement,
     Concentration,
@@ -265,31 +264,6 @@ def test_audit_flags_not_narrower(kb):
     assert {v.variable for v in report.violations} == {"theta"}
     (reason,) = {v.reason for v in report.violations}
     assert reason.startswith("label 'VS' is not narrower than 'ZE': support")
-
-
-def test_gate_memo_returns_the_uncached_message():
-    """The memo of the gate check gives, on a miss and on a hit, what the
-    check gives uncached; labels that differ only in the sign of a zero
-    take an entry each."""
-    signed_zero = replace(ZE, params=(-6.25, -0.0, 6.25))
-    pairs = [
-        (derive_very(ZE, Narrowed(0.12)), ZE),  # narrower: no message
-        (derive_very(ZE, Concentration()), ZE),
-        (triangle(-7.0, 0.0, 7.0), ZE),  # wider
-        (triangle(-1.0, 2.0, 3.0), ZE),  # rises above ZE
-        (derive_very(ZE, Narrowed(0.12)), signed_zero),
-    ]
-    memo = hierarchy._is_narrower
-    memo.cache_clear()
-    assert memo.cache_info().maxsize is not None  # bounded
-    keys = [(very.exact_key, base.exact_key) for very, base in pairs]
-    for key in keys:
-        uncached = memo.__wrapped__(*key)
-        assert memo(*key) == uncached  # a miss
-        assert memo(*key) == uncached  # a hit
-    assert memo.cache_info().misses == len(pairs)
-    assert memo.cache_info().hits == len(pairs)
-    assert [memo(*key) is None for key in keys] == [True, True, False, False, True]
 
 
 def test_audit_flags_goal_index_above_declared_goals(kb):

@@ -412,59 +412,6 @@ def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
     assert narrow.strengths(inputs) != wide.strengths(inputs)
 
 
-def test_rule_bases_with_one_output_side_share_a_read_only_layer_table():
-    """Two Very modes (and so two sets of input labels) over the same
-    conclusion labels and universe share the grid and the layers, which are
-    read-only; each still gives fc_output's force, and a table built afresh
-    gives the same forces."""
-    first, second = _composed_kb(Narrowed(0.12), 51), _composed_kb(Concentration(), 51)
-    ck_first, ck_second = compile_kb(first), compile_kb(second)
-    for name in ("points", "layer_group", "layer_curve"):
-        shared = getattr(ck_first, name)
-        assert getattr(ck_second, name) is shared
-        assert not shared.flags.writeable
-        with pytest.raises(ValueError):
-            shared[0] = 0
-    assert kernels._output_layers.cache_info().maxsize is not None  # bounded
-    kernels._output_layers.cache_clear()
-    ck_fresh = compile_kb(first)
-    assert ck_fresh.layer_curve is not ck_first.layer_curve
-    rng = random.Random("shared layers")
-    for row in _near_breakpoint_rows(first, rng, 50):
-        for kb, ck in ((first, ck_first), (second, ck_second)):
-            assert _agrees_with_reference(kb, ck, row)
-        assert repr(fuzzy_force(ck_fresh, np.array(row))) == repr(
-            fuzzy_force(ck_first, np.array(row))
-        )
-
-
-def test_layer_tables_are_keyed_on_exact_bits():
-    """A universe differing only in n or in the sign of a zero bound, and a
-    conclusion label differing only in the sign of a zero corner, each get
-    a table of their own, bit for bit the one built without the cache."""
-    def one_rule_kb(hi, n, right):
-        label = dataclasses.replace(triangle(-1.0, -0.5, 0.0), params=(-1.0, -0.5, right))
-        variables = {
-            "theta": LinguisticVariable("theta", "deg", {"A": shoulder_up(0.0, 1.0)}),
-            "F": LinguisticVariable("F", "N", {"P": label}),
-        }
-        rule = Rule("r", (Precondition("theta", "A"),), ("F", "P"))
-        return KnowledgeBase(variables, "F", (rule,), OutputUniverse(-1.0, hi, n))
-
-    base = compile_kb(one_rule_kb(0.0, 5, 0.0))
-    for hi, n, right in ((0.0, 6, 0.0), (-0.0, 5, 0.0), (0.0, 5, -0.0)):
-        kb = one_rule_kb(hi, n, right)
-        ck = compile_kb(kb)
-        assert ck.points is not base.points
-        assert ck.layer_curve is not base.layer_curve
-        points = kb.output_universe.points()
-        assert ck.points.tobytes() == points.tobytes()
-        assert ck.layer_curve[0].tobytes() == kb.output.label("P").sample(points).tobytes()
-    # linspace ends on hi itself, so a -0.0 bound is the grid's last point
-    assert math.copysign(1.0, compile_kb(one_rule_kb(-0.0, 5, 0.0)).points[-1]) == -1.0
-    assert math.copysign(1.0, base.points[-1]) == 1.0
-
-
 def test_rule_rows_are_part_of_the_structure(kb):
     """r4 rewritten to read theta_dot NE: the labels are shaped alike, the
     rules are not, and so are the strengths."""

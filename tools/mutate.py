@@ -11,9 +11,9 @@ Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
 the reference does, a clamp, a float64 row, the coverage depth, a
 trapezoid comparison, an event's step, the fuzzy law's fold over its
-layers, its center-of-area arithmetic, and the key of the layer cache.
-For each mutant the tests run on the mutated copy (pytest ``-x``,
-stopping at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run
+layers, and its center-of-area arithmetic.  For each mutant the tests run
+on the mutated copy (pytest ``-x``, stopping at the first failure); a
+mutant is caught when they fail.  Before the mutants, the same tests run
 on the unmutated copy and must pass.  The check prints one line per
 mutant and exits 1 if any survives or its snippet no longer occurs exactly
 once in the source (the mutant is stale and must be rewritten with the
@@ -106,12 +106,6 @@ MUTANTS = (
         "kernels.py",
         "weighted, aggregate = terms.real, terms.imag",
         "weighted, aggregate = terms.imag, terms.real",
-    ),
-    Mutant(
-        "n dropped from the layer-cache key",  # every grid read at the default n
-        "kernels.py",
-        "(float(u.lo).hex(), float(u.hi).hex(), u.n)",
-        "(float(u.lo).hex(), float(u.hi).hex(), OutputUniverse.n)",
     ),
 )
 
