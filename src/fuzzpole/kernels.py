@@ -2,22 +2,24 @@
 
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
 control law it calls at each control instant.  The fuzzy law evaluates a
-knowledge base compiled once (:func:`compile_kb`) in folded form.  Its front
-end is a generated function: straight-line Python that reads each label's
-degree off its trapezoid corners, with no branch on its shape, and folds
-the rule strengths to one strength per conclusion label.  Its source is
-built from indices only and cached by the rule base's structure, so rule
-bases that differ only in their numbers share it; the numbers are bound as
-arguments.  Then comes one clip over the coverage layers, which hold at
-each grid point only the conclusion curves that are nonzero there, padded
-with +0.0 rows to at least two, and one fold of binary ``np.maximum``
-calls over them (one call on the two layers of ``kb/pole.frl``).  Last, one
-left-to-right accumulate over a complex array, the grid points times the
-aggregate as its real part and the aggregate as its imaginary part, gives
-both center-of-area sums: a complex addition is two independent IEEE
-additions, one per part.  Every scalar operation is the one
-:func:`fuzzpole.fuzzy.fc_output` performs, on the same values in the same
-order, so the force is its force bit for bit.
+knowledge base compiled once (:func:`compile_kb`) in folded form.  Its
+front end is a generated function: Python that reads each label's degree
+off its trapezoid corners, with no branch on its shape, takes the rule
+strengths over a trie of shared condition prefixes that skips every rule
+below a zero prefix, and packs one strength per conclusion label into the
+law's buffer.  Its source is built from indices only and cached by the rule
+base's structure, so rule bases that differ only in their numbers share it;
+the numbers are bound as arguments.  Then comes one clip over the coverage
+layers, which hold at each grid point only the conclusion curves that are
+nonzero there, padded with +0.0 rows to at least two, and one fold of
+binary ``np.maximum`` calls over them (one call on the two layers of
+``kb/pole.frl``).  Last, one left-to-right accumulate over a complex array,
+the grid points times the aggregate as its real part and the aggregate as
+its imaginary part, gives both center-of-area sums: a complex addition is
+two independent IEEE additions, one per part.  Every scalar operation is
+one :func:`fuzzpole.fuzzy.fc_output` performs, on the same values; where
+the order differs (the strength max) or an operation is left out (below a
+zero prefix) the bits are the same, so the force is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
 The plant is stepped by :func:`fuzzpole.plant.advance`.
 
@@ -28,6 +30,7 @@ callers that record or select one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -88,16 +91,18 @@ class CompiledKB:
     control instant.
 
     Rules that conclude on the same output label form one group.
-    ``strengths(inputs)`` maps the input values, in ``DEFAULT_SLOTS``
-    order, to one strength per group.  Each group's conclusion curve is its
-    label sampled on the output grid.  The curves are stored as coverage
+    ``strengths(inputs, out)`` maps the input values, in ``DEFAULT_SLOTS``
+    order, to one strength per group, packed into ``out``, a float64 buffer
+    of ``groups`` elements; it writes nothing else.  Each group's
+    conclusion curve is its label sampled on the output grid.  The curves are stored as coverage
     layers: column j of ``layer_group`` lists, in group order, the groups
     whose curve is nonzero at grid point j, and the same column of
     ``layer_curve`` holds their values there, then 0.0 where fewer groups
     cover the point than there are layers.
     """
 
-    strengths: Callable[[Sequence[float]], list]  # inputs -> strength per group
+    strengths: Callable[[Sequence[float], np.ndarray], None]  # (inputs, out)
+    groups: int  # conclusion labels, one strength each
     points: np.ndarray  # (N,) the output grid
     layer_group: np.ndarray  # (L, N) covering groups; L the largest coverage
     layer_curve: np.ndarray  # (L, N) their curves' values
@@ -145,25 +150,28 @@ def _front_end(kb: KnowledgeBase):
 
 
 @functools.lru_cache(maxsize=64)
-def _strengths_binder(structure) -> Callable[..., Callable[[Sequence[float]], list]]:
+def _strengths_binder(structure) -> Callable[..., Callable[..., None]]:
     """Generate, once per ``structure`` of :func:`_front_end`, a binder
-    ``bind(*numbers) -> strengths``.
+    ``bind(*numbers) -> strengths``; ``strengths(inputs, out)`` packs the
+    group strengths into the float64 buffer ``out``.
 
-    The source is built from indices only (label k, slot i, group g): every
-    number of the rule base reaches it as an argument of the binder, so rule
-    bases that differ only in their numbers share one binder.  The body is
-    straight-line code that does what the loop over the rule base would:
-    label k's degree ``u{k}`` by the comparison chain of
-    ``MembershipFunction.__call__``, raised to its power by left-to-right
-    multiplication as in ``fuzzy._pow_int``; each rule's ``<`` min from 1.0
-    as in ``fuzzy.rule_activation``, so a NaN degree is skipped; and the
-    ``>`` max into its group from 0.0.
+    The source names labels, slots, groups and trie edges by index only, so
+    rule bases that differ only in their numbers share one binder.  Label
+    k's degree ``u{k}`` is the comparison chain of ``MembershipFunction``
+    raised to its power as in ``fuzzy._pow_int``.  The rules' condition
+    rows, as written, form a trie: an edge is the ``<`` min of its degree
+    and its parent's value (1.0 at the root), as in ``rule_activation``, so
+    a NaN degree is skipped; a rule's last edge takes the ``>`` max into its
+    group from 0.0; a +0.0 edge skips its subtree.  This is exact: degrees
+    are +0.0, positive or NaN, so no strength is NaN or -0.0, the max gives
+    the same bits in any order, and a rule below a +0.0 edge is +0.0, which
+    changes no group.
     """
     labels, rules, groups = structure
     params = ", ".join(
         f"a{k}, b{k}, w{k}, c{k}, d{k}, z{k}" for k in range(len(labels))
     )
-    body = [f"def bind({params}):", "    def strengths(inputs):"]
+    body = [f"def bind({params}):", "    def strengths(inputs, out):"]
     body += [f"        x{i} = inputs[{i}]" for i in sorted({i for _, i in labels})]
     for k, (power, i) in enumerate(labels):
         body += [
@@ -179,16 +187,27 @@ def _strengths_binder(structure) -> Callable[..., Callable[[Sequence[float]], li
         if power > 1:
             body.append(f"        u{k} = " + " * ".join([f"u{k}"] * power))
     body += [f"        g{g} = 0.0" for g in range(groups)]
+    trie: dict = {}  # label row -> subtrie; None -> groups of the rules ending here
     for rows, g in rules:
-        body.append("        s = 1.0")
+        node = trie
         for k in rows:
-            body.append(f"        if u{k} < s: s = u{k}")
-        body.append(f"        if s > g{g}: g{g} = s")
+            node = node.setdefault(k, {})
+        node.setdefault(None, []).append(g)
+    edges = itertools.count()
+
+    def walk(node, s, pad):
+        body.extend(f"{pad}if {s} > g{g}: g{g} = {s}" for g in node.pop(None, ()))
+        for k, child in node.items():
+            n = next(edges)
+            body.extend((f"{pad}s{n} = u{k} if u{k} < {s} else {s}", f"{pad}if s{n}:"))
+            walk(child, f"s{n}", pad + "    ")
+
+    walk(trie, "1.0", "        ")
     body += [
-        "        return [" + ", ".join(f"g{g}" for g in range(groups)) + "]",
+        "        pack(" + ", ".join(["out", "0"] + [f"g{g}" for g in range(groups)]) + ")",
         "    return strengths",
     ]
-    namespace: dict = {}
+    namespace: dict = {"pack": struct.Struct(f"{groups}d").pack_into}
     exec(compile("\n".join(body), "<fuzzpole.kernels strengths>", "exec"), namespace)
     return namespace["bind"]
 
@@ -219,6 +238,7 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
 
     return CompiledKB(
         strengths=_strengths_binder(structure)(*numbers),
+        groups=len(conclusions),
         points=points,
         layer_group=layer_group,
         layer_curve=np.take_along_axis(curves, layer_group, axis=0),
@@ -244,12 +264,14 @@ def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]
 
     The law owns its buffers, allocated here once and overwritten at each
     call, and binds the numpy callables it calls, so a call looks up no
-    attribute of ``np``.
+    attribute of ``np``.  ``ck.strengths`` packs the group strengths
+    straight into one of them, so no list or array is built per call.
 
     Degrees and rule strengths come from ``ck.strengths``, generated code
     that performs the scalar operations of ``MembershipFunction.__call__``
-    and ``fuzzy.rule_activation`` on the same values in the same order, so
-    each strength is the one ``fc_output`` computes, and a NaN degree is
+    and ``fuzzy.rule_activation`` once per shared prefix of conditions,
+    skipping the rules below a +0.0 prefix; :func:`_strengths_binder` says
+    why each strength is still the one ``fc_output`` computes, a NaN degree
     skipped.  The rules of a group fold into one strength, exactly, since
     no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip runs
     once over the coverage layers, into the first ``depth`` rows of a
@@ -270,7 +292,7 @@ def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]
     """
     strengths = ck.strengths
     points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
-    array, minimum, maximum, multiply = np.array, np.minimum, np.maximum, np.multiply
+    minimum, maximum, multiply = np.minimum, np.maximum, np.multiply
     accumulate = np.add.accumulate
     depth = len(layer_curve)
     clipped = np.zeros((max(depth, 2), points.shape[0]))
@@ -282,9 +304,11 @@ def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]
     coa = np.empty((2, points.shape[0]), dtype=np.complex128)
     terms, sums = coa[0], coa[1]
     weighted, aggregate = terms.real, terms.imag
+    strength = np.zeros(ck.groups)
 
     def force(inputs: Sequence[float]) -> tuple[float, bool]:
-        minimum(array(strengths(inputs))[layer_group], layer_curve, out=covered)
+        strengths(inputs, strength)
+        minimum(strength[layer_group], layer_curve, out=covered)
         maximum(top, bottom, out=aggregate)
         for layer in rest:
             maximum(aggregate, layer, out=aggregate)

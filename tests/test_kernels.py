@@ -12,6 +12,7 @@ from fuzzpole import kernels, plant
 from fuzzpole.fuzzy import (
     KnowledgeBase,
     LinguisticVariable,
+    MembershipFunction,
     NoRuleFired,
     OutputUniverse,
     Precondition,
@@ -56,6 +57,14 @@ def _curve_from_layers(ck, group):
     return curve
 
 
+def _strengths(ck, inputs):
+    """ck.strengths packed into a fresh NaN-filled buffer, as a list of
+    Python floats, so a group it failed to write reads NaN."""
+    out = np.full(ck.groups, np.nan)
+    ck.strengths(inputs, out)
+    return out.tolist()
+
+
 def test_compiled_tables_shape(kb, compiled_kb):
     ck = compiled_kb
     (labels, rules, groups), numbers, conclusions = kernels._front_end(kb)
@@ -71,7 +80,7 @@ def test_compiled_tables_shape(kb, compiled_kb):
     assert sorted({g for _, g in rules}) == list(range(7))
     assert groups == 7
     assert conclusions == list(dict.fromkeys(r.conclusion[1] for r in kb.rules))
-    assert len(ck.strengths([0.0] * 4)) == 7
+    assert ck.groups == len(_strengths(ck, [0.0] * 4)) == 7
     n = kb.output_universe.n
     assert np.array_equal(ck.points, kb.output_universe.points())
     # at most two of the seven conclusion curves are nonzero at a grid point
@@ -158,7 +167,7 @@ def _agrees_with_reference(kb, ck, inputs, slots=kernels.DEFAULT_SLOTS):
     no rule fired."""
     values = {name: inputs[i] for name, i in slots.items()}
     activations = [rule_activation(rule, values, kb) for rule in kb.rules]
-    if repr(ck.strengths(list(inputs))) != repr(_group_strengths(kb, activations)):
+    if repr(_strengths(ck, list(inputs))) != repr(_group_strengths(kb, activations)):
         return False
     return repr(fuzzy_force(ck, np.array(inputs, dtype=np.float64))) == _fc_repr(kb, values)
 
@@ -239,6 +248,44 @@ def _three_deep_kb():
 
 
 _COMPOSED[("3 deep", 25)] = _three_deep_kb()
+
+
+def _trie_kb():
+    """Rules that take every path of the strengths trie: r1's conditions are
+    a prefix of r2's and r2's of r3's, r4 and r5 have the same conditions
+    and different conclusions, r6 and r8 read Very labels (theta VS squared,
+    theta_dot VS to the fourth), and r7 writes its conditions in the other
+    variable order.  A theta of 6.25 zeroes the ZE prefix of r1-r3 and r8,
+    so a NaN theta_dot below it is pruned."""
+    builtin = builtin_pole_kb()
+    variables = dict(builtin.variables)
+    for name, power in (("theta", 2), ("theta_dot", 4)):
+        var = variables[name]
+        vs = var.labels["VS"]
+        very = MembershipFunction(vs.kind, vs.params, power)
+        variables[name] = LinguisticVariable(var.name, var.unit, {**var.labels, "VV": very})
+    conditions = {
+        "r1": ("theta ZE", "ZE"),
+        "r2": ("theta ZE, theta_dot PO", "PS"),
+        "r3": ("theta ZE, theta_dot PO, x NE", "NS"),
+        "r4": ("theta PO, theta_dot NE", "ZE"),
+        "r5": ("theta PO, theta_dot NE", "PM"),
+        "r6": ("theta VV, theta_dot VV, x_dot ZE", "PS"),
+        "r7": ("theta_dot ZE, theta NE", "NM"),
+        "r8": ("theta ZE, theta_dot VV", "NL"),
+    }
+    rules = tuple(
+        Rule(
+            name,
+            tuple(Precondition(*c.split()) for c in written.split(", ")),
+            ("F", conclusion),
+        )
+        for name, (written, conclusion) in conditions.items()
+    )
+    return KnowledgeBase(variables, "F", rules, builtin.output_universe)
+
+
+_COMPOSED[("trie", 201)] = _trie_kb()
 _COMPILED = {key: compile_kb(kb) for key, kb in _COMPOSED.items()}
 _SCALES = (12.0, 45.0, 1.0, 0.5)
 _SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
@@ -283,7 +330,7 @@ def test_kernel_matches_reference_on_edge_grid(key):
     for row in itertools.product(*values):
         named = dict(zip(_NAMES, row))
         activations = [rule_activation(rule, named, kb) for rule in kb.rules]
-        assert repr(ck.strengths(row)) == repr(_group_strengths(kb, activations)), row
+        assert repr(_strengths(ck, row)) == repr(_group_strengths(kb, activations)), row
         activated = repr(activations)
         if activated not in forces:
             forces[activated] = _fc_repr(kb, named)
@@ -298,6 +345,7 @@ _DEPTHS = {
     **{(name, 3): 1 for name in ("sq", "n0.12", "n0.5")},
     **{(name, n): 2 for name in ("sq", "n0.12", "n0.5") for n in (51, 201, 401)},
     ("3 deep", 25): 3,
+    ("trie", 201): 2,
 }
 
 
@@ -372,7 +420,7 @@ def test_layer_tables_rebuild_the_conclusion_curves(key):
     ck = compile_kb(kb)
     curves = _conclusion_curves(kb)
     n = kb.output_universe.n
-    assert len(ck.strengths([0.0] * 4)) == len(curves)
+    assert ck.groups == len(_strengths(ck, [0.0] * 4)) == len(curves)
     coverage = np.zeros(n, dtype=np.int64)
     for g, curve in curves.items():
         assert np.array_equal(_curve_from_layers(ck, g), curve)
@@ -385,7 +433,7 @@ def test_one_slot_kb_reads_a_one_element_input():
     kb = _one_label_kb()
     ck = compile_kb(kb)
     for theta in (*_SPECIALS, -1.0, 0.5, 1.0, 2.0):
-        assert len(ck.strengths([theta])) == 1
+        assert len(_strengths(ck, [theta])) == 1
         assert _agrees_with_reference(kb, ck, [theta], {"theta": 0})
 
 
@@ -409,7 +457,7 @@ def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
         assert ck_second.strengths.__code__ is ck_first.strengths.__code__
     narrow, wide = (compile_kb(k) for k in pairs[0])
     inputs = [1.0, 5.0, 0.1, 0.05]
-    assert narrow.strengths(inputs) != wide.strengths(inputs)
+    assert _strengths(narrow, inputs) != _strengths(wide, inputs)
 
 
 def test_rule_rows_are_part_of_the_structure(kb):
@@ -428,18 +476,76 @@ def test_rule_rows_are_part_of_the_structure(kb):
     assert labels == labels_rewired and rules != rules_rewired
     inputs = [0.0, 30.0, 0.0, 0.0]  # only r4 fires in the built-in KB
     ck, ck_rewired = compile_kb(kb), compile_kb(rewired)
-    assert ck.strengths(inputs) != ck_rewired.strengths(inputs)
+    assert _strengths(ck, inputs) != _strengths(ck_rewired, inputs)
     for base, compiled in ((kb, ck), (rewired, ck_rewired)):
         assert _agrees_with_reference(base, compiled, inputs)
 
 
-_GENERATED_NAME = re.compile(r"inputs|s|[xugabcwdz]\d+")
+def _trie_edges(ck):
+    """The number of prefix mins in ck's generated code: one local s<n>
+    per trie edge."""
+    names = ck.strengths.__code__.co_varnames
+    return sum(1 for name in names if re.fullmatch(r"s\d+", name))
+
+
+def test_trie_takes_one_min_per_shared_prefix(kb, compiled_kb):
+    """kb/pole.frl's 34 precondition references take 20 prefix mins: r1-r9
+    share their theta condition in threes, r10-r13 their VS gate and then
+    x.  The trie comes from the structure alone, so rule bases that differ
+    only in their numbers still share one binder
+    (test_rule_bases_that_differ_only_in_numbers_share_one_binder)."""
+    (_, rules, _), _, _ = kernels._front_end(kb)
+    assert sum(len(rows) for rows, _ in rules) == 34
+    assert _trie_edges(compiled_kb) == 20
+    (_, rules, _), _, _ = kernels._front_end(_COMPOSED[("trie", 201)])
+    assert sum(len(rows) for rows, _ in rules) == 17
+    assert _trie_edges(_COMPILED[("trie", 201)]) == 11
+
+
+def _reordered(kb, rng):
+    """``kb`` with its rules shuffled and each rule's conditions too."""
+    rules = []
+    for r in kb.rules:
+        conditions = list(r.preconditions)
+        rng.shuffle(conditions)
+        rules.append(dataclasses.replace(r, preconditions=tuple(conditions)))
+    rng.shuffle(rules)
+    return kb.with_rules(rules)
+
+
+@pytest.mark.parametrize("key", [("builtin", 201), ("trie", 201)], ids=lambda key: key[0])
+def test_reordered_rule_base_gives_the_same_bits(key):
+    """The trie follows the order in which rules and their conditions are
+    written, and the min and max are order-free on these values: another
+    order gives each conclusion label the same strength and the law the
+    same force, bit for bit."""
+    kb = _LAYER_CASES[key]
+    ck = compile_kb(kb)
+    law = kernels.fuzzy_law(ck)
+    rng = random.Random(f"reorder {key}")
+    rows = _near_breakpoint_rows(kb, rng, 200)
+    conclusions = kernels._front_end(kb)[2]
+    expected = [(sorted(zip(conclusions, _strengths(ck, row))), law(row)) for row in rows]
+    for _ in range(4):
+        other = _reordered(kb, rng)
+        assert kernels._front_end(other)[0] != kernels._front_end(kb)[0]
+        ck_other = compile_kb(other)
+        law_other = kernels.fuzzy_law(ck_other)
+        other_conclusions = kernels._front_end(other)[2]
+        for row, (strengths, force) in zip(rows, expected):
+            ours = sorted(zip(other_conclusions, _strengths(ck_other, row)))
+            assert repr(ours) == repr(strengths), row
+            assert repr(law_other(row)) == repr(force), row
+
+
+_GENERATED_NAME = re.compile(r"inputs|out|pack|[xugsabcwdz]\d+")
 
 
 @pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
 def test_generated_source_holds_no_kb_number_or_name(key):
-    """The only floats in the generated code are its 0.0 and 1.0; every
-    name in it is an index-numbered local, corner or the inputs."""
+    """The only floats in the generated code are its 0.0 and 1.0, and it
+    holds no string; every name in it is an index-numbered local, corner or
+    trie edge, the inputs, the output buffer or the bound pack."""
     code = _COMPILED[key].strengths.__code__
     assert {c for c in code.co_consts if isinstance(c, float)} <= {0.0, 1.0}
     assert not [c for c in code.co_consts if isinstance(c, str)]

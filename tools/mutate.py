@@ -10,16 +10,16 @@ Run it from the root of a checkout:
 Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
 the reference does, a clamp, a float64 row, the coverage depth, a
-trapezoid comparison, an event's step, the fuzzy law's fold over its
-layers, and its center-of-area arithmetic.  For each mutant the tests run
-on the mutated copy (pytest ``-x``, stopping at the first failure); a
-mutant is caught when they fail.  Before the mutants, the same tests run
-on the unmutated copy and must pass.  The check prints one line per
-mutant and exits 1 if any survives or its snippet no longer occurs exactly
-once in the source (the mutant is stale and must be rewritten with the
-code; ``tests/test_tools.py`` checks that too, without running the
-mutants).  With every test it takes a few minutes; it is not part of the
-test suite.
+trapezoid comparison, a shared prefix of rule conditions, an event's
+step, the fuzzy law's fold over its layers, and its center-of-area
+arithmetic.  For each mutant the tests run on the mutated copy (pytest
+``-x``, stopping at the first failure); a mutant is caught when they
+fail.  Before the mutants, the same tests run on the unmutated copy and
+must pass.  The check prints one line per mutant and exits 1 if any
+survives or its snippet no longer occurs exactly once in the source (the
+mutant is stale and must be rewritten with the code;
+``tests/test_tools.py`` checks that too, without running the mutants).
+With every test it takes a few minutes; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ MUTANTS = (
         "kernels.py",
         'f"        if x{i} < b{k}:"',
         'f"        if x{i} <= b{k}:"',
+    ),
+    Mutant(
+        "trie child's min started from 1.0",  # a shared prefix's value is lost
+        "kernels.py",
+        'walk(child, f"s{n}", pad + "    ")',
+        'walk(child, "1.0", pad + "    ")',
     ),
     Mutant(
         "event step off by one",
