@@ -4,6 +4,9 @@ Subcommands: ``simulate`` a scenario file, ``compare`` controllers across
 pole presets, ``batch`` the full preset sweep with gains pinned to the
 nominal pole-1 model, and ``lint`` a rule file.
 
+Runs draw no randomness anywhere (a test pins it), so a command run twice
+writes byte-identical files.
+
 Exit codes: 0 success, 1 diagnostics or invalid input (a scenario, plant,
 rule-file, kernel or SFC design error), 2 runtime failure.
 """
@@ -11,7 +14,6 @@ rule-file, kernel or SFC design error), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import sys
 from pathlib import Path
@@ -24,7 +26,6 @@ from .harness import (
     compute_metrics,
     default_scenario,
     emit_trajectory,
-    forbid_rng,
     load_scenario,
     run,
 )
@@ -40,11 +41,6 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, help="integration step override (s)")
     parser.add_argument("--duration", type=float, help="run length override (s)")
     parser.add_argument("--target", type=float, help="cart target position override (m)")
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="assert that the run draws no random numbers",
-    )
 
 
 def _overrides(args) -> dict:
@@ -55,18 +51,13 @@ def _overrides(args) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _maybe_seedless(args):
-    return forbid_rng() if args.seedless else contextlib.nullcontext()
-
-
 def cmd_simulate(args) -> int:
     bundle = load_scenario(args.scenario, **_overrides(args))
     scenario = bundle.scenario
-    with _maybe_seedless(args):
-        traj = run(scenario)
-        empty = traj.data.shape[0] == 0  # the first force was not finite
-        if not empty:
-            report = compute_metrics(traj, scenario, bundle.theta_band_deg, bundle.x_band_m)
+    traj = run(scenario)
+    empty = traj.data.shape[0] == 0  # the first force was not finite
+    if not empty:
+        report = compute_metrics(traj, scenario, bundle.theta_band_deg, bundle.x_band_m)
     print(f"termination: {traj.termination} at t={0.0 if empty else traj.t[-1]:.6g} s")
     if empty:
         print("no metrics: the run has no rows to compute them on")
@@ -105,8 +96,7 @@ def _run_comparison(args, poles, controllers, nominal_pole=None) -> int:
             scenarios.append(default_scenario(
                 pole, controller, nominal_pole=nominal_pole, name=name, **_overrides(args)
             ))
-    with _maybe_seedless(args):
-        result = compare(scenarios)
+    result = compare(scenarios)
     print(result.render_text(), end="")
     if args.report:
         try:

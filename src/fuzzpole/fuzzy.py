@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -333,11 +333,6 @@ class KnowledgeBase:
     @property
     def output(self) -> LinguisticVariable:
         return self.variables[self.output_variable]
-
-    def with_rules(self, rules: Iterable[Rule]) -> "KnowledgeBase":
-        return KnowledgeBase(
-            self.variables, self.output_variable, tuple(rules), self.output_universe
-        )
 
 
 def rule_activation(

@@ -3,17 +3,15 @@ controller comparisons, scenario configuration files, and CSV export.
 
 A scenario pairs a plant with one controller and a scripted situation (target
 position, duration, disturbance events).  Runs are deterministic: no
-randomness anywhere, fixed CSV formatting, so identical scenarios reproduce
-byte-identical output.
+randomness anywhere (a test pins it), fixed CSV formatting, so identical
+scenarios reproduce byte-identical output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
-import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -51,7 +49,6 @@ __all__ = [
     "scenario_from_config",
     "load_scenario",
     "ScenarioBundle",
-    "forbid_rng",
 ]
 
 log = logging.getLogger(__name__)
@@ -456,10 +453,18 @@ class Comparison:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["metric," + ",".join(self.columns)]
+        lines = ["metric," + ",".join(map(_csv_field, self.columns))]
         for label, cells in self.rows():
-            lines.append(",".join([f'"{label}"'] + cells))
+            lines.append(",".join([f'"{label}"', *map(_csv_field, cells)]))
         return "\n".join(lines) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, its quotes doubled, when
+    it holds a comma, a double quote or a line break; as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def compare(scenarios: Sequence[Scenario]) -> Comparison:
@@ -752,47 +757,14 @@ def scenario_from_config(
 
 def load_scenario(path: str | Path, **scenario_keys) -> ScenarioBundle:
     """Build the scenario of a JSON file, with ``scenario_keys`` set over the
-    keys of its scenario section (see :func:`scenario_from_config`)."""
+    keys of its scenario section (see :func:`scenario_from_config`).  One
+    leading byte-order mark is dropped."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
+        cfg = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, or an integer too long to read
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_config(cfg, base_dir=path.parent, **scenario_keys)
 
-
-# ---------------------------------------------------------------------------
-# RNG tripwire
-
-
-@contextlib.contextmanager
-def forbid_rng():
-    """Fail loudly if anything draws random numbers inside the block.
-
-    The toolkit itself never uses randomness; this backs the --seedless CLI
-    flag so regressions surface as hard errors instead of silent jitter.
-    """
-
-    def trip(*_args, **_kwargs):
-        raise RuntimeError("random number generation is forbidden (--seedless)")
-
-    random_names = ("random", "uniform", "gauss", "randint", "choice", "seed")
-    np_names = (
-        "random", "rand", "randn", "uniform", "normal", "randint",
-        "default_rng", "seed",
-    )
-    saved_random = {n: getattr(random, n) for n in random_names}
-    saved_np = {n: getattr(np.random, n) for n in np_names}
-    try:
-        for n in random_names:
-            setattr(random, n, trip)
-        for n in np_names:
-            setattr(np.random, n, trip)
-        yield
-    finally:
-        for n, fn in saved_random.items():
-            setattr(random, n, fn)
-        for n, fn in saved_np.items():
-            setattr(np.random, n, fn)

@@ -12,7 +12,7 @@ vertical.  sgn(0) is 0 so the upright origin is an exact equilibrium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "PlantState",
@@ -72,9 +72,6 @@ class PlantParams:
                     f"friction coefficient {name} must be non-negative and "
                     f"finite, got {value}"
                 )
-
-    def frictionless(self) -> "PlantParams":
-        return replace(self, mu_c=0.0, mu_p=0.0)
 
 
 # (length m, mass kg) of the benchmark pole set; half-pole length is length/2.

@@ -109,7 +109,7 @@ def test_criterion_2_golden_knowledge_base():
 
 
 def test_criterion_3_plant_correctness():
-    p = pole_params(1).frictionless()
+    p = pole_params(1, mu_c=0.0, mu_p=0.0)
     th_dd, x_dd = derivatives(PlantState(theta=0.1), 0.0, p)
     ok = abs(th_dd - THETA_DDOT_ORACLE) <= 1e-6 * abs(THETA_DDOT_ORACLE)
     ok = ok and abs(x_dd - X_DDOT_ORACLE) <= 1e-6 * abs(X_DDOT_ORACLE)

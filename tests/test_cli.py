@@ -36,7 +36,7 @@ def test_simulate_writes_trajectory(scenario_file, tmp_path, capsys):
 def test_simulate_overrides(scenario_file, capsys):
     code = main(
         ["simulate", "--scenario", str(scenario_file),
-         "--duration", "1.0", "--target", "0.0", "--seedless"]
+         "--duration", "1.0", "--target", "0.0"]
     )
     assert code == 0
     assert "t=1 s" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import ast
+import csv
 import io
 import json
 import logging
@@ -22,7 +24,6 @@ from fuzzpole.harness import (
     compute_metrics,
     default_scenario,
     emit_trajectory,
-    forbid_rng,
     load_scenario,
     run,
     scenario_from_config,
@@ -215,7 +216,10 @@ def test_compare_single_column_degenerate():
 
 
 def test_compare_failed_cell_isolated(monkeypatch):
-    good = default_scenario(1, "fc", duration=2.0)
+    """A failed run fills only its own column.  A name or a reason holding a
+    comma or a quote is one quoted CSV field, so every row keeps the
+    header's field count."""
+    good = default_scenario(1, "fc", duration=2.0, name="pole-1, step")
     bad = default_scenario(2, "fc", duration=2.0, name="broken")
     import fuzzpole.harness as harness_mod
 
@@ -223,16 +227,20 @@ def test_compare_failed_cell_isolated(monkeypatch):
 
     def flaky(scenario, backend=None):
         if scenario.name == "broken":
-            raise ScenarioError("synthetic failure")
+            raise ScenarioError('synthetic failure, "quoted"')
         return original(scenario, backend=backend)
 
     monkeypatch.setattr(harness_mod, "run", flaky)
     result = harness_mod.compare([good, bad])
     assert "broken" in result.failures
     assert result.reports[good.name] is not None
-    csv = result.to_csv()
-    assert "FAILED(synthetic failure)" in csv
-    assert csv.count("\n") == 8  # header + 6 metrics + termination
+    text = result.to_csv()
+    assert text.count("\n") == 8  # header + 6 metrics + termination
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["metric", "pole-1, step", "broken"]
+    assert [len(row) for row in rows] == [3] * 7
+    assert rows[0][2] == 'FAILED(synthetic failure, "quoted")'
+    assert rows[-1] == ["termination", "completed", "FAILED"]
 
 
 def test_compare_lets_other_errors_propagate(monkeypatch):
@@ -379,13 +387,54 @@ def test_mirror_scenario_negates_trajectory():
     assert np.allclose(b.force, -a.force, atol=1e-9)
 
 
-def test_forbid_rng_trips():
-    with forbid_rng():
-        with pytest.raises(RuntimeError):
-            np.random.rand(3)
-        # simulation itself stays clean
-        run(default_scenario(1, "fc", duration=1.0))
-    np.random.default_rng(0)  # restored afterwards
+_RNG_MODULES = ("random", "secrets", "numpy.random")
+
+
+def _rng_uses(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each import of a random-number module in ``source``,
+    and of each ``np.random``/``numpy.random`` attribute."""
+
+    def banned(module: str) -> bool:
+        return any(module == m or module.startswith(m + ".") for m in _RNG_MODULES)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if banned(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found += [
+                (node.lineno, f"{node.module}.{a.name}")
+                for a in node.names
+                if banned(node.module) or banned(f"{node.module}.{a.name}")
+            ]
+        elif (
+            isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return found
+
+
+def test_no_module_draws_random_numbers():
+    """Runs are deterministic: no module of the package imports a random
+    number generator or reaches numpy's."""
+    forms = [
+        "import random", "import secrets as s", "from random import choice",
+        "from secrets import token_hex", "import numpy.random",
+        "from numpy import random", "from numpy.random import default_rng",
+        "import numpy as np\nnp.random.default_rng(0)", "numpy.random.seed",
+    ]
+    assert [form for form in forms if not _rng_uses(form)] == []
+    assert _rng_uses("import numpy as np\nfrom . import kernels\nnp.zeros(3)") == []
+    src = Path(__file__).resolve().parent.parent / "src" / "fuzzpole"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    found = {
+        path.name: uses
+        for path in modules
+        if (uses := _rng_uses(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # --- configuration files -------------------------------------------------------
@@ -548,7 +597,7 @@ def test_config_plant_overrides():
          "scenario": {"duration": 1.0},
          "controller": {"type": "fc"}}
     )
-    assert bundle.scenario.params == pole_params(1).frictionless()
+    assert bundle.scenario.params == pole_params(1, mu_c=0.0, mu_p=0.0)
 
 
 def test_config_preset_mass_and_length_overrides():
@@ -613,6 +662,13 @@ def test_config_errors_are_scenario_errors(tmp_path):
         load_scenario(long_number)
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "does-not-exist.json")
+
+
+def test_load_scenario_drops_a_byte_order_mark(tmp_path):
+    step = Path(__file__).resolve().parent.parent / "scenarios" / "step.json"
+    marked = tmp_path / "step.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + step.read_bytes())
+    assert load_scenario(marked) == load_scenario(step)
 
 
 _TAP = {"t": 1.0, "kind": "tap", "delta_theta_dot_deg_s": 5.0}
@@ -970,7 +1026,7 @@ def test_rule_less_controller_counts_every_instant(caplog):
     """A rule base with no rules runs to the end with zero force, and every
     control instant counts as one where no rule fired."""
     scenario = default_scenario(
-        1, "fc", kb=builtin_pole_kb().with_rules([]), duration=1.0,
+        1, "fc", kb=replace(builtin_pole_kb(), rules=()), duration=1.0,
         dt=0.005, control_period=0.02,
     )
     with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):

@@ -242,7 +242,7 @@ def test_audit_flags_missing_gate(kb):
             )
         else:
             rules.append(rule)
-    report = audit_hierarchy(kb.with_rules(rules), cart_pole_goals())
+    report = audit_hierarchy(replace(kb, rules=rules), cart_pole_goals())
     assert not report.ok
     (violation,) = report.violations
     assert violation.rule == "r10" and violation.variable == "theta"
@@ -268,7 +268,7 @@ def test_audit_flags_not_narrower(kb):
 
 def test_audit_flags_goal_index_above_declared_goals(kb):
     rules = [replace(r, goal_index=3) if r.name == "r10" else r for r in kb.rules]
-    report = audit_hierarchy(kb.with_rules(rules), cart_pole_goals())
+    report = audit_hierarchy(replace(kb, rules=rules), cart_pole_goals())
     (violation,) = report.violations
     assert violation.rule == "r10" and violation.variable == "-"
     assert violation.reason == "goal index 3 exceeds the 2 declared goals"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_coa_rejects_degrees_off_the_grid(kb):
 
 
 def pole_only_kb(kb):
-    return kb.with_rules([r for r in kb.rules if r.goal_index == 1])
+    return replace(kb, rules=[r for r in kb.rules if r.goal_index == 1])
 
 
 def test_fc_output_zero_state_is_zero(kb):
@@ -176,7 +177,7 @@ def test_fc_output_mirror_state_negates(kb):
 
 
 def test_fc_output_no_rule_fired_carries_inputs(kb):
-    gap_kb = kb.with_rules([rule_by_name(kb, "r10")])  # needs VS on both
+    gap_kb = replace(kb, rules=[rule_by_name(kb, "r10")])  # needs VS on both
     inputs = {"theta": 6.0, "theta_dot": 0.0, "x": 0.3, "x_dot": 0.1}
     with pytest.raises(NoRuleFired) as err:
         fc_output(gap_kb, inputs)

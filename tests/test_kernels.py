@@ -214,10 +214,10 @@ def _composed_kb(mode, n, only_label=None):
     ]
     kb = compose_hierarchical(cart_pole_goals(), [tier1, tier2], mode, base)
     if only_label is not None:
-        kb = kb.with_rules(
+        kb = dataclasses.replace(kb, rules=[
             dataclasses.replace(r, conclusion=(kb.output_variable, only_label))
             for r in kb.rules
-        )
+        ])
     return kb
 
 
@@ -232,7 +232,7 @@ _COMPOSED = {
 # aggregated output is zero everywhere.
 _COMPOSED[("PS only", 3)] = _composed_kb(Concentration(), 3, only_label="PS")
 # No rules: no curves to stack, and no rule ever fires.
-_COMPOSED[("no rules", 201)] = builtin_pole_kb().with_rules([])
+_COMPOSED[("no rules", 201)] = dataclasses.replace(builtin_pole_kb(), rules=())
 
 
 def _three_deep_kb():
@@ -465,12 +465,12 @@ def test_rule_rows_are_part_of_the_structure(kb):
     rules are not, and so are the strengths."""
     r4 = kb.rules[3]
     assert r4.name == "r4"
-    rewired = kb.with_rules(
+    rewired = dataclasses.replace(kb, rules=[
         dataclasses.replace(
             r, preconditions=(r.preconditions[0], Precondition("theta_dot", "NE"))
         ) if r is r4 else r
         for r in kb.rules
-    )
+    ])
     (labels, rules, _), _, _ = kernels._front_end(kb)
     (labels_rewired, rules_rewired, _), _, _ = kernels._front_end(rewired)
     assert labels == labels_rewired and rules != rules_rewired
@@ -510,7 +510,7 @@ def _reordered(kb, rng):
         rng.shuffle(conditions)
         rules.append(dataclasses.replace(r, preconditions=tuple(conditions)))
     rng.shuffle(rules)
-    return kb.with_rules(rules)
+    return dataclasses.replace(kb, rules=rules)
 
 
 @pytest.mark.parametrize("key", [("builtin", 201), ("trie", 201)], ids=lambda key: key[0])
@@ -592,7 +592,7 @@ def test_folded_kernel_keeps_the_sign_of_a_zero_sum():
 
 
 def test_fuzzy_force_reports_no_rule(kb, backend):
-    gated = kb.with_rules([r for r in kb.rules if r.goal_index == 2])
+    gated = dataclasses.replace(kb, rules=[r for r in kb.rules if r.goal_index == 2])
     ck = compile_kb(gated)
     force, fired = fuzzy_force(
         ck, control_inputs(math.radians(10), 0.0, 0.0, 0.0, 0.0), backend=backend

@@ -25,7 +25,7 @@ from fuzzpole.plant import (
 THETA_DDOT_ORACLE = 1.5737853048016258
 X_DDOT_ORACLE = -0.07117831516049841
 
-P1 = pole_params(1).frictionless()
+P1 = pole_params(1, mu_c=0.0, mu_p=0.0)
 
 
 def test_equilibrium_is_exact():

@@ -414,7 +414,7 @@ def test_validate_builtin_single_alias_warning(kb):
 
 
 def test_validate_flags_grid_gap(kb):
-    trimmed = kb.with_rules([r for r in kb.rules if r.name not in ("r9",)])
+    trimmed = replace(kb, rules=[r for r in kb.rules if r.name not in ("r9",)])
     diags = validate_kb(trimmed)
     gaps = [d for d in diags if d.code == "grid-gap"]
     assert len(gaps) == 1

@@ -13,7 +13,7 @@ from fuzzpole.sfc import (
     sfc_output,
 )
 
-P1 = pole_params(1).frictionless()
+P1 = pole_params(1, mu_c=0.0, mu_p=0.0)
 
 
 def finite_difference_model(p, h=1e-6):
@@ -155,7 +155,7 @@ def test_design_rejects_uncontrollable_pair():
 
 @pytest.mark.parametrize("pole", [1, 2, 3, 4, 5, 6])
 def test_default_design_stabilizes_every_nominal_preset(pole):
-    model = linearize(pole_params(pole).frictionless())
+    model = linearize(pole_params(pole, mu_c=0.0, mu_p=0.0))
     gains = design_gains(model, DEFAULT_DESIRED_POLES)
     eig = np.linalg.eigvals(model.A - model.B @ gains.k.reshape(1, 4))
     assert np.max(eig.real) < 0.0

@@ -143,7 +143,7 @@ def law_kbs():
         builtin.variables, builtin.output_variable, builtin.rules,
         OutputUniverse(u.lo, u.hi, 51),
     )
-    yield "no rules", builtin.with_rules([])
+    yield "no rules", dataclasses.replace(builtin, rules=())
     yield "3 deep n25", _three_deep_kb()
     yield "very n201", _tiered_kb(Concentration(), 201)
     yield "very n3", _tiered_kb(Concentration(), 3)
