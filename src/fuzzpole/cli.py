@@ -62,13 +62,7 @@ def cmd_simulate(args) -> int:
     if empty:
         print("no metrics: the run has no rows to compute them on")
     else:
-        table = Comparison(
-            [scenario.name],
-            {scenario.name: report},
-            theta_band_deg=bundle.theta_band_deg,
-            x_band_m=bundle.x_band_m,
-        )
-        print(table.render_text(), end="")
+        print(Comparison([scenario.name], {scenario.name: report}).render_text(), end="")
     if args.out:
         emit_trajectory(traj, args.out)
         print(f"trajectory written to {args.out}")

@@ -353,11 +353,10 @@ def rule_activation(
 def aggregate_output(
     activations: Sequence[tuple[float, str]],
     kb: KnowledgeBase,
-    universe: OutputUniverse | None = None,
 ) -> FuzzyOutput:
     """Pointwise max over rules of the conclusion curves clipped at each rule
-    strength (min), sampled on the quantized output universe."""
-    universe = universe or kb.output_universe
+    strength (min), sampled on the rule base's quantized output universe."""
+    universe = kb.output_universe
     points = universe.points()
     combined = np.zeros(universe.n)
     out_var = kb.output

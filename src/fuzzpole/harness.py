@@ -111,12 +111,21 @@ class Scenario:
     duration: float = 50.0
     dt: float = 0.005
     control_period: float | None = None  # None: every step, dt
-    events: tuple[DisturbanceEvent, ...] = ()
+    events: tuple[DisturbanceEvent, ...] = ()  # a list is stored as a tuple
     track_bound: float = 2.4
     theta_limit_deg: float = 45.0
     integrator: str = "euler"
 
     def __post_init__(self):
+        if not isinstance(self.events, (tuple, list)):
+            raise ScenarioError(f"events must be a tuple or list, got {type(self.events).__name__}")
+        object.__setattr__(self, "events", tuple(self.events))
+        expected = {"name": str, "params": PlantParams, "initial": PlantState}
+        typed = [(key, getattr(self, key), kind) for key, kind in expected.items()]
+        typed += [(f"events[{i}]", e, DisturbanceEvent) for i, e in enumerate(self.events)]
+        for key, value, kind in typed:
+            if not isinstance(value, kind):
+                raise ScenarioError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
         if not isinstance(self.controller, (FuzzyController, SFCController)):
             raise ScenarioError(f"unknown controller {self.controller!r}")
         if self.control_period is None:
@@ -394,11 +403,13 @@ _METRIC_ROWS = (
 
 @dataclass
 class Comparison:
+    """Metric reports side by side, one column per scenario name.  The footer
+    states the settling bands of the first column with a report, or the
+    default bands when every column FAILED."""
+
     columns: list[str]
     reports: dict[str, MetricsReport | None] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
-    theta_band_deg: float = DEFAULT_THETA_BAND_DEG
-    x_band_m: float = DEFAULT_X_BAND_M
 
     def _cell(self, name: str, extract) -> str:
         if name in self.failures:
@@ -444,10 +455,15 @@ class Comparison:
                     + [c.rjust(w) for c, w in zip(cells, col_ws)]
                 )
             )
+        first = next((self.reports[c] for c in self.columns if c not in self.failures), None)
+        theta_band, x_band = (
+            (first.theta_band_deg, first.x_band_m) if first
+            else (DEFAULT_THETA_BAND_DEG, DEFAULT_X_BAND_M)
+        )
         lines.append("")
         lines.append(
-            f"settling bands: theta within +/-{self.theta_band_deg:g} deg, "
-            f"x within +/-{self.x_band_m * 100:g} cm of the setpoint, "
+            f"settling bands: theta within +/-{theta_band:g} deg, "
+            f"x within +/-{x_band * 100:g} cm of the setpoint, "
             "sustained to the end of the run"
         )
         return "\n".join(lines) + "\n"
@@ -540,7 +556,6 @@ def default_scenario(
     controller: str = "fc",
     x_target: float = 0.5,
     nominal_pole: str | int | None = None,
-    kb: KnowledgeBase | None = None,
     name: str | None = None,
     **overrides,
 ) -> Scenario:
@@ -550,9 +565,7 @@ def default_scenario(
     ``Scenario`` fields."""
     params = pole_params(pole)
     if controller == "fc":
-        ctrl: FuzzyController | SFCController = FuzzyController(
-            kb if kb is not None else builtin_pole_kb()
-        )
+        ctrl: FuzzyController | SFCController = FuzzyController(builtin_pole_kb())
     elif controller == "sfc":
         nominal = pole_params(nominal_pole if nominal_pole is not None else pole)
         ctrl = SFCController(nominal)

@@ -216,16 +216,11 @@ class _Parser:
     def failed(self) -> bool:
         return any(d.severity == "error" for d in self.diagnostics)
 
-    def expect_keyword(self, word: str) -> _Token:
+    def expect(self, word: str) -> _Token:
+        """The next token, which must be ``word``: a keyword, in any case, or a mark."""
         tok = self.next()
         if tok[0].lower() != word:
             raise self.error(tok, f"expected '{word.upper()}', found '{tok[0]}'")
-        return tok
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.next()
-        if tok[0] != ch:
-            raise self.error(tok, f"expected '{ch}', found '{tok[0]}'")
         return tok
 
     def expect_name(self, what: str) -> _Token:
@@ -275,11 +270,11 @@ class _Parser:
             self.next()
 
     def parse_var(self) -> None:
-        self.expect_keyword("var")
+        self.expect("var")
         name = self.expect_name("variable")
         self.first_var = self.first_var or name
-        self.expect_keyword("unit")
-        self.expect_punct("=")
+        self.expect("unit")
+        self.expect("=")
         unit_tok = self.next()
         if unit_tok is self.eof or unit_tok[0] in _PUNCT:
             raise self.error(unit_tok, f"expected a unit, found '{unit_tok[0]}'")
@@ -294,7 +289,7 @@ class _Parser:
             self.variables[name[0]] = LinguisticVariable(name[0], unit_tok[0], labels)
 
     def parse_label(self, var: str, labels: dict[str, MembershipFunction]) -> None:
-        self.expect_keyword("label")
+        self.expect("label")
         name = self.expect_name("label")
         shape = self.next()
         kind = shape[0].lower()
@@ -302,12 +297,12 @@ class _Parser:
             raise self.error(
                 shape, f"expected a shape ({', '.join(SHAPES)}), found '{shape[0]}'"
             )
-        self.expect_punct("(")
+        self.expect("(")
         params = [self.expect_number()]
         while self.peek()[0] == ",":
             self.next()
             params.append(self.expect_number())
-        self.expect_punct(")")
+        self.expect(")")
         power = 1
         m = _POWER_RE.match(self.peek()[0])
         if m:
@@ -324,7 +319,7 @@ class _Parser:
             self.report(shape, str(exc), "bad-shape")
 
     def parse_universe(self) -> None:
-        at = self.expect_keyword("universe")
+        at = self.expect("universe")
         lo = self.expect_number()
         hi = self.expect_number()
         n, _ = self.expect_int("point count")
@@ -337,7 +332,7 @@ class _Parser:
             self.report(at, str(exc), "bad-universe")
 
     def parse_rule(self) -> None:
-        self.expect_keyword("rule")
+        self.expect("rule")
         name = self.expect_name("rule")
         goal = 1
         if self.at("goal"):
@@ -345,21 +340,21 @@ class _Parser:
             goal, goal_tok = self.expect_int("goal index")
             if goal < 1:
                 raise self.error(goal_tok, f"goal index must be positive, got {goal}")
-        self.expect_punct(":")
-        self.expect_keyword("if")
+        self.expect(":")
+        self.expect("if")
         conds = [self.parse_cond()]
         while self.at("and"):
             self.next()
             conds.append(self.parse_cond())
-        self.expect_keyword("then")
+        self.expect("then")
         out_var = self.expect_name("output variable")
-        self.expect_keyword("is")
+        self.expect("is")
         out_label = self.expect_name("output label")
         self.rule_decls.append(_RuleDecl(name, goal, conds, out_var, out_label))
 
     def parse_cond(self) -> tuple[_Token, _Token]:
         var = self.expect_name("variable")
-        self.expect_keyword("is")
+        self.expect("is")
         label = self.expect_name("label")
         return var, label
 
@@ -482,8 +477,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     # operating range (hull of its breakpoints) must leave no open holes.
     for var in kb.input_variables:
         points = sorted({p for mf in var.labels.values() for p in mf.params})
-        mids = [(a + b) / 2.0 for a, b in zip(points, points[1:]) if a < b]
-        for mid in mids:
+        for mid in [(a + b) / 2.0 for a, b in zip(points, points[1:])]:
             if all(mf(mid) == 0.0 for mf in var.labels.values()):
                 warn(
                     f"variable '{var.name}': no label covers values near {mid:g}",
@@ -509,11 +503,9 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     # Mirror symmetry: each rule should have a counterpart under reflection
     # of every label about zero.
     mirrors: dict[str, dict[str, str]] = {}
-    asym_vars: set[str] = set()
     for var in kb.variables.values():
         mapping = _mirror_map(var)
         if mapping is None:
-            asym_vars.add(var.name)
             warn(
                 f"variable '{var.name}': labels are not mirror-symmetric about zero",
                 "asymmetric-labels",
@@ -521,7 +513,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
         else:
             mirrors[var.name] = mapping
 
-    if not asym_vars:
+    if len(mirrors) == len(kb.variables):  # every variable is symmetric
         signatures = {
             (
                 frozenset((p.variable, p.label) for p in r.preconditions),

@@ -57,7 +57,7 @@ def test_criterion_1_inference_oracle_equivalence(kb):
             (float(rng.uniform(0, 1)), labels[int(rng.integers(len(labels)))])
             for _ in range(n_rules)
         ]
-        mine = aggregate_output(acts, kb, universe)
+        mine = aggregate_output(acts, kb)
         oracle = np.empty(universe.n)
         for j in range(universe.n):
             best = 0.0

@@ -42,6 +42,14 @@ def test_simulate_overrides(scenario_file, capsys):
     assert "t=1 s" in capsys.readouterr().out
 
 
+def test_simulate_prints_the_bands_of_the_metrics_section(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    cfg = {"scenario": {"duration": 1.0}, "metrics": {"theta_band_deg": 0.2, "x_band_m": 0.05}}
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path)]) == 0
+    assert "theta within +/-0.2 deg, x within +/-5 cm" in capsys.readouterr().out
+
+
 def test_compare_dt_override_sets_an_unwritten_control_period(monkeypatch, capsys):
     """With no period written, the control period is the overriding dt,
     not the 5 ms of the default dt."""

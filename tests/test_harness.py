@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzpole.harness import (
     MAX_STEPS,
+    Comparison,
     FuzzyController,
     SFCController,
     ScenarioError,
@@ -101,6 +102,35 @@ def test_scenario_validation():
         replace(base, dt=1e-300, duration=1e-300, control_period=1e300)
     with pytest.raises(ScenarioError, match="unknown controller 'bang-bang'"):
         replace(base, controller="bang-bang")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param({"events": ((0.01, "tap", 0.1),)},
+                     "events[0] must be a DisturbanceEvent, got tuple", id="event-as-tuple"),
+        pytest.param({"events": tap(0.01, 0.1)},
+                     "events must be a tuple or list, got DisturbanceEvent", id="bare-event"),
+        pytest.param({"initial": (0.1, 0, 0, 0, 0)},
+                     "initial must be a PlantState, got tuple", id="initial-as-tuple"),
+        pytest.param({"params": {"m": 0.1}},
+                     "params must be a PlantParams, got dict", id="params-as-dict"),
+        pytest.param({"name": None}, "name must be a str, got NoneType", id="name-none"),
+        pytest.param({"events": [tap(0.01, 0.1)]}, None, id="events-as-list"),
+    ],
+)
+def test_scenario_fields_are_typed(fields, message):
+    """A field of the wrong type is a ScenarioError naming it when the
+    scenario is built, not an untyped error in ``run`` or ``compare``; a
+    list of events is stored as a tuple, so the scenario stays hashable."""
+    base = default_scenario(1, "sfc", duration=1.0)
+    if message is not None:
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            replace(base, **fields)
+        return
+    scenario = replace(base, **fields)
+    assert scenario.events == (tap(0.01, 0.1),)
+    assert hash(scenario) == hash(replace(base, events=(tap(0.01, 0.1),)))
 
 
 def test_absent_control_period_is_dt():
@@ -241,6 +271,29 @@ def test_compare_failed_cell_isolated(monkeypatch):
     assert [len(row) for row in rows] == [3] * 7
     assert rows[0][2] == 'FAILED(synthetic failure, "quoted")'
     assert rows[-1] == ["termination", "completed", "FAILED"]
+
+
+def test_footer_bands_come_from_the_reports(monkeypatch):
+    """The footer prints the bands of the first column with a report; when
+    every column FAILED there is none, and it prints the default bands."""
+    import fuzzpole.harness as harness_mod
+
+    def failing(scenario, backend=None):
+        raise ScenarioError("synthetic failure")
+
+    monkeypatch.setattr(harness_mod, "run", failing)
+    scenarios = [default_scenario(1, "sfc", duration=1.0, name=n) for n in ("a", "b")]
+    result = harness_mod.compare(scenarios)
+    assert result.failures.keys() == {"a", "b"}
+    assert result.render_text().endswith(
+        "\nsettling bands: theta within +/-0.1 deg, x within +/-2 cm of the setpoint, "
+        "sustained to the end of the run\n"
+    )
+    monkeypatch.undo()
+    scenario = scenarios[1]
+    report = compute_metrics(run(scenario), scenario, 0.2, 0.05)
+    table = Comparison(["a", "b"], {"a": None, "b": report}, {"a": "synthetic failure"})
+    assert "theta within +/-0.2 deg, x within +/-5 cm" in table.render_text()
 
 
 def test_compare_lets_other_errors_propagate(monkeypatch):
@@ -1009,9 +1062,11 @@ rule c: IF theta IS NE THEN F IS N
 def test_no_rule_fired_applies_zero_force(caplog):
     """No theta label covers 0.4-0.5 deg: started at 0.45 deg, the pole is
     still in that hole after 0.1 s, so no rule fires and every force is 0."""
-    scenario = default_scenario(
-        1, "fc", kb=load_kb(_HOLED_KB), x_target=0.0, duration=0.1,
-        initial=PlantState(theta=math.radians(0.45)),
+    scenario = replace(
+        default_scenario(
+            1, "fc", x_target=0.0, duration=0.1, initial=PlantState(theta=math.radians(0.45)),
+        ),
+        controller=FuzzyController(load_kb(_HOLED_KB)),
     )
     with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
         traj = run(scenario)
@@ -1025,9 +1080,9 @@ def test_no_rule_fired_applies_zero_force(caplog):
 def test_rule_less_controller_counts_every_instant(caplog):
     """A rule base with no rules runs to the end with zero force, and every
     control instant counts as one where no rule fired."""
-    scenario = default_scenario(
-        1, "fc", kb=replace(builtin_pole_kb(), rules=()), duration=1.0,
-        dt=0.005, control_period=0.02,
+    scenario = replace(
+        default_scenario(1, "fc", duration=1.0, dt=0.005, control_period=0.02),
+        controller=FuzzyController(replace(builtin_pole_kb(), rules=())),
     )
     with caplog.at_level(logging.WARNING, logger="fuzzpole.harness"):
         traj = run(scenario)

@@ -83,13 +83,13 @@ def test_activation_monotone_in_one_degree(kb):
 
 
 def test_aggregate_empty_is_zero(kb):
-    out = aggregate_output([], kb, kb.output_universe)
+    out = aggregate_output([], kb)
     assert np.all(out == 0.0)
 
 
 def test_aggregate_single_rule_full_strength(kb):
     universe = kb.output_universe
-    out = aggregate_output([(1.0, "PM")], kb, universe)
+    out = aggregate_output([(1.0, "PM")], kb)
     expected = kb.output.label("PM").sample(universe.points())
     assert np.array_equal(out, expected)
 
@@ -103,7 +103,7 @@ def test_aggregate_matches_brute_force_oracle(kb):
             (float(rng.uniform(0, 1)), labels[int(rng.integers(len(labels)))])
             for _ in range(int(rng.integers(1, 6)))
         ]
-        mine = aggregate_output(acts, kb, universe)
+        mine = aggregate_output(acts, kb)
         oracle = brute_force_aggregate(acts, kb, universe)
         assert np.array_equal(mine, oracle)
 
@@ -116,13 +116,13 @@ def test_coa_hand_example():
 
 def test_coa_symmetric_curve_is_zero(kb):
     universe = kb.output_universe
-    out = aggregate_output([(0.7, "ZE")], kb, universe)
+    out = aggregate_output([(0.7, "ZE")], kb)
     assert defuzzify_coa(out, universe) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coa_scale_invariance(kb):
     universe = kb.output_universe
-    out = aggregate_output([(0.9, "PS"), (0.3, "NM")], kb, universe)
+    out = aggregate_output([(0.9, "PS"), (0.3, "NM")], kb)
     z1 = defuzzify_coa(out, universe)
     z2 = defuzzify_coa(out * 0.5, universe)
     assert z2 == pytest.approx(z1, rel=1e-12)
@@ -130,7 +130,7 @@ def test_coa_scale_invariance(kb):
 
 def test_coa_within_hull_of_support(kb):
     universe = kb.output_universe
-    out = aggregate_output([(0.4, "PS"), (0.8, "PM")], kb, universe)
+    out = aggregate_output([(0.4, "PS"), (0.8, "PM")], kb)
     z = defuzzify_coa(out, universe)
     points = universe.points()
     active = points[out > 0]

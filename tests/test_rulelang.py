@@ -273,6 +273,20 @@ def test_shape_parameter_count_is_named():
     assert diag.message == "triangle takes 3 parameters (left, peak, right), got 2"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(SMALL_KB.replace("triangle(-1.0", "triangle -1.0", 1),
+                     "expected '(', found '-1.0'", id="punctuation"),
+        pytest.param(SMALL_KB.replace("ZE THEN", "ZE", 1),
+                     "expected 'THEN', found 'u'", id="keyword"),
+    ],
+)
+def test_expected_token_message(text, message):
+    (diag,) = parse_knowledge_base(text).errors
+    assert diag.message == message
+
+
 def test_unknown_shape_lists_the_shapes():
     text = SMALL_KB.replace(_E_LABEL, "label ZE hexagon(-1.0, 0.0, 1.0)")
     (diag,) = parse_knowledge_base(text).errors
