@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -120,16 +121,19 @@ class Scenario:
         if not isinstance(self.events, (tuple, list)):
             raise ScenarioError(f"events must be a tuple or list, got {type(self.events).__name__}")
         object.__setattr__(self, "events", tuple(self.events))
+        if self.control_period is None:
+            object.__setattr__(self, "control_period", self.dt)
         expected = {"name": str, "params": PlantParams, "initial": PlantState}
+        numeric = ("x_target", "duration", "dt", "control_period", "track_bound", "theta_limit_deg")
+        expected.update(dict.fromkeys(numeric, numbers.Real))  # a bool passes, as an int
         typed = [(key, getattr(self, key), kind) for key, kind in expected.items()]
         typed += [(f"events[{i}]", e, DisturbanceEvent) for i, e in enumerate(self.events)]
         for key, value, kind in typed:
             if not isinstance(value, kind):
-                raise ScenarioError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
+                what = "real number" if kind is numbers.Real else kind.__name__
+                raise ScenarioError(f"{key} must be a {what}, got {type(value).__name__}")
         if not isinstance(self.controller, (FuzzyController, SFCController)):
             raise ScenarioError(f"unknown controller {self.controller!r}")
-        if self.control_period is None:
-            object.__setattr__(self, "control_period", self.dt)
         for name in ("dt", "duration", "control_period"):
             value = getattr(self, name)
             if not math.isfinite(value):

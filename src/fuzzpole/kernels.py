@@ -21,7 +21,12 @@ one :func:`fuzzpole.fuzzy.fc_output` performs, on the same values; where
 the order differs (the strength max) or an operation is left out (below a
 zero prefix) the bits are the same, so the force is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
-The plant is stepped by :func:`fuzzpole.plant.advance`.
+The loop steps the plant with one integrator call per step
+(``plant._euler`` or ``plant._rk4``) on the net cart force it prepares: the
+force it clamps once per control instant, less the slope force it computes
+at the start of the run and at each tilt event.  That is the net force
+:func:`fuzzpole.plant.advance` prepares at every step, so a step is
+``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -343,7 +348,7 @@ def _simulate(
     the loop, and one row after it holds the state after the last step
     taken, so a termination and a completion write the same row.  A state
     or force that stops being finite ends the run as ``"non_finite"``, with
-    only the finite rows before it kept; ``advance`` raising counts as
+    only the finite rows before it kept; a step that raises counts as
     such a state, which fails the angle test.
 
     Rows are packed straight into the preallocated trajectory with
@@ -359,7 +364,11 @@ def _simulate(
     ev_step = ev_step.tolist()
     ev_kind = ev_kind.tolist()
     ev_value = ev_value.tolist()
-    advance = plant.advance
+    total = m_c + m
+    ml = m * l
+    slope_force = plant._slope_force
+    slope = slope_force(tilt, g, total)
+    integrate = plant._rk4 if rk4 else plant._euler
     traj = np.empty((n_steps + 1, 7))
     write_row = _ROW.pack_into
     row_size = _ROW.size
@@ -375,6 +384,7 @@ def _simulate(
                 theta_dot += ev_value[ev_i]
             else:
                 tilt = ev_value[ev_i]
+                slope = slope_force(tilt, g, total)
             ev_i += 1
         if k % control_every == 0:
             f, fired = law(theta, theta_dot, x, x_dot, x_target)
@@ -386,9 +396,9 @@ def _simulate(
                 f = -f_max
         write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
         try:
-            theta, theta_dot, x, x_dot = advance(
-                theta, theta_dot, x, x_dot, f, tilt, dt,
-                g, m_c, m, l, mu_c, mu_p, f_max, rk4,
+            theta, theta_dot, x, x_dot = integrate(
+                theta, theta_dot, x, x_dot, f - slope, dt,
+                g, m, l, ml, total, mu_c, mu_p,
             )
         except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
             theta = theta_dot = x = x_dot = math.nan  # caught by the scan below

@@ -12,7 +12,9 @@ vertical.  sgn(0) is 0 so the upright origin is an exact equilibrium.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from math import cos, sin
 
 __all__ = [
     "PlantState",
@@ -32,6 +34,13 @@ class PlantError(ValueError):
     pass
 
 
+def _check_real(name: str, value) -> None:
+    """Raise PlantError unless ``value`` is a real number (bools pass, as
+    ints do)."""
+    if not isinstance(value, numbers.Real):
+        raise PlantError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class PlantState:
     theta: float = 0.0  # rad, from vertical
@@ -43,6 +52,7 @@ class PlantState:
     def __post_init__(self):
         for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
             value = getattr(self, name)
+            _check_real(f"state {name}", value)
             if not math.isfinite(value):
                 raise PlantError(f"state {name} must be finite, got {value}")
 
@@ -63,10 +73,12 @@ class PlantParams:
     def __post_init__(self):
         for name in ("g", "m_c", "m", "l", "f_max"):
             value = getattr(self, name)
+            _check_real(name, value)
             if not 0 < value < math.inf:  # NaN fails too
                 raise PlantError(f"{name} must be positive and finite, got {value}")
         for name in ("mu_c", "mu_p"):
             value = getattr(self, name)
+            _check_real(f"friction coefficient {name}", value)
             if not 0 <= value < math.inf:
                 raise PlantError(
                     f"friction coefficient {name} must be non-negative and "
@@ -101,6 +113,11 @@ def pole_params(preset: str | int, **overrides) -> PlantParams:
     return PlantParams(**{"m": mass, "l": length / 2.0, **overrides})
 
 
+def _slope_force(tilt: float, g: float, total: float) -> float:
+    """The slope force ``(m_c + m) g sin(tilt)`` (``total`` is ``m_c + m``)."""
+    return total * g * sin(tilt)
+
+
 def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> float:
     """Force on the cart: ``f`` clamped to +-f_max, less the slope force
     (``total`` is ``m_c + m``)."""
@@ -108,7 +125,7 @@ def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> f
         f = f_max
     elif f < -f_max:
         f = -f_max
-    return f - total * g * math.sin(tilt)
+    return f - _slope_force(tilt, g, total)
 
 
 def _dynamics(
@@ -137,8 +154,8 @@ def _dynamics(
         friction = -mu_c
     else:
         friction = mu_c * 0.0
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
+    sin_t = sin(theta)
+    cos_t = cos(theta)
     theta_ddot = (
         g * sin_t
         + cos_t * ((-f - ml * theta_dot * theta_dot * sin_t + friction) / total)
@@ -148,6 +165,75 @@ def _dynamics(
         f + ml * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - friction
     ) / total
     return theta_ddot, x_ddot
+
+
+def _euler(
+    theta: float,
+    theta_dot: float,
+    x: float,
+    x_dot: float,
+    f: float,
+    dt: float,
+    g: float,
+    m: float,
+    l: float,
+    ml: float,
+    total: float,
+    mu_c: float,
+    mu_p: float,
+) -> tuple[float, float, float, float]:
+    """One forward Euler step under the net cart force ``f``: velocities
+    advance by the accelerations and positions by the old velocities
+    (explicit Euler on the first-order system).  ``ml`` and ``total`` are
+    as for :func:`_dynamics`."""
+    theta_ddot, x_ddot = _dynamics(
+        theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p
+    )
+    return (
+        theta + theta_dot * dt,
+        theta_dot + theta_ddot * dt,
+        x + x_dot * dt,
+        x_dot + x_ddot * dt,
+    )
+
+
+def _rk4(
+    theta: float,
+    theta_dot: float,
+    x: float,
+    x_dot: float,
+    f: float,
+    dt: float,
+    g: float,
+    m: float,
+    l: float,
+    ml: float,
+    total: float,
+    mu_c: float,
+    mu_p: float,
+) -> tuple[float, float, float, float]:
+    """One classic RK4 step under the net cart force ``f``, held over the
+    step.  The stage values are locals: stage i has angular velocity p_i,
+    cart velocity v_i and accelerations (a_i, b_i), and the step is the
+    usual weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    a1, b1 = _dynamics(theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p)
+    h = 0.5 * dt
+    p2 = theta_dot + h * a1
+    v2 = x_dot + h * b1
+    a2, b2 = _dynamics(theta + h * theta_dot, p2, v2, f, g, m, l, ml, total, mu_c, mu_p)
+    p3 = theta_dot + h * a2
+    v3 = x_dot + h * b2
+    a3, b3 = _dynamics(theta + h * p2, p3, v3, f, g, m, l, ml, total, mu_c, mu_p)
+    p4 = theta_dot + dt * a3
+    v4 = x_dot + dt * b3
+    a4, b4 = _dynamics(theta + dt * p3, p4, v4, f, g, m, l, ml, total, mu_c, mu_p)
+    sixth = dt / 6.0
+    return (
+        theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
+        theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
+        x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+    )
 
 
 def advance(
@@ -170,46 +256,18 @@ def advance(
     """One fixed step; forward Euler by default, classic RK4 when asked.
 
     The force and the tilt are fixed for the step, so the net cart force
-    (``f`` clamped, less the slope force) is prepared once, and every stage
-    evaluates the equations of motion on it: once for Euler, four times for
-    RK4.  :func:`derivatives` evaluates the same two functions, so each
-    stage gets the accelerations it would return for the stage's state.
-
-    Euler advances velocities by the accelerations and positions by the old
-    velocities (explicit Euler on the first-order system).  RK4 holds its
-    stage values in locals: stage i has angular velocity p_i, cart velocity
-    v_i and accelerations (a_i, b_i), and the step is the usual weighted sum
-    dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    (``f`` clamped, less the slope force) is prepared once and handed to
+    the integrator, :func:`_euler` or :func:`_rk4`, whose every stage
+    evaluates the equations of motion on it.  :func:`derivatives`
+    evaluates the same two functions, so each stage gets the
+    accelerations it would return for the stage's state.  The simulation
+    loop prepares the net force itself and calls the integrator directly."""
     total = m_c + m
     ml = m * l
-    f = _net_force(f, tilt, g, total, f_max)
-    if not rk4:
-        theta_ddot, x_ddot = _dynamics(
-            theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p
-        )
-        return (
-            theta + theta_dot * dt,
-            theta_dot + theta_ddot * dt,
-            x + x_dot * dt,
-            x_dot + x_ddot * dt,
-        )
-    a1, b1 = _dynamics(theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p)
-    h = 0.5 * dt
-    p2 = theta_dot + h * a1
-    v2 = x_dot + h * b1
-    a2, b2 = _dynamics(theta + h * theta_dot, p2, v2, f, g, m, l, ml, total, mu_c, mu_p)
-    p3 = theta_dot + h * a2
-    v3 = x_dot + h * b2
-    a3, b3 = _dynamics(theta + h * p2, p3, v3, f, g, m, l, ml, total, mu_c, mu_p)
-    p4 = theta_dot + dt * a3
-    v4 = x_dot + dt * b3
-    a4, b4 = _dynamics(theta + dt * p3, p4, v4, f, g, m, l, ml, total, mu_c, mu_p)
-    sixth = dt / 6.0
-    return (
-        theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
-        theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-        x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
-        x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+    integrate = _rk4 if rk4 else _euler
+    return integrate(
+        theta, theta_dot, x, x_dot, _net_force(f, tilt, g, total, f_max), dt,
+        g, m, l, ml, total, mu_c, mu_p,
     )
 
 
@@ -260,6 +318,8 @@ class DisturbanceEvent:
     value: float
 
     def __post_init__(self):
+        _check_real("event time", self.t)
+        _check_real("event value", self.value)
         if not 0 <= self.t < math.inf:  # NaN fails too
             raise PlantError(f"event time must be finite and >= 0, got {self.t}")
         if not math.isfinite(self.value):

@@ -133,6 +133,20 @@ def test_scenario_fields_are_typed(fields, message):
     assert hash(scenario) == hash(replace(base, events=(tap(0.01, 0.1),)))
 
 
+@pytest.mark.parametrize(
+    "name", ["dt", "duration", "control_period", "x_target", "track_bound", "theta_limit_deg"]
+)
+def test_scenario_numeric_fields_are_real_numbers(name):
+    """A numeric field that is not a real number is a ScenarioError naming
+    it, not a bare TypeError from the range checks."""
+    base = default_scenario(1, "sfc", duration=1.0)
+    for value in ("0.005", None, 1j):
+        if name == "control_period" and value is None:
+            continue  # None means every step
+        with pytest.raises(ScenarioError, match=f"{name} must be a real number"):
+            replace(base, **{name: value})
+
+
 def test_absent_control_period_is_dt():
     """Built in code or read from a file, a scenario without a control
     period updates the force at every step."""

@@ -641,25 +641,14 @@ def test_simulation_matches_manual_loop(kb, compiled_kb):
     assert np.array_equal(traj.force, np.array(forces + [forces[-1]]))
 
 
-@pytest.mark.parametrize("controller", ["fc", "sfc"])
-def test_simulation_matches_manual_loop_with_events(kb, controller):
-    """RK4, a tap between control instants, a tilt on one, and the force held
-    over four steps: the simulation loop against plant.step, the event rule
-    written out (a tap adds to theta_dot, a tilt sets the tilt) and
-    fc_output or sfc_output, exactly."""
-    scenario = dataclasses.replace(
-        default_scenario(
-            1, controller, duration=1.0, dt=0.005, control_period=0.02,
-            events=(tap(0.31, 0.2), set_tilt(0.6, 0.05)),
-        ),
-        integrator="rk4",
-    )
-    traj = run(scenario)
+def _manual_loop(kb, scenario, controller):
+    """Rows of ``scenario`` stepped by plant.step, the event rule written
+    out (a tap adds to theta_dot, a tilt sets the tilt) and fc_output or
+    sfc_output at each control instant, the force clamped and held."""
     p = scenario.params
     gains = design_gains(
         linearize(p), reference=(0.0, 0.0, scenario.x_target, 0.0), f_max=p.f_max
     )
-
     s = PlantState()
     f = 0.0
     rows = []  # row k: the state after step k's events, the force over step k
@@ -679,11 +668,48 @@ def test_simulation_matches_manual_loop_with_events(kb, controller):
                 f = sfc_output(gains, s)
             f = min(max(f, -p.f_max), p.f_max)
         rows.append((*s.as_tuple(), f, s.tilt))
-        s = step(s, f, scenario.dt, p, method="rk4")
+        s = step(s, f, scenario.dt, p, method=scenario.integrator)
     rows.append((*s.as_tuple(), f, s.tilt))
+    return np.array(rows)
 
+
+@pytest.mark.parametrize("controller", ["fc", "sfc"])
+def test_simulation_matches_manual_loop_with_events(kb, controller):
+    """RK4, a tap between control instants, a tilt on one, and the force held
+    over four steps: the simulation loop against plant.step, the event rule
+    written out (a tap adds to theta_dot, a tilt sets the tilt) and
+    fc_output or sfc_output, exactly."""
+    scenario = dataclasses.replace(
+        default_scenario(
+            1, controller, duration=1.0, dt=0.005, control_period=0.02,
+            events=(tap(0.31, 0.2), set_tilt(0.6, 0.05)),
+        ),
+        integrator="rk4",
+    )
+    traj = run(scenario)
     assert traj.termination == "completed"
-    assert np.array_equal(traj.data[:, 1:], np.array(rows))
+    assert np.array_equal(traj.data[:, 1:], _manual_loop(kb, scenario, controller))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("controller", ["fc", "sfc"])
+def test_simulation_matches_manual_loop_with_tilts_between_instants(kb, controller, integrator):
+    """The slope force changes off a control instant: a tilt at step 121
+    (the instants are every 4th step), a second one at step 150, and a tilt
+    back to 0 at step 167, under both integrators, against plant.step
+    exactly."""
+    scenario = dataclasses.replace(
+        default_scenario(
+            1, controller, duration=1.0, dt=0.005, control_period=0.02,
+            events=(set_tilt(0.605, 0.05), set_tilt(0.75, -0.03), set_tilt(0.835, 0.0)),
+        ),
+        integrator=integrator,
+    )
+    traj = run(scenario)
+    assert [int(round(e.t / scenario.dt)) for e in scenario.events] == [121, 150, 167]
+    assert traj.termination == "completed"
+    assert traj.tilt[120] == 0.0 and traj.tilt[121] == 0.05 and traj.tilt[167] == 0.0
+    assert np.array_equal(traj.data[:, 1:], _manual_loop(kb, scenario, controller))
 
 
 def test_zero_order_hold(kb):

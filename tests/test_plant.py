@@ -100,6 +100,16 @@ def test_state_must_be_finite(field):
             PlantState(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["theta", "theta_dot", "x", "x_dot", "tilt"])
+def test_state_fields_must_be_real_numbers(field):
+    """A state field that is not a real number is a PlantError naming it,
+    not a bare TypeError; a bool still passes, as the int it is."""
+    for value in ("0", None, 1j):
+        with pytest.raises(PlantError, match=f"state {field} must be a real number"):
+            PlantState(**{field: value})
+    assert getattr(PlantState(**{field: True}), field) == 1
+
+
 def test_step_that_overflows_raises():
     with pytest.raises(PlantError, match="state x must be finite"):
         step(PlantState(x=1e308, x_dot=1e308), 0.0, 10.0, P1)
@@ -118,6 +128,16 @@ def test_param_validation():
                 PlantParams(**{name: value})
         floor = 0.0 if name.startswith("mu_") else 1e-300
         assert getattr(PlantParams(**{name: floor}), name) == floor
+
+
+@pytest.mark.parametrize("name", ["g", "m_c", "m", "l", "mu_c", "mu_p", "f_max"])
+def test_params_must_be_real_numbers(name):
+    """``PlantParams(m="0.1")`` and the like are a PlantError naming the
+    field, not a bare TypeError; a bool still passes, as the int it is."""
+    for value in ("0.1", None, [0.1]):
+        with pytest.raises(PlantError, match=f"{name} must be a real number"):
+            PlantParams(**{name: value})
+    assert getattr(PlantParams(**{name: True}), name) == 1
 
 
 def test_presets_match_published_pole_table():
@@ -234,6 +254,18 @@ def test_event_validation():
         with pytest.raises(PlantError, match="value"):
             set_tilt(1.0, bad)
     assert tap(0.0, -0.2).t == 0.0
+
+
+def test_event_fields_must_be_real_numbers():
+    """An event time or value that is not a real number is a PlantError
+    naming it, not a bare TypeError; a bool still passes."""
+    with pytest.raises(PlantError, match="event time must be a real number, got str"):
+        DisturbanceEvent("1", "tap", 0.1)
+    with pytest.raises(PlantError, match="event value must be a real number, got NoneType"):
+        tap(1.0, None)
+    with pytest.raises(PlantError, match="event value must be a real number, got str"):
+        set_tilt(1.0, "0.1")
+    assert tap(True, False) == DisturbanceEvent(1, "tap", 0)
 
 
 def test_step_validation():

@@ -11,8 +11,8 @@ Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
 the reference does, a clamp, a float64 row, the coverage depth, a
 trapezoid comparison, a shared prefix of rule conditions, an event's
-step, the fuzzy law's fold over its layers, and its center-of-area
-arithmetic.  For each mutant the tests run on the mutated copy (pytest
+step, the slope force after a tilt, the fuzzy law's fold over its
+layers, and its center-of-area arithmetic.  For each mutant the tests run on the mutated copy (pytest
 ``-x``, stopping at the first failure); a mutant is caught when they
 fail.  Before the mutants, the same tests run on the unmutated copy and
 must pass.  The check prints one line per mutant and exits 1 if any
@@ -61,8 +61,8 @@ MUTANTS = (
         "skipped clamp",  # the net force is no longer clamped to +-f_max
         "plant.py",
         "    if f > f_max:\n        f = f_max\n    elif f < -f_max:\n        f = -f_max\n"
-        "    return f - total * g * math.sin(tilt)",
-        "    return f - total * g * math.sin(tilt)",
+        "    return f - _slope_force(tilt, g, total)",
+        "    return f - _slope_force(tilt, g, total)",
     ),
     Mutant("7f row", "kernels.py", '_ROW = struct.Struct("7d")', '_ROW = struct.Struct("7f")'),
     Mutant(
@@ -88,6 +88,12 @@ MUTANTS = (
         "harness.py",
         "[int(round(min(e.t / scenario.dt, scenario.n_steps))) for e in events]",
         "[int(round(min(e.t / scenario.dt, scenario.n_steps))) + 1 for e in events]",
+    ),
+    Mutant(
+        "slope not refreshed at a tilt event",  # the loop keeps the old slope force
+        "kernels.py",
+        "                tilt = ev_value[ev_i]\n                slope = slope_force(tilt, g, total)\n",
+        "                tilt = ev_value[ev_i]\n",
     ),
     Mutant(
         "fold skipped past the second layer",  # depth 3 and up lose a layer
