@@ -21,12 +21,12 @@ one :func:`fuzzpole.fuzzy.fc_output` performs, on the same values; where
 the order differs (the strength max) or an operation is left out (below a
 zero prefix) the bits are the same, so the force is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
-The loop steps the plant with one integrator call per step
-(``plant._euler`` or ``plant._rk4``) on the net cart force it prepares: the
-force it clamps once per control instant, less the slope force it computes
-at the start of the run and at each tilt event.  That is the net force
-:func:`fuzzpole.plant.advance` prepares at every step, so a step is
-``advance``'s step bit for bit.
+The loop binds the plant's step once per run (``plant._integrator`` over
+``plant._dynamics_of``) and takes it once per step on the net cart force it
+prepares: the force it clamps once per control instant, less the slope
+force it computes at the start of the run and at each tilt event.  That is
+the net force :func:`fuzzpole.plant.advance` prepares at every step, so a
+step is ``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -342,7 +342,9 @@ def _simulate(
 
     Every number in the loop is a Python float: a numpy scalar read from an
     argument would spread into the state and make each step's arithmetic
-    several times slower, with the same IEEE results.
+    several times slower, with the same IEEE results.  The plant's step is
+    bound once per run, with the plant's constants, so a step passes it only
+    the state and the net cart force.
 
     A run ends in one place.  The two bound tests after each step break
     the loop, and one row after it holds the state after the last step
@@ -365,10 +367,9 @@ def _simulate(
     ev_kind = ev_kind.tolist()
     ev_value = ev_value.tolist()
     total = m_c + m
-    ml = m * l
     slope_force = plant._slope_force
     slope = slope_force(tilt, g, total)
-    integrate = plant._rk4 if rk4 else plant._euler
+    integrate = plant._integrator(plant._dynamics_of(g, m_c, m, l, mu_c, mu_p), dt, rk4)
     traj = np.empty((n_steps + 1, 7))
     write_row = _ROW.pack_into
     row_size = _ROW.size
@@ -396,10 +397,7 @@ def _simulate(
                 f = -f_max
         write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
         try:
-            theta, theta_dot, x, x_dot = integrate(
-                theta, theta_dot, x, x_dot, f - slope, dt,
-                g, m, l, ml, total, mu_c, mu_p,
-            )
+            theta, theta_dot, x, x_dot = integrate(theta, theta_dot, x, x_dot, f - slope)
         except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
             theta = theta_dot = x = x_dot = math.nan  # caught by the scan below
         # written with `not <=` so that a NaN angle or position stops the run

@@ -128,112 +128,78 @@ def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> f
     return f - _slope_force(tilt, g, total)
 
 
-def _dynamics(
-    theta: float,
-    theta_dot: float,
-    x_dot: float,
-    f: float,
-    g: float,
-    m: float,
-    l: float,
-    ml: float,
-    total: float,
-    mu_c: float,
-    mu_p: float,
-) -> tuple[float, float]:
-    """(theta_ddot, x_ddot) under the net cart force ``f``: the equations of
-    motion, and the only place they are written.
+def _dynamics_of(g: float, m_c: float, m: float, l: float, mu_c: float, mu_p: float):
+    """The equations of motion of a plant, and the only place they are
+    written: ``dynamics(theta, theta_dot, x_dot, f)`` returns
+    (theta_ddot, x_ddot) under the net cart force ``f``.
 
-    ``ml`` is ``m * l`` and ``total`` is ``m_c + m``, computed once by the
-    caller; the products and quotients that use them round as when written
-    out.  ``friction`` is ``mu_c * sgn(x_dot)``, with the same bits for any
-    mu_c that is not NaN."""
-    if x_dot > 0.0:
-        friction = mu_c
-    elif x_dot < 0.0:
-        friction = -mu_c
-    else:
-        friction = mu_c * 0.0
-    sin_t = sin(theta)
-    cos_t = cos(theta)
-    theta_ddot = (
-        g * sin_t
-        + cos_t * ((-f - ml * theta_dot * theta_dot * sin_t + friction) / total)
-        - mu_p * theta_dot / ml
-    ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
-    x_ddot = (
-        f + ml * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - friction
-    ) / total
-    return theta_ddot, x_ddot
+    ``m l`` and ``m_c + m`` are computed here once; the products and
+    quotients that use them round as when written out.  ``friction`` is
+    ``mu_c * sgn(x_dot)``, with the same bits for any mu_c that is not NaN."""
+    total = m_c + m
+    ml = m * l
+
+    def dynamics(theta, theta_dot, x_dot, f):
+        if x_dot > 0.0:
+            friction = mu_c
+        elif x_dot < 0.0:
+            friction = -mu_c
+        else:
+            friction = mu_c * 0.0
+        sin_t = sin(theta)
+        cos_t = cos(theta)
+        theta_ddot = (
+            g * sin_t
+            + cos_t * ((-f - ml * theta_dot * theta_dot * sin_t + friction) / total)
+            - mu_p * theta_dot / ml
+        ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
+        x_ddot = (
+            f + ml * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - friction
+        ) / total
+        return theta_ddot, x_ddot
+
+    return dynamics
 
 
-def _euler(
-    theta: float,
-    theta_dot: float,
-    x: float,
-    x_dot: float,
-    f: float,
-    dt: float,
-    g: float,
-    m: float,
-    l: float,
-    ml: float,
-    total: float,
-    mu_c: float,
-    mu_p: float,
-) -> tuple[float, float, float, float]:
-    """One forward Euler step under the net cart force ``f``: velocities
-    advance by the accelerations and positions by the old velocities
-    (explicit Euler on the first-order system).  ``ml`` and ``total`` are
-    as for :func:`_dynamics`."""
-    theta_ddot, x_ddot = _dynamics(
-        theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p
-    )
-    return (
-        theta + theta_dot * dt,
-        theta_dot + theta_ddot * dt,
-        x + x_dot * dt,
-        x_dot + x_ddot * dt,
-    )
-
-
-def _rk4(
-    theta: float,
-    theta_dot: float,
-    x: float,
-    x_dot: float,
-    f: float,
-    dt: float,
-    g: float,
-    m: float,
-    l: float,
-    ml: float,
-    total: float,
-    mu_c: float,
-    mu_p: float,
-) -> tuple[float, float, float, float]:
-    """One classic RK4 step under the net cart force ``f``, held over the
-    step.  The stage values are locals: stage i has angular velocity p_i,
-    cart velocity v_i and accelerations (a_i, b_i), and the step is the
-    usual weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    a1, b1 = _dynamics(theta, theta_dot, x_dot, f, g, m, l, ml, total, mu_c, mu_p)
+def _integrator(dynamics, dt: float, rk4: bool):
+    """``step(theta, theta_dot, x, x_dot, f)``: one fixed step of size ``dt``
+    under ``dynamics`` (from :func:`_dynamics_of`) and the net cart force
+    ``f``, held over the step.  Forward Euler advances the velocities by the
+    accelerations and the positions by the old velocities.  Classic RK4
+    keeps its stage values as locals: stage i has angular velocity p_i, cart
+    velocity v_i and accelerations (a_i, b_i), and the step is the usual
+    weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     h = 0.5 * dt
-    p2 = theta_dot + h * a1
-    v2 = x_dot + h * b1
-    a2, b2 = _dynamics(theta + h * theta_dot, p2, v2, f, g, m, l, ml, total, mu_c, mu_p)
-    p3 = theta_dot + h * a2
-    v3 = x_dot + h * b2
-    a3, b3 = _dynamics(theta + h * p2, p3, v3, f, g, m, l, ml, total, mu_c, mu_p)
-    p4 = theta_dot + dt * a3
-    v4 = x_dot + dt * b3
-    a4, b4 = _dynamics(theta + dt * p3, p4, v4, f, g, m, l, ml, total, mu_c, mu_p)
     sixth = dt / 6.0
-    return (
-        theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
-        theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-        x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
-        x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-    )
+
+    def euler(theta, theta_dot, x, x_dot, f):
+        theta_ddot, x_ddot = dynamics(theta, theta_dot, x_dot, f)
+        return (
+            theta + theta_dot * dt,
+            theta_dot + theta_ddot * dt,
+            x + x_dot * dt,
+            x_dot + x_ddot * dt,
+        )
+
+    def classic_rk4(theta, theta_dot, x, x_dot, f):
+        a1, b1 = dynamics(theta, theta_dot, x_dot, f)
+        p2 = theta_dot + h * a1
+        v2 = x_dot + h * b1
+        a2, b2 = dynamics(theta + h * theta_dot, p2, v2, f)
+        p3 = theta_dot + h * a2
+        v3 = x_dot + h * b2
+        a3, b3 = dynamics(theta + h * p2, p3, v3, f)
+        p4 = theta_dot + dt * a3
+        v4 = x_dot + dt * b3
+        a4, b4 = dynamics(theta + dt * p3, p4, v4, f)
+        return (
+            theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
+            theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
+            x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        )
+
+    return classic_rk4 if rk4 else euler
 
 
 def advance(
@@ -255,20 +221,14 @@ def advance(
 ) -> tuple[float, float, float, float]:
     """One fixed step; forward Euler by default, classic RK4 when asked.
 
-    The force and the tilt are fixed for the step, so the net cart force
-    (``f`` clamped, less the slope force) is prepared once and handed to
-    the integrator, :func:`_euler` or :func:`_rk4`, whose every stage
-    evaluates the equations of motion on it.  :func:`derivatives`
-    evaluates the same two functions, so each stage gets the
-    accelerations it would return for the stage's state.  The simulation
-    loop prepares the net force itself and calls the integrator directly."""
-    total = m_c + m
-    ml = m * l
-    integrate = _rk4 if rk4 else _euler
-    return integrate(
-        theta, theta_dot, x, x_dot, _net_force(f, tilt, g, total, f_max), dt,
-        g, m, l, ml, total, mu_c, mu_p,
-    )
+    Binds the plant's step (:func:`_integrator` over :func:`_dynamics_of`)
+    and takes it on the net cart force (``f`` clamped, less the slope
+    force), fixed for the step.  :func:`derivatives` binds the same
+    dynamics, so each stage gets the accelerations it would return for the
+    stage's state.  The simulation loop binds the step once per run and
+    prepares the net force itself."""
+    integrate = _integrator(_dynamics_of(g, m_c, m, l, mu_c, mu_p), dt, rk4)
+    return integrate(theta, theta_dot, x, x_dot, _net_force(f, tilt, g, m_c + m, f_max))
 
 
 def _check_force(f: float) -> None:
@@ -279,10 +239,9 @@ def _check_force(f: float) -> None:
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
     """(theta_ddot, x_ddot) at the given state under force f (clamped)."""
     _check_force(f)
-    total = p.m_c + p.m
-    return _dynamics(
-        s.theta, s.theta_dot, s.x_dot, _net_force(f, s.tilt, p.g, total, p.f_max),
-        p.g, p.m, p.l, p.m * p.l, total, p.mu_c, p.mu_p,
+    dynamics = _dynamics_of(p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p)
+    return dynamics(
+        s.theta, s.theta_dot, s.x_dot, _net_force(f, s.tilt, p.g, p.m_c + p.m, p.f_max)
     )
 
 

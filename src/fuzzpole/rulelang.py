@@ -369,8 +369,9 @@ class _Parser:
     def resolve(self) -> KnowledgeBase | None:
         """Resolve the rules against the variables read; None on any error.
 
-        Whether a rule fits the variables is decided by
-        :func:`fuzzy.rule_problems`; this only locates each problem."""
+        The :class:`KnowledgeBase` checks each rule with
+        :func:`fuzzy.rule_problems`; this runs it only to locate the problems
+        of a KB that raised."""
         if self.failed():
             return None
         if not self.rule_decls:
@@ -385,21 +386,30 @@ class _Parser:
         # one mistyped conclusion is reported there and nowhere else
         named = Counter(decl.out_var[0] for decl in self.rule_decls)
         output_variable = max(named, key=named.get)
-        rules: list[Rule] = []
+        rules = [
+            Rule(
+                decl.name[0], tuple(self.precondition(*cond) for cond in decl.conds),
+                (decl.out_var[0], decl.out_label[0]), decl.goal,
+            )
+            for decl in self.rule_decls
+        ]
+        kb = None
+        if output_variable in variables:  # else the default universe has no labels
+            universe = self.universe or OutputUniverse(
+                *_hull(variables[output_variable].labels.values())
+            )
+            try:
+                kb = KnowledgeBase(variables, output_variable, tuple(rules), universe)
+            except KBError:
+                pass
         seen_rules: set[str] = set()
-        for decl in self.rule_decls:
+        for decl, rule in zip(self.rule_decls, rules):
             name = decl.name[0]
             if name in seen_rules:
                 self.report(decl.name, f"duplicate rule name '{name}'", "duplicate-rule")
             seen_rules.add(name)
-            rule = Rule(
-                name,
-                tuple(self.precondition(*cond) for cond in decl.conds),
-                (decl.out_var[0], decl.out_label[0]),
-                decl.goal,
-            )
             tokens = [*decl.conds, (decl.out_var, decl.out_label)]  # [-1]: conclusion
-            problems = list(rule_problems(rule, variables, output_variable))
+            problems = [] if kb else list(rule_problems(rule, variables, output_variable))
             for clause, part, message, code in problems:
                 self.report(tokens[clause][part], message, code)
             # a repeated condition is reported as such, not for its label
@@ -411,13 +421,7 @@ class _Parser:
                         f"'{pre.variable}'; reading it as '{pre.label}'"
                     )
                     self.report(tokens[i][1], message, "label-alias", "warning")
-            rules.append(rule)
-        if self.failed():
-            return None
-        universe = self.universe or OutputUniverse(
-            *_hull(variables[output_variable].labels.values())
-        )
-        return KnowledgeBase(variables, output_variable, tuple(rules), universe)
+        return None if self.failed() else kb
 
 
 def parse_knowledge_base(text: str | bytes) -> ParseResult:

@@ -49,6 +49,28 @@ def test_flat_trajectory_at_equilibrium_sfc():
     assert np.all(np.diff(traj.t) > 0)
 
 
+@pytest.mark.parametrize(
+    "controller, overrides",
+    [("fc", {}), ("sfc", {"integrator": "rk4", "events": (set_tilt(0.5, 0.05),)})],
+)
+def test_run_binds_one_integrator(monkeypatch, controller, overrides):
+    """A run binds the plant's dynamics and its step once, not per step."""
+    import fuzzpole.plant as plant_mod
+
+    calls = []
+    for name in ("_dynamics_of", "_integrator"):
+        factory = getattr(plant_mod, name)
+
+        def counted(*args, name=name, factory=factory):
+            calls.append(name)
+            return factory(*args)
+
+        monkeypatch.setattr(plant_mod, name, counted)
+    traj = run(default_scenario(1, controller, duration=1.0, **overrides))
+    assert len(traj.t) == 201
+    assert sorted(calls) == ["_dynamics_of", "_integrator"]
+
+
 def test_flat_trajectory_at_equilibrium_fc():
     """The quantized center-of-area leaves a ~4e-18 N residue at the exact
     origin, which the friction sign discontinuity amplifies into stick-slip

@@ -366,6 +366,26 @@ def test_builtin_kb_is_parsed_once():
     assert builtin_pole_kb() is builtin_pole_kb()
 
 
+def test_each_parsed_rule_is_checked_once(monkeypatch):
+    """The KB checks every rule; the parser checks them again only to
+    locate the problems of a KB that cannot be built."""
+    import fuzzpole.fuzzy as fuzzy_mod
+    import fuzzpole.rulelang as rulelang_mod
+
+    calls = []
+    check = fuzzy_mod.rule_problems
+
+    def counted(*args):
+        calls.append(args[0].name)
+        return check(*args)
+
+    monkeypatch.setattr(fuzzy_mod, "rule_problems", counted)
+    monkeypatch.setattr(rulelang_mod, "rule_problems", counted)
+    result = parse_knowledge_base(builtin_pole_source())
+    assert result.kb is not None and len(result.kb.rules) == 13
+    assert len(calls) == 13
+
+
 def test_serialize_round_trip_builtin(kb):
     text = serialize_kb(kb)
     assert parse_knowledge_base(text).kb == kb
