@@ -1,32 +1,28 @@
 """Hot numeric kernels for closed-loop simulation.
 
 One loop, :func:`_simulate`, runs both controllers; they differ only in the
-control law it calls at each control instant.  The fuzzy law evaluates a
-knowledge base compiled once (:func:`compile_kb`) in folded form.  Its
-front end is a generated function: Python that reads each label's degree
-off its trapezoid corners, with no branch on its shape, takes the rule
-strengths over a trie of shared condition prefixes that skips every rule
-below a zero prefix, and packs one strength per conclusion label into the
-law's buffer.  Its source is built from indices only and cached by the rule
-base's structure, so rule bases that differ only in their numbers share it;
-the numbers are bound as arguments.  Then comes one clip over the coverage
-layers, which hold at each grid point only the conclusion curves that are
-nonzero there, padded with +0.0 rows to at least two, and one fold of
-binary ``np.maximum`` calls over them (one call on the two layers of
-``kb/pole.frl``).  Last, one left-to-right accumulate over a complex array,
-the grid points times the aggregate as its real part and the aggregate as
-its imaginary part, gives both center-of-area sums: a complex addition is
-two independent IEEE additions, one per part.  Every scalar operation is
-one :func:`fuzzpole.fuzzy.fc_output` performs, on the same values; where
-the order differs (the strength max) or an operation is left out (below a
-zero prefix) the bits are the same, so the force is its force bit for bit.
+law it calls with the plant state at each control instant.  The fuzzy law
+is one generated Python function, so an instant is one Python call; its
+source is cached by the rule base's structure and coverage depth, and the
+rule base's numbers are bound as arguments.  It computes the input slots
+from the state, reads each label's degree off its trapezoid corners, takes
+the rule strengths over a trie of shared condition prefixes that skips
+every rule below a zero prefix, and packs one strength per conclusion label
+into a buffer.  Inline follow one clip over the coverage layers (at each
+grid point the conclusion curves nonzero there, padded with +0.0 rows to at
+least two), one binary ``np.maximum`` per layer past the first, and one
+left-to-right accumulate over a complex array, the grid points times the
+aggregate as its real part and the aggregate as its imaginary part, for
+both center-of-area sums.  Each scalar operation is one that
+:func:`fuzzpole.fuzzy.fc_output` performs on the same values, or changes no
+bit (the strength max's order, the rules below a zero prefix), so the force
+is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
 The loop binds the plant's step once per run (``plant._integrator`` over
-``plant._dynamics_of``) and takes it once per step on the net cart force it
-prepares: the force it clamps once per control instant, less the slope
-force it computes at the start of the run and at each tilt event.  That is
-the net force :func:`fuzzpole.plant.advance` prepares at every step, so a
-step is ``advance``'s step bit for bit.
+``plant._dynamics_of``) and takes it once per step on the net force: the
+force clamped once per control instant, less the slope force, updated at
+each tilt event, as :func:`fuzzpole.plant.advance` prepares it at every
+step, so a step is ``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -67,6 +63,10 @@ RAD2DEG = 180.0 / math.pi
 # Input slots the simulation harness drives, in fixed units:
 # theta [deg], theta_dot [deg/s], x as the error x - x_target [m], x_dot [m/s].
 DEFAULT_SLOTS: Mapping[str, int] = {"theta": 0, "theta_dot": 1, "x": 2, "x_dot": 3}
+# Each slot as an expression over the plant state the loop hands its law;
+# control_inputs and the generated law's state prologue are written from it.
+_STATE = "theta, theta_dot, x, x_dot, x_target"
+_VIEW = ("theta * RAD2DEG", "theta_dot * RAD2DEG", "x - x_target", "x_dot")
 
 ACTIVE_BACKEND = "numpy"
 BACKENDS = (ACTIVE_BACKEND,)
@@ -86,6 +86,19 @@ def check_backend(backend: str | None) -> None:
         raise KernelError(f"unknown backend '{backend}'")
 
 
+def _generated(lines: list[str], name: str, namespace: dict) -> Callable:
+    """Compile ``lines`` in ``namespace``; return the function ``name``."""
+    exec(compile("\n".join(lines), f"<fuzzpole.kernels {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+control_inputs = _generated([
+    f"def control_inputs({_STATE}):",
+    '    """The state as the fuzzy law reads it, in ``DEFAULT_SLOTS`` order."""',
+    f"    return ({', '.join(_VIEW)})",
+], "control_inputs", {"RAD2DEG": RAD2DEG})
+
+
 # ---------------------------------------------------------------------------
 # Knowledge-base compilation to flat arrays
 
@@ -99,14 +112,16 @@ class CompiledKB:
     ``strengths(inputs, out)`` maps the input values, in ``DEFAULT_SLOTS``
     order, to one strength per group, packed into ``out``, a float64 buffer
     of ``groups`` elements; it writes nothing else.  Each group's
-    conclusion curve is its label sampled on the output grid.  The curves are stored as coverage
-    layers: column j of ``layer_group`` lists, in group order, the groups
-    whose curve is nonzero at grid point j, and the same column of
+    conclusion curve is its label sampled on the output grid, stored as
+    coverage layers: column j of ``layer_group`` lists, in group order, the
+    groups whose curve is nonzero at grid point j, and the same column of
     ``layer_curve`` holds their values there, then 0.0 where fewer groups
     cover the point than there are layers.
     """
 
     strengths: Callable[[Sequence[float], np.ndarray], None]  # (inputs, out)
+    law_of: Callable[..., tuple]  # (*buffers) -> (law, force); see fuzzy_law
+    reads: int  # input values the slot entries read: one past the highest slot
     groups: int  # conclusion labels, one strength each
     points: np.ndarray  # (N,) the output grid
     layer_group: np.ndarray  # (L, N) covering groups; L the largest coverage
@@ -155,43 +170,43 @@ def _front_end(kb: KnowledgeBase):
 
 
 @functools.lru_cache(maxsize=64)
-def _strengths_binder(structure) -> Callable[..., Callable[..., None]]:
-    """Generate, once per ``structure`` of :func:`_front_end`, a binder
-    ``bind(*numbers) -> strengths``; ``strengths(inputs, out)`` packs the
-    group strengths into the float64 buffer ``out``.
+def _law_binder(structure, depth: int) -> Callable[..., tuple]:
+    """Generate, once per ``structure`` of :func:`_front_end` and coverage
+    ``depth``, a binder ``bind(*numbers) -> (strengths, law_of)``.
 
-    The source names labels, slots, groups and trie edges by index only, so
-    rule bases that differ only in their numbers share one binder.  Label
-    k's degree ``u{k}`` is the comparison chain of ``MembershipFunction``
-    raised to its power as in ``fuzzy._pow_int``.  The rules' condition
-    rows, as written, form a trie: an edge is the ``<`` min of its degree
-    and its parent's value (1.0 at the root), as in ``rule_activation``, so
-    a NaN degree is skipped; a rule's last edge takes the ``>`` max into its
-    group from 0.0; a +0.0 edge skips its subtree.  This is exact: degrees
-    are +0.0, positive or NaN, so no strength is NaN or -0.0, the max gives
-    the same bits in any order, and a rule below a +0.0 edge is +0.0, which
-    changes no group.
+    The body lines take the degrees and rule strengths into ``strength``;
+    the tail lines run the law's numpy part on it, the max unrolled to
+    ``depth``.  ``strengths(inputs, strength)`` is the body under the slot
+    prologue.  ``law_of(*buffers)`` returns ``(law, force)``: body and tail
+    under the state prologue, which computes the slots read from ``_VIEW``,
+    and under the slot prologue.  The source names everything by index.
+
+    Label k's degree ``u{k}`` is the comparison chain of
+    ``MembershipFunction`` raised to its power as in ``fuzzy._pow_int``.
+    The rules' condition rows, as written, form a trie: an edge is the
+    ``<`` min of its degree and its parent's value (1.0 at the root), as in
+    ``rule_activation``, so a NaN degree is skipped; a rule's last edge
+    takes the ``>`` max into its group from 0.0; a +0.0 edge skips its
+    subtree.  This is exact: degrees are +0.0, positive or NaN, so no
+    strength is NaN or -0.0, the max gives the same bits in any order, and
+    a rule below a +0.0 edge is +0.0, which changes no group.
     """
     labels, rules, groups = structure
-    params = ", ".join(
-        f"a{k}, b{k}, w{k}, c{k}, d{k}, z{k}" for k in range(len(labels))
-    )
-    body = [f"def bind({params}):", "    def strengths(inputs, out):"]
-    body += [f"        x{i} = inputs[{i}]" for i in sorted({i for _, i in labels})]
+    body: list[str] = []
     for k, (power, i) in enumerate(labels):
         body += [
-            f"        if x{i} < b{k}:",
-            f"            u{k} = 0.0 if x{i} <= a{k} else (x{i} - a{k}) / w{k}",
-            f"        elif x{i} <= c{k}:",
-            f"            u{k} = 1.0",
-            f"        elif x{i} >= d{k}:",
-            f"            u{k} = 0.0",
-            "        else:",
-            f"            u{k} = (d{k} - x{i}) / z{k}",
+            f"if x{i} < b{k}:",
+            f"    u{k} = 0.0 if x{i} <= a{k} else (x{i} - a{k}) / w{k}",
+            f"elif x{i} <= c{k}:",
+            f"    u{k} = 1.0",
+            f"elif x{i} >= d{k}:",
+            f"    u{k} = 0.0",
+            "else:",
+            f"    u{k} = (d{k} - x{i}) / z{k}",
         ]
         if power > 1:
-            body.append(f"        u{k} = " + " * ".join([f"u{k}"] * power))
-    body += [f"        g{g} = 0.0" for g in range(groups)]
+            body.append(f"u{k} = " + " * ".join([f"u{k}"] * power))
+    body += [f"g{g} = 0.0" for g in range(groups)]
     trie: dict = {}  # label row -> subtrie; None -> groups of the rules ending here
     for rows, g in rules:
         node = trie
@@ -207,25 +222,51 @@ def _strengths_binder(structure) -> Callable[..., Callable[..., None]]:
             body.extend((f"{pad}s{n} = u{k} if u{k} < {s} else {s}", f"{pad}if s{n}:"))
             walk(child, f"s{n}", pad + "    ")
 
-    walk(trie, "1.0", "        ")
-    body += [
-        "        pack(" + ", ".join(["out", "0"] + [f"g{g}" for g in range(groups)]) + ")",
-        "    return strengths",
+    walk(trie, "1.0", "")
+    body.append("pack(" + ", ".join(["strength", "0"] + [f"g{g}" for g in range(groups)]) + ")")
+    layers = [f"layer{r}" for r in range(max(depth, 2))]
+    tail = [
+        "minimum(strength[layer_group], layer_curve, out=covered)",
+        *[f"maximum({'aggregate' if r > 1 else 'layer0'}, {layers[r]}, out=aggregate)"
+          for r in range(1, len(layers))],
+        "multiply(points, aggregate, out=weighted)",
+        "accumulate(terms, out=sums)",
+        "total = sums.item(-1)",  # a Python complex: num + den * 1j
+        "den = total.imag",
+        "if den == 0.0: return 0.0, False",
+        "return (0.0 + total.real) / den, True",
     ]
-    namespace: dict = {"pack": struct.Struct(f"{groups}d").pack_into}
-    exec(compile("\n".join(body), "<fuzzpole.kernels strengths>", "exec"), namespace)
-    return namespace["bind"]
+    slots = sorted({i for _, i in labels})
+    read = [f"x{i} = inputs[{i}]" for i in slots]
+    view = [f"x{i} = {_VIEW[i]}" for i in slots]
+
+    def entry(pad, head, lines):
+        return [pad + head, *(f"{pad}    {line}" for line in lines)]
+
+    numbers = (f"a{k}, b{k}, w{k}, c{k}, d{k}, z{k}" for k in range(len(labels)))
+    buffers = ["strength", "layer_group", "layer_curve", "covered", "points", "weighted",
+               "aggregate", "terms", "sums", *layers]
+    source = [
+        f"def bind({', '.join(numbers)}):",
+        *entry("    ", "def strengths(inputs, strength):", read + body),
+        f"    def law_of({', '.join(buffers)}):",
+        *entry("        ", f"def law({_STATE}):", view + body + tail),
+        *entry("        ", "def force(inputs):", read + body + tail),
+        "        return law, force",
+        "    return strengths, law_of",
+    ]
+    return _generated(source, "bind", {
+        "pack": struct.Struct(f"{groups}d").pack_into, "RAD2DEG": RAD2DEG, "minimum": np.minimum,
+        "maximum": np.maximum, "multiply": np.multiply, "accumulate": np.add.accumulate})
 
 
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
 
-    Memberships and rule strengths become one generated function,
-    ``strengths``: the binder that :func:`_strengths_binder` generates for
-    the rule base's structure, applied to its corners and widths.  The
-    binder is cached by structure, so compiling a rule base whose labels
-    and rules are shaped like one compiled before generates no code.  The
-    conclusion curves become coverage layers.  Raises KernelError for an
+    The conclusion curves become coverage layers, and the law becomes the
+    binder :func:`_law_binder` generates for the rule base's structure and
+    coverage depth, applied to its corners and widths; a rule base shaped
+    like one compiled before generates no code.  Raises KernelError for an
     input variable the harness does not drive.
     """
     check_input_slots(kb)
@@ -240,9 +281,11 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     zero = curves == 0.0
     depth = int((~zero).sum(axis=0).max(initial=0))
     layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
-
+    strengths, law_of = _law_binder(structure, depth)(*numbers)
     return CompiledKB(
-        strengths=_strengths_binder(structure)(*numbers),
+        strengths=strengths,
+        law_of=law_of,
+        reads=1 + max((i for _, i in structure[0]), default=-1),
         groups=len(conclusions),
         points=points,
         layer_group=layer_group,
@@ -250,82 +293,41 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     )
 
 
-def control_inputs(
-    theta: float, theta_dot: float, x: float, x_dot: float, x_target: float
-) -> tuple[float, float, float, float]:
-    """State as the fuzzy law reads it, in ``DEFAULT_SLOTS`` order: angles
-    in degrees, the cart as its error from the target."""
-    return (theta * RAD2DEG, theta_dot * RAD2DEG, x - x_target, x_dot)
-
-
 # ---------------------------------------------------------------------------
 # Control laws and the simulation loop
 
 
-def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
-    """The fuzzy law of ``ck``: ``force(inputs) -> (force, fired)`` on a
-    sequence of Python floats in ``DEFAULT_SLOTS`` order, with the force a
-    Python float.
+def fuzzy_law(ck: CompiledKB) -> tuple[Callable[..., tuple[float, bool]], ...]:
+    """The fuzzy law of ``ck`` as two entries over one set of buffers:
+    ``law(theta, theta_dot, x, x_dot, x_target)`` on the plant state, which
+    the simulation loop calls, and ``force(inputs)`` on Python floats in
+    ``DEFAULT_SLOTS`` order.  Each is one generated frame
+    (:func:`_law_binder`) returning ``(force, fired)``, the force a Python
+    float; it builds no list or array and looks up no attribute of ``np``.
 
-    The law owns its buffers, allocated here once and overwritten at each
-    call, and binds the numpy callables it calls, so a call looks up no
-    attribute of ``np``.  ``ck.strengths`` packs the group strengths
-    straight into one of them, so no list or array is built per call.
-
-    Degrees and rule strengths come from ``ck.strengths``, generated code
-    that performs the scalar operations of ``MembershipFunction.__call__``
-    and ``fuzzy.rule_activation`` once per shared prefix of conditions,
-    skipping the rules below a +0.0 prefix; :func:`_strengths_binder` says
-    why each strength is still the one ``fc_output`` computes, a NaN degree
-    skipped.  The rules of a group fold into one strength, exactly, since
-    no strength is NaN: max_r min(a_r, c) == min(max_r a_r, c).  Clip runs
-    once over the coverage layers, into the first ``depth`` rows of a
-    buffer of ``max(depth, 2)`` rows whose other rows stay +0.0.  Every
-    clipped value is +0.0 or positive (strengths start at +0.0 and are
-    never NaN; curves are sampled with +0.0 zeros), so +0.0, from a pad
-    row or a curve left out at a grid point, changes no max, and the fold
-    max(max(r0, r1), r2) is fc_output's max(max(max(+0.0, r0), r1), r2)
-    bit for bit.
-
-    Both center-of-area sums run left to right over the full grid in one
-    accumulate, as in ``fuzzy.defuzzify_coa``: its terms are one complex
-    array, the grid points times mu as the real part and mu as the
-    imaginary part, and a complex addition adds the real parts and the
-    imaginary parts apart, each with one IEEE addition, so each running sum
-    is the one a real accumulate of its row gives.  fc_output's sums start
-    at +0.0, hence the ``0.0 + num``, which makes an all -0.0 sum +0.0.
+    A group's rules fold into one strength, exactly, as no strength is NaN:
+    max_r min(a_r, c) == min(max_r a_r, c).  The clip fills the first
+    ``depth`` rows of a buffer of ``max(depth, 2)`` rows whose other rows
+    stay +0.0.  Every clipped value is +0.0 or positive (curves are sampled
+    with +0.0 zeros), so +0.0, from a pad row or a curve left out at a grid
+    point, changes no max: the fold max(max(r0, r1), r2) is fc_output's
+    max(max(max(+0.0, r0), r1), r2) bit for bit.  A complex addition adds
+    the real parts and the imaginary parts apart, one IEEE addition each,
+    so each running sum of the accumulate is ``fuzzy.defuzzify_coa``'s.
+    Its sums start at +0.0, hence the ``0.0 + num``: an all -0.0 sum is +0.0.
     """
-    strengths = ck.strengths
-    points, layer_group, layer_curve = ck.points, ck.layer_group, ck.layer_curve
-    minimum, maximum, multiply = np.minimum, np.maximum, np.multiply
-    accumulate = np.add.accumulate
-    depth = len(layer_curve)
-    clipped = np.zeros((max(depth, 2), points.shape[0]))
-    covered = clipped[:depth]
-    top, bottom, rest = clipped[0], clipped[1], tuple(clipped[2:])
+    n = ck.points.shape[0]
+    depth = len(ck.layer_curve)
+    clipped = np.zeros((max(depth, 2), n))
     # Row 0 holds the center-of-area terms, row 1 their running sums:
-    # accumulate, unlike sum, adds in order.  (Rows are taken by index:
-    # unpacking a 2-D array costs more than the rest of the setup.)
-    coa = np.empty((2, points.shape[0]), dtype=np.complex128)
+    # accumulate, unlike sum, adds in order.
+    coa = np.empty((2, n), dtype=np.complex128)
     terms, sums = coa[0], coa[1]
     weighted, aggregate = terms.real, terms.imag
-    strength = np.zeros(ck.groups)
-
-    def force(inputs: Sequence[float]) -> tuple[float, bool]:
-        strengths(inputs, strength)
-        minimum(strength[layer_group], layer_curve, out=covered)
-        maximum(top, bottom, out=aggregate)
-        for layer in rest:
-            maximum(aggregate, layer, out=aggregate)
-        multiply(points, aggregate, out=weighted)
-        accumulate(terms, out=sums)
-        total = sums.item(-1)  # a Python complex: num + den * 1j
-        den = total.imag
-        if den == 0.0:
-            return 0.0, False
-        return (0.0 + total.real) / den, True
-
-    return force
+    return ck.law_of(
+        np.zeros(ck.groups), ck.layer_group, ck.layer_curve, clipped[:depth], ck.points,
+        weighted, aggregate, terms, sums, *[clipped[r] for r in range(len(clipped))],
+    )
 
 
 def _simulate(
@@ -425,9 +427,13 @@ def _simulate(
 def fuzzy_force(
     ck: CompiledKB, inputs: np.ndarray, backend: str | None = None
 ) -> tuple[float, bool]:
-    """Single controller evaluation: crisp force and whether any rule fired."""
+    """Crisp force, and whether any rule fired, on inputs in slot order."""
     check_backend(backend)
-    return fuzzy_law(ck)(np.asarray(inputs, dtype=np.float64).tolist())
+    values = np.asarray(inputs, dtype=np.float64)
+    if values.ndim != 1 or values.shape[0] < ck.reads:
+        raise KernelError(f"inputs must be one-dimensional with at least {ck.reads} values in "
+                          f"DEFAULT_SLOTS order {dict(DEFAULT_SLOTS)}; got shape {values.shape}")
+    return fuzzy_law(ck)[1](values.tolist())
 
 
 def simulate_fuzzy(
@@ -450,15 +456,9 @@ def simulate_fuzzy(
     Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
     termination, count of control instants where no rule fired).
     """
-
-    force = fuzzy_law(ck)
-
-    def law(theta, theta_dot, x, x_dot, x_target):
-        return force(control_inputs(theta, theta_dot, x, x_dot, x_target))
-
     return _simulate(
         state0, x_target, params, dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, fuzzy_law(ck)[0],
     )
 
 

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import itertools
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -382,12 +384,83 @@ def test_one_law_matches_reference_one_ulp_around_breakpoints(key):
     scalar, which would spread into the simulation loop's state and slow
     every step."""
     kb = _COMPOSED[key]
-    law = kernels.fuzzy_law(_COMPILED[key])
+    _, law = kernels.fuzzy_law(_COMPILED[key])
     rng = random.Random(f"ulp {key}")
     for row in _near_breakpoint_rows(kb, rng, 200):
         force, fired = law(row)
         assert type(force) is float and type(fired) is bool
         assert repr((force, fired)) == _fc_repr(kb, dict(zip(_NAMES, row))), row
+
+
+def _state_rows(kb, rng, count, x_target):
+    """``count`` states (theta, theta_dot, x, x_dot), each value drawn from
+    NaN, +-inf, +-0.0 and the state values that put a slot on one of its
+    labels' corners (an angle divided by RAD2DEG, x shifted by
+    ``x_target``), with the floats one ulp either side of those."""
+    state_of = {
+        "theta": lambda p: p / kernels.RAD2DEG,
+        "theta_dot": lambda p: p / kernels.RAD2DEG,
+        "x": lambda p: p + x_target,
+        "x_dot": lambda p: p,
+    }
+    values = []
+    for name in _NAMES:
+        corners = [state_of[name](p) for p in _breakpoints(kb, name)]
+        values.append(_SPECIALS + tuple(
+            v for c in corners
+            for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+        ))
+    return [tuple(rng.choice(slot) for slot in values) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "key", [("builtin", 201), *sorted(_DEPTHS)], ids=lambda key: f"{key[0]}-{key[1]}"
+)
+def test_state_and_slot_entries_agree_with_fc_output(key):
+    """The law's two entries, on the plant state and on control_inputs of
+    it, give fc_output's (force, fired) by repr, on kb/pole.frl and the
+    probes of every depth; the oracle's inputs are written out here (angles
+    through math.degrees), so a slip in the view both entries share shows."""
+    kb = _LAYER_CASES[key]
+    law, force = kernels.fuzzy_law(compile_kb(kb))
+    rng = random.Random(f"entries {key}")
+    for x_target in (0.0, 0.5, -1e-300):
+        for state in _state_rows(kb, rng, 60, x_target):
+            theta, theta_dot, x, x_dot = state
+            values = {
+                "theta": math.degrees(theta), "theta_dot": math.degrees(theta_dot),
+                "x": x - x_target, "x_dot": x_dot,
+            }
+            expected = _fc_repr(kb, values)
+            assert repr(law(*state, x_target)) == expected, (state, x_target)
+            inputs = control_inputs(*state, x_target)
+            assert repr(force(inputs)) == expected, (state, x_target)
+
+
+def test_a_control_instant_is_one_generated_frame(kb):
+    """A 200-step FC run enters the generated state law once per control
+    instant, and neither control_inputs nor the strengths entry: the loop
+    calls the law itself, which computes its slots from the state and runs
+    the numpy tail inline."""
+    scenario = default_scenario(1, "fc", duration=1.0)
+    assert scenario.n_steps == 200
+    ck = compile_kb(kb)
+    law_code = kernels.fuzzy_law(ck)[0].__code__  # shared by every law of this structure
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        traj = run(scenario)
+    finally:
+        sys.setprofile(None)
+    assert traj.termination == "completed"
+    assert entered[law_code] == len(range(0, scenario.n_steps, scenario.control_every))
+    assert entered[kernels.control_inputs.__code__] == 0
+    assert entered[ck.strengths.__code__] == 0
 
 
 def test_concentrated_labels_compile_to_powers():
@@ -451,9 +524,9 @@ def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
     for first, second in pairs:
         assert kernels._front_end(first)[0] == kernels._front_end(second)[0]
         ck_first = compile_kb(first)
-        hits = kernels._strengths_binder.cache_info().hits
+        hits = kernels._law_binder.cache_info().hits
         ck_second = compile_kb(second)
-        assert kernels._strengths_binder.cache_info().hits == hits + 1
+        assert kernels._law_binder.cache_info().hits == hits + 1
         assert ck_second.strengths.__code__ is ck_first.strengths.__code__
     narrow, wide = (compile_kb(k) for k in pairs[0])
     inputs = [1.0, 5.0, 0.1, 0.05]
@@ -521,7 +594,7 @@ def test_reordered_rule_base_gives_the_same_bits(key):
     same force, bit for bit."""
     kb = _LAYER_CASES[key]
     ck = compile_kb(kb)
-    law = kernels.fuzzy_law(ck)
+    _, law = kernels.fuzzy_law(ck)
     rng = random.Random(f"reorder {key}")
     rows = _near_breakpoint_rows(kb, rng, 200)
     conclusions = kernels._front_end(kb)[2]
@@ -530,7 +603,7 @@ def test_reordered_rule_base_gives_the_same_bits(key):
         other = _reordered(kb, rng)
         assert kernels._front_end(other)[0] != kernels._front_end(kb)[0]
         ck_other = compile_kb(other)
-        law_other = kernels.fuzzy_law(ck_other)
+        _, law_other = kernels.fuzzy_law(ck_other)
         other_conclusions = kernels._front_end(other)[2]
         for row, (strengths, force) in zip(rows, expected):
             ours = sorted(zip(other_conclusions, _strengths(ck_other, row)))
@@ -538,7 +611,7 @@ def test_reordered_rule_base_gives_the_same_bits(key):
             assert repr(law_other(row)) == repr(force), row
 
 
-_GENERATED_NAME = re.compile(r"inputs|out|pack|[xugsabcwdz]\d+")
+_GENERATED_NAME = re.compile(r"inputs|strength|pack|[xugsabcwdz]\d+")
 
 
 @pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
@@ -598,6 +671,16 @@ def test_fuzzy_force_reports_no_rule(kb, backend):
         ck, control_inputs(math.radians(10), 0.0, 0.0, 0.0, 0.0), backend=backend
     )
     assert not fired and force == 0.0
+
+
+@pytest.mark.parametrize(
+    "inputs", [[0.1, 0.2, 0.3], [[0.1] * 4] * 2, 0.1, []], ids=["short", "2-D", "0-D", "empty"]
+)
+def test_fuzzy_force_rejects_inputs_it_cannot_read(compiled_kb, inputs):
+    """kb/pole.frl reads all four slots: a shorter input, or one that is not
+    one-dimensional, is a KernelError naming DEFAULT_SLOTS."""
+    with pytest.raises(kernels.KernelError, match="DEFAULT_SLOTS"):
+        fuzzy_force(compiled_kb, inputs)
 
 
 def test_unknown_backend_rejected(compiled_kb):

@@ -12,7 +12,8 @@ one rule the code keeps: a -0.0 kept, an operation order that rounds as
 the reference does, the RK4 half step, a clamp, a float64 row, the
 coverage depth, a trapezoid comparison, a shared prefix of rule
 conditions, an event's step, the slope force after a tilt, the fuzzy
-law's fold over its layers, and its center-of-area arithmetic.  For each
+law's fold over its layers, its center-of-area arithmetic, and the state
+its generated law reads.  For each
 mutant the tests run on the mutated copy (pytest ``-x``, stopping at the
 first failure); a mutant is caught when they fail.  Before the mutants,
 the same tests run on the unmutated copy and must pass.  The check prints
@@ -76,8 +77,8 @@ MUTANTS = (
     Mutant(
         "< changed to <= in the trapezoid",  # the law's generated front end
         "kernels.py",
-        'f"        if x{i} < b{k}:"',
-        'f"        if x{i} <= b{k}:"',
+        'f"if x{i} < b{k}:"',
+        'f"if x{i} <= b{k}:"',
     ),
     Mutant(
         "trie child's min started from 1.0",  # a shared prefix's value is lost
@@ -100,26 +101,32 @@ MUTANTS = (
     Mutant(
         "fold skipped past the second layer",  # depth 3 and up lose a layer
         "kernels.py",
-        "for layer in rest:",
-        "for layer in rest[:0]:",
+        "for r in range(1, len(layers))]",
+        "for r in range(1, 2)]",
     ),
     Mutant(
         "0.0 + dropped from the center of area",
         "kernels.py",
-        "return (0.0 + total.real) / den, True",
-        "return total.real / den, True",
+        '"return (0.0 + total.real) / den, True",',
+        '"return total.real / den, True",',
     ),
     Mutant(
         "accumulate swapped for np.add.reduce",  # a pairwise sum, not in order
         "kernels.py",
-        "        accumulate(terms, out=sums)\n        total = sums.item(-1)",
-        "        total = np.add.reduce(terms).item()",
+        '"accumulate(terms, out=sums)",\n        "total = sums.item(-1)",',
+        '"total = terms.sum().item()",',  # numpy's sum is np.add.reduce
     ),
     Mutant(
         "real and imaginary parts swapped",
         "kernels.py",
         "weighted, aggregate = terms.real, terms.imag",
         "weighted, aggregate = terms.imag, terms.real",
+    ),
+    Mutant(
+        "theta_dot read through theta in the law's state prologue",
+        "kernels.py",
+        'view = [f"x{i} = {_VIEW[i]}" for i in slots]',
+        'view = [f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
     ),
 )
 
