@@ -18,11 +18,13 @@ both center-of-area sums.  Each scalar operation is one that
 bit (the strength max's order, the rules below a zero prefix), so the force
 is its force bit for bit.
 The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
-The loop binds the plant's step once per run (``plant._integrator`` over
-``plant._dynamics_of``) and takes it once per step on the net force: the
-force clamped once per control instant, less the slope force, updated at
-each tilt event, as :func:`fuzzpole.plant.advance` prepares it at every
-step, so a step is ``advance``'s step bit for bit.
+The loop binds the plant's step once per run (the entry of the binder
+``plant._integrator`` generated at import, which inlines the equations of
+motion once per Euler step and four times per RK4 step, so a step is one
+Python frame) and takes it once per step on the net force: the force
+clamped once per control instant, less the slope force, updated at each
+tilt event, as :func:`fuzzpole.plant.advance` prepares it at every step,
+so a step is ``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -371,7 +373,7 @@ def _simulate(
     total = m_c + m
     slope_force = plant._slope_force
     slope = slope_force(tilt, g, total)
-    integrate = plant._integrator(plant._dynamics_of(g, m_c, m, l, mu_c, mu_p), dt, rk4)
+    integrate = plant._integrator("rk4" if rk4 else "euler", g, m_c, m, l, mu_c, mu_p, dt)
     traj = np.empty((n_steps + 1, 7))
     write_row = _ROW.pack_into
     row_size = _ROW.size

@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import cos, sin
+from textwrap import indent
 
 __all__ = [
     "PlantState",
@@ -128,78 +129,87 @@ def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> f
     return f - _slope_force(tilt, g, total)
 
 
-def _dynamics_of(g: float, m_c: float, m: float, l: float, mu_c: float, mu_p: float):
-    """The equations of motion of a plant, and the only place they are
-    written: ``dynamics(theta, theta_dot, x_dot, f)`` returns
-    (theta_ddot, x_ddot) under the net cart force ``f``.
+# The equations of motion, and the only place they are written: one stage
+# over the stage's angle {t}, angular velocity {p} and cart velocity {v},
+# which sets {a} to theta_ddot and {b} to x_ddot under the net cart force
+# ``f``.  ``friction`` is ``mu_c * sgn(v)``, with the same bits for any mu_c
+# that is not NaN; ``ml`` is ``m l`` and ``total`` is ``m_c + m``, which
+# round as when written out.
+_STAGE = """\
+if {v} > 0.0:
+    friction = mu_c
+elif {v} < 0.0:
+    friction = -mu_c
+else:
+    friction = mu_c * 0.0
+sin_t = sin({t})
+cos_t = cos({t})
+{a} = (
+    g * sin_t
+    + cos_t * ((-f - ml * {p} * {p} * sin_t + friction) / total)
+    - mu_p * {p} / ml
+) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
+{b} = (f + ml * ({p} * {p} * sin_t - {a} * cos_t) - friction) / total
+"""
 
-    ``m l`` and ``m_c + m`` are computed here once; the products and
-    quotients that use them round as when written out.  ``friction`` is
-    ``mu_c * sgn(x_dot)``, with the same bits for any mu_c that is not NaN."""
+
+# The binder ``_integrator(entry, g, m_c, m, l, mu_c, mu_p, dt)`` binds one
+# entry to a plant's constants and returns it: "dynamics" gives
+# ``dynamics(theta, theta_dot, x_dot, f) -> (theta_ddot, x_ddot)``, "euler"
+# and "rk4" a fixed step ``step(theta, theta_dot, x, x_dot, f)`` of size
+# ``dt`` under the net cart force ``f``, held over the step.  Forward Euler
+# advances the velocities by the accelerations and the positions by the old
+# velocities.  Classic RK4 keeps its stage values as locals: stage i has
+# angle t_i, angular velocity p_i, cart velocity v_i and accelerations
+# (a_i, b_i), and the step is the usual weighted sum dt/6 (k1 + 2 k2 + 2 k3
+# + k4).  Each entry inlines its stages, so a step is one Python frame.
+_stage = indent(_STAGE, " " * 12).format
+_namespace = {"sin": sin, "cos": cos}
+exec(compile(f"""\
+def _integrator(entry, g, m_c, m, l, mu_c, mu_p, dt=None):
     total = m_c + m
     ml = m * l
-
-    def dynamics(theta, theta_dot, x_dot, f):
-        if x_dot > 0.0:
-            friction = mu_c
-        elif x_dot < 0.0:
-            friction = -mu_c
-        else:
-            friction = mu_c * 0.0
-        sin_t = sin(theta)
-        cos_t = cos(theta)
-        theta_ddot = (
-            g * sin_t
-            + cos_t * ((-f - ml * theta_dot * theta_dot * sin_t + friction) / total)
-            - mu_p * theta_dot / ml
-        ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
-        x_ddot = (
-            f + ml * (theta_dot * theta_dot * sin_t - theta_ddot * cos_t) - friction
-        ) / total
-        return theta_ddot, x_ddot
-
-    return dynamics
-
-
-def _integrator(dynamics, dt: float, rk4: bool):
-    """``step(theta, theta_dot, x, x_dot, f)``: one fixed step of size ``dt``
-    under ``dynamics`` (from :func:`_dynamics_of`) and the net cart force
-    ``f``, held over the step.  Forward Euler advances the velocities by the
-    accelerations and the positions by the old velocities.  Classic RK4
-    keeps its stage values as locals: stage i has angular velocity p_i, cart
-    velocity v_i and accelerations (a_i, b_i), and the step is the usual
-    weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    h = 0.5 * dt
-    sixth = dt / 6.0
-
-    def euler(theta, theta_dot, x, x_dot, f):
-        theta_ddot, x_ddot = dynamics(theta, theta_dot, x_dot, f)
-        return (
-            theta + theta_dot * dt,
-            theta_dot + theta_ddot * dt,
-            x + x_dot * dt,
-            x_dot + x_ddot * dt,
-        )
-
-    def classic_rk4(theta, theta_dot, x, x_dot, f):
-        a1, b1 = dynamics(theta, theta_dot, x_dot, f)
-        p2 = theta_dot + h * a1
-        v2 = x_dot + h * b1
-        a2, b2 = dynamics(theta + h * theta_dot, p2, v2, f)
-        p3 = theta_dot + h * a2
-        v3 = x_dot + h * b2
-        a3, b3 = dynamics(theta + h * p2, p3, v3, f)
-        p4 = theta_dot + dt * a3
-        v4 = x_dot + dt * b3
-        a4, b4 = dynamics(theta + dt * p3, p4, v4, f)
-        return (
-            theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
-            theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
-            x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-        )
-
-    return classic_rk4 if rk4 else euler
+    if entry == "dynamics":
+        def dynamics(theta, theta_dot, x_dot, f):
+{_stage(t="theta", p="theta_dot", v="x_dot", a="theta_ddot", b="x_ddot")}
+            return theta_ddot, x_ddot
+        return dynamics
+    elif entry == "euler":
+        def euler(theta, theta_dot, x, x_dot, f):
+{_stage(t="theta", p="theta_dot", v="x_dot", a="theta_ddot", b="x_ddot")}
+            return (
+                theta + theta_dot * dt,
+                theta_dot + theta_ddot * dt,
+                x + x_dot * dt,
+                x_dot + x_ddot * dt,
+            )
+        return euler
+    else:
+        h = 0.5 * dt
+        sixth = dt / 6.0
+        def rk4(theta, theta_dot, x, x_dot, f):
+{_stage(t="theta", p="theta_dot", v="x_dot", a="a1", b="b1")}
+            t2 = theta + h * theta_dot
+            p2 = theta_dot + h * a1
+            v2 = x_dot + h * b1
+{_stage(t="t2", p="p2", v="v2", a="a2", b="b2")}
+            t3 = theta + h * p2
+            p3 = theta_dot + h * a2
+            v3 = x_dot + h * b2
+{_stage(t="t3", p="p3", v="v3", a="a3", b="b3")}
+            t4 = theta + dt * p3
+            p4 = theta_dot + dt * a3
+            v4 = x_dot + dt * b3
+{_stage(t="t4", p="p4", v="v4", a="a4", b="b4")}
+            return (
+                theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
+                theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
+                x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            )
+        return rk4
+""", "<fuzzpole.plant _integrator>", "exec"), _namespace)
+_integrator = _namespace["_integrator"]
 
 
 def advance(
@@ -221,13 +231,13 @@ def advance(
 ) -> tuple[float, float, float, float]:
     """One fixed step; forward Euler by default, classic RK4 when asked.
 
-    Binds the plant's step (:func:`_integrator` over :func:`_dynamics_of`)
-    and takes it on the net cart force (``f`` clamped, less the slope
-    force), fixed for the step.  :func:`derivatives` binds the same
-    dynamics, so each stage gets the accelerations it would return for the
-    stage's state.  The simulation loop binds the step once per run and
-    prepares the net force itself."""
-    integrate = _integrator(_dynamics_of(g, m_c, m, l, mu_c, mu_p), dt, rk4)
+    Binds the one step it takes from the generated ``_integrator`` and takes
+    it on the net cart force (``f`` clamped, less the slope force), fixed
+    for the step.  The step inlines :data:`_STAGE`, the equations of motion
+    that :func:`derivatives` runs too, so each stage gets the accelerations
+    ``derivatives`` returns for the stage's state.  The simulation loop
+    binds the step once per run and prepares the net force itself."""
+    integrate = _integrator("rk4" if rk4 else "euler", g, m_c, m, l, mu_c, mu_p, dt)
     return integrate(theta, theta_dot, x, x_dot, _net_force(f, tilt, g, m_c + m, f_max))
 
 
@@ -237,9 +247,12 @@ def _check_force(f: float) -> None:
 
 
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
-    """(theta_ddot, x_ddot) at the given state under force f (clamped)."""
+    """(theta_ddot, x_ddot) at the given state under force f (clamped).
+
+    Binds the generated ``_integrator``'s "dynamics" entry, one
+    :data:`_STAGE` and a return, and runs it on the net cart force."""
     _check_force(f)
-    dynamics = _dynamics_of(p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p)
+    dynamics = _integrator("dynamics", p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p)
     return dynamics(
         s.theta, s.theta_dot, s.x_dot, _net_force(f, s.tilt, p.g, p.m_c + p.m, p.f_max)
     )

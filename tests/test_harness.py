@@ -54,21 +54,22 @@ def test_flat_trajectory_at_equilibrium_sfc():
     [("fc", {}), ("sfc", {"integrator": "rk4", "events": (set_tilt(0.5, 0.05),)})],
 )
 def test_run_binds_one_integrator(monkeypatch, controller, overrides):
-    """A run binds the plant's dynamics and its step once, not per step."""
+    """A run makes one call of the plant's binder, for its integrator's
+    step, not one per step."""
     import fuzzpole.plant as plant_mod
 
-    calls = []
-    for name in ("_dynamics_of", "_integrator"):
-        factory = getattr(plant_mod, name)
+    entries = []
+    binder = plant_mod._integrator
 
-        def counted(*args, name=name, factory=factory):
-            calls.append(name)
-            return factory(*args)
+    def counted(entry, *args):
+        entries.append(entry)
+        return binder(entry, *args)
 
-        monkeypatch.setattr(plant_mod, name, counted)
-    traj = run(default_scenario(1, controller, duration=1.0, **overrides))
+    monkeypatch.setattr(plant_mod, "_integrator", counted)
+    scenario = default_scenario(1, controller, duration=1.0, **overrides)
+    traj = run(scenario)
     assert len(traj.t) == 201
-    assert sorted(calls) == ["_dynamics_of", "_integrator"]
+    assert entries == [scenario.integrator]
 
 
 def test_flat_trajectory_at_equilibrium_fc():

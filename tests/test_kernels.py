@@ -967,6 +967,13 @@ def test_row_writer_keeps_the_bits(case):
         assert len(clamped) == rows - 1
     assert data[0, 5].view(np.uint64) == np.float64(-0.0).view(np.uint64)
     assert np.all(np.isfinite(data))
+    # the loop's clamp is pinned to plant._net_force's: on a level track the
+    # net force of each law force is, bit for bit, the force its row records
+    p = pole_params(1)
+    calls = range(rows) if case == "non_finite" else [*range(rows - 1), rows - 2]
+    net = [plant._net_force(_EDGE_FORCES[k % len(_EDGE_FORCES)], 0.0, p.g, p.m_c + p.m, p.f_max)
+           for k in calls]
+    assert np.array_equal(data[:, 5].view(np.uint64), _bits(net))
 
 
 def test_a_raising_step_ends_the_run_as_non_finite():

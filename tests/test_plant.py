@@ -322,13 +322,26 @@ def _random_steps(rng, tilted):
             yield (theta, theta_dot, x, x_dot, f, tilt, dt), params
 
 
+def _steps_with_the_cart_at_rest(rng, tilted):
+    """:func:`_random_steps`, each also with ``x_dot`` 0.0 and -0.0, where the
+    friction sign is ``mu_c * 0.0``, then the equilibrium of every preset
+    (all zeros, f = 0, level track), where every RK4 stage takes that branch."""
+    for (theta, theta_dot, x, x_dot, f, tilt, dt), params in _random_steps(rng, tilted):
+        for v in (x_dot, 0.0, -0.0):
+            yield (theta, theta_dot, x, v, f, tilt, dt), params
+    for preset in POLE_PRESETS:
+        p = pole_params(preset)
+        yield (0.0,) * 6 + (0.005,), (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
+
+
 @pytest.mark.parametrize("tilted", [False, True])
 def test_rk4_matches_k_tuple_reference(tilted):
     """advance's RK4 keeps the bits of the k-tuple formula on random states,
-    forces past saturation, both frictions and every preset."""
+    forces past saturation, both frictions, the cart at rest and every
+    preset."""
     rng = np.random.default_rng(7 if tilted else 3)
-    for args, params in _random_steps(rng, tilted):
-        assert advance(*args, *params, True) == _rk4_k_tuples(*args, *params)
+    for args, params in _steps_with_the_cart_at_rest(rng, tilted):
+        assert repr(advance(*args, *params, True)) == repr(_rk4_k_tuples(*args, *params))
 
 
 def _euler_reference(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
@@ -346,10 +359,11 @@ def _euler_reference(theta, theta_dot, x, x_dot, f, tilt, dt, *p):
 def test_euler_matches_accelerations_reference(tilted):
     """advance's Euler step, which prepares the net force itself, keeps the
     bits of the update built from ``derivatives`` on random states,
-    forces past saturation, both frictions and every preset."""
+    forces past saturation, both frictions, the cart at rest and every
+    preset."""
     rng = np.random.default_rng(11 if tilted else 5)
-    for args, params in _random_steps(rng, tilted):
-        assert advance(*args, *params, False) == _euler_reference(*args, *params)
+    for args, params in _steps_with_the_cart_at_rest(rng, tilted):
+        assert repr(advance(*args, *params, False)) == repr(_euler_reference(*args, *params))
 
 
 def _accelerations_written_out(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max):

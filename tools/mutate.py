@@ -9,14 +9,14 @@ Run it from the root of a checkout:
 
 Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
-the reference does, the RK4 half step, a clamp, a float64 row, the
-coverage depth, a trapezoid comparison, a shared prefix of rule
-conditions, an event's step, the slope force after a tilt, the fuzzy
-law's fold over its layers, its center-of-area arithmetic, and the state
-its generated law reads.  For each
-mutant the tests run on the mutated copy (pytest ``-x``, stopping at the
-first failure); a mutant is caught when they fail.  Before the mutants,
-the same tests run on the unmutated copy and must pass.  The check prints
+the reference does, the RK4 half step, an RK4 stage's angle, a clamp, a
+float64 row, the coverage depth, a trapezoid comparison, a shared prefix
+of rule conditions, an event's step, the slope force after a tilt, the
+fuzzy law's fold over its layers, its center-of-area arithmetic, and the
+state its generated law reads.  For each mutant the tests run on the
+mutated copy (pytest ``-x``, stopping at the first failure); a mutant is
+caught when they fail.  Before the mutants, the same tests run on the
+unmutated copy and must pass.  The check prints
 one line per mutant and exits 1 if any survives or its snippet no longer
 occurs exactly once in the source (the mutant is stale and must be
 rewritten with the code; ``tests/test_tools.py`` checks that too, without
@@ -54,12 +54,18 @@ MUTANTS = (
         "\n        write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f + 0.0, tilt)",
     ),
     Mutant(
-        "reassociated product in _dynamics_of",
+        "reassociated product in the stage template",
         "plant.py",
-        "(-f - ml * theta_dot * theta_dot * sin_t + friction)",
-        "(-f - ml * (theta_dot * theta_dot * sin_t) + friction)",
+        "(-f - ml * {p} * {p} * sin_t + friction)",
+        "(-f - ml * ({p} * {p} * sin_t) + friction)",
     ),
     Mutant("RK4 half step bound as dt", "plant.py", "h = 0.5 * dt", "h = dt"),
+    Mutant(
+        "RK4 stage 3 angle from theta_dot",  # the third stage's angle skips p2
+        "plant.py",
+        "t3 = theta + h * p2",
+        "t3 = theta + h * theta_dot",
+    ),
     Mutant(
         "skipped clamp",  # the net force is no longer clamped to +-f_max
         "plant.py",
