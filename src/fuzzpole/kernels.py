@@ -1,30 +1,34 @@
 """Hot numeric kernels for closed-loop simulation.
 
-One loop, :func:`_simulate`, runs both controllers; they differ only in the
-law it calls with the plant state at each control instant.  The fuzzy law
-is one generated Python function, so an instant is one Python call; its
-source is cached by the rule base's structure and coverage depth, and the
-rule base's numbers are bound as arguments.  It computes the input slots
-from the state, reads each label's degree off its trapezoid corners, takes
-the rule strengths over a trie of shared condition prefixes that skips
-every rule below a zero prefix, and packs one strength per conclusion label
-into a buffer.  Inline follow one clip over the coverage layers (at each
-grid point the conclusion curves nonzero there, padded with +0.0 rows to at
+A run is one generated Python frame.  The simulation loop is written once,
+as the source template ``_LOOP`` with two slots, the control law and the
+plant step; :func:`_loop` fills them on a run's first use of a law and an
+integrator and caches the function, so the loop makes no Python call per
+step.  The step slot is the Euler or RK4 body of ``plant._STEPS``, which
+inline the equations of motion.  The law slot is the SFC law
+``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``, a call of a
+law function (:func:`_simulate`), or the fuzzy law of a rule base.
+
+The fuzzy law is generated source, by the rule base's structure and
+coverage depth, that names everything by index; a run binds the rule
+base's numbers and the law's buffers.  It computes the input slots from
+the state, reads each label's degree off its trapezoid corners, takes the
+rule strengths over a trie of shared condition prefixes that skips every
+rule below a zero prefix, and packs one strength per conclusion label into
+a buffer.  Inline follow one clip over the coverage layers (at each grid
+point the conclusion curves nonzero there, padded with +0.0 rows to at
 least two), one binary ``np.maximum`` per layer past the first, and one
 left-to-right accumulate over a complex array, the grid points times the
 aggregate as its real part and the aggregate as its imaginary part, for
 both center-of-area sums.  Each scalar operation is one that
 :func:`fuzzpole.fuzzy.fc_output` performs on the same values, or changes no
 bit (the strength max's order, the rules below a zero prefix), so the force
-is its force bit for bit.
-The SFC law is ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``.
-The loop binds the plant's step once per run (the entry of the binder
-``plant._integrator`` generated at import, which inlines the equations of
-motion once per Euler step and four times per RK4 step, so a step is one
-Python frame) and takes it once per step on the net force: the force
-clamped once per control instant, less the slope force, updated at each
-tilt event, as :func:`fuzzpole.plant.advance` prepares it at every step,
-so a step is ``advance``'s step bit for bit.
+is its force bit for bit.  The same lines under a prologue that reads the
+slots from a sequence form the law's slot entry, :func:`fuzzy_law`.
+Each step takes the net force: the force clamped once per control instant,
+less the slope force, updated at each tilt event, as
+:func:`fuzzpole.plant.advance` prepares it at every step, so a step is
+``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -37,6 +41,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
+from textwrap import indent
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -122,7 +127,9 @@ class CompiledKB:
     """
 
     strengths: Callable[[Sequence[float], np.ndarray], None]  # (inputs, out)
-    law_of: Callable[..., tuple]  # (*buffers) -> (law, force); see fuzzy_law
+    force_of: Callable[..., Callable]  # (*buffers) -> force; see fuzzy_law
+    shape: tuple  # (structure, depth): the key of the generated law and loop
+    numbers: tuple  # the corners and widths the generated law reads
     reads: int  # input values the slot entries read: one past the highest slot
     groups: int  # conclusion labels, one strength each
     points: np.ndarray  # (N,) the output grid
@@ -171,17 +178,16 @@ def _front_end(kb: KnowledgeBase):
     return (tuple(labels), rules, len(group_of)), numbers, list(group_of)
 
 
-@functools.lru_cache(maxsize=64)
-def _law_binder(structure, depth: int) -> Callable[..., tuple]:
-    """Generate, once per ``structure`` of :func:`_front_end` and coverage
-    ``depth``, a binder ``bind(*numbers) -> (strengths, law_of)``.
+def _law_lines(structure, depth: int):
+    """The fuzzy law of one ``structure`` of :func:`_front_end` and coverage
+    ``depth`` as source lines, for :func:`_law_binder` and :func:`_loop`.
 
-    The body lines take the degrees and rule strengths into ``strength``;
-    the tail lines run the law's numpy part on it, the max unrolled to
-    ``depth``.  ``strengths(inputs, strength)`` is the body under the slot
-    prologue.  ``law_of(*buffers)`` returns ``(law, force)``: body and tail
-    under the state prologue, which computes the slots read from ``_VIEW``,
-    and under the slot prologue.  The source names everything by index.
+    Returns ``(numbers, buffers, slots, body, tail, namespace)``: the names
+    of the corners and widths and of the law's buffers, the input slots
+    read, the body lines, which take the degrees and rule strengths into
+    ``strength``, the tail lines, which run the law's numpy part on it, the
+    max unrolled to ``depth``, and set the force ``f`` and ``fired``, and
+    the globals the lines read.  The source names everything by index.
 
     Label k's degree ``u{k}`` is the comparison chain of
     ``MembershipFunction`` raised to its power as in ``fuzzy._pow_int``.
@@ -233,43 +239,55 @@ def _law_binder(structure, depth: int) -> Callable[..., tuple]:
           for r in range(1, len(layers))],
         "multiply(points, aggregate, out=weighted)",
         "accumulate(terms, out=sums)",
-        "total = sums.item(-1)",  # a Python complex: num + den * 1j
-        "den = total.imag",
-        "if den == 0.0: return 0.0, False",
-        "return (0.0 + total.real) / den, True",
+        "coa = sums.item(-1)",  # a Python complex: num + den * 1j
+        "den = coa.imag",
+        "if den == 0.0:",
+        "    f, fired = 0.0, False",
+        "else:",
+        "    f, fired = (0.0 + coa.real) / den, True",
     ]
-    slots = sorted({i for _, i in labels})
-    read = [f"x{i} = inputs[{i}]" for i in slots]
-    view = [f"x{i} = {_VIEW[i]}" for i in slots]
-
-    def entry(pad, head, lines):
-        return [pad + head, *(f"{pad}    {line}" for line in lines)]
-
-    numbers = (f"a{k}, b{k}, w{k}, c{k}, d{k}, z{k}" for k in range(len(labels)))
+    numbers = [f"{n}{k}" for k in range(len(labels)) for n in "abwcdz"]
     buffers = ["strength", "layer_group", "layer_curve", "covered", "points", "weighted",
                "aggregate", "terms", "sums", *layers]
+    namespace = {
+        "pack": struct.Struct(f"{groups}d").pack_into, "RAD2DEG": RAD2DEG, "minimum": np.minimum,
+        "maximum": np.maximum, "multiply": np.multiply, "accumulate": np.add.accumulate}
+    return numbers, buffers, sorted({i for _, i in labels}), body, tail, namespace
+
+
+@functools.lru_cache(maxsize=64)
+def _law_binder(structure, depth: int) -> Callable[..., tuple]:
+    """Generate, once per ``structure`` and coverage ``depth``, a binder
+    ``bind(*numbers) -> (strengths, force_of)`` from :func:`_law_lines`.
+
+    ``strengths(inputs, strength)`` is the body under the slot prologue,
+    which reads each slot from ``inputs``; ``force_of(*buffers)`` returns
+    ``force(inputs) -> (f, fired)``, body and tail under the slot prologue.
+    """
+    numbers, buffers, slots, body, tail, namespace = _law_lines(structure, depth)
+    read = [f"x{i} = inputs[{i}]" for i in slots]
     source = [
         f"def bind({', '.join(numbers)}):",
-        *entry("    ", "def strengths(inputs, strength):", read + body),
-        f"    def law_of({', '.join(buffers)}):",
-        *entry("        ", f"def law({_STATE}):", view + body + tail),
-        *entry("        ", "def force(inputs):", read + body + tail),
-        "        return law, force",
-        "    return strengths, law_of",
+        "    def strengths(inputs, strength):",
+        *(f"        {line}" for line in read + body),
+        f"    def force_of({', '.join(buffers)}):",
+        "        def force(inputs):",
+        *(f"            {line}" for line in read + body + tail + ["return f, fired"]),
+        "        return force",
+        "    return strengths, force_of",
     ]
-    return _generated(source, "bind", {
-        "pack": struct.Struct(f"{groups}d").pack_into, "RAD2DEG": RAD2DEG, "minimum": np.minimum,
-        "maximum": np.maximum, "multiply": np.multiply, "accumulate": np.add.accumulate})
+    return _generated(source, "bind", namespace)
 
 
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
 
-    The conclusion curves become coverage layers, and the law becomes the
-    binder :func:`_law_binder` generates for the rule base's structure and
-    coverage depth, applied to its corners and widths; a rule base shaped
-    like one compiled before generates no code.  Raises KernelError for an
-    input variable the harness does not drive.
+    The conclusion curves become coverage layers, and the law's entries
+    come from the binder :func:`_law_binder` generates for the rule base's
+    structure and coverage depth, applied to its corners and widths; a rule
+    base shaped like one compiled before generates no code, and no
+    simulation loop is generated here.  Raises KernelError for an input
+    variable the harness does not drive.
     """
     check_input_slots(kb)
     structure, numbers, conclusions = _front_end(kb)
@@ -283,10 +301,12 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     zero = curves == 0.0
     depth = int((~zero).sum(axis=0).max(initial=0))
     layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
-    strengths, law_of = _law_binder(structure, depth)(*numbers)
+    strengths, force_of = _law_binder(structure, depth)(*numbers)
     return CompiledKB(
         strengths=strengths,
-        law_of=law_of,
+        force_of=force_of,
+        shape=(structure, depth),
+        numbers=tuple(numbers),
         reads=1 + max((i for _, i in structure[0]), default=-1),
         groups=len(conclusions),
         points=points,
@@ -299,13 +319,9 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
 # Control laws and the simulation loop
 
 
-def fuzzy_law(ck: CompiledKB) -> tuple[Callable[..., tuple[float, bool]], ...]:
-    """The fuzzy law of ``ck`` as two entries over one set of buffers:
-    ``law(theta, theta_dot, x, x_dot, x_target)`` on the plant state, which
-    the simulation loop calls, and ``force(inputs)`` on Python floats in
-    ``DEFAULT_SLOTS`` order.  Each is one generated frame
-    (:func:`_law_binder`) returning ``(force, fired)``, the force a Python
-    float; it builds no list or array and looks up no attribute of ``np``.
+def _buffers(ck: CompiledKB) -> tuple:
+    """Fresh buffers for one fuzzy law of ``ck``, in the order of the
+    generated law's ``buffers``.
 
     A group's rules fold into one strength, exactly, as no strength is NaN:
     max_r min(a_r, c) == min(max_r a_r, c).  The clip fills the first
@@ -326,57 +342,45 @@ def fuzzy_law(ck: CompiledKB) -> tuple[Callable[..., tuple[float, bool]], ...]:
     coa = np.empty((2, n), dtype=np.complex128)
     terms, sums = coa[0], coa[1]
     weighted, aggregate = terms.real, terms.imag
-    return ck.law_of(
-        np.zeros(ck.groups), ck.layer_group, ck.layer_curve, clipped[:depth], ck.points,
-        weighted, aggregate, terms, sums, *[clipped[r] for r in range(len(clipped))],
-    )
+    return (np.zeros(ck.groups), ck.layer_group, ck.layer_curve, clipped[:depth], ck.points,
+            weighted, aggregate, terms, sums, *[clipped[r] for r in range(len(clipped))])
 
 
-def _simulate(
-    state0, x_target, params, dt, n_steps, control_every, rk4,
-    ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
-):
-    """Closed loop under
-    ``law(theta, theta_dot, x, x_dot, x_target) -> (force, fired)``.
+def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
+    """The fuzzy law of ``ck`` over its own buffers, ``force(inputs) ->
+    (force, fired)`` on Python floats in ``DEFAULT_SLOTS`` order: one
+    generated frame that builds no list or array and returns a Python
+    float.  A run inlines the same lines in its loop (:func:`_loop`)."""
+    return ck.force_of(*_buffers(ck))
 
-    Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
-    termination, count of control instants where the law did not fire).
-    The termination is ``"completed"``, ``"pole_fell"``, ``"left_track"``
-    or ``"non_finite"``.
 
-    Every number in the loop is a Python float: a numpy scalar read from an
-    argument would spread into the state and make each step's arithmetic
-    several times slower, with the same IEEE results.  The plant's step is
-    bound once per run, with the plant's constants, so a step passes it only
-    the state and the net cart force.
-
-    A run ends in one place.  The two bound tests after each step break
-    the loop, and one row after it holds the state after the last step
-    taken, so a termination and a completion write the same row.  A state
-    or force that stops being finite ends the run as ``"non_finite"``, with
-    only the finite rows before it kept; a step that raises counts as
-    such a state, which fails the angle test.
-
-    Rows are packed straight into the preallocated trajectory with
-    ``struct``, which stores the same float64 bits as numpy's row
-    assignment (-0.0, NaN and subnormals included) at a third of its cost.
-    """
-    theta, theta_dot, x, x_dot, tilt = (float(v) for v in state0)
-    x_target = float(x_target)
-    g, m_c, m, l, mu_c, mu_p, f_max = (float(v) for v in params)
-    dt = float(dt)
-    track_bound = float(track_bound)
-    theta_limit = float(theta_limit)
-    ev_step = ev_step.tolist()
-    ev_kind = ev_kind.tolist()
-    ev_value = ev_value.tolist()
-    total = m_c + m
-    slope_force = plant._slope_force
+# The simulation loop, written once.  ``{setup}`` binds what the slots read
+# once per run: the step's constants and the law's numbers.  ``{law}`` sets
+# the force ``f`` and ``fired`` at each control instant, and ``{step}``
+# advances the state in place under the net force ``net``.  Every number in the loop is a Python float: a numpy scalar read from an
+# argument would spread into the state and make each step's arithmetic
+# several times slower, with the same IEEE results.  A run ends in one
+# place.  The two bound tests after each step break the loop, and one row
+# after it holds the state after the last step taken, so a termination and
+# a completion write the same row.  A state or force that stops being
+# finite ends the run as "non_finite", with only the finite rows before it
+# kept; a step that raises counts as such a state, which fails the angle
+# test.  A run that ends early copies its rows out of the preallocated
+# buffer.  Rows are packed straight into the trajectory with ``struct``,
+# which stores the same float64 bits as numpy's row assignment (-0.0, NaN
+# and subnormals included) at a third of its cost.
+_LOOP = """\
+def simulate(state0, x_target, params, dt, n_steps, control_every,
+             ev_step, ev_kind, ev_value, track_bound, theta_limit, law):
+    theta, theta_dot, x, x_dot, tilt = map(float, state0)
+    g, m_c, m, l, mu_c, mu_p, f_max = map(float, params)
+    x_target, dt, track_bound, theta_limit = map(float, (x_target, dt, track_bound, theta_limit))
+    ev_step, ev_kind, ev_value = ev_step.tolist(), ev_kind.tolist(), ev_value.tolist()
+{setup}
     slope = slope_force(tilt, g, total)
-    integrate = plant._integrator("rk4" if rk4 else "euler", g, m_c, m, l, mu_c, mu_p, dt)
-    traj = np.empty((n_steps + 1, 7))
-    write_row = _ROW.pack_into
-    row_size = _ROW.size
+    traj = empty((n_steps + 1, 7))
+    write_row = ROW.pack_into
+    row_size = ROW.size
     termination = "completed"
     norule = 0
     f = 0.0
@@ -392,7 +396,7 @@ def _simulate(
                 slope = slope_force(tilt, g, total)
             ev_i += 1
         if k % control_every == 0:
-            f, fired = law(theta, theta_dot, x, x_dot, x_target)
+{law}
             if not fired:
                 norule += 1
             if f > f_max:
@@ -400,10 +404,11 @@ def _simulate(
             elif f < -f_max:
                 f = -f_max
         write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
+        net = f - slope
         try:
-            theta, theta_dot, x, x_dot = integrate(theta, theta_dot, x, x_dot, f - slope)
+{step}
         except (ValueError, ZeroDivisionError):  # math.sin(inf); m * l underflow
-            theta = theta_dot = x = x_dot = math.nan  # caught by the scan below
+            theta = theta_dot = x = x_dot = nan  # caught by the scan below
         # written with `not <=` so that a NaN angle or position stops the run
         if not abs(theta) <= theta_limit:
             termination = "pole_fell"
@@ -413,13 +418,60 @@ def _simulate(
             break
     k += 1  # row k holds the state after the last step taken
     write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
-    traj = traj[: k + 1]
-    finite = np.isfinite(traj)
+    finite = isfinite(traj[: k + 1])
     if not finite.all():
         # rows are finite up to the first overflow or NaN; keep those
-        traj = traj[: int(np.argmin(finite.all(axis=1)))]
+        k = int(finite.all(axis=1).argmin()) - 1
         termination = "non_finite"
+    if k < n_steps:
+        traj = traj[: k + 1].copy()
     return traj, termination, norule
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _loop(law, rk4: bool) -> Callable[..., tuple]:
+    """The loop ``_LOOP`` for one law and integrator, generated on a run's
+    first use of them.  ``law`` is ``"call"`` (the argument ``law`` is a
+    function), ``"sfc"`` (it is the gains) or a rule base's ``shape`` (it
+    is the numbers and buffers).  The loop returns (trajectory rows [t,
+    theta, theta_dot, x, x_dot, F, tilt], termination, count of control
+    instants where the law did not fire); the termination is
+    ``"completed"``, ``"pole_fell"``, ``"left_track"`` or ``"non_finite"``.
+    """
+    namespace = {"slope_force": plant._slope_force, "empty": np.empty, "isfinite": np.isfinite,
+                 "nan": math.nan, "ROW": _ROW, **plant._STEP_GLOBALS}
+    if law == "call":
+        setup, slot = [], ["f, fired = law(theta, theta_dot, x, x_dot, x_target)"]
+    elif law == "sfc":
+        setup = ["k0, k1, k2, k3 = law"]
+        slot = ["f = -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot)",
+                "fired = True"]
+    else:
+        numbers, buffers, slots, body, tail, names = _law_lines(*law)
+        namespace.update(names)
+        setup = [f"{', '.join(numbers + buffers)} = law"]
+        slot = [f"x{i} = {_VIEW[i]}" for i in slots] + body + tail
+    constants, step = plant._STEPS["rk4" if rk4 else "euler"]
+    source = _LOOP.format(
+        setup=indent(constants + "\n".join(setup), " " * 4),
+        law="\n".join(" " * 12 + line for line in slot),
+        step=indent(step, " " * 12).rstrip("\n"),
+    )
+    return _generated([source], "simulate", namespace)
+
+
+def _simulate(
+    state0, x_target, params, dt, n_steps, control_every, rk4,
+    ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
+):
+    """Closed loop under
+    ``law(theta, theta_dot, x, x_dot, x_target) -> (force, fired)``: the
+    loop :func:`_loop` generates with a law-call slot."""
+    return _loop("call", rk4)(
+        state0, x_target, params, dt, n_steps, control_every,
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,57 +487,30 @@ def fuzzy_force(
     if values.ndim != 1 or values.shape[0] < ck.reads:
         raise KernelError(f"inputs must be one-dimensional with at least {ck.reads} values in "
                           f"DEFAULT_SLOTS order {dict(DEFAULT_SLOTS)}; got shape {values.shape}")
-    return fuzzy_law(ck)[1](values.tolist())
+    return fuzzy_law(ck)(values.tolist())
 
 
-def simulate_fuzzy(
-    state0: tuple[float, float, float, float, float],
-    x_target: float,
-    params: tuple[float, float, float, float, float, float, float],
-    dt: float,
-    n_steps: int,
-    control_every: int,
-    rk4: bool,
-    ev_step: np.ndarray,
-    ev_kind: np.ndarray,
-    ev_value: np.ndarray,
-    track_bound: float,
-    theta_limit: float,
-    ck: CompiledKB,
-):
-    """Closed-loop run under the fuzzy controller.
-
-    Returns (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt],
-    termination, count of control instants where no rule fired).
-    """
-    return _simulate(
-        state0, x_target, params, dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit, fuzzy_law(ck)[0],
+def simulate_fuzzy(state0, x_target: float, params, dt: float, n_steps: int,
+                   control_every: int, rk4: bool, ev_step: np.ndarray, ev_kind: np.ndarray,
+                   ev_value: np.ndarray, track_bound: float, theta_limit: float,
+                   ck: CompiledKB):
+    """Closed-loop run under the fuzzy controller; returns what the
+    :func:`_loop` of its rule base's shape returns.  ``state0`` is
+    ``(theta, theta_dot, x, x_dot, tilt)``, ``params`` ``(g, m_c, m, l,
+    mu_c, mu_p, f_max)``."""
+    return _loop(ck.shape, rk4)(
+        state0, x_target, params, dt, n_steps, control_every,
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, ck.numbers + _buffers(ck),
     )
 
 
-def simulate_sfc(
-    state0,
-    x_target: float,
-    params,
-    dt: float,
-    n_steps: int,
-    control_every: int,
-    rk4: bool,
-    ev_step: np.ndarray,
-    ev_kind: np.ndarray,
-    ev_value: np.ndarray,
-    track_bound: float,
-    theta_limit: float,
-    k_gains: np.ndarray,
-):
-    """Closed-loop run under the state-feedback controller."""
-    k0, k1, k2, k3 = (float(v) for v in k_gains)
-
-    def law(theta, theta_dot, x, x_dot, x_target):
-        return -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot), True
-
-    return _simulate(
-        state0, x_target, params, dt, n_steps, control_every, rk4,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
+def simulate_sfc(state0, x_target: float, params, dt: float, n_steps: int,
+                 control_every: int, rk4: bool, ev_step: np.ndarray, ev_kind: np.ndarray,
+                 ev_value: np.ndarray, track_bound: float, theta_limit: float,
+                 k_gains: np.ndarray):
+    """Closed-loop run under the state-feedback controller, as
+    :func:`simulate_fuzzy` under the gains ``k_gains``."""
+    return _loop("sfc", rk4)(
+        state0, x_target, params, dt, n_steps, control_every,
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, [float(v) for v in k_gains],
     )

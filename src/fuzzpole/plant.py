@@ -132,9 +132,9 @@ def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> f
 # The equations of motion, and the only place they are written: one stage
 # over the stage's angle {t}, angular velocity {p} and cart velocity {v},
 # which sets {a} to theta_ddot and {b} to x_ddot under the net cart force
-# ``f``.  ``friction`` is ``mu_c * sgn(v)``, with the same bits for any mu_c
-# that is not NaN; ``ml`` is ``m l`` and ``total`` is ``m_c + m``, which
-# round as when written out.
+# ``net``.  ``friction`` is ``mu_c * sgn(v)``, with the same bits for any
+# mu_c that is not NaN; ``ml`` is ``m l`` and ``total`` is ``m_c + m``,
+# which round as when written out.
 _STAGE = """\
 if {v} > 0.0:
     friction = mu_c
@@ -146,69 +146,76 @@ sin_t = sin({t})
 cos_t = cos({t})
 {a} = (
     g * sin_t
-    + cos_t * ((-f - ml * {p} * {p} * sin_t + friction) / total)
+    + cos_t * ((-net - ml * {p} * {p} * sin_t + friction) / total)
     - mu_p * {p} / ml
 ) / (l * (4.0 / 3.0 - m * cos_t * cos_t / total))
-{b} = (f + ml * ({p} * {p} * sin_t - {a} * cos_t) - friction) / total
+{b} = (net + ml * ({p} * {p} * sin_t - {a} * cos_t) - friction) / total
 """
+_stage = _STAGE.format
+_ACCELERATIONS = _stage(t="theta", p="theta_dot", v="x_dot", a="theta_ddot", b="x_ddot")
+_CONSTANTS = "total = m_c + m\nml = m * l\n"
 
+# A fixed step of size ``dt`` under the net cart force ``net``, held over
+# the step, as source, the only place each is written: per integrator, the
+# constants it binds and the body, which advances theta, theta_dot, x and
+# x_dot in place.  Forward Euler advances the velocities by the
+# accelerations and the positions by the old velocities.  Classic RK4 keeps
+# its stage values as locals: stage i has angle t_i, angular velocity p_i,
+# cart velocity v_i and accelerations (dp_i, dv_i), and the step is the
+# usual weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4).  Each body inlines its
+# stages; the binder below and the simulation loop (``kernels``) inline the
+# bodies.
+_STEPS = {
+    "euler": (_CONSTANTS, f"""\
+{_ACCELERATIONS}\
+theta, theta_dot, x, x_dot = (
+    theta + theta_dot * dt,
+    theta_dot + theta_ddot * dt,
+    x + x_dot * dt,
+    x_dot + x_ddot * dt,
+)
+"""),
+    "rk4": (_CONSTANTS + "h = 0.5 * dt\nsixth = dt / 6.0\n", f"""\
+{_stage(t="theta", p="theta_dot", v="x_dot", a="dp1", b="dv1")}\
+t2 = theta + h * theta_dot
+p2 = theta_dot + h * dp1
+v2 = x_dot + h * dv1
+{_stage(t="t2", p="p2", v="v2", a="dp2", b="dv2")}\
+t3 = theta + h * p2
+p3 = theta_dot + h * dp2
+v3 = x_dot + h * dv2
+{_stage(t="t3", p="p3", v="v3", a="dp3", b="dv3")}\
+t4 = theta + dt * p3
+p4 = theta_dot + dt * dp3
+v4 = x_dot + dt * dv3
+{_stage(t="t4", p="p4", v="v4", a="dp4", b="dv4")}\
+theta, theta_dot, x, x_dot = (
+    theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
+    theta_dot + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
+    x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
+    x_dot + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+)
+"""),
+}
 
 # The binder ``_integrator(entry, g, m_c, m, l, mu_c, mu_p, dt)`` binds one
 # entry to a plant's constants and returns it: "dynamics" gives
-# ``dynamics(theta, theta_dot, x_dot, f) -> (theta_ddot, x_ddot)``, "euler"
-# and "rk4" a fixed step ``step(theta, theta_dot, x, x_dot, f)`` of size
-# ``dt`` under the net cart force ``f``, held over the step.  Forward Euler
-# advances the velocities by the accelerations and the positions by the old
-# velocities.  Classic RK4 keeps its stage values as locals: stage i has
-# angle t_i, angular velocity p_i, cart velocity v_i and accelerations
-# (a_i, b_i), and the step is the usual weighted sum dt/6 (k1 + 2 k2 + 2 k3
-# + k4).  Each entry inlines its stages, so a step is one Python frame.
-_stage = indent(_STAGE, " " * 12).format
-_namespace = {"sin": sin, "cos": cos}
-exec(compile(f"""\
-def _integrator(entry, g, m_c, m, l, mu_c, mu_p, dt=None):
-    total = m_c + m
-    ml = m * l
-    if entry == "dynamics":
-        def dynamics(theta, theta_dot, x_dot, f):
-{_stage(t="theta", p="theta_dot", v="x_dot", a="theta_ddot", b="x_ddot")}
-            return theta_ddot, x_ddot
-        return dynamics
-    elif entry == "euler":
-        def euler(theta, theta_dot, x, x_dot, f):
-{_stage(t="theta", p="theta_dot", v="x_dot", a="theta_ddot", b="x_ddot")}
-            return (
-                theta + theta_dot * dt,
-                theta_dot + theta_ddot * dt,
-                x + x_dot * dt,
-                x_dot + x_ddot * dt,
-            )
-        return euler
-    else:
-        h = 0.5 * dt
-        sixth = dt / 6.0
-        def rk4(theta, theta_dot, x, x_dot, f):
-{_stage(t="theta", p="theta_dot", v="x_dot", a="a1", b="b1")}
-            t2 = theta + h * theta_dot
-            p2 = theta_dot + h * a1
-            v2 = x_dot + h * b1
-{_stage(t="t2", p="p2", v="v2", a="a2", b="b2")}
-            t3 = theta + h * p2
-            p3 = theta_dot + h * a2
-            v3 = x_dot + h * b2
-{_stage(t="t3", p="p3", v="v3", a="a3", b="b3")}
-            t4 = theta + dt * p3
-            p4 = theta_dot + dt * a3
-            v4 = x_dot + dt * b3
-{_stage(t="t4", p="p4", v="v4", a="a4", b="b4")}
-            return (
-                theta + sixth * (theta_dot + 2.0 * p2 + 2.0 * p3 + p4),
-                theta_dot + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                x + sixth * (x_dot + 2.0 * v2 + 2.0 * v3 + v4),
-                x_dot + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-            )
-        return rk4
-""", "<fuzzpole.plant _integrator>", "exec"), _namespace)
+# ``dynamics(theta, theta_dot, x_dot, net) -> (theta_ddot, x_ddot)``,
+# "euler" and "rk4" their step ``step(theta, theta_dot, x, x_dot, net)``,
+# which returns the new state.  Each entry is one Python frame.
+_ENTRIES = {
+    "dynamics": ("theta, theta_dot, x_dot", _CONSTANTS, _ACCELERATIONS, "theta_ddot, x_ddot"),
+    **{name: ("theta, theta_dot, x, x_dot", constants, body, "theta, theta_dot, x, x_dot")
+       for name, (constants, body) in _STEPS.items()},
+}
+_STEP_GLOBALS = {"sin": sin, "cos": cos}  # the globals the step source reads
+_namespace = dict(_STEP_GLOBALS)
+exec(compile("def _integrator(entry, g, m_c, m, l, mu_c, mu_p, dt=None):\n" + "".join(
+    f"    if entry == {name!r}:\n{indent(constants, ' ' * 8)}"
+    f"        def {name}({state}, net):\n{indent(body, ' ' * 12)}"
+    f"            return {result}\n        return {name}\n"
+    for name, (state, constants, body, result) in _ENTRIES.items()
+), "<fuzzpole.plant _integrator>", "exec"), _namespace)
 _integrator = _namespace["_integrator"]
 
 
@@ -236,7 +243,8 @@ def advance(
     for the step.  The step inlines :data:`_STAGE`, the equations of motion
     that :func:`derivatives` runs too, so each stage gets the accelerations
     ``derivatives`` returns for the stage's state.  The simulation loop
-    binds the step once per run and prepares the net force itself."""
+    inlines the same step body (``_STEPS``) and prepares the net force
+    itself."""
     integrate = _integrator("rk4" if rk4 else "euler", g, m_c, m, l, mu_c, mu_p, dt)
     return integrate(theta, theta_dot, x, x_dot, _net_force(f, tilt, g, m_c + m, f_max))
 
@@ -281,8 +289,8 @@ class DisturbanceEvent:
 
     kind 'tap' adds value (rad/s) to the pole's angular velocity at time t;
     kind 'set_tilt' sets the track inclination to value (rad), so un-tilting
-    is set_tilt with value 0.  The simulation loop
-    (:func:`fuzzpole.kernels._simulate`) is the one place that applies them.
+    is set_tilt with value 0.  The simulation loop, one source template in
+    ``fuzzpole.kernels`` (``_LOOP``), is the one place that applies them.
     """
 
     t: float

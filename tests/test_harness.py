@@ -49,29 +49,6 @@ def test_flat_trajectory_at_equilibrium_sfc():
     assert np.all(np.diff(traj.t) > 0)
 
 
-@pytest.mark.parametrize(
-    "controller, overrides",
-    [("fc", {}), ("sfc", {"integrator": "rk4", "events": (set_tilt(0.5, 0.05),)})],
-)
-def test_run_binds_one_integrator(monkeypatch, controller, overrides):
-    """A run makes one call of the plant's binder, for its integrator's
-    step, not one per step."""
-    import fuzzpole.plant as plant_mod
-
-    entries = []
-    binder = plant_mod._integrator
-
-    def counted(entry, *args):
-        entries.append(entry)
-        return binder(entry, *args)
-
-    monkeypatch.setattr(plant_mod, "_integrator", counted)
-    scenario = default_scenario(1, controller, duration=1.0, **overrides)
-    traj = run(scenario)
-    assert len(traj.t) == 201
-    assert entries == [scenario.integrator]
-
-
 def test_flat_trajectory_at_equilibrium_fc():
     """The quantized center-of-area leaves a ~4e-18 N residue at the exact
     origin, which the friction sign discontinuity amplifies into stick-slip

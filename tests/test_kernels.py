@@ -384,7 +384,7 @@ def test_one_law_matches_reference_one_ulp_around_breakpoints(key):
     scalar, which would spread into the simulation loop's state and slow
     every step."""
     kb = _COMPOSED[key]
-    _, law = kernels.fuzzy_law(_COMPILED[key])
+    law = kernels.fuzzy_law(_COMPILED[key])
     rng = random.Random(f"ulp {key}")
     for row in _near_breakpoint_rows(kb, rng, 200):
         force, fired = law(row)
@@ -417,12 +417,14 @@ def _state_rows(kb, rng, count, x_target):
     "key", [("builtin", 201), *sorted(_DEPTHS)], ids=lambda key: f"{key[0]}-{key[1]}"
 )
 def test_state_and_slot_entries_agree_with_fc_output(key):
-    """The law's two entries, on the plant state and on control_inputs of
-    it, give fc_output's (force, fired) by repr, on kb/pole.frl and the
-    probes of every depth; the oracle's inputs are written out here (angles
-    through math.degrees), so a slip in the view both entries share shows."""
+    """The slot entry on control_inputs of the plant state gives
+    fc_output's (force, fired) by repr, on kb/pole.frl and the probes of
+    every depth; the oracle's inputs are written out here (angles through
+    math.degrees), so a slip in the view shows.  The state entry is the
+    law a run inlines; test_run_records_the_slot_entrys_forces pins it to
+    this one."""
     kb = _LAYER_CASES[key]
-    law, force = kernels.fuzzy_law(compile_kb(kb))
+    force = kernels.fuzzy_law(compile_kb(kb))
     rng = random.Random(f"entries {key}")
     for x_target in (0.0, 0.5, -1e-300):
         for state in _state_rows(kb, rng, 60, x_target):
@@ -431,21 +433,47 @@ def test_state_and_slot_entries_agree_with_fc_output(key):
                 "theta": math.degrees(theta), "theta_dot": math.degrees(theta_dot),
                 "x": x - x_target, "x_dot": x_dot,
             }
-            expected = _fc_repr(kb, values)
-            assert repr(law(*state, x_target)) == expected, (state, x_target)
             inputs = control_inputs(*state, x_target)
-            assert repr(force(inputs)) == expected, (state, x_target)
+            assert repr(force(inputs)) == _fc_repr(kb, values), (state, x_target)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("x_target", [0.0, 0.5, -1e-300])
+def test_run_records_the_slot_entrys_forces(kb, x_target, integrator):
+    """The law a run inlines is the slot entry: each force an FC run
+    records is force(control_inputs(row)) at the last control instant, the
+    row's state after its events (a tap between instants here), clamped
+    (to 5 N, below the law's peak), bit for bit."""
+    scenario = dataclasses.replace(
+        default_scenario(
+            1, "fc", duration=1.0, dt=0.005, control_period=0.01, x_target=x_target,
+            initial=PlantState(theta=0.2), events=(tap(0.305, 0.4),),
+        ),
+        integrator=integrator, params=pole_params(1, f_max=5.0),
+    )
+    traj = run(scenario)
+    assert traj.termination == "completed"
+    force = kernels.fuzzy_law(compile_kb(kb))
+    f_max = scenario.params.f_max
+    expected = []
+    for k, row in enumerate(traj.data[:-1].tolist()):
+        if k % scenario.control_every == 0:
+            f, _ = force(control_inputs(*row[1:5], x_target))
+            f = f_max if f > f_max else -f_max if f < -f_max else f
+        expected.append(f)
+    assert f_max in expected or -f_max in expected  # the clamp took part
+    assert np.array_equal(_bits(traj.force), _bits(expected + expected[-1:]))
 
 
 def test_a_control_instant_is_one_generated_frame(kb):
-    """A 200-step FC run enters the generated state law once per control
-    instant, and neither control_inputs nor the strengths entry: the loop
-    calls the law itself, which computes its slots from the state and runs
-    the numpy tail inline."""
+    """A 200-step FC run computes each control instant's force in the
+    loop's own frame: it enters neither the slot entry, nor control_inputs,
+    nor the strengths entry, so the one generated frame a control instant
+    runs in is the loop's."""
     scenario = default_scenario(1, "fc", duration=1.0)
     assert scenario.n_steps == 200
     ck = compile_kb(kb)
-    law_code = kernels.fuzzy_law(ck)[0].__code__  # shared by every law of this structure
+    force_code = kernels.fuzzy_law(ck).__code__  # shared by every law of this structure
     entered = collections.Counter()
 
     def profile(frame, event, arg):
@@ -458,9 +486,51 @@ def test_a_control_instant_is_one_generated_frame(kb):
     finally:
         sys.setprofile(None)
     assert traj.termination == "completed"
-    assert entered[law_code] == len(range(0, scenario.n_steps, scenario.control_every))
+    assert entered[force_code] == 0
     assert entered[kernels.control_inputs.__code__] == 0
     assert entered[ck.strengths.__code__] == 0
+    loops = [code for code in entered if code.co_name == "simulate"
+             and code.co_filename.startswith("<fuzzpole.")]
+    assert [entered[code] for code in loops] == [1]
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("controller", ["fc", "sfc"])
+def test_a_run_is_one_generated_frame(controller, integrator):
+    """A 200-step run makes as many Python calls as a 100-step one, none
+    per step: it enters one generated frame, the loop, and neither
+    plant._integrator nor an entry of the fuzzy law (an FC run's compile
+    binds the rule base's numbers, one more generated frame).  A second run
+    of the same law and integrator hits the loop cache: it generates no
+    code."""
+
+    def calls(duration):
+        scenario = dataclasses.replace(
+            default_scenario(1, controller, duration=duration), integrator=integrator
+        )
+        entered = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered[frame.f_code] += 1
+
+        cached = kernels._loop.cache_info()
+        sys.setprofile(profile)
+        try:
+            traj = run(scenario)
+        finally:
+            sys.setprofile(None)
+        assert traj.termination == "completed" and len(traj.t) == scenario.n_steps + 1
+        after = kernels._loop.cache_info()
+        assert (after.hits, after.misses) == (cached.hits + 1, cached.misses)
+        return entered
+
+    run(dataclasses.replace(default_scenario(1, controller, duration=0.1), integrator=integrator))
+    short, long = calls(0.5), calls(1.0)
+    assert short == long
+    generated = {code.co_name: n for code, n in long.items() if code.co_filename.startswith("<fuzzpole.")}
+    assert generated == {"simulate": 1, **({"bind": 1} if controller == "fc" else {})}
+    assert plant._integrator.__code__ not in long
 
 
 def test_concentrated_labels_compile_to_powers():
@@ -594,7 +664,7 @@ def test_reordered_rule_base_gives_the_same_bits(key):
     same force, bit for bit."""
     kb = _LAYER_CASES[key]
     ck = compile_kb(kb)
-    _, law = kernels.fuzzy_law(ck)
+    law = kernels.fuzzy_law(ck)
     rng = random.Random(f"reorder {key}")
     rows = _near_breakpoint_rows(kb, rng, 200)
     conclusions = kernels._front_end(kb)[2]
@@ -603,7 +673,7 @@ def test_reordered_rule_base_gives_the_same_bits(key):
         other = _reordered(kb, rng)
         assert kernels._front_end(other)[0] != kernels._front_end(kb)[0]
         ck_other = compile_kb(other)
-        _, law_other = kernels.fuzzy_law(ck_other)
+        law_other = kernels.fuzzy_law(ck_other)
         other_conclusions = kernels._front_end(other)[2]
         for row, (strengths, force) in zip(rows, expected):
             ours = sorted(zip(other_conclusions, _strengths(ck_other, row)))
@@ -938,20 +1008,46 @@ def _bits(values):
     return np.array(values, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("case", ["completed", "pole_fell", "left_track", "non_finite"])
+_EDGE_CASES = {
+    "completed": {},
+    "pole_fell": {"state0": (0.3, 0.0, 0.0, 0.0, 0.0), "theta_limit": 0.35},
+    "left_track": {"state0": (0.0, 0.0, 0.0, 1.0, 0.0), "track_bound": 0.05},
+    "non_finite": {"nan_at": 20},
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_a_run_that_ends_early_owns_only_its_rows(case):
+    """A run that ends before its last step copies its rows out of the
+    preallocated buffer, so it keeps no unused rows alive; a completed run
+    returns the buffer itself, with no copy."""
+    copies = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "copy":
+            copies.append(arg.__self__)
+
+    sys.setprofile(profile)
+    try:
+        data, status, _ = _edge_run(60, **_EDGE_CASES[case])
+    finally:
+        sys.setprofile(None)
+    assert status == case
+    assert data.flags.owndata and data.base is None
+    if case == "completed":
+        assert copies == [] and data.shape == (61, 7)
+    else:
+        assert [view.shape for view in copies] == [data.shape] and data.shape[0] < 61
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
 def test_row_writer_keeps_the_bits(case):
     """Every row the loop writes holds t = k * dt and the clamped force bit
     for bit: -0.0 stays -0.0, the subnormal 5e-324 and 1e308 survive, forces
     past f_max are clamped, and the final row of each termination, written
     after the step that ended the run, carries t = (k + 1) * dt and the force
     of that step."""
-    kwargs = {
-        "completed": {},
-        "pole_fell": {"state0": (0.3, 0.0, 0.0, 0.0, 0.0), "theta_limit": 0.35},
-        "left_track": {"state0": (0.0, 0.0, 0.0, 1.0, 0.0), "track_bound": 0.05},
-        "non_finite": {"nan_at": 20},
-    }[case]
-    data, status, clamped = _edge_run(60, **kwargs)
+    data, status, clamped = _edge_run(60, **_EDGE_CASES[case])
     assert status == case
     rows = data.shape[0]
     assert data.flags.c_contiguous and data.dtype == np.float64

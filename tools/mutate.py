@@ -9,7 +9,8 @@ Run it from the root of a checkout:
 
 Each mutant replaces one exact snippet of one source file, so it breaks
 one rule the code keeps: a -0.0 kept, an operation order that rounds as
-the reference does, the RK4 half step, an RK4 stage's angle, a clamp, a
+the reference does, the RK4 half step, an RK4 stage's angle, the Euler
+position update, the clamps, the count of instants where no rule fired, a
 float64 row, the coverage depth, a trapezoid comparison, a shared prefix
 of rule conditions, an event's step, the slope force after a tilt, the
 fuzzy law's fold over its layers, its center-of-area arithmetic, and the
@@ -56,8 +57,8 @@ MUTANTS = (
     Mutant(
         "reassociated product in the stage template",
         "plant.py",
-        "(-f - ml * {p} * {p} * sin_t + friction)",
-        "(-f - ml * ({p} * {p} * sin_t) + friction)",
+        "(-net - ml * {p} * {p} * sin_t + friction)",
+        "(-net - ml * ({p} * {p} * sin_t) + friction)",
     ),
     Mutant("RK4 half step bound as dt", "plant.py", "h = 0.5 * dt", "h = dt"),
     Mutant(
@@ -67,11 +68,30 @@ MUTANTS = (
         "t3 = theta + h * theta_dot",
     ),
     Mutant(
+        "Euler position from the updated velocity",  # the shared step source
+        "plant.py",
+        "    x + x_dot * dt,\n",
+        "    x + (x_dot + x_ddot * dt) * dt,\n",
+    ),
+    Mutant(
         "skipped clamp",  # the net force is no longer clamped to +-f_max
         "plant.py",
         "    if f > f_max:\n        f = f_max\n    elif f < -f_max:\n        f = -f_max\n"
         "    return f - _slope_force(tilt, g, total)",
         "    return f - _slope_force(tilt, g, total)",
+    ),
+    Mutant(
+        "loop clamp skipped",  # the run loop records and applies the law's force as is
+        "kernels.py",
+        "            if f > f_max:\n                f = f_max\n            elif f < -f_max:\n"
+        "                f = -f_max\n",
+        "",
+    ),
+    Mutant(
+        "no-rule instant not counted",  # the law slot's fired flag is dropped
+        "kernels.py",
+        "            if not fired:\n                norule += 1\n",
+        "",
     ),
     Mutant("7f row", "kernels.py", '_ROW = struct.Struct("7d")', '_ROW = struct.Struct("7f")'),
     Mutant(
@@ -113,14 +133,14 @@ MUTANTS = (
     Mutant(
         "0.0 + dropped from the center of area",
         "kernels.py",
-        '"return (0.0 + total.real) / den, True",',
-        '"return total.real / den, True",',
+        '"    f, fired = (0.0 + coa.real) / den, True",',
+        '"    f, fired = coa.real / den, True",',
     ),
     Mutant(
         "accumulate swapped for np.add.reduce",  # a pairwise sum, not in order
         "kernels.py",
-        '"accumulate(terms, out=sums)",\n        "total = sums.item(-1)",',
-        '"total = terms.sum().item()",',  # numpy's sum is np.add.reduce
+        '"accumulate(terms, out=sums)",\n        "coa = sums.item(-1)",',
+        '"coa = terms.sum().item()",',  # numpy's sum is np.add.reduce
     ),
     Mutant(
         "real and imaginary parts swapped",
@@ -129,10 +149,10 @@ MUTANTS = (
         "weighted, aggregate = terms.imag, terms.real",
     ),
     Mutant(
-        "theta_dot read through theta in the law's state prologue",
+        "theta_dot read through theta in the loop's fuzzy law slot",
         "kernels.py",
-        'view = [f"x{i} = {_VIEW[i]}" for i in slots]',
-        'view = [f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
+        'slot = [f"x{i} = {_VIEW[i]}" for i in slots]',
+        'slot = [f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
     ),
 )
 
