@@ -24,8 +24,11 @@ both center-of-area sums.  Each scalar operation is one that
 :func:`fuzzpole.fuzzy.fc_output` performs on the same values, or changes no
 bit (the strength max's order, the rules below a zero prefix), so the force
 is its force bit for bit.  The same lines under a prologue that reads the
-slots from a sequence form the law's slot entry, :func:`fuzzy_law`.
-Each step takes the net force: the force clamped once per control instant,
+slots from a sequence form the law's slot entry, which :func:`_loop`
+generates with the loop and :func:`fuzzy_law` binds to a rule base's
+numbers and buffers.  :func:`compile_kb` generates no code, so a
+:class:`CompiledKB` is plain data and pickles.  Each step takes the net
+force: the force clamped once per control instant by ``plant._CLAMP``,
 less the slope force, updated at each tilt event, as
 :func:`fuzzpole.plant.advance` prepares it at every step, so a step is
 ``advance``'s step bit for bit.
@@ -115,10 +118,9 @@ class CompiledKB:
     """Compiled form of a knowledge base: what the fuzzy law reads at each
     control instant.
 
-    Rules that conclude on the same output label form one group.
-    ``strengths(inputs, out)`` maps the input values, in ``DEFAULT_SLOTS``
-    order, to one strength per group, packed into ``out``, a float64 buffer
-    of ``groups`` elements; it writes nothing else.  Each group's
+    Rules that conclude on the same output label form one group, and the
+    law packs one strength per group into its ``strength`` buffer, the
+    first of :func:`_buffers`.  Each group's
     conclusion curve is its label sampled on the output grid, stored as
     coverage layers: column j of ``layer_group`` lists, in group order, the
     groups whose curve is nonzero at grid point j, and the same column of
@@ -126,11 +128,9 @@ class CompiledKB:
     cover the point than there are layers.
     """
 
-    strengths: Callable[[Sequence[float], np.ndarray], None]  # (inputs, out)
-    force_of: Callable[..., Callable]  # (*buffers) -> force; see fuzzy_law
     shape: tuple  # (structure, depth): the key of the generated law and loop
     numbers: tuple  # the corners and widths the generated law reads
-    reads: int  # input values the slot entries read: one past the highest slot
+    reads: int  # input values the slot entry reads: one past the highest slot
     groups: int  # conclusion labels, one strength each
     points: np.ndarray  # (N,) the output grid
     layer_group: np.ndarray  # (L, N) covering groups; L the largest coverage
@@ -180,7 +180,7 @@ def _front_end(kb: KnowledgeBase):
 
 def _law_lines(structure, depth: int):
     """The fuzzy law of one ``structure`` of :func:`_front_end` and coverage
-    ``depth`` as source lines, for :func:`_law_binder` and :func:`_loop`.
+    ``depth`` as source lines, for :func:`_loop`.
 
     Returns ``(numbers, buffers, slots, body, tail, namespace)``: the names
     of the corners and widths and of the law's buffers, the input slots
@@ -255,39 +255,13 @@ def _law_lines(structure, depth: int):
     return numbers, buffers, sorted({i for _, i in labels}), body, tail, namespace
 
 
-@functools.lru_cache(maxsize=64)
-def _law_binder(structure, depth: int) -> Callable[..., tuple]:
-    """Generate, once per ``structure`` and coverage ``depth``, a binder
-    ``bind(*numbers) -> (strengths, force_of)`` from :func:`_law_lines`.
-
-    ``strengths(inputs, strength)`` is the body under the slot prologue,
-    which reads each slot from ``inputs``; ``force_of(*buffers)`` returns
-    ``force(inputs) -> (f, fired)``, body and tail under the slot prologue.
-    """
-    numbers, buffers, slots, body, tail, namespace = _law_lines(structure, depth)
-    read = [f"x{i} = inputs[{i}]" for i in slots]
-    source = [
-        f"def bind({', '.join(numbers)}):",
-        "    def strengths(inputs, strength):",
-        *(f"        {line}" for line in read + body),
-        f"    def force_of({', '.join(buffers)}):",
-        "        def force(inputs):",
-        *(f"            {line}" for line in read + body + tail + ["return f, fired"]),
-        "        return force",
-        "    return strengths, force_of",
-    ]
-    return _generated(source, "bind", namespace)
-
-
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
 
-    The conclusion curves become coverage layers, and the law's entries
-    come from the binder :func:`_law_binder` generates for the rule base's
-    structure and coverage depth, applied to its corners and widths; a rule
-    base shaped like one compiled before generates no code, and no
-    simulation loop is generated here.  Raises KernelError for an input
-    variable the harness does not drive.
+    The conclusion curves become coverage layers; the law's code is
+    generated by :func:`_loop`, on first use of the rule base's structure
+    and coverage depth (its ``shape``), not here.  Raises KernelError for an
+    input variable the harness does not drive.
     """
     check_input_slots(kb)
     structure, numbers, conclusions = _front_end(kb)
@@ -301,10 +275,7 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     zero = curves == 0.0
     depth = int((~zero).sum(axis=0).max(initial=0))
     layer_group = np.argsort(zero, axis=0, kind="stable")[:depth]
-    strengths, force_of = _law_binder(structure, depth)(*numbers)
     return CompiledKB(
-        strengths=strengths,
-        force_of=force_of,
         shape=(structure, depth),
         numbers=tuple(numbers),
         reads=1 + max((i for _, i in structure[0]), default=-1),
@@ -348,18 +319,21 @@ def _buffers(ck: CompiledKB) -> tuple:
 
 def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
     """The fuzzy law of ``ck`` over its own buffers, ``force(inputs) ->
-    (force, fired)`` on Python floats in ``DEFAULT_SLOTS`` order: one
+    (force, fired)`` on Python floats in ``DEFAULT_SLOTS`` order: the slot
+    entry :func:`_loop` generates for ``ck.shape``, bound to the tuple a
+    run's loop unpacks, the rule base's numbers and fresh buffers.  One
     generated frame that builds no list or array and returns a Python
-    float.  A run inlines the same lines in its loop (:func:`_loop`)."""
-    return ck.force_of(*_buffers(ck))
+    float.  A run inlines the same lines in its loop."""
+    return functools.partial(_loop(ck.shape, False)["force"], ck.numbers + _buffers(ck))
 
 
 # The simulation loop, written once.  ``{setup}`` binds what the slots read
 # once per run: the step's constants and the law's numbers.  ``{law}`` sets
-# the force ``f`` and ``fired`` at each control instant, and ``{step}``
-# advances the state in place under the net force ``net``.  Every number in the loop is a Python float: a numpy scalar read from an
-# argument would spread into the state and make each step's arithmetic
-# several times slower, with the same IEEE results.  A run ends in one
+# the force ``f`` and ``fired`` at each control instant, ``{clamp}`` is
+# ``plant._CLAMP``, and ``{step}`` advances the state in place under the
+# net force ``net``.  Every number in the loop is a Python float: a numpy
+# scalar read from an argument would spread into the state and make each
+# step's arithmetic several times slower, with the same IEEE results.  A run ends in one
 # place.  The two bound tests after each step break the loop, and one row
 # after it holds the state after the last step taken, so a termination and
 # a completion write the same row.  A state or force that stops being
@@ -399,10 +373,7 @@ def simulate(state0, x_target, params, dt, n_steps, control_every,
 {law}
             if not fired:
                 norule += 1
-            if f > f_max:
-                f = f_max
-            elif f < -f_max:
-                f = -f_max
+{clamp}
         write_row(traj, row_size * k, k * dt, theta, theta_dot, x, x_dot, f, tilt)
         net = f - slope
         try:
@@ -430,17 +401,22 @@ def simulate(state0, x_target, params, dt, n_steps, control_every,
 
 
 @functools.lru_cache(maxsize=64)
-def _loop(law, rk4: bool) -> Callable[..., tuple]:
-    """The loop ``_LOOP`` for one law and integrator, generated on a run's
-    first use of them.  ``law`` is ``"call"`` (the argument ``law`` is a
-    function), ``"sfc"`` (it is the gains) or a rule base's ``shape`` (it
-    is the numbers and buffers).  The loop returns (trajectory rows [t,
-    theta, theta_dot, x, x_dot, F, tilt], termination, count of control
-    instants where the law did not fire); the termination is
-    ``"completed"``, ``"pole_fell"``, ``"left_track"`` or ``"non_finite"``.
+def _loop(law, rk4: bool) -> dict:
+    """The loop ``_LOOP`` for one law and integrator, generated on first
+    use of them; returns the namespace it runs in, whose ``simulate`` is
+    the loop.  ``law`` is ``"call"`` (the argument ``law`` is a function),
+    ``"sfc"`` (it is the gains) or a rule base's ``shape`` (it is the
+    numbers and buffers).  For a shape the namespace also holds the law's
+    slot entry ``force(law, inputs) -> (f, fired)``: the loop's setup and
+    law slot, with the slots read from ``inputs``.  The loop returns
+    (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt], termination,
+    count of control instants where the law did not fire); the termination
+    is ``"completed"``, ``"pole_fell"``, ``"left_track"`` or
+    ``"non_finite"``.
     """
     namespace = {"slope_force": plant._slope_force, "empty": np.empty, "isfinite": np.isfinite,
                  "nan": math.nan, "ROW": _ROW, **plant._STEP_GLOBALS}
+    entry = []
     if law == "call":
         setup, slot = [], ["f, fired = law(theta, theta_dot, x, x_dot, x_target)"]
     elif law == "sfc":
@@ -452,13 +428,20 @@ def _loop(law, rk4: bool) -> Callable[..., tuple]:
         namespace.update(names)
         setup = [f"{', '.join(numbers + buffers)} = law"]
         slot = [f"x{i} = {_VIEW[i]}" for i in slots] + body + tail
+        read = [f"x{i} = inputs[{i}]" for i in slots]
+        entry = ["def force(law, inputs):",
+                 *(f"    {line}" for line in setup + read + body + tail + ["return f, fired"])]
     constants, step = plant._STEPS["rk4" if rk4 else "euler"]
     source = _LOOP.format(
-        setup=indent(constants + "\n".join(setup), " " * 4),
+        setup=indent(plant._CONSTANTS + constants + "\n".join(setup), " " * 4),
         law="\n".join(" " * 12 + line for line in slot),
+        clamp=indent(plant._CLAMP, " " * 12).rstrip("\n"),
         step=indent(step, " " * 12).rstrip("\n"),
     )
-    return _generated([source], "simulate", namespace)
+    _generated([source], "simulate", namespace)
+    if entry:  # compiled apart: one compile of both peaks higher in memory
+        _generated(entry, "force", namespace)
+    return namespace
 
 
 def _simulate(
@@ -468,7 +451,7 @@ def _simulate(
     """Closed loop under
     ``law(theta, theta_dot, x, x_dot, x_target) -> (force, fired)``: the
     loop :func:`_loop` generates with a law-call slot."""
-    return _loop("call", rk4)(
+    return _loop("call", rk4)["simulate"](
         state0, x_target, params, dt, n_steps, control_every,
         ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
     )
@@ -498,7 +481,7 @@ def simulate_fuzzy(state0, x_target: float, params, dt: float, n_steps: int,
     :func:`_loop` of its rule base's shape returns.  ``state0`` is
     ``(theta, theta_dot, x, x_dot, tilt)``, ``params`` ``(g, m_c, m, l,
     mu_c, mu_p, f_max)``."""
-    return _loop(ck.shape, rk4)(
+    return _loop(ck.shape, rk4)["simulate"](
         state0, x_target, params, dt, n_steps, control_every,
         ev_step, ev_kind, ev_value, track_bound, theta_limit, ck.numbers + _buffers(ck),
     )
@@ -510,7 +493,7 @@ def simulate_sfc(state0, x_target: float, params, dt: float, n_steps: int,
                  k_gains: np.ndarray):
     """Closed-loop run under the state-feedback controller, as
     :func:`simulate_fuzzy` under the gains ``k_gains``."""
-    return _loop("sfc", rk4)(
+    return _loop("sfc", rk4)["simulate"](
         state0, x_target, params, dt, n_steps, control_every,
         ev_step, ev_kind, ev_value, track_bound, theta_limit, [float(v) for v in k_gains],
     )

@@ -7,6 +7,12 @@ the equivalent constant force -(m_c+m)*g*sin(tilt) applied at the cart, which
 biases the cart acceleration by exactly -g*sin(tilt) and lets the pole react
 to the slope through the force coupling; theta stays referenced to true
 vertical.  sgn(0) is 0 so the upright origin is an exact equilibrium.
+
+The physics is written once, as source: the equations of motion
+(``_STAGE``), the Euler and RK4 steps (``_STEPS``) and saturation
+(``_CLAMP``).  :func:`advance` and the accelerations that :func:`derivatives`
+returns are generated from it at import, each one Python frame, and the
+simulation loop in ``fuzzpole.kernels`` inlines the same source.
 """
 
 from __future__ import annotations
@@ -119,15 +125,16 @@ def _slope_force(tilt: float, g: float, total: float) -> float:
     return total * g * sin(tilt)
 
 
-def _net_force(f: float, tilt: float, g: float, total: float, f_max: float) -> float:
-    """Force on the cart: ``f`` clamped to +-f_max, less the slope force
-    (``total`` is ``m_c + m``)."""
-    if f > f_max:
-        f = f_max
-    elif f < -f_max:
-        f = -f_max
-    return f - _slope_force(tilt, g, total)
-
+# Saturation, and the only place it is written: the force ``f`` clamped to
+# +-f_max in place.  A NaN force passes through.  The simulation loop
+# (``kernels``) inlines it once per control instant, ``advance`` and
+# ``derivatives`` at each call.
+_CLAMP = """\
+if f > f_max:
+    f = f_max
+elif f < -f_max:
+    f = -f_max
+"""
 
 # The equations of motion, and the only place they are written: one stage
 # over the stage's angle {t}, angular velocity {p} and cart velocity {v},
@@ -157,16 +164,16 @@ _CONSTANTS = "total = m_c + m\nml = m * l\n"
 
 # A fixed step of size ``dt`` under the net cart force ``net``, held over
 # the step, as source, the only place each is written: per integrator, the
-# constants it binds and the body, which advances theta, theta_dot, x and
-# x_dot in place.  Forward Euler advances the velocities by the
-# accelerations and the positions by the old velocities.  Classic RK4 keeps
-# its stage values as locals: stage i has angle t_i, angular velocity p_i,
-# cart velocity v_i and accelerations (dp_i, dv_i), and the step is the
-# usual weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4).  Each body inlines its
-# stages; the binder below and the simulation loop (``kernels``) inline the
-# bodies.
+# constants it adds to ``_CONSTANTS`` and the body, which advances theta,
+# theta_dot, x and x_dot in place.  Forward Euler advances the velocities
+# by the accelerations and the positions by the old velocities.  Classic
+# RK4 keeps its stage values as locals: stage i has angle t_i, angular
+# velocity p_i, cart velocity v_i and accelerations (dp_i, dv_i), and the
+# step is the usual weighted sum dt/6 (k1 + 2 k2 + 2 k3 + k4).  Each body
+# inlines its stages; ``advance`` below and the simulation loop
+# (``kernels``) inline the bodies.
 _STEPS = {
-    "euler": (_CONSTANTS, f"""\
+    "euler": ("", f"""\
 {_ACCELERATIONS}\
 theta, theta_dot, x, x_dot = (
     theta + theta_dot * dt,
@@ -175,7 +182,7 @@ theta, theta_dot, x, x_dot = (
     x_dot + x_ddot * dt,
 )
 """),
-    "rk4": (_CONSTANTS + "h = 0.5 * dt\nsixth = dt / 6.0\n", f"""\
+    "rk4": ("h = 0.5 * dt\nsixth = dt / 6.0\n", f"""\
 {_stage(t="theta", p="theta_dot", v="x_dot", a="dp1", b="dv1")}\
 t2 = theta + h * theta_dot
 p2 = theta_dot + h * dp1
@@ -197,72 +204,54 @@ theta, theta_dot, x, x_dot = (
 )
 """),
 }
-
-# The binder ``_integrator(entry, g, m_c, m, l, mu_c, mu_p, dt)`` binds one
-# entry to a plant's constants and returns it: "dynamics" gives
-# ``dynamics(theta, theta_dot, x_dot, net) -> (theta_ddot, x_ddot)``,
-# "euler" and "rk4" their step ``step(theta, theta_dot, x, x_dot, net)``,
-# which returns the new state.  Each entry is one Python frame.
-_ENTRIES = {
-    "dynamics": ("theta, theta_dot, x_dot", _CONSTANTS, _ACCELERATIONS, "theta_ddot, x_ddot"),
-    **{name: ("theta, theta_dot, x, x_dot", constants, body, "theta, theta_dot, x, x_dot")
-       for name, (constants, body) in _STEPS.items()},
-}
 _STEP_GLOBALS = {"sin": sin, "cos": cos}  # the globals the step source reads
-_namespace = dict(_STEP_GLOBALS)
-exec(compile("def _integrator(entry, g, m_c, m, l, mu_c, mu_p, dt=None):\n" + "".join(
-    f"    if entry == {name!r}:\n{indent(constants, ' ' * 8)}"
-    f"        def {name}({state}, net):\n{indent(body, ' ' * 12)}"
-    f"            return {result}\n        return {name}\n"
-    for name, (state, constants, body, result) in _ENTRIES.items()
-), "<fuzzpole.plant _integrator>", "exec"), _namespace)
-_integrator = _namespace["_integrator"]
+
+# ``advance`` and ``_accelerations``, generated once at import, each one
+# Python frame: the plant's constants, the clamp and the net cart force
+# (``f`` clamped, less the slope force), then a step or one stage.
+_PLANT = "g, m_c, m, l, mu_c, mu_p, f_max"
+_NET = _CONSTANTS + _CLAMP + "net = f - slope_force(tilt, g, total)\n"
+_SOURCE = f'''\
+def advance(theta, theta_dot, x, x_dot, f, tilt, dt, {_PLANT}, rk4):
+    """One fixed step of size ``dt``; forward Euler, or classic RK4 when
+    ``rk4`` is true.  Returns the new (theta, theta_dot, x, x_dot).
+
+    The step is taken on the net cart force, ``f`` clamped to +-f_max less
+    the slope force, fixed for the step, and inlines the equations of
+    motion that ``derivatives`` runs too, so each stage gets the
+    accelerations ``derivatives`` returns for the stage's state.  The
+    simulation loop inlines the same clamp and step bodies."""
+{indent(_NET, "    ")}\
+    if rk4:
+{indent("".join(_STEPS["rk4"]), " " * 8)}\
+    else:
+{indent("".join(_STEPS["euler"]), " " * 8)}\
+    return theta, theta_dot, x, x_dot
 
 
-def advance(
-    theta: float,
-    theta_dot: float,
-    x: float,
-    x_dot: float,
-    f: float,
-    tilt: float,
-    dt: float,
-    g: float,
-    m_c: float,
-    m: float,
-    l: float,
-    mu_c: float,
-    mu_p: float,
-    f_max: float,
-    rk4: bool,
-) -> tuple[float, float, float, float]:
-    """One fixed step; forward Euler by default, classic RK4 when asked.
-
-    Binds the one step it takes from the generated ``_integrator`` and takes
-    it on the net cart force (``f`` clamped, less the slope force), fixed
-    for the step.  The step inlines :data:`_STAGE`, the equations of motion
-    that :func:`derivatives` runs too, so each stage gets the accelerations
-    ``derivatives`` returns for the stage's state.  The simulation loop
-    inlines the same step body (``_STEPS``) and prepares the net force
-    itself."""
-    integrate = _integrator("rk4" if rk4 else "euler", g, m_c, m, l, mu_c, mu_p, dt)
-    return integrate(theta, theta_dot, x, x_dot, _net_force(f, tilt, g, m_c + m, f_max))
+def _accelerations(theta, theta_dot, x_dot, f, tilt, {_PLANT}):
+{indent(_NET + _ACCELERATIONS, "    ")}\
+    return theta_ddot, x_ddot
+'''
+_namespace = {"__name__": __name__, "slope_force": _slope_force, **_STEP_GLOBALS}
+exec(compile(_SOURCE, "<fuzzpole.plant>", "exec"), _namespace)
+advance = _namespace["advance"]
+_accelerations = _namespace["_accelerations"]
 
 
 def _check_force(f: float) -> None:
+    _check_real("force", f)
     if not math.isfinite(f):
         raise PlantError(f"force must be finite, got {f}")
 
 
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
-    """(theta_ddot, x_ddot) at the given state under force f (clamped).
-
-    Binds the generated ``_integrator``'s "dynamics" entry, one
-    :data:`_STAGE` and a return, and runs it on the net cart force."""
+    """(theta_ddot, x_ddot) at the given state under force f (clamped):
+    one :data:`_STAGE` on the net cart force, as a step of ``advance``
+    takes it."""
     _check_force(f)
-    dynamics = _integrator("dynamics", p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p)
-    return dynamics(
-        s.theta, s.theta_dot, s.x_dot, _net_force(f, s.tilt, p.g, p.m_c + p.m, p.f_max)
+    return _accelerations(
+        s.theta, s.theta_dot, s.x_dot, f, s.tilt, p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max
     )
 
 
@@ -270,8 +259,9 @@ def step(
     s: PlantState, f: float, dt: float, p: PlantParams, method: str = "euler"
 ) -> PlantState:
     """Advance one fixed step of size dt; tilt is carried through unchanged."""
-    if dt <= 0:
-        raise PlantError(f"dt must be positive, got {dt}")
+    _check_real("dt", dt)
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise PlantError(f"dt must be positive and finite, got {dt}")
     if method not in ("euler", "rk4"):
         raise PlantError(f"unknown integrator '{method}'")
     _check_force(f)

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 import sys
@@ -60,11 +61,14 @@ def _curve_from_layers(ck, group):
 
 
 def _strengths(ck, inputs):
-    """ck.strengths packed into a fresh NaN-filled buffer, as a list of
-    Python floats, so a group it failed to write reads NaN."""
-    out = np.full(ck.groups, np.nan)
-    ck.strengths(inputs, out)
-    return out.tolist()
+    """The group strengths one call of ck's slot entry packs into its
+    ``strength`` buffer, the first buffer, filled with NaN before the call,
+    as a list of Python floats, so a group it failed to write reads NaN."""
+    law = kernels.fuzzy_law(ck)
+    strength = law.args[0][len(ck.numbers)]
+    strength.fill(np.nan)
+    law(inputs)
+    return strength.tolist()
 
 
 def test_compiled_tables_shape(kb, compiled_kb):
@@ -163,7 +167,7 @@ def _group_strengths(kb, activations):
 
 
 def _agrees_with_reference(kb, ck, inputs, slots=kernels.DEFAULT_SLOTS):
-    """ck.strengths equals the per-group max of fuzzy.rule_activation, and
+    """ck's group strengths equal the per-group max of fuzzy.rule_activation, and
     fuzzy_force equals fc_output, both by repr, so the sign of a zero and a
     NaN count; fuzzy_force reports (0.0, False) exactly when fc_output finds
     no rule fired."""
@@ -467,13 +471,12 @@ def test_run_records_the_slot_entrys_forces(kb, x_target, integrator):
 
 def test_a_control_instant_is_one_generated_frame(kb):
     """A 200-step FC run computes each control instant's force in the
-    loop's own frame: it enters neither the slot entry, nor control_inputs,
-    nor the strengths entry, so the one generated frame a control instant
-    runs in is the loop's."""
+    loop's own frame: it enters neither the slot entry nor control_inputs,
+    so the one generated frame a control instant runs in is the loop's."""
     scenario = default_scenario(1, "fc", duration=1.0)
     assert scenario.n_steps == 200
     ck = compile_kb(kb)
-    force_code = kernels.fuzzy_law(ck).__code__  # shared by every law of this structure
+    force_code = kernels.fuzzy_law(ck).func.__code__  # shared by every law of this structure
     entered = collections.Counter()
 
     def profile(frame, event, arg):
@@ -488,7 +491,6 @@ def test_a_control_instant_is_one_generated_frame(kb):
     assert traj.termination == "completed"
     assert entered[force_code] == 0
     assert entered[kernels.control_inputs.__code__] == 0
-    assert entered[ck.strengths.__code__] == 0
     loops = [code for code in entered if code.co_name == "simulate"
              and code.co_filename.startswith("<fuzzpole.")]
     assert [entered[code] for code in loops] == [1]
@@ -499,10 +501,9 @@ def test_a_control_instant_is_one_generated_frame(kb):
 def test_a_run_is_one_generated_frame(controller, integrator):
     """A 200-step run makes as many Python calls as a 100-step one, none
     per step: it enters one generated frame, the loop, and neither
-    plant._integrator nor an entry of the fuzzy law (an FC run's compile
-    binds the rule base's numbers, one more generated frame).  A second run
-    of the same law and integrator hits the loop cache: it generates no
-    code."""
+    plant.advance nor the fuzzy law's slot entry (an FC run's compile binds
+    no code).  A second run of the same law and integrator hits the loop
+    cache: it generates no code."""
 
     def calls(duration):
         scenario = dataclasses.replace(
@@ -529,8 +530,8 @@ def test_a_run_is_one_generated_frame(controller, integrator):
     short, long = calls(0.5), calls(1.0)
     assert short == long
     generated = {code.co_name: n for code, n in long.items() if code.co_filename.startswith("<fuzzpole.")}
-    assert generated == {"simulate": 1, **({"bind": 1} if controller == "fc" else {})}
-    assert plant._integrator.__code__ not in long
+    assert generated == {"simulate": 1}
+    assert plant.advance.__code__ not in long
 
 
 def test_concentrated_labels_compile_to_powers():
@@ -580,9 +581,10 @@ def test_one_slot_kb_reads_a_one_element_input():
         assert _agrees_with_reference(kb, ck, [theta], {"theta": 0})
 
 
-def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
+def test_rule_bases_that_differ_only_in_numbers_share_one_generated_law(kb):
     """Widths (Narrowed 0.12 against 0.5) and the grid size n change no
-    code: the second compile of each pair reuses the cached binder."""
+    code: the second law of each pair reuses the cached loop and its slot
+    entry."""
     builtin_51 = KnowledgeBase(
         kb.variables, kb.output_variable, kb.rules,
         OutputUniverse(kb.output_universe.lo, kb.output_universe.hi, 51),
@@ -593,11 +595,12 @@ def test_rule_bases_that_differ_only_in_numbers_share_one_binder(kb):
     )
     for first, second in pairs:
         assert kernels._front_end(first)[0] == kernels._front_end(second)[0]
-        ck_first = compile_kb(first)
-        hits = kernels._law_binder.cache_info().hits
-        ck_second = compile_kb(second)
-        assert kernels._law_binder.cache_info().hits == hits + 1
-        assert ck_second.strengths.__code__ is ck_first.strengths.__code__
+        law_first = kernels.fuzzy_law(compile_kb(first))
+        cached = kernels._loop.cache_info()
+        law_second = kernels.fuzzy_law(compile_kb(second))
+        after = kernels._loop.cache_info()
+        assert (after.hits, after.misses) == (cached.hits + 1, cached.misses)
+        assert law_second.func is law_first.func
     narrow, wide = (compile_kb(k) for k in pairs[0])
     inputs = [1.0, 5.0, 0.1, 0.05]
     assert _strengths(narrow, inputs) != _strengths(wide, inputs)
@@ -625,9 +628,9 @@ def test_rule_rows_are_part_of_the_structure(kb):
 
 
 def _trie_edges(ck):
-    """The number of prefix mins in ck's generated code: one local s<n>
-    per trie edge."""
-    names = ck.strengths.__code__.co_varnames
+    """The number of prefix mins in ck's slot entry: one local s<n> per
+    trie edge."""
+    names = kernels.fuzzy_law(ck).func.__code__.co_varnames
     return sum(1 for name in names if re.fullmatch(r"s\d+", name))
 
 
@@ -635,8 +638,8 @@ def test_trie_takes_one_min_per_shared_prefix(kb, compiled_kb):
     """kb/pole.frl's 34 precondition references take 20 prefix mins: r1-r9
     share their theta condition in threes, r10-r13 their VS gate and then
     x.  The trie comes from the structure alone, so rule bases that differ
-    only in their numbers still share one binder
-    (test_rule_bases_that_differ_only_in_numbers_share_one_binder)."""
+    only in their numbers still share one generated law
+    (test_rule_bases_that_differ_only_in_numbers_share_one_generated_law)."""
     (_, rules, _), _, _ = kernels._front_end(kb)
     assert sum(len(rows) for rows, _ in rules) == 34
     assert _trie_edges(compiled_kb) == 20
@@ -681,19 +684,24 @@ def test_reordered_rule_base_gives_the_same_bits(key):
             assert repr(law_other(row)) == repr(force), row
 
 
-_GENERATED_NAME = re.compile(r"inputs|strength|pack|[xugsabcwdz]\d+")
+_GENERATED_NAME = re.compile(r"law|inputs|strength|pack|[xugsabcwdz]\d+|layer\d+")
+# the names of the numpy tail, the same for every rule base
+_TAIL_NAMES = {"layer_group", "layer_curve", "covered", "points", "weighted", "aggregate",
+               "terms", "sums", "minimum", "maximum", "multiply", "accumulate", "item",
+               "coa", "den", "real", "imag", "f", "fired"}
 
 
 @pytest.mark.parametrize("key", sorted(_COMPOSED), ids=lambda key: f"{key[0]}-{key[1]}")
 def test_generated_source_holds_no_kb_number_or_name(key):
-    """The only floats in the generated code are its 0.0 and 1.0, and it
-    holds no string; every name in it is an index-numbered local, corner or
-    trie edge, the inputs, the output buffer or the bound pack."""
-    code = _COMPILED[key].strengths.__code__
+    """The only floats in the slot entry's code are its 0.0 and 1.0, and it
+    holds no string; every name in it is an index-numbered local, corner,
+    trie edge or layer, the law tuple, the inputs, the strength buffer, the
+    bound pack or a name of the numpy tail."""
+    code = kernels.fuzzy_law(_COMPILED[key]).func.__code__
     assert {c for c in code.co_consts if isinstance(c, float)} <= {0.0, 1.0}
     assert not [c for c in code.co_consts if isinstance(c, str)]
     names = code.co_varnames + code.co_freevars + code.co_names
-    assert all(_GENERATED_NAME.fullmatch(name) for name in names), names
+    assert all(_GENERATED_NAME.fullmatch(name) or name in _TAIL_NAMES for name in names), names
 
 
 def test_three_deep_kb_takes_three_layers():
@@ -1063,13 +1071,6 @@ def test_row_writer_keeps_the_bits(case):
         assert len(clamped) == rows - 1
     assert data[0, 5].view(np.uint64) == np.float64(-0.0).view(np.uint64)
     assert np.all(np.isfinite(data))
-    # the loop's clamp is pinned to plant._net_force's: on a level track the
-    # net force of each law force is, bit for bit, the force its row records
-    p = pole_params(1)
-    calls = range(rows) if case == "non_finite" else [*range(rows - 1), rows - 2]
-    net = [plant._net_force(_EDGE_FORCES[k % len(_EDGE_FORCES)], 0.0, p.g, p.m_c + p.m, p.f_max)
-           for k in calls]
-    assert np.array_equal(data[:, 5].view(np.uint64), _bits(net))
 
 
 def test_a_raising_step_ends_the_run_as_non_finite():
@@ -1093,3 +1094,22 @@ def test_a_raising_step_ends_the_run_as_non_finite():
             *data[-1, 1:7].tolist(), 0.5,
             p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max, True,
         )
+
+
+def test_a_compiled_kb_and_a_fuzzy_scenario_pickle(kb, compiled_kb):
+    """A CompiledKB holds no generated code, only data: it survives a
+    pickle round trip, and the law of the copy gives the same forces, by
+    repr, at the initial states of _EDGE_CASES and on every row of special
+    values.  A Scenario with a FuzzyController survives one too and runs
+    to the same trajectory."""
+    copy = pickle.loads(pickle.dumps(compiled_kb))
+    assert repr((copy.shape, copy.numbers)) == repr((compiled_kb.shape, compiled_kb.numbers))
+    law, law_copy = kernels.fuzzy_law(compiled_kb), kernels.fuzzy_law(copy)
+    states = [case.get("state0", (0.0,) * 5)[:4] for case in _EDGE_CASES.values()]
+    rows = [control_inputs(*state, 0.0) for state in states]
+    rows += list(itertools.product(_SPECIALS, repeat=4))
+    assert [repr(law_copy(row)) for row in rows] == [repr(law(row)) for row in rows]
+    scenario = default_scenario(1, "fc", duration=1.0)
+    scenario_copy = pickle.loads(pickle.dumps(scenario))
+    assert scenario_copy == scenario
+    assert np.array_equal(_bits(run(scenario_copy).data), _bits(run(scenario).data))

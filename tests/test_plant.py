@@ -275,6 +275,25 @@ def test_step_validation():
         step(PlantState(), 0.0, 0.005, P1, method="verlet")
 
 
+@pytest.mark.parametrize("entry, args, message", [
+    (step, ("1", 0.01, P1), "force must be a real number, got str"),
+    (step, (None, 0.01, P1), "force must be a real number, got NoneType"),
+    (derivatives, ("1", P1), "force must be a real number, got str"),
+    (derivatives, (1j, P1), "force must be a real number, got complex"),
+    (step, (0.0, math.nan, P1), "dt must be positive and finite, got nan"),
+    (step, (0.0, math.inf, P1), "dt must be positive and finite, got inf"),
+    (step, (0.0, -0.005, P1), "dt must be positive and finite, got -0.005"),
+    (step, (0.0, "0.005", P1), "dt must be a real number, got str"),
+], ids=["step-str", "step-none", "derivatives-str", "derivatives-complex",
+        "dt-nan", "dt-inf", "dt-negative", "dt-str"])
+def test_a_bad_force_or_dt_is_a_plant_error_naming_it(entry, args, message):
+    """A force that is not a real number is a PlantError naming the force,
+    not a bare TypeError, and a dt outside (0, inf) one naming dt, not an
+    error about the state the step would reach."""
+    with pytest.raises(PlantError, match=message):
+        entry(PlantState(theta=0.1), *args)
+
+
 def _accelerations(theta, theta_dot, x_dot, f, tilt, g, m_c, m, l, mu_c, mu_p, f_max):
     """``derivatives`` on the flat arguments the references below pass."""
     return derivatives(

@@ -74,18 +74,16 @@ MUTANTS = (
         "    x + (x_dot + x_ddot * dt) * dt,\n",
     ),
     Mutant(
-        "skipped clamp",  # the net force is no longer clamped to +-f_max
+        "skipped clamp",  # the saturation source is empty: no force is clamped
         "plant.py",
-        "    if f > f_max:\n        f = f_max\n    elif f < -f_max:\n        f = -f_max\n"
-        "    return f - _slope_force(tilt, g, total)",
-        "    return f - _slope_force(tilt, g, total)",
+        "if f > f_max:\n    f = f_max\nelif f < -f_max:\n    f = -f_max\n",
+        "",
     ),
     Mutant(
         "loop clamp skipped",  # the run loop records and applies the law's force as is
         "kernels.py",
-        "            if f > f_max:\n                f = f_max\n            elif f < -f_max:\n"
-        "                f = -f_max\n",
-        "",
+        'clamp=indent(plant._CLAMP, " " * 12).rstrip("\\n"),',
+        'clamp="",',
     ),
     Mutant(
         "no-rule instant not counted",  # the law slot's fired flag is dropped
