@@ -127,13 +127,24 @@ class MembershipFunction:
                 f"{self.kind} takes {len(names)} parameters ({', '.join(names)}), "
                 f"got {len(p)}"
             )
+        # Parameters are stored as Python floats, a zero as +0.0: a numpy
+        # scalar would reach the generated law and slow each of its steps.
+        if not all(type(v) is float for v in p):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p):
+                raise KBError(f"membership parameters must be real numbers, got {p!r}")
+            try:
+                p = [float(v) for v in p]
+            except OverflowError:  # an int past the float range
+                raise KBError(f"membership parameters must be finite, got {p}") from None
+        p = tuple([v + 0.0 for v in p])
+        object.__setattr__(self, "params", p)
         if not (_is_int(self.power) and 1 <= self.power <= self.MAX_POWER):
             raise KBError(
                 f"power must be an integer in [1, {self.MAX_POWER}], got {self.power!r}"
             )
         if not all(a < b for a, b in zip(p, p[1:])):
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
-        if not all(math.isfinite(v) for v in p):
+        if not (-math.inf < p[0] and p[-1] < math.inf):  # all finite, as they ascend
             raise KBError(f"membership parameters must be finite, got {p}")
         object.__setattr__(self, "corners", corners(*p))
 
@@ -175,17 +186,15 @@ class MembershipFunction:
 
 
 def triangle(left: float, peak: float, right: float) -> MembershipFunction:
-    return MembershipFunction(
-        TRIANGLE, (float(left) + 0.0, float(peak) + 0.0, float(right) + 0.0)
-    )
+    return MembershipFunction(TRIANGLE, (left, peak, right))
 
 
 def shoulder_up(start: float, full: float) -> MembershipFunction:
-    return MembershipFunction(SHOULDER_UP, (float(start) + 0.0, float(full) + 0.0))
+    return MembershipFunction(SHOULDER_UP, (start, full))
 
 
 def shoulder_down(full: float, end: float) -> MembershipFunction:
-    return MembershipFunction(SHOULDER_DOWN, (float(full) + 0.0, float(end) + 0.0))
+    return MembershipFunction(SHOULDER_DOWN, (full, end))
 
 
 @dataclass(frozen=True)

@@ -85,14 +85,7 @@ def derive_very(mf: MembershipFunction, mode: VeryMode) -> MembershipFunction:
         )
     left, peak, right = mf.params
     f = mode.factor
-    return replace(
-        mf,
-        params=(
-            peak + f * (left - peak) + 0.0,
-            peak,
-            peak + f * (right - peak) + 0.0,
-        ),
-    )
+    return replace(mf, params=(peak + f * (left - peak), peak, peak + f * (right - peak)))
 
 
 @dataclass(frozen=True)

@@ -9,29 +9,28 @@ inline the equations of motion.  The law slot is the SFC law
 ``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``, a call of a
 law function (:func:`_simulate`), or the fuzzy law of a rule base.
 
-The fuzzy law is generated source, by the rule base's structure and
-coverage depth, that names everything by index; a run binds the rule
-base's numbers and the law's buffers.  It computes the input slots from
-the state, reads each label's degree off its trapezoid corners, takes the
-rule strengths over a trie of shared condition prefixes that skips every
-rule below a zero prefix, and packs one strength per conclusion label into
-a buffer.  Inline follow one clip over the coverage layers (at each grid
-point the conclusion curves nonzero there, padded with +0.0 rows to at
-least two), one binary ``np.maximum`` per layer past the first, and one
-left-to-right accumulate over a complex array, the grid points times the
-aggregate as its real part and the aggregate as its imaginary part, for
-both center-of-area sums.  Each scalar operation is one that
-:func:`fuzzpole.fuzzy.fc_output` performs on the same values, or changes no
-bit (the strength max's order, the rules below a zero prefix), so the force
-is its force bit for bit.  The same lines under a prologue that reads the
-slots from a sequence form the law's slot entry, which :func:`_loop`
-generates with the loop and :func:`fuzzy_law` binds to a rule base's
-numbers and buffers.  :func:`compile_kb` generates no code, so a
-:class:`CompiledKB` is plain data and pickles.  Each step takes the net
-force: the force clamped once per control instant by ``plant._CLAMP``,
-less the slope force, updated at each tilt event, as
-:func:`fuzzpole.plant.advance` prepares it at every step, so a step is
-``advance``'s step bit for bit.
+The fuzzy law is generated source that names everything by index, so it
+depends only on the rule base's structure and coverage depth, its shape.
+:func:`_law` generates it once per shape, apart from any loop, as the slot
+lines a loop inlines and as the slot entry (the same lines reading the
+slots from a sequence), which a run or :func:`fuzzy_law` binds to the
+rule base's numbers and buffers (:func:`_buffers`).  It reads each label's
+degree off its trapezoid corners, takes the rule strengths over a trie of
+shared condition prefixes that skips every rule below a zero prefix, and
+packs one strength per conclusion label into a buffer.  Inline follow one
+clip over the coverage layers (at each grid point the conclusion curves
+nonzero there, padded with +0.0 rows to at least two), one binary
+``np.maximum`` per layer past the first, and one left-to-right accumulate
+over a complex array, the grid points times the aggregate as its real
+part and the aggregate as its imaginary part, for both center-of-area
+sums.  Each scalar operation is one that :func:`fuzzpole.fuzzy.fc_output`
+performs on the same values, or changes no bit (the strength max's order,
+the rules below a zero prefix), so the force is its force bit for bit.
+:func:`compile_kb` generates no code, so a :class:`CompiledKB` is plain
+data and pickles.  Each step takes the net force: the force clamped once
+per control instant by ``plant._CLAMP``, less the slope force, updated at
+each tilt event, as :func:`fuzzpole.plant.advance` prepares it at every
+step, so a step is ``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -41,8 +40,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import linecache
 import math
 import struct
+import weakref
 from dataclasses import dataclass
 from textwrap import indent
 from typing import Callable, Mapping, Sequence
@@ -84,6 +85,7 @@ BACKENDS = (ACTIVE_BACKEND,)
 # One trajectory row [t, theta, theta_dot, x, x_dot, F, tilt] as native
 # float64s, the layout of a row of a C-contiguous (rows, 7) float64 array.
 _ROW = struct.Struct("7d")
+_compiles = itertools.count()  # gives each generated source a file name of its own
 
 
 class KernelError(ValueError):
@@ -97,9 +99,13 @@ def check_backend(backend: str | None) -> None:
 
 
 def _generated(lines: list[str], name: str, namespace: dict) -> Callable:
-    """Compile ``lines`` in ``namespace``; return the function ``name``."""
-    exec(compile("\n".join(lines), f"<fuzzpole.kernels {name}>", "exec"), namespace)
-    return namespace[name]
+    """Compile ``lines`` in ``namespace``; return the function ``name``.
+    ``linecache`` holds the source while the function lives, so a
+    traceback through it shows its lines."""
+    filename = f"<fuzzpole.kernels {name} {next(_compiles)}>"
+    function = plant._run_source("\n".join(lines), filename, namespace)[name]
+    weakref.finalize(function, linecache.cache.pop, filename, None)
+    return function
 
 
 control_inputs = _generated([
@@ -178,16 +184,17 @@ def _front_end(kb: KnowledgeBase):
     return (tuple(labels), rules, len(group_of)), numbers, list(group_of)
 
 
-def _law_lines(structure, depth: int):
-    """The fuzzy law of one ``structure`` of :func:`_front_end` and coverage
-    ``depth`` as source lines, for :func:`_loop`.
-
-    Returns ``(numbers, buffers, slots, body, tail, namespace)``: the names
-    of the corners and widths and of the law's buffers, the input slots
-    read, the body lines, which take the degrees and rule strengths into
-    ``strength``, the tail lines, which run the law's numpy part on it, the
-    max unrolled to ``depth``, and set the force ``f`` and ``fired``, and
-    the globals the lines read.  The source names everything by index.
+@functools.lru_cache(maxsize=64)
+def _law(shape):
+    """The fuzzy law of one rule-base ``shape`` (``CompiledKB.shape``),
+    generated on first use of the shape, apart from any loop.  Returns
+    ``(setup, slot, namespace, force)``: the line that unpacks the tuple
+    ``law`` (:func:`_buffers`); the law slot :func:`_loop` inlines, which
+    computes the input slots from the state, the degrees and rule strengths
+    into ``strength`` and the numpy part on it, the max unrolled to the
+    coverage depth, to set the force ``f`` and ``fired``; the globals these
+    lines read; and the slot entry ``force(law, inputs) -> (f, fired)``,
+    compiled from the same lines with the slots read from ``inputs``.
 
     Label k's degree ``u{k}`` is the comparison chain of
     ``MembershipFunction`` raised to its power as in ``fuzzy._pow_int``.
@@ -199,7 +206,7 @@ def _law_lines(structure, depth: int):
     strength is NaN or -0.0, the max gives the same bits in any order, and
     a rule below a +0.0 edge is +0.0, which changes no group.
     """
-    labels, rules, groups = structure
+    (labels, rules, groups), depth = shape
     body: list[str] = []
     for k, (power, i) in enumerate(labels):
         body += [
@@ -246,20 +253,25 @@ def _law_lines(structure, depth: int):
         "else:",
         "    f, fired = (0.0 + coa.real) / den, True",
     ]
-    numbers = [f"{n}{k}" for k in range(len(labels)) for n in "abwcdz"]
-    buffers = ["strength", "layer_group", "layer_curve", "covered", "points", "weighted",
-               "aggregate", "terms", "sums", *layers]
+    setup = [", ".join([f"{n}{k}" for k in range(len(labels)) for n in "abwcdz"] + [
+        "strength", "layer_group", "layer_curve", "covered", "points", "weighted", "aggregate",
+        "terms", "sums", *layers]) + " = law"]
     namespace = {
         "pack": struct.Struct(f"{groups}d").pack_into, "RAD2DEG": RAD2DEG, "minimum": np.minimum,
         "maximum": np.maximum, "multiply": np.multiply, "accumulate": np.add.accumulate}
-    return numbers, buffers, sorted({i for _, i in labels}), body, tail, namespace
+    slots = sorted({i for _, i in labels})
+    read = [f"x{i} = inputs[{i}]" for i in slots]
+    force = _generated(["def force(law, inputs):", *(
+        f"    {line}" for line in setup + read + body + tail + ["return f, fired"])],
+        "force", dict(namespace))
+    return setup, [f"x{i} = {_VIEW[i]}" for i in slots] + body + tail, namespace, force
 
 
 def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     """Compile ``kb`` to the :class:`CompiledKB` the fuzzy law reads.
 
     The conclusion curves become coverage layers; the law's code is
-    generated by :func:`_loop`, on first use of the rule base's structure
+    generated by :func:`_law`, on first use of the rule base's structure
     and coverage depth (its ``shape``), not here.  Raises KernelError for an
     input variable the harness does not drive.
     """
@@ -291,8 +303,8 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
 
 
 def _buffers(ck: CompiledKB) -> tuple:
-    """Fresh buffers for one fuzzy law of ``ck``, in the order of the
-    generated law's ``buffers``.
+    """The tuple one fuzzy law of ``ck`` binds, in the order the setup line
+    of :func:`_law` unpacks it: the rule base's numbers, then fresh buffers.
 
     A group's rules fold into one strength, exactly, as no strength is NaN:
     max_r min(a_r, c) == min(max_r a_r, c).  The clip fills the first
@@ -313,18 +325,17 @@ def _buffers(ck: CompiledKB) -> tuple:
     coa = np.empty((2, n), dtype=np.complex128)
     terms, sums = coa[0], coa[1]
     weighted, aggregate = terms.real, terms.imag
-    return (np.zeros(ck.groups), ck.layer_group, ck.layer_curve, clipped[:depth], ck.points,
-            weighted, aggregate, terms, sums, *[clipped[r] for r in range(len(clipped))])
+    return ck.numbers + (np.zeros(ck.groups), ck.layer_group, ck.layer_curve, clipped[:depth],
+                         ck.points, weighted, aggregate, terms, sums, *clipped)
 
 
 def fuzzy_law(ck: CompiledKB) -> Callable[[Sequence[float]], tuple[float, bool]]:
     """The fuzzy law of ``ck`` over its own buffers, ``force(inputs) ->
     (force, fired)`` on Python floats in ``DEFAULT_SLOTS`` order: the slot
-    entry :func:`_loop` generates for ``ck.shape``, bound to the tuple a
-    run's loop unpacks, the rule base's numbers and fresh buffers.  One
-    generated frame that builds no list or array and returns a Python
-    float.  A run inlines the same lines in its loop."""
-    return functools.partial(_loop(ck.shape, False)["force"], ck.numbers + _buffers(ck))
+    entry :func:`_law` generates for ``ck.shape``, bound to :func:`_buffers`.
+    One generated frame that builds no list or array and returns a Python
+    float; a run's loop inlines the same lines, and none is generated here."""
+    return functools.partial(_law(ck.shape)[3], _buffers(ck))
 
 
 # The simulation loop, written once.  ``{setup}`` binds what the slots read
@@ -401,14 +412,11 @@ def simulate(state0, x_target, params, dt, n_steps, control_every,
 
 
 @functools.lru_cache(maxsize=64)
-def _loop(law, rk4: bool) -> dict:
+def _loop(law, rk4: bool) -> Callable:
     """The loop ``_LOOP`` for one law and integrator, generated on first
-    use of them; returns the namespace it runs in, whose ``simulate`` is
-    the loop.  ``law`` is ``"call"`` (the argument ``law`` is a function),
-    ``"sfc"`` (it is the gains) or a rule base's ``shape`` (it is the
-    numbers and buffers).  For a shape the namespace also holds the law's
-    slot entry ``force(law, inputs) -> (f, fired)``: the loop's setup and
-    law slot, with the slots read from ``inputs``.  The loop returns
+    use of them.  ``law`` is ``"call"`` (the argument ``law`` is a
+    function), ``"sfc"`` (it is the gains) or a rule base's ``shape`` (it
+    is :func:`_buffers`, and the slot is :func:`_law`'s).  The loop returns
     (trajectory rows [t, theta, theta_dot, x, x_dot, F, tilt], termination,
     count of control instants where the law did not fire); the termination
     is ``"completed"``, ``"pole_fell"``, ``"left_track"`` or
@@ -416,7 +424,6 @@ def _loop(law, rk4: bool) -> dict:
     """
     namespace = {"slope_force": plant._slope_force, "empty": np.empty, "isfinite": np.isfinite,
                  "nan": math.nan, "ROW": _ROW, **plant._STEP_GLOBALS}
-    entry = []
     if law == "call":
         setup, slot = [], ["f, fired = law(theta, theta_dot, x, x_dot, x_target)"]
     elif law == "sfc":
@@ -424,13 +431,8 @@ def _loop(law, rk4: bool) -> dict:
         slot = ["f = -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot)",
                 "fired = True"]
     else:
-        numbers, buffers, slots, body, tail, names = _law_lines(*law)
+        setup, slot, names, _ = _law(law)
         namespace.update(names)
-        setup = [f"{', '.join(numbers + buffers)} = law"]
-        slot = [f"x{i} = {_VIEW[i]}" for i in slots] + body + tail
-        read = [f"x{i} = inputs[{i}]" for i in slots]
-        entry = ["def force(law, inputs):",
-                 *(f"    {line}" for line in setup + read + body + tail + ["return f, fired"])]
     constants, step = plant._STEPS["rk4" if rk4 else "euler"]
     source = _LOOP.format(
         setup=indent(plant._CONSTANTS + constants + "\n".join(setup), " " * 4),
@@ -438,10 +440,7 @@ def _loop(law, rk4: bool) -> dict:
         clamp=indent(plant._CLAMP, " " * 12).rstrip("\n"),
         step=indent(step, " " * 12).rstrip("\n"),
     )
-    _generated([source], "simulate", namespace)
-    if entry:  # compiled apart: one compile of both peaks higher in memory
-        _generated(entry, "force", namespace)
-    return namespace
+    return _generated([source], "simulate", namespace)
 
 
 def _simulate(
@@ -451,7 +450,7 @@ def _simulate(
     """Closed loop under
     ``law(theta, theta_dot, x, x_dot, x_target) -> (force, fired)``: the
     loop :func:`_loop` generates with a law-call slot."""
-    return _loop("call", rk4)["simulate"](
+    return _loop("call", rk4)(
         state0, x_target, params, dt, n_steps, control_every,
         ev_step, ev_kind, ev_value, track_bound, theta_limit, law,
     )
@@ -481,9 +480,9 @@ def simulate_fuzzy(state0, x_target: float, params, dt: float, n_steps: int,
     :func:`_loop` of its rule base's shape returns.  ``state0`` is
     ``(theta, theta_dot, x, x_dot, tilt)``, ``params`` ``(g, m_c, m, l,
     mu_c, mu_p, f_max)``."""
-    return _loop(ck.shape, rk4)["simulate"](
+    return _loop(ck.shape, rk4)(
         state0, x_target, params, dt, n_steps, control_every,
-        ev_step, ev_kind, ev_value, track_bound, theta_limit, ck.numbers + _buffers(ck),
+        ev_step, ev_kind, ev_value, track_bound, theta_limit, _buffers(ck),
     )
 
 
@@ -493,7 +492,7 @@ def simulate_sfc(state0, x_target: float, params, dt: float, n_steps: int,
                  k_gains: np.ndarray):
     """Closed-loop run under the state-feedback controller, as
     :func:`simulate_fuzzy` under the gains ``k_gains``."""
-    return _loop("sfc", rk4)["simulate"](
+    return _loop("sfc", rk4)(
         state0, x_target, params, dt, n_steps, control_every,
         ev_step, ev_kind, ev_value, track_bound, theta_limit, [float(v) for v in k_gains],
     )

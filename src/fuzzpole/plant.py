@@ -17,6 +17,7 @@ simulation loop in ``fuzzpole.kernels`` inlines the same source.
 
 from __future__ import annotations
 
+import linecache
 import math
 import numbers
 from dataclasses import dataclass
@@ -233,8 +234,19 @@ def _accelerations(theta, theta_dot, x_dot, f, tilt, {_PLANT}):
 {indent(_NET + _ACCELERATIONS, "    ")}\
     return theta_ddot, x_ddot
 '''
-_namespace = {"__name__": __name__, "slope_force": _slope_force, **_STEP_GLOBALS}
-exec(compile(_SOURCE, "<fuzzpole.plant>", "exec"), _namespace)
+
+
+def _run_source(source: str, filename: str, namespace: dict) -> dict:
+    """Run ``source`` in ``namespace`` as the file ``filename``, which
+    ``linecache`` serves, so a traceback shows its lines; returns
+    ``namespace``."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+_namespace = _run_source(_SOURCE, "<fuzzpole.plant>", {
+    "__name__": __name__, "slope_force": _slope_force, **_STEP_GLOBALS})
 advance = _namespace["advance"]
 _accelerations = _namespace["_accelerations"]
 

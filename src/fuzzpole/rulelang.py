@@ -314,7 +314,7 @@ class _Parser:
             )
             return
         try:
-            labels[name[0]] = MembershipFunction(kind, tuple(v + 0.0 for v in params), power)
+            labels[name[0]] = MembershipFunction(kind, tuple(params), power)
         except KBError as exc:
             self.report(shape, str(exc), "bad-shape")
 

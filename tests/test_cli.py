@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,16 @@ def test_lint_builtin_rules(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "label-alias" in out
     assert "ok (" in out
+
+
+def test_python_dash_m_fuzzpole_runs_the_cli(monkeypatch, capsys):
+    """``python -m fuzzpole`` runs the CLI and exits with its code."""
+    rules = Path(__file__).parents[1] / "src" / "fuzzpole" / "kb" / "pole.frl"
+    monkeypatch.setattr(sys, "argv", ["fuzzpole", "lint", "--rules", str(rules)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("fuzzpole", run_name="__main__")
+    assert exited.value.code == 0
+    assert "ok (" in capsys.readouterr().out
 
 
 def test_lint_reports_the_builtin_alias_once(capsys):

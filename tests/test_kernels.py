@@ -1,11 +1,14 @@
 import collections
 import dataclasses
+import gc
 import itertools
+import linecache
 import math
 import pickle
 import random
 import re
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -583,7 +586,7 @@ def test_one_slot_kb_reads_a_one_element_input():
 
 def test_rule_bases_that_differ_only_in_numbers_share_one_generated_law(kb):
     """Widths (Narrowed 0.12 against 0.5) and the grid size n change no
-    code: the second law of each pair reuses the cached loop and its slot
+    code: the second law of each pair reuses the cached law and its slot
     entry."""
     builtin_51 = KnowledgeBase(
         kb.variables, kb.output_variable, kb.rules,
@@ -596,14 +599,89 @@ def test_rule_bases_that_differ_only_in_numbers_share_one_generated_law(kb):
     for first, second in pairs:
         assert kernels._front_end(first)[0] == kernels._front_end(second)[0]
         law_first = kernels.fuzzy_law(compile_kb(first))
-        cached = kernels._loop.cache_info()
+        cached = kernels._law.cache_info()
         law_second = kernels.fuzzy_law(compile_kb(second))
-        after = kernels._loop.cache_info()
+        after = kernels._law.cache_info()
         assert (after.hits, after.misses) == (cached.hits + 1, cached.misses)
         assert law_second.func is law_first.func
     narrow, wide = (compile_kb(k) for k in pairs[0])
     inputs = [1.0, 5.0, 0.1, 0.05]
     assert _strengths(narrow, inputs) != _strengths(wide, inputs)
+
+
+def test_a_fuzzy_law_generates_no_loop(kb):
+    """The slot entry is generated apart from any loop: after the loop
+    cache is emptied, a law of a rule base leaves it empty."""
+    kernels._loop.cache_clear()
+    kernels.fuzzy_law(compile_kb(kb))([0.5, 1.0, 0.1, 0.0])
+    assert kernels._loop.cache_info().currsize == 0
+
+
+def test_euler_and_rk4_runs_of_a_new_shape_generate_its_law_once():
+    """The two loops of one shape share one generated law: their runs miss
+    the law cache once between them."""
+    kernels._loop.cache_clear()
+    kernels._law.cache_clear()
+    for integrator in ("euler", "rk4"):
+        scenario = dataclasses.replace(
+            default_scenario(1, "fc", duration=0.1), integrator=integrator)
+        assert run(scenario).termination == "completed"
+    info = kernels._law.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert kernels._loop.cache_info().misses == 2
+
+
+def test_the_slot_entry_runs_the_loops_law_slot(compiled_kb):
+    """Past its prologue, which unpacks the law and reads the slots from
+    ``inputs``, the slot entry's source is the loop's law slot past its
+    state prologue, and the loop inlines the slot as it is."""
+    setup, slot, _, force = kernels._law(compiled_kb.shape)
+    slots = range(compiled_kb.reads)
+    assert slot[:len(slots)] == [f"x{i} = {kernels._VIEW[i]}" for i in slots]
+    lines = linecache.getlines(force.__code__.co_filename)
+    assert lines[0] == "def force(law, inputs):\n"
+    entry = [line[4:].rstrip("\n") for line in lines[1:]]
+    prologue = setup + [f"x{i} = inputs[{i}]" for i in slots]
+    assert entry[:len(prologue)] == prologue
+    assert entry[len(prologue):] == slot[len(slots):] + ["return f, fired"]
+    loop = kernels._loop(compiled_kb.shape, False)
+    source = "".join(linecache.getlines(loop.__code__.co_filename))
+    assert "".join(f"{' ' * 12}{line}\n" for line in slot) in source
+
+
+def test_a_traceback_shows_the_generated_line():
+    """A law that returns a bare float fails in the loop's law slot, and
+    the traceback shows that line of the generated source."""
+    p = pole_params(1)
+    with pytest.raises(TypeError) as caught:
+        kernels._simulate(
+            (0.0, 0.0, 0.0, 0.0, 0.0), 0.0, (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max),
+            0.005, 10, 1, False, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0), 2.4, 0.8, lambda *state: 0.0,
+        )
+    last = traceback.extract_tb(caught.value.__traceback__)[-1]
+    assert last.filename.startswith("<fuzzpole.kernels simulate ")
+    assert last.line == "f, fired = law(theta, theta_dot, x, x_dot, x_target)"
+
+
+def test_a_generated_source_leaves_linecache_with_its_function():
+    """Each compile gets a file name of its own, held while its function
+    lives, so a process that generates many laws keeps no dead source."""
+    first = kernels._generated(["def g():", "    return 1"], "g", {})
+    second = kernels._generated(["def g():", "    return 2"], "g", {})
+    names = [f.__code__.co_filename for f in (first, second)]
+    assert names[0] != names[1] and all(name.startswith("<fuzzpole.") for name in names)
+    assert linecache.getline(names[1], 2) == "    return 2"
+    del first, second
+    gc.collect()
+    assert not any(name in linecache.cache for name in names)
+
+
+def test_a_traceback_through_the_plant_shows_its_source():
+    """plant.advance is generated too; its source is in linecache."""
+    code = plant.advance.__code__
+    assert code.co_filename == "<fuzzpole.plant>"
+    assert linecache.getline(code.co_filename, code.co_firstlineno).startswith("def advance(")
 
 
 def test_rule_rows_are_part_of_the_structure(kb):

@@ -191,3 +191,44 @@ def test_membership_paths_agree_bit_for_bit(shape, at_specials, power):
     for v in xs:
         force, fired = fuzzy_force(ck, np.array([v, 0.0, 0.0, 0.0]))
         assert fired and repr(force) == repr(float(fc_output(kb, {"theta": v, "x": 0.0})))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [("0", "1", "2"), (None, 1.0, 2.0), (False, 1.0, 2.0), (0, 1, 10**400)],
+    ids=["strings", "none", "bool", "int-past-float"],
+)
+def test_a_parameter_that_is_not_a_real_number_is_a_kb_error(params):
+    with pytest.raises(KBError, match="membership parameters must be"):
+        MembershipFunction("triangle", params)
+
+
+def test_parameters_are_stored_as_floats_with_zeros_as_plus_zero():
+    """A rule base written with int, numpy and -0.0 parameters compiles to
+    the numbers of the same rule base written in floats, all of them Python
+    floats, and its law gives the same forces."""
+    from fuzzpole.rulelang import builtin_pole_kb
+
+    kb = builtin_pole_kb()
+    kinds = set()
+
+    def cast(v):
+        kind = "zero" if v == 0.0 else "int" if v == int(v) else "numpy"
+        kinds.add(kind)
+        return {"zero": -0.0, "int": int(v), "numpy": np.float64(v)}[kind]
+
+    variables = {
+        name: LinguisticVariable(var.name, var.unit, {
+            label: MembershipFunction(mf.kind, tuple(map(cast, mf.params)), mf.power)
+            for label, mf in var.labels.items()
+        })
+        for name, var in kb.variables.items()
+    }
+    mixed = replace(kb, variables=variables)
+    assert kinds == {"zero", "int", "numpy"}
+    floats, others = compile_kb(kb), compile_kb(mixed)
+    assert all(type(v) is float for v in others.numbers)
+    assert repr(others.numbers) == repr(floats.numbers)
+    for values in ([0.0, 0.0, 0.0, 0.0], [3.0, -10.0, 0.4, 0.2], [-0.5, 20.0, -1.0, 0.0]):
+        inputs = np.array(values)
+        assert repr(fuzzy_force(others, inputs)) == repr(fuzzy_force(floats, inputs))

@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "theta_dot read through theta in the loop's fuzzy law slot",
         "kernels.py",
-        'slot = [f"x{i} = {_VIEW[i]}" for i in slots]',
-        'slot = [f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
+        '[f"x{i} = {_VIEW[i]}" for i in slots]',
+        '[f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
     ),
 )
 
