@@ -80,6 +80,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a real number of any type except ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _pow_int(value, power: int):
     """Integer power by repeated multiplication (works for scalars and arrays).
 
@@ -130,7 +135,7 @@ class MembershipFunction:
         # Parameters are stored as Python floats, a zero as +0.0: a numpy
         # scalar would reach the generated law and slow each of its steps.
         if not all(type(v) is float for v in p):
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p):
+            if not all(_is_real(v) for v in p):
                 raise KBError(f"membership parameters must be real numbers, got {p!r}")
             try:
                 p = [float(v) for v in p]
@@ -209,6 +214,12 @@ class LinguisticVariable:
         if not self.labels:
             raise KBError(f"variable '{self.name}' has no labels")
         object.__setattr__(self, "labels", dict(self.labels))
+        for name, mf in self.labels.items():
+            if not isinstance(mf, MembershipFunction):
+                raise KBError(
+                    f"label '{name}' of variable '{self.name}' is not a MembershipFunction, "
+                    f"got {type(mf).__name__}"
+                )
 
     def label(self, name: str) -> MembershipFunction:
         try:
@@ -300,6 +311,8 @@ class OutputUniverse:
     MAX_POINTS = 100_001
 
     def __post_init__(self):
+        if not (_is_real(self.lo) and _is_real(self.hi)):
+            raise KBError(f"universe bounds must be real numbers, got [{self.lo!r}, {self.hi!r}]")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise KBError(f"universe bounds must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):

@@ -365,8 +365,8 @@ def _signal_metrics(t: np.ndarray, y: np.ndarray, setpoint: float, band: float) 
 
 
 def _check_band(name: str, band: float) -> None:
-    if not 0.0 < band < math.inf:  # NaN fails too
-        raise ScenarioError(f"{name} must be positive and finite, got {band}")
+    if not (isinstance(band, numbers.Real) and 0.0 < band < math.inf):  # NaN fails too
+        raise ScenarioError(f"{name} must be positive and finite, got {band!r}")
 
 
 def compute_metrics(

@@ -5,6 +5,7 @@ behind those labels, and auditing an existing rule base against that contract.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -64,10 +65,8 @@ class Narrowed:
     factor: float
 
     def __post_init__(self):
-        if not (0.0 < self.factor < 1.0):
-            raise HierarchyError(
-                f"narrowing factor must be in (0, 1), got {self.factor}"
-            )
+        if not (isinstance(self.factor, numbers.Real) and 0.0 < self.factor < 1.0):
+            raise HierarchyError(f"narrowing factor must be in (0, 1), got {self.factor!r}")
 
 
 VeryMode = Concentration | Narrowed
@@ -149,28 +148,51 @@ def cart_pole_goals() -> GoalSpec:
     )
 
 
+def _very_label(
+    variables: dict[str, LinguisticVariable], entry: Achievement, mode: VeryMode
+) -> str:
+    """Register the sharpened label of ``entry`` on its variable in
+    ``variables``, unless an identical one is there, and return its name."""
+    var = variables.get(entry.variable)
+    if var is None:
+        raise HierarchyError(f"achievement variable '{entry.variable}' is not defined")
+    derived = derive_very(var.label(entry.label), mode)
+    name = entry.derived_name
+    existing = var.labels.get(name)
+    if existing is None:
+        labels = {**var.labels, name: derived}
+        variables[entry.variable] = LinguisticVariable(var.name, var.unit, labels)
+    elif existing != derived:
+        raise HierarchyError(
+            f"label '{name}' already exists on '{entry.variable}' with a different shape"
+        )
+    return name
+
+
 def compose_hierarchical(
     goal_spec: GoalSpec,
     per_goal_rules: Sequence[Sequence[Rule]],
     mode: VeryMode,
     base: KnowledgeBase,
 ) -> KnowledgeBase:
-    """Assemble a prioritized KB from per-goal rule sets.
+    """Assemble a prioritized KB from per-goal rule sets, in one walk down
+    the goals.
 
-    Rules for the highest-priority goal pass through verbatim.  Every rule of
-    goal i >= 2 gains one prepended precondition per entry of goal i-1's
-    achievement predicate, referencing a sharpened label derived via
-    :func:`derive_very` and registered on the owning variable.  ``base``
+    Each goal's rules must read only the goal's variables, and gain the gate
+    carried from the goal above: none for the highest-priority goal, whose
+    rules pass through verbatim.  The goal's own achievement predicate then
+    builds the gate of the next goal, one precondition per entry,
+    referencing a sharpened label derived via :func:`derive_very` and
+    registered on the owning variable; the last goal builds none.  ``base``
     supplies the variables and output universe; its rules are ignored.
     """
     goals = goal_spec.goals
     if len(per_goal_rules) != len(goals):
-        raise HierarchyError(
-            f"{len(goals)} goals but {len(per_goal_rules)} rule sets"
-        )
+        raise HierarchyError(f"{len(goals)} goals but {len(per_goal_rules)} rule sets")
     variables: dict[str, LinguisticVariable] = dict(base.variables)
-
-    for goal, rules in zip(goals, per_goal_rules):
+    out_rules: list[Rule] = []
+    gate: tuple[Precondition, ...] = ()
+    for i, (goal, rules) in enumerate(zip(goals, per_goal_rules), start=1):
         allowed = set(goal.variables)
         for rule in rules:
             extra = {p.variable for p in rule.preconditions} - allowed
@@ -179,47 +201,14 @@ def compose_hierarchical(
                     f"rule '{rule.name}' of goal '{goal.name}' references "
                     f"variables outside the goal's set: {sorted(extra)}"
                 )
-
-    def materialize(entry: Achievement) -> str:
-        if entry.variable not in variables:
-            raise HierarchyError(
-                f"achievement variable '{entry.variable}' is not defined"
-            )
-        var = variables[entry.variable]
-        derived = derive_very(var.label(entry.label), mode)
-        name = entry.derived_name
-        existing = var.labels.get(name)
-        if existing is not None:
-            if existing != derived:
-                raise HierarchyError(
-                    f"label '{name}' already exists on '{entry.variable}' "
-                    "with a different shape"
-                )
-            return name
-        labels = dict(var.labels)
-        labels[name] = derived
-        variables[entry.variable] = LinguisticVariable(var.name, var.unit, labels)
-        return name
-
-    out_rules: list[Rule] = []
-    for i, (goal, rules) in enumerate(zip(goals, per_goal_rules), start=1):
-        if i == 1:
-            out_rules.extend(replace(r, goal_index=1) for r in rules)
-            continue
-        previous = goals[i - 2]
-        gate = tuple(
-            Precondition(entry.variable, materialize(entry))
-            for entry in previous.achieve
-        )
-        for rule in rules:
             out_rules.append(
-                replace(
-                    rule,
-                    preconditions=gate + rule.preconditions,
-                    goal_index=i,
-                )
+                replace(rule, preconditions=gate + rule.preconditions, goal_index=i)
             )
-
+        if i < len(goals):
+            gate = tuple(
+                Precondition(entry.variable, _very_label(variables, entry, mode))
+                for entry in goal.achieve
+            )
     return KnowledgeBase(
         variables, base.output_variable, tuple(out_rules), base.output_universe
     )
@@ -255,12 +244,8 @@ def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | No
             f"support [{v_lo:g}, {v_hi:g}] is not strictly inside "
             f"[{b_lo:g}, {b_hi:g}]"
         )
-    breaks = sorted(set(very.params) | set(base.params) | {v_lo, v_hi})
-    grid = np.unique(
-        np.concatenate(
-            [np.linspace(breaks[0], breaks[-1], 1001), np.asarray(breaks)]
-        )
-    )
+    breaks = (*very.params, *base.params, v_lo, v_hi)
+    grid = np.union1d(np.linspace(min(breaks), max(breaks), 1001), breaks)
     if np.any(very.sample(grid) > base.sample(grid) + 1e-12):
         return "membership exceeds the base label somewhere"
     return None

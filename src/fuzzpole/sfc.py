@@ -5,6 +5,7 @@ u = -k (state - reference).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,22 +90,6 @@ class GainVector:
         )
 
 
-def _conjugate_closed(poles: np.ndarray, tol: float = 1e-9) -> bool:
-    remaining = list(poles)
-    while remaining:
-        pole = remaining.pop()
-        if abs(pole.imag) <= tol:
-            continue
-        match = next(
-            (i for i, q in enumerate(remaining) if abs(q - pole.conjugate()) <= tol),
-            None,
-        )
-        if match is None:
-            return False
-        remaining.pop(match)
-    return True
-
-
 def design_gains(
     model: LinearModel,
     desired_poles=DEFAULT_DESIRED_POLES,
@@ -113,42 +98,47 @@ def design_gains(
 ) -> GainVector:
     """Pole placement via Ackermann's formula for the single-input pair.
 
-    Raises DesignError when the desired poles are not four finite poles
-    closed under conjugation, when the pair is uncontrollable (reporting the
-    controllability-matrix rank), or when the placement overflows or cannot
+    Raises DesignError unless ``desired_poles`` is a flat sequence of four
+    finite numbers (a complex pole is one complex number) closed under
+    conjugation, that is, with a real monic polynomial to the relative
+    1e-9 of the final check; when the pair is uncontrollable (reporting the
+    controllability-matrix rank); or when the placement overflows or cannot
     be verified.  The achieved closed-loop characteristic polynomial is
-    verified against the requested one, coefficient by coefficient, so poles
-    may repeat: the eigenvalues of a near-defective closed loop move by
-    about eps**(1/4) and could not be compared at a useful tolerance.
+    verified against the requested one, coefficient by coefficient, so
+    poles may repeat: the eigenvalues of a near-defective closed loop move
+    by about eps**(1/4) and could not be compared at a useful tolerance.
     """
-    poles = np.asarray(desired_poles, dtype=np.complex128).reshape(-1)
-    if poles.shape != (4,):
-        raise DesignError(f"need exactly 4 desired poles, got {poles.shape[0]}")
+    entries = list(desired_poles) if np.iterable(desired_poles) else [desired_poles]
+    if len(entries) != 4:
+        raise DesignError(f"need exactly 4 desired poles, got {len(entries)}")
+    if not all(isinstance(p, numbers.Number) and not isinstance(p, bool) for p in entries):
+        raise DesignError(f"desired poles must be a flat sequence of numbers, got {entries!r}")
+    poles = np.array(entries, dtype=np.complex128)
     if not np.all(np.isfinite(poles)):
         raise DesignError(f"desired poles must be finite, got {poles}")
-    if not _conjugate_closed(poles):
-        raise DesignError(f"desired poles {poles} are not closed under conjugation")
     A, B = model.A, model.B
-    ctrb = np.hstack([B, A @ B, A @ A @ B, A @ A @ A @ B])
-    rank = int(np.linalg.matrix_rank(ctrb))
-    if rank < 4:
-        raise DesignError(
-            f"(A, B) pair is uncontrollable: controllability matrix rank {rank} < 4"
-        )
     # Huge poles overflow the polynomial to inf, and inf * 0 is NaN; the
-    # finiteness check below rejects such gains, so numpy need not warn.
+    # finiteness check of the gains rejects them, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.poly(poles)  # monic characteristic polynomial
-        coeffs = np.real_if_close(coeffs, tol=1e6)
+        tol = 1e-9 * np.maximum(1.0, np.abs(coeffs))
+        if np.any(np.abs(coeffs.imag) > tol):
+            raise DesignError(f"desired poles {poles} are not closed under conjugation")
+        coeffs = coeffs.real
+        ctrb = np.hstack([B, A @ B, A @ A @ B, A @ A @ A @ B])
+        rank = int(np.linalg.matrix_rank(ctrb))
+        if rank < 4:
+            raise DesignError(
+                f"(A, B) pair is uncontrollable: controllability matrix rank {rank} < 4"
+            )
         phi = np.zeros((4, 4))
         for c in coeffs:
-            phi = phi @ A + float(np.real(c)) * np.eye(4)
+            phi = phi @ A + c * np.eye(4)
         k = np.linalg.solve(ctrb.T, np.array([0.0, 0.0, 0.0, 1.0])) @ phi
     if not np.all(np.isfinite(k)):
         raise DesignError(f"gains are not finite for desired poles {poles}")
-
     achieved = np.poly(A - B @ k.reshape(1, 4))
-    if np.any(np.abs(achieved - coeffs) > 1e-9 * np.maximum(1.0, np.abs(coeffs))):
+    if np.any(np.abs(achieved - coeffs) > tol):
         raise DesignError(
             f"placement verification failed: wanted characteristic polynomial "
             f"{coeffs}, achieved {achieved}"

@@ -17,6 +17,7 @@ from fuzzpole.harness import (
     Comparison,
     FuzzyController,
     SFCController,
+    ScenarioBundle,
     ScenarioError,
     SignalMetrics,
     Trajectory,
@@ -849,6 +850,25 @@ def test_settling_bands_must_be_positive_and_finite(key, band):
     traj = run(scenario)
     with pytest.raises(ScenarioError, match=re.escape(message)):
         compute_metrics(traj, scenario, **{key: band})
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda t, s: compute_metrics(t, s, theta_band_deg="1"), "theta_band_deg"),
+        (lambda t, s: compute_metrics(t, s, x_band_m=None), "x_band_m"),
+        (lambda t, s: ScenarioBundle(s, theta_band_deg="1"), "metrics.theta_band_deg"),
+        (lambda t, s: ScenarioBundle(s, x_band_m=None), "metrics.x_band_m"),
+    ],
+    ids=["metrics-string", "metrics-none", "bundle-string", "bundle-none"],
+)
+def test_a_settling_band_that_is_not_a_number_is_a_scenario_error(check, message):
+    """A band that is not a real number is a ScenarioError naming it, not a
+    TypeError from comparing it with zero."""
+    scenario = default_scenario(1, "sfc", duration=0.1)
+    traj = run(scenario)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} must be positive and finite"):
+        check(traj, scenario)
 
 
 def test_readme_scenario_example_loads():

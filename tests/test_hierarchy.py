@@ -51,6 +51,12 @@ def test_narrowed_factor_must_be_fraction():
         Narrowed(0.0)
 
 
+@pytest.mark.parametrize("factor", ["0.5", None], ids=["string", "none"])
+def test_a_narrowing_factor_that_is_not_a_number_is_a_hierarchy_error(factor):
+    with pytest.raises(HierarchyError, match="narrowing factor must be in"):
+        Narrowed(factor)
+
+
 def test_narrowed_rejects_shoulders():
     with pytest.raises(HierarchyError):
         derive_very(shoulder_up(0.0, 6.25), Narrowed(0.5))
@@ -158,6 +164,20 @@ def test_chain_gates_on_previous_goal_only():
         ("b", "PO"),
     ]
     assert g2.goal_index == 2 and g3.goal_index == 3
+
+
+def test_the_last_goal_derives_no_label_for_its_achievements():
+    """The walk builds a gate from each goal's achievements for the goal
+    below; the last goal has none below it, so its achievements derive no
+    label, and the goals above still gate as before."""
+    spec, rules, base = three_goal_setup()
+    last = replace(spec.goals[-1], achieve=(Achievement("c", "ZE", "VC"),))
+    achieving = GoalSpec(spec.goals[:-1] + (last,))
+    out = compose_hierarchical(achieving, rules, Narrowed(0.5), base)
+    assert out.variables["c"] == base.variables["c"]
+    assert "VC" not in out.variables["c"].labels
+    assert out.variables["b"].labels["VZE"] == triangle(-0.5, 0.0, 0.5)
+    assert out == compose_hierarchical(spec, rules, Narrowed(0.5), base)
 
 
 def test_compose_reuses_an_identical_existing_label(kb):

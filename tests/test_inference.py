@@ -197,6 +197,27 @@ def test_output_universe_validation():
             OutputUniverse(lo, hi)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OutputUniverse("a", "b"), "universe bounds must be real numbers"),
+        (lambda: OutputUniverse(None, 1.0), "universe bounds must be real numbers"),
+        (lambda: OutputUniverse(False, True, 3), "universe bounds must be real numbers"),
+        (
+            lambda: LinguisticVariable("x", "m", {"A": 1.0}),
+            "label 'A' of variable 'x' is not a MembershipFunction, got float",
+        ),
+    ],
+    ids=["string-bounds", "none-bound", "bool-bounds", "label-not-a-shape"],
+)
+def test_a_universe_or_variable_of_the_wrong_type_is_a_kb_error(build, message):
+    """A bound that is not a real number (a bool included, as for a
+    membership parameter) and a label that is not a MembershipFunction are
+    rejected when built, not as a TypeError or AttributeError later."""
+    with pytest.raises(KBError, match=message):
+        build()
+
+
 def test_variable_needs_labels_and_names_an_unknown_label():
     with pytest.raises(KBError, match="variable 'theta' has no labels"):
         LinguisticVariable("theta", "deg", {})

@@ -1,8 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from fuzzpole.harness import SFCController
 from fuzzpole.plant import PlantParams, PlantState, derivatives, pole_params
 from fuzzpole.sfc import (
     DEFAULT_DESIRED_POLES,
@@ -143,6 +145,43 @@ def test_design_rejects_unpaired_complex_poles():
     model = linearize(P1)
     with pytest.raises(DesignError):
         design_gains(model, (-1.5 + 0.5j, -1.5 + 0.5j, -2.0, -2.5))
+
+
+def test_conjugate_pairs_keep_their_gains():
+    """The gains of two pole sets with conjugate pairs, pinned bit for bit:
+    checking conjugation on the characteristic polynomial leaves the real
+    coefficients Ackermann's formula works on as they were."""
+    model = linearize(pole_params(1))
+    pair = design_gains(model, (-1.5 + 0.5j, -1.5 - 0.5j, -2.0, -2.5))
+    assert [repr(v) for v in pair.k.tolist()] == [
+        "-25.711065759637194", "-6.345238095238095", "-0.8715986394557822", "-1.8303571428571428",
+    ]
+    pairs = design_gains(model, (-1.0 + 1.0j, -1.0 - 1.0j, -2.0 + 0.7j, -2.0 - 0.7j))
+    assert [repr(v) for v in pairs.k.tolist()] == [
+        "-21.09893764172336", "-4.889319727891157", "-0.626156462585034", "-1.1839795918367346",
+    ]
+
+
+@pytest.mark.parametrize(
+    "poles, message",
+    [
+        (((-1, 0.5), (-1, -0.5)), "need exactly 4 desired poles, got 2"),
+        (((-1,), (-2,), (-3,), (-4,)), "must be a flat sequence of numbers"),
+        (("a", "b", "c", "d"), "must be a flat sequence of numbers"),
+        ((True, -1.0, -2.0, -3.0), "must be a flat sequence of numbers"),
+        (-2.0, "need exactly 4 desired poles, got 1"),
+    ],
+    ids=["re-im-pairs", "nested", "strings", "bool", "scalar"],
+)
+def test_desired_poles_are_taken_as_given(poles, message):
+    """Poles are a flat sequence of four numbers: the JSON [re, im] form
+    written in Python is two entries, not four real poles, and an entry
+    that is not a number or a scalar in place of the sequence is a
+    DesignError too."""
+    with pytest.raises(DesignError, match=re.escape(message)):
+        design_gains(linearize(P1), poles)
+    with pytest.raises(DesignError, match=re.escape(message)):
+        SFCController(pole_params(1), desired_poles=poles)
 
 
 def test_design_rejects_uncontrollable_pair():

@@ -13,8 +13,9 @@ the reference does, the RK4 half step, an RK4 stage's angle, the Euler
 position update, the clamps, the count of instants where no rule fired, a
 float64 row, the coverage depth, a trapezoid comparison, a shared prefix
 of rule conditions, an event's step, the slope force after a tilt, the
-fuzzy law's fold over its layers, its center-of-area arithmetic, and the
-state its generated law reads.  For each mutant the tests run on the
+fuzzy law's fold over its layers, its center-of-area arithmetic, the
+state its generated law reads, the gate a composed goal carries from the
+goal above, and the SFC design's conjugation check.  For each mutant the tests run on the
 mutated copy (pytest ``-x``, stopping at the first failure); a mutant is
 caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -145,6 +146,20 @@ MUTANTS = (
         "kernels.py",
         "weighted, aggregate = terms.real, terms.imag",
         "weighted, aggregate = terms.imag, terms.real",
+    ),
+    Mutant(
+        "goal gated on its own achievements",  # not on the gate of the goal above
+        "hierarchy.py",
+        "        allowed = set(goal.variables)\n",
+        "        gate = tuple(Precondition(e.variable, _very_label(variables, e, mode))"
+        " for e in goal.achieve)\n        allowed = set(goal.variables)\n",
+    ),
+    Mutant(
+        "conjugation check dropped",  # an unpaired complex pole set is placed as its real part
+        "sfc.py",
+        "        if np.any(np.abs(coeffs.imag) > tol):\n"
+        '            raise DesignError(f"desired poles {poles} are not closed under conjugation")\n',
+        "",
     ),
     Mutant(
         "theta_dot read through theta in the loop's fuzzy law slot",
