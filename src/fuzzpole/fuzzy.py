@@ -3,6 +3,7 @@ max-min aggregation and center-of-area defuzzification.
 
 Everything here is immutable after construction and free of hidden state, so a
 knowledge base can be evaluated from any number of threads concurrently.
+A label's degree is written once, as ``_DEGREE``, which kernels inline too.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from textwrap import indent
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .plant import _run_source
 
 __all__ = [
     "MembershipFunction",
@@ -97,6 +101,25 @@ def _pow_int(value, power: int):
     return result
 
 
+# A label's degree before its power, and the only place it is written: ``u{k}``
+# from the input ``x{i}``, the corners ``a{k}``..``d{k}`` and the widths
+# ``w{k} = b - a`` and ``z{k} = d - c``, in an order that keeps a zero degree
+# +0.0 and a NaN input NaN.  ``_degree`` is it with both suffixes empty.
+_DEGREE = """\
+if x{i} < b{k}:
+    u{k} = 0.0 if x{i} <= a{k} else (x{i} - a{k}) / w{k}
+elif x{i} <= c{k}:
+    u{k} = 1.0
+elif x{i} >= d{k}:
+    u{k} = 0.0
+else:
+    u{k} = (d{k} - x{i}) / z{k}
+"""
+_degree = _run_source(
+    "def _degree(x, a, b, w, c, d, z):\n" + indent(_DEGREE.format(i="", k=""), "    ")
+    + "    return u\n", "<fuzzpole.fuzzy>", {"__name__": __name__})["_degree"]
+
+
 @dataclass(frozen=True)
 class MembershipFunction:
     """Piecewise-linear membership curve, optionally raised to an integer power.
@@ -154,18 +177,8 @@ class MembershipFunction:
         object.__setattr__(self, "corners", corners(*p))
 
     def __call__(self, v: float) -> float:
-        # This comparison order keeps a degree's zeros +0.0 and a NaN input
-        # NaN; fuzzpole.kernels evaluates the corners in the same order.
         a, b, c, d = self.corners
-        if v < b:
-            base = 0.0 if v <= a else (v - a) / (b - a)
-        elif v <= c:
-            base = 1.0
-        elif v >= d:
-            base = 0.0
-        else:
-            base = (d - v) / (d - c)
-        return _pow_int(base, self.power)
+        return _pow_int(_degree(v, a, b, b - a, c, d, d - c), self.power)
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same arithmetic as the scalar path."""

@@ -253,13 +253,7 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     kernels.check_backend(backend)
     p = scenario.params
     params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
-    state0 = (
-        scenario.initial.theta,
-        scenario.initial.theta_dot,
-        scenario.initial.x,
-        scenario.initial.x_dot,
-        scenario.initial.tilt,
-    )
+    state0 = (*scenario.initial.as_tuple(), scenario.initial.tilt)
     ev_step, ev_kind, ev_value = _event_arrays(scenario)
     dropped = int(np.count_nonzero(ev_step >= scenario.n_steps))
     if dropped:

@@ -5,8 +5,7 @@ as the source template ``_LOOP`` with two slots, the control law and the
 plant step; :func:`_loop` fills them on a run's first use of a law and an
 integrator and caches the function, so the loop makes no Python call per
 step.  The step slot is the Euler or RK4 body of ``plant._STEPS``, which
-inline the equations of motion.  The law slot is the SFC law
-``-(k0 theta + k1 theta_dot + k2 (x - x_target) + k3 x_dot)``, a call of a
+inline the equations of motion.  The law slot is ``sfc._LAW``, a call of a
 law function (:func:`_simulate`), or the fuzzy law of a rule base.
 
 The fuzzy law is generated source that names everything by index, so it
@@ -14,23 +13,16 @@ depends only on the rule base's structure and coverage depth, its shape.
 :func:`_law` generates it once per shape, apart from any loop, as the slot
 lines a loop inlines and as the slot entry (the same lines reading the
 slots from a sequence), which a run or :func:`fuzzy_law` binds to the
-rule base's numbers and buffers (:func:`_buffers`).  It reads each label's
-degree off its trapezoid corners, takes the rule strengths over a trie of
-shared condition prefixes that skips every rule below a zero prefix, and
-packs one strength per conclusion label into a buffer.  Inline follow one
-clip over the coverage layers (at each grid point the conclusion curves
-nonzero there, padded with +0.0 rows to at least two), one binary
-``np.maximum`` per layer past the first, and one left-to-right accumulate
-over a complex array, the grid points times the aggregate as its real
-part and the aggregate as its imaginary part, for both center-of-area
-sums.  Each scalar operation is one that :func:`fuzzpole.fuzzy.fc_output`
-performs on the same values, or changes no bit (the strength max's order,
-the rules below a zero prefix), so the force is its force bit for bit.
+rule base's numbers and buffers (:func:`_buffers`).  It computes each
+label's degree by ``fuzzy._DEGREE`` and the rule strengths over a trie of
+shared condition prefixes, then clips, folds and takes the center of area
+over coverage layers; the docstrings of :func:`_law` and :func:`_buffers`
+say why the force is :func:`fuzzpole.fuzzy.fc_output`'s bit for bit.
 :func:`compile_kb` generates no code, so a :class:`CompiledKB` is plain
-data and pickles.  Each step takes the net force: the force clamped once
-per control instant by ``plant._CLAMP``, less the slope force, updated at
-each tilt event, as :func:`fuzzpole.plant.advance` prepares it at every
-step, so a step is ``advance``'s step bit for bit.
+data and pickles.  Each step takes the force clamped once per control
+instant by ``plant._CLAMP``, less the slope force, updated at each tilt
+event, as :func:`fuzzpole.plant.advance` prepares it at every step, so a
+step is ``advance``'s step bit for bit.
 
 numpy is the only backend; ``ACTIVE_BACKEND`` and ``BACKENDS`` name it for
 callers that record or select one.
@@ -50,8 +42,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import plant
-from .fuzzy import KnowledgeBase
+from . import plant, sfc
+from .fuzzy import _DEGREE, KnowledgeBase
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -196,8 +188,7 @@ def _law(shape):
     lines read; and the slot entry ``force(law, inputs) -> (f, fired)``,
     compiled from the same lines with the slots read from ``inputs``.
 
-    Label k's degree ``u{k}`` is the comparison chain of
-    ``MembershipFunction`` raised to its power as in ``fuzzy._pow_int``.
+    Label k's degree ``u{k}`` is ``fuzzy._DEGREE`` to its power, as ``fuzzy._pow_int``.
     The rules' condition rows, as written, form a trie: an edge is the
     ``<`` min of its degree and its parent's value (1.0 at the root), as in
     ``rule_activation``, so a NaN degree is skipped; a rule's last edge
@@ -209,16 +200,7 @@ def _law(shape):
     (labels, rules, groups), depth = shape
     body: list[str] = []
     for k, (power, i) in enumerate(labels):
-        body += [
-            f"if x{i} < b{k}:",
-            f"    u{k} = 0.0 if x{i} <= a{k} else (x{i} - a{k}) / w{k}",
-            f"elif x{i} <= c{k}:",
-            f"    u{k} = 1.0",
-            f"elif x{i} >= d{k}:",
-            f"    u{k} = 0.0",
-            "else:",
-            f"    u{k} = (d{k} - x{i}) / z{k}",
-        ]
+        body += _DEGREE.format(i=i, k=k).splitlines()
         if power > 1:
             body.append(f"u{k} = " + " * ".join([f"u{k}"] * power))
     body += [f"g{g} = 0.0" for g in range(groups)]
@@ -427,9 +409,7 @@ def _loop(law, rk4: bool) -> Callable:
     if law == "call":
         setup, slot = [], ["f, fired = law(theta, theta_dot, x, x_dot, x_target)"]
     elif law == "sfc":
-        setup = ["k0, k1, k2, k3 = law"]
-        slot = ["f = -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot)",
-                "fired = True"]
+        setup, slot = ["k0, k1, k2, k3 = law"], (sfc._LAW + "fired = True").splitlines()
     else:
         setup, slot, names, _ = _law(law)
         namespace.update(names)

@@ -127,9 +127,8 @@ def _slope_force(tilt: float, g: float, total: float) -> float:
 
 
 # Saturation, and the only place it is written: the force ``f`` clamped to
-# +-f_max in place.  A NaN force passes through.  The simulation loop
-# (``kernels``) inlines it once per control instant, ``advance`` and
-# ``derivatives`` at each call.
+# +-f_max in place (a NaN passes).  The simulation loop inlines it once per
+# control instant; ``advance``, ``derivatives`` and ``sfc_output`` each call.
 _CLAMP = """\
 if f > f_max:
     f = f_max

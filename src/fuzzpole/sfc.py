@@ -1,16 +1,21 @@
 """State-feedback baseline: analytic linearization of the cart-pole about
 upright, gain design by pole placement (Ackermann), and the control law
-u = -k (state - reference).
+u = -k (state - reference), written once as the source ``_LAW``, which
+:func:`sfc_output` runs under ``plant._CLAMP`` and the simulation loop in
+``fuzzpole.kernels`` inlines.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from textwrap import indent
 
 import numpy as np
 
-from .plant import PlantParams, PlantState
+from .fuzzy import _is_real
+from .plant import _CLAMP, PlantParams, PlantState, _run_source
 
 __all__ = [
     "LinearModel",
@@ -31,6 +36,20 @@ class DesignError(ValueError):
     pass
 
 
+def _finite(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as finite reals of ``shape``, up to axes of length one, or a DesignError."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DesignError(f"{name} must be real numbers, got {value!r}") from None
+    if array.squeeze().shape != tuple(n for n in shape if n != 1):
+        dims = "x".join(map(str, shape)) if len(shape) > 1 else f"{shape[0]} long"
+        raise DesignError(f"{name} must be {dims}, got {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise DesignError(f"{name} entries must be finite, got {array.tolist()}")
+    return array.reshape(shape)
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Continuous-time (A, B) with state ordered (theta, theta_dot, x, x_dot)."""
@@ -39,14 +58,8 @@ class LinearModel:
     B: np.ndarray  # (4, 1)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        B = np.asarray(self.B, dtype=np.float64).reshape(4, 1)
-        if A.shape != (4, 4):
-            raise DesignError(f"A must be 4x4, got {A.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise DesignError("linear model entries must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "A", _finite("A", self.A, (4, 4)))
+        object.__setattr__(self, "B", _finite("B", self.B, (4, 1)))
 
 
 def linearize(p: PlantParams) -> LinearModel:
@@ -78,16 +91,15 @@ class GainVector:
     """Feedback gain row and the target state the error is measured from."""
 
     k: np.ndarray  # (4,)
-    reference: np.ndarray = field(
-        default_factory=lambda: np.zeros(4)
-    )  # (theta, theta_dot, x, x_dot)
+    reference: np.ndarray = (0.0, 0.0, 0.0, 0.0)  # (theta, theta_dot, x, x_dot)
     f_max: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=np.float64).reshape(4))
-        object.__setattr__(
-            self, "reference", np.asarray(self.reference, dtype=np.float64).reshape(4)
-        )
+        object.__setattr__(self, "k", _finite("k", self.k, (4,)))
+        object.__setattr__(self, "reference", _finite("reference", self.reference, (4,)))
+        if not (_is_real(self.f_max) and 0 < self.f_max < math.inf):  # NaN fails too
+            raise DesignError(f"f_max must be a positive finite number, got {self.f_max!r}")
+        object.__setattr__(self, "f_max", float(self.f_max))
 
 
 def design_gains(
@@ -143,17 +155,19 @@ def design_gains(
             f"placement verification failed: wanted characteristic polynomial "
             f"{coeffs}, achieved {achieved}"
         )
-    return GainVector(k, np.asarray(reference, dtype=np.float64), f_max)
+    return GainVector(k, reference, f_max)
 
 
-def sfc_output(gains: GainVector, s: PlantState) -> float:
+# The force ``f`` under the gains k0..k3 on theta, theta_dot, x - x_target and x_dot.
+_LAW = "f = -(k0 * theta + k1 * theta_dot + k2 * (x - x_target) + k3 * x_dot)\n"
+
+sfc_output = _run_source(f'''\
+def sfc_output(gains, s):
     """u = -k (state - reference), clamped to the actuator limit."""
-    u = 0.0
-    state = s.as_tuple()
-    for i in range(4):
-        u -= gains.k[i] * (state[i] - gains.reference[i])
-    if u > gains.f_max:
-        return gains.f_max
-    if u < -gains.f_max:
-        return -gains.f_max
-    return u
+    k0, k1, k2, k3 = gains.k.tolist()
+    r0, r1, x_target, r3 = gains.reference.tolist()
+    f_max = gains.f_max
+    theta, theta_dot, x, x_dot = s.theta - r0, s.theta_dot - r1, s.x, s.x_dot - r3
+{indent(_LAW + _CLAMP, "    ")}\
+    return float(f)
+''', "<fuzzpole.sfc>", {"__name__": __name__})["sfc_output"]

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import itertools
 import linecache
 import math
@@ -649,6 +650,36 @@ def test_the_slot_entry_runs_the_loops_law_slot(compiled_kb):
     assert "".join(f"{' ' * 12}{line}\n" for line in slot) in source
 
 
+def test_the_generated_sources_keep_their_text(compiled_kb):
+    """The SHA-256 of the seven sources generated for the built-in rule
+    base, the SFC law and a law call, as ``linecache`` holds them: the
+    pieces they are assembled from (``fuzzy._DEGREE``, ``sfc._LAW``, the
+    plant's step and clamp sources) may move between modules, but the text
+    a run executes may not change unnoticed."""
+    def digest(function):
+        lines = linecache.getlines(function.__code__.co_filename)
+        return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+    shape = compiled_kb.shape
+    assert {name: digest(function) for name, function in [
+        ("fc euler", kernels._loop(shape, False)),
+        ("fc rk4", kernels._loop(shape, True)),
+        ("slot entry", kernels._law(shape)[3]),
+        ("sfc euler", kernels._loop("sfc", False)),
+        ("sfc rk4", kernels._loop("sfc", True)),
+        ("call euler", kernels._loop("call", False)),
+        ("call rk4", kernels._loop("call", True)),
+    ]} == {
+        "fc euler": "118229a982d767dc9b204cc129c41a5a043e6230195ccb1f3ab281f644221ebe",
+        "fc rk4": "d5afef13a9ad41dfb6ef939864d011cbd01dc5946545cba5c60c9a48fbaa8e07",
+        "slot entry": "91ca7278490707125c066285957d2fcf9c646cafd8604707965e44ead887604b",
+        "sfc euler": "65b6783faf05bda2f2fd4d85557cf72cdc7c2014064eb858d03456f200079c3d",
+        "sfc rk4": "f021c573d861d04e4ad2288504f0058ad8628943f5326d6212b660b4d5b04cec",
+        "call euler": "fee0ad257afe5b45a16361397f874b2f7b2d2a94b34cadb39d226416d9b7a63f",
+        "call rk4": "76a0b8ea6d65b1e9db57827bbad340d314f379b867b334e38721624b43503c82",
+    }
+
+
 def test_a_traceback_shows_the_generated_line():
     """A law that returns a bare float fails in the loop's law slot, and
     the traceback shows that line of the generated source."""
@@ -927,7 +958,7 @@ def test_simulation_matches_manual_loop_with_events(kb, controller):
     )
     traj = run(scenario)
     assert traj.termination == "completed"
-    assert np.array_equal(traj.data[:, 1:], _manual_loop(kb, scenario, controller))
+    assert traj.data[:, 1:].tobytes() == _manual_loop(kb, scenario, controller).tobytes()
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -948,7 +979,7 @@ def test_simulation_matches_manual_loop_with_tilts_between_instants(kb, controll
     assert [int(round(e.t / scenario.dt)) for e in scenario.events] == [121, 150, 167]
     assert traj.termination == "completed"
     assert traj.tilt[120] == 0.0 and traj.tilt[121] == 0.05 and traj.tilt[167] == 0.0
-    assert np.array_equal(traj.data[:, 1:], _manual_loop(kb, scenario, controller))
+    assert traj.data[:, 1:].tobytes() == _manual_loop(kb, scenario, controller).tobytes()
 
 
 def test_zero_order_hold(kb):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -9,6 +10,7 @@ from fuzzpole.plant import PlantParams, PlantState, derivatives, pole_params
 from fuzzpole.sfc import (
     DEFAULT_DESIRED_POLES,
     DesignError,
+    GainVector,
     LinearModel,
     design_gains,
     linearize,
@@ -227,3 +229,61 @@ def test_sfc_output_clamps():
     assert sfc_output(gains, PlantState(x=-50.0)) == -10.0
     assert sfc_output(gains, PlantState(x=50.0)) == 10.0
     assert abs(sfc_output(gains, PlantState(theta=0.3, x=-50.0))) == 10.0
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: design_gains(linearize(P1), f_max=-1.0), "f_max"),
+        (lambda: design_gains(linearize(P1), f_max=math.nan), "f_max"),
+        (lambda: design_gains(linearize(P1), f_max="x"), "f_max"),
+        (lambda: design_gains(linearize(P1), f_max=True), "f_max"),
+        (lambda: design_gains(linearize(P1), reference=(0, 0)), "reference"),
+        (lambda: design_gains(linearize(P1), reference=(0.0, math.nan, 0.0, 0.0)), "reference"),
+        (lambda: design_gains(linearize(P1), reference=("a", 0.0, 0.0, 0.0)), "reference"),
+        (lambda: GainVector([1, 2, 3]), "k"),
+        (lambda: GainVector([1.0, 2.0, math.inf, 4.0]), "k"),
+        (lambda: LinearModel(np.eye(4), np.zeros(3)), "B"),
+        (lambda: LinearModel(np.ones(16), np.zeros(4)), "A"),
+    ],
+    ids=["f_max-negative", "f_max-nan", "f_max-string", "f_max-bool", "reference-short",
+         "reference-nan", "reference-string", "k-short", "k-inf", "B-short", "A-flat"],
+)
+def test_bad_gain_and_model_fields_are_design_errors(build, field):
+    """A gain vector or linear model that would clamp to a negative or NaN
+    limit, measure from a NaN or short reference, or hold a short vector
+    is refused with a DesignError that names the field."""
+    with pytest.raises(DesignError, match=rf"^{field} "):
+        build()
+
+
+def test_gain_vector_stores_python_floats_and_keeps_vectors_of_any_orientation():
+    gains = GainVector(np.arange(4.0).reshape(4, 1), [[0, 0, 1, 0]], 5)
+    assert gains.k.shape == gains.reference.shape == (4,)
+    assert type(gains.f_max) is float and gains.f_max == 5.0
+    assert LinearModel(np.eye(4), np.zeros(4)).B.shape == (4, 1)
+
+
+def test_sfc_output_keeps_the_sign_of_a_zero_force():
+    """At the all -0.0 state the law's sum is +0.0 and its negation -0.0,
+    as the simulation loop's law slot gives it."""
+    gains = design_gains(linearize(P1))
+    f = sfc_output(gains, PlantState(-0.0, -0.0, -0.0, -0.0))
+    assert type(f) is float and repr(f) == "-0.0"
+
+
+def test_sfc_output_matches_the_written_out_law():
+    """The law written out, -(k0 e0 + k1 e1 + k2 e2 + k3 e3) on the errors
+    from the reference and clamped, against sfc_output by repr, on random
+    states, references and limits."""
+    rng = np.random.default_rng(17)
+    k = design_gains(linearize(P1)).k.tolist()
+    for _ in range(500):
+        state = rng.normal(0.0, [0.2, 1.0, 1.5, 1.0]).tolist()
+        reference = (rng.normal(0.0, [0.01, 0.01, 0.5, 0.01]) * rng.integers(0, 2, 4)).tolist()
+        f_max = float(rng.choice([0.5, 10.0, 1e9]))
+        e = [s - r for s, r in zip(state, reference)]
+        f = -(k[0] * e[0] + k[1] * e[1] + k[2] * e[2] + k[3] * e[3])
+        f = min(max(f, -f_max), f_max)
+        out = sfc_output(GainVector(k, reference, f_max), PlantState(*state))
+        assert repr(out) == repr(f)

@@ -15,9 +15,9 @@ float64 row, the coverage depth, a trapezoid comparison, a shared prefix
 of rule conditions, an event's step, the slope force after a tilt, the
 fuzzy law's fold over its layers, its center-of-area arithmetic, the
 state its generated law reads, the gate a composed goal carries from the
-goal above, and the SFC design's conjugation check.  For each mutant the tests run on the
-mutated copy (pytest ``-x``, stopping at the first failure); a mutant is
-caught when they fail.  Before the mutants, the same tests run on the
+goal above, the SFC design's conjugation check and the SFC law's target.
+For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
+at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
 one line per mutant and exits 1 if any survives or its snippet no longer
 occurs exactly once in the source (the mutant is stale and must be
@@ -100,10 +100,10 @@ MUTANTS = (
         "depth = min(2, int((~zero).sum(axis=0).max(initial=0)))",
     ),
     Mutant(
-        "< changed to <= in the trapezoid",  # the law's generated front end
-        "kernels.py",
-        'f"if x{i} < b{k}:"',
-        'f"if x{i} <= b{k}:"',
+        "< changed to <= in the trapezoid",  # the degree source __call__ and the law share
+        "fuzzy.py",
+        "if x{i} < b{k}:\n",
+        "if x{i} <= b{k}:\n",
     ),
     Mutant(
         "trie child's min started from 1.0",  # a shared prefix's value is lost
@@ -160,6 +160,12 @@ MUTANTS = (
         "        if np.any(np.abs(coeffs.imag) > tol):\n"
         '            raise DesignError(f"desired poles {poles} are not closed under conjugation")\n',
         "",
+    ),
+    Mutant(
+        "SFC law reads x, not x - x_target",  # the law source sfc_output and the loop share
+        "sfc.py",
+        "k2 * (x - x_target)",
+        "k2 * x",
     ),
     Mutant(
         "theta_dot read through theta in the loop's fuzzy law slot",

@@ -6,24 +6,31 @@ of a checkout with
 
     python -m pytest -p tools.statement_trace
 
-It records line events with ``sys.settrace`` in the package's files and, at
-the end of the session, prints each statement inside a function body that
-compiles to bytecode and never ran, as ``path:line: source``.  Tracing makes
-the suite several times slower, so wall-time gates may fail under it; the
-report is about which statements ran, not about the test outcomes.
+It records line events with ``sys.settrace`` in the package's files and in
+the sources the package generates once, at import (``GENERATED``, served by
+``linecache``), and, at the end of the session, prints each statement inside
+a function body that compiles to bytecode and never ran, as
+``path:line: source``.  The sources generated per rule-base shape, law and
+integrator in ``fuzzpole.kernels`` are not traced.  Tracing makes the suite
+several times slower, so wall-time gates may fail under it; the report is
+about which statements ran, not about the test outcomes.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import linecache
 import os
 import sys
 import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzpole"
+# File names of the sources the package generates at import
+GENERATED = ("<fuzzpole.plant>", "<fuzzpole.fuzzy>", "<fuzzpole.sfc>")
 
-_lines_of: dict[str, set[int]] = {}  # package file -> lines executed
+_lines_of: dict[str, set[int]] = {}  # package file or generated source -> lines executed
 _local_of: dict[str, object] = {}  # co_filename -> its line tracer, or None
 
 
@@ -39,15 +46,14 @@ def _line_tracer(lines: set[int]):
 def _trace_calls(frame, event, arg):
     filename = frame.f_code.co_filename
     if filename not in _local_of:
-        lines = _lines_of.get(os.path.realpath(filename))
+        lines = _lines_of.get(filename if filename in GENERATED else os.path.realpath(filename))
         _local_of[filename] = None if lines is None else _line_tracer(lines)
     return _local_of[filename]
 
 
-def function_statements(path: Path) -> dict[int, str]:
-    """First line -> source of each function-body statement of ``path``
+def function_statements(source: str, filename: str) -> dict[int, str]:
+    """First line -> source of each function-body statement of ``source``
     that has bytecode on its first line."""
-    source = path.read_text(encoding="utf-8")
     starts = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -56,7 +62,7 @@ def function_statements(path: Path) -> dict[int, str]:
                 if isinstance(stmt, ast.stmt) and stmt is not node
             )
     with_code = set()
-    codes = [compile(source, str(path), "exec")]
+    codes = [compile(source, filename, "exec")]
     while codes:
         code = codes.pop()
         with_code.update(line for _, _, line in code.co_lines() if line is not None)
@@ -68,21 +74,30 @@ def function_statements(path: Path) -> dict[int, str]:
 def pytest_configure(config):
     for path in sorted(PACKAGE.rglob("*.py")):
         _lines_of[os.path.realpath(path)] = set()
+    _lines_of.update((name, set()) for name in GENERATED)
     sys.settrace(_trace_calls)
+
+
+def _source(name: str) -> tuple[str, str]:
+    """The text of a package file or generated source and its name to report."""
+    if name in GENERATED:
+        importlib.import_module("fuzzpole")  # generates them, if no test did
+        return "".join(linecache.getlines(name)), name
+    path = Path(name)
+    return path.read_text(encoding="utf-8"), str(path.relative_to(PACKAGE.parent.parent))
 
 
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
-    root = PACKAGE.parent.parent
-    missed = [
-        f"{Path(name).relative_to(root)}:{line}: {text}"
-        for name, executed in _lines_of.items()
-        for line, text in function_statements(Path(name)).items()
-        if line not in executed
-    ]
+    missed = []
+    for name, executed in _lines_of.items():
+        source, shown = _source(name)
+        missed += [f"{shown}:{line}: {text}" for line, text
+                   in function_statements(source, name).items() if line not in executed]
     terminalreporter.section("statement trace")
     terminalreporter.write_line(
-        f"{len(missed)} function-body statement(s) in src/fuzzpole never ran"
+        f"{len(missed)} function-body statement(s) in src/fuzzpole and its generated "
+        "sources never ran"
     )
     for entry in missed:
         terminalreporter.write_line(entry)
