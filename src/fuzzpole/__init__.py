@@ -9,7 +9,9 @@ plant (:mod:`fuzzpole.plant`), a pole-placement state-feedback baseline
 (:mod:`fuzzpole.harness`, ``fuzzpole``).
 
 Closed-loop runs go through one numpy simulation loop shared by both
-controllers (:mod:`fuzzpole.kernels`).
+controllers (:mod:`fuzzpole.kernels`).  numpy loads on the first array work:
+each function that builds or reads arrays imports it, so importing the
+package and authoring a rule base load none.
 """
 
 from .fuzzy import (

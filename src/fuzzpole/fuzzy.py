@@ -12,11 +12,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from textwrap import indent
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .plant import _run_source
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MembershipFunction",
@@ -182,6 +183,8 @@ class MembershipFunction:
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same arithmetic as the scalar path."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=np.float64)
         a, b, c, d = self.corners
         with np.errstate(invalid="ignore"):  # inf - inf on a shoulder's open side
@@ -263,6 +266,9 @@ class Precondition:
 
 @dataclass(frozen=True)
 class Rule:
+    """IF every precondition holds THEN ``conclusion`` (output variable,
+    label), at the priority tier ``goal_index`` (1 is the highest)."""
+
     name: str
     preconditions: tuple[Precondition, ...]
     conclusion: tuple[str, str]  # (output variable, label)
@@ -336,11 +342,9 @@ class OutputUniverse:
             )
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.lo, self.hi, self.n)
-
-
-# Aggregated conclusion curve, aligned with OutputUniverse.points().
-FuzzyOutput = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -388,9 +392,12 @@ def rule_activation(
 def aggregate_output(
     activations: Sequence[tuple[float, str]],
     kb: KnowledgeBase,
-) -> FuzzyOutput:
+) -> np.ndarray:
     """Pointwise max over rules of the conclusion curves clipped at each rule
-    strength (min), sampled on the rule base's quantized output universe."""
+    strength (min), sampled on the rule base's quantized output universe,
+    aligned with ``OutputUniverse.points()``."""
+    import numpy as np
+
     universe = kb.output_universe
     points = universe.points()
     combined = np.zeros(universe.n)
@@ -402,7 +409,7 @@ def aggregate_output(
 
 
 def defuzzify_coa(
-    out: FuzzyOutput, universe: OutputUniverse
+    out: np.ndarray, universe: OutputUniverse
 ) -> float:
     """Discrete center of area: sum(w_j * mu_j) / sum(mu_j).
 
@@ -410,6 +417,8 @@ def defuzzify_coa(
     compiled kernel in :mod:`fuzzpole.kernels` round identically and both
     return a Python ``float``.
     """
+    import numpy as np
+
     degrees = np.asarray(out, dtype=np.float64)
     if degrees.shape != (universe.n,):
         raise KBError(

@@ -15,9 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Mapping, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 from . import kernels
 from .fuzzy import KnowledgeBase
@@ -30,6 +28,9 @@ from .plant import (
 )
 from .rulelang import RuleFileError, builtin_pole_kb, load_kb
 from .sfc import DEFAULT_DESIRED_POLES, DesignError, GainVector, design_gains, linearize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FuzzyController",
@@ -89,7 +90,14 @@ class FuzzyController:
 class SFCController:
     """Gains are designed on construction, by pole placement on the declared
     nominal model (``DesignError`` when the poles cannot be placed), and
-    never re-tuned for the plant actually simulated."""
+    never re-tuned for the plant actually simulated.
+
+    ``gains`` keeps ``design_gains``'s defaults, ``reference`` (0, 0, 0, 0)
+    and ``f_max`` 10, but ``run`` reads only ``gains.k``: it measures the
+    cart from the scenario's ``x_target`` and clamps at the simulated
+    plant's ``f_max``.  The run's force at a state ``s`` is therefore
+    ``sfc_output(GainVector(gains.k, (0, 0, x_target, 0), params.f_max), s)``,
+    not ``sfc_output(gains, s)``."""
 
     nominal: PlantParams
     desired_poles: tuple = DEFAULT_DESIRED_POLES
@@ -104,6 +112,11 @@ class SFCController:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One closed-loop run: a plant, a controller, the initial state, the
+    target position, the run's length and step, the control period, the
+    disturbance events and the bounds that end a run early.  Every field is
+    checked on construction (``ScenarioError``)."""
+
     name: str
     params: PlantParams
     controller: FuzzyController | SFCController
@@ -219,6 +232,8 @@ class Trajectory:
 
 
 def _event_arrays(scenario: Scenario):
+    import numpy as np
+
     events = sorted(scenario.events, key=lambda e: e.t)
     # a step at or past the end is never applied, so it is capped there and
     # a time of 1e300 s cannot overflow the step count
@@ -250,6 +265,8 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
     SFC controller holds its designed gains, and a fuzzy controller's rule
     base, compiled here, was checked against the driven variables.
     """
+    import numpy as np
+
     kernels.check_backend(backend)
     p = scenario.params
     params = (p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max)
@@ -309,6 +326,9 @@ def run(scenario: Scenario, backend: str | None = None) -> Trajectory:
 
 @dataclass(frozen=True)
 class SignalMetrics:
+    """Step-response metrics of one signal, in its unit: the peak excursions
+    past the setpoint and back, and when it settled in its band."""
+
     overshoot: float
     undershoot: float
     settling_time: float | None  # None = never settled within the run
@@ -339,6 +359,8 @@ def _signal_metrics(t: np.ndarray, y: np.ndarray, setpoint: float, band: float) 
     Undershoot only counts after the signal first reaches the setpoint, so the
     initial offset itself is not an undershoot.
     """
+    import numpy as np
+
     error = y - setpoint
     approach = -math.copysign(1.0, error[0]) if error[0] != 0.0 else 1.0
     directed = error * approach
@@ -371,6 +393,8 @@ def compute_metrics(
 ) -> MetricsReport:
     """The step-response metrics of a run with at least one row.  A settling
     band must be positive and finite (``ScenarioError``)."""
+    import numpy as np
+
     _check_band("theta_band_deg", theta_band_deg)
     _check_band("x_band_m", x_band_m)
     if traj.data.shape[0] == 0:
@@ -511,7 +535,7 @@ def compare(scenarios: Sequence[Scenario]) -> Comparison:
 
 
 _DEG = kernels.RAD2DEG
-_DEGREE_COLUMNS = np.array([1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG])
+_DEGREE_COLUMNS = (1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG)  # numpy broadcasts it as float64
 _ROW_FORMAT = ",".join(["%.6g"] * 7) + "\n"
 _EMIT_BLOCK_ROWS = 256
 _BLOCK_FORMAT = _ROW_FORMAT * _EMIT_BLOCK_ROWS  # a full block's rows, one format

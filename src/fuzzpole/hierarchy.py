@@ -9,8 +9,6 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .fuzzy import (
     KnowledgeBase,
     LinguisticVariable,
@@ -106,6 +104,9 @@ class Achievement:
 
 @dataclass(frozen=True)
 class Goal:
+    """A named goal: the variables its rules may read, and the achievement
+    predicate that gates the goal below it."""
+
     name: str
     variables: tuple[str, ...]
     achieve: tuple[Achievement, ...] = ()
@@ -216,6 +217,8 @@ def compose_hierarchical(
 
 @dataclass(frozen=True)
 class Violation:
+    """One rule that breaks the hierarchy contract, on one variable."""
+
     rule: str
     variable: str
     reason: str
@@ -226,6 +229,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """What :func:`audit_hierarchy` found; ``ok`` when nothing."""
+
     violations: tuple[Violation, ...]
 
     @property
@@ -244,6 +249,8 @@ def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | No
             f"support [{v_lo:g}, {v_hi:g}] is not strictly inside "
             f"[{b_lo:g}, {b_hi:g}]"
         )
+    import numpy as np
+
     breaks = (*very.params, *base.params, v_lo, v_hi)
     grid = np.union1d(np.linspace(min(breaks), max(breaks), 1001), breaks)
     if np.any(very.sample(grid) > base.sample(grid) + 1e-12):

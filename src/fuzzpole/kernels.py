@@ -38,12 +38,13 @@ import struct
 import weakref
 from dataclasses import dataclass
 from textwrap import indent
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import plant, sfc
 from .fuzzy import _DEGREE, KnowledgeBase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -197,6 +198,8 @@ def _law(shape):
     strength is NaN or -0.0, the max gives the same bits in any order, and
     a rule below a +0.0 edge is +0.0, which changes no group.
     """
+    import numpy as np
+
     (labels, rules, groups), depth = shape
     body: list[str] = []
     for k, (power, i) in enumerate(labels):
@@ -257,6 +260,8 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     and coverage depth (its ``shape``), not here.  Raises KernelError for an
     input variable the harness does not drive.
     """
+    import numpy as np
+
     check_input_slots(kb)
     structure, numbers, conclusions = _front_end(kb)
     points = kb.output_universe.points()
@@ -299,6 +304,8 @@ def _buffers(ck: CompiledKB) -> tuple:
     so each running sum of the accumulate is ``fuzzy.defuzzify_coa``'s.
     Its sums start at +0.0, hence the ``0.0 + num``: an all -0.0 sum is +0.0.
     """
+    import numpy as np
+
     n = ck.points.shape[0]
     depth = len(ck.layer_curve)
     clipped = np.zeros((max(depth, 2), n))
@@ -404,6 +411,8 @@ def _loop(law, rk4: bool) -> Callable:
     is ``"completed"``, ``"pole_fell"``, ``"left_track"`` or
     ``"non_finite"``.
     """
+    import numpy as np
+
     namespace = {"slope_force": plant._slope_force, "empty": np.empty, "isfinite": np.isfinite,
                  "nan": math.nan, "ROW": _ROW, **plant._STEP_GLOBALS}
     if law == "call":
@@ -444,6 +453,8 @@ def fuzzy_force(
     ck: CompiledKB, inputs: np.ndarray, backend: str | None = None
 ) -> tuple[float, bool]:
     """Crisp force, and whether any rule fired, on inputs in slot order."""
+    import numpy as np
+
     check_backend(backend)
     values = np.asarray(inputs, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < ck.reads:

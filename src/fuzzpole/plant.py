@@ -51,6 +51,8 @@ def _check_real(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class PlantState:
+    """Cart-pole state in SI units, and the track's inclination."""
+
     theta: float = 0.0  # rad, from vertical
     theta_dot: float = 0.0  # rad/s
     x: float = 0.0  # m
@@ -70,6 +72,8 @@ class PlantState:
 
 @dataclass(frozen=True)
 class PlantParams:
+    """Physical constants of the cart-pole and its force limit, SI units."""
+
     g: float = 9.8  # m/s^2
     m_c: float = 1.0  # kg, cart
     m: float = 0.1  # kg, pole

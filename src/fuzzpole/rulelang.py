@@ -68,6 +68,8 @@ _PUNCT = "(),:="
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One finding in a rule file, at a 1-based line and column."""
+
     severity: str  # "error" | "warning"
     line: int
     col: int
@@ -80,6 +82,9 @@ class Diagnostic:
 
 @dataclass
 class ParseResult:
+    """The rule base of a rule file (None when it has errors) and every
+    diagnostic found while reading it."""
+
     kb: KnowledgeBase | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

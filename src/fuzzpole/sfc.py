@@ -11,11 +11,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from textwrap import indent
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fuzzy import _is_real
 from .plant import _CLAMP, PlantParams, PlantState, _run_source
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinearModel",
@@ -38,6 +40,8 @@ class DesignError(ValueError):
 
 def _finite(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as finite reals of ``shape``, up to axes of length one, or a DesignError."""
+    import numpy as np
+
     try:
         array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -68,6 +72,8 @@ def linearize(p: PlantParams) -> LinearModel:
     Friction terms are dropped (treated as a disturbance); the cart-position
     row and angle row are kinematic identities.
     """
+    import numpy as np
+
     total = p.m_c + p.m
     denom = p.l * (4.0 / 3.0 - p.m / total)  # m_c, m > 0: the factor is > 1/3
     dth_acc_dtheta = p.g / denom
@@ -120,6 +126,8 @@ def design_gains(
     poles may repeat: the eigenvalues of a near-defective closed loop move
     by about eps**(1/4) and could not be compared at a useful tolerance.
     """
+    import numpy as np
+
     entries = list(desired_poles) if np.iterable(desired_poles) else [desired_poles]
     if len(entries) != 4:
         raise DesignError(f"need exactly 4 desired poles, got {len(entries)}")

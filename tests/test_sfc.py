@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzpole.harness import SFCController
+from fuzzpole.harness import Scenario, SFCController, run
 from fuzzpole.plant import PlantParams, PlantState, derivatives, pole_params
 from fuzzpole.sfc import (
     DEFAULT_DESIRED_POLES,
@@ -287,3 +287,26 @@ def test_sfc_output_matches_the_written_out_law():
         f = min(max(f, -f_max), f_max)
         out = sfc_output(GainVector(k, reference, f_max), PlantState(*state))
         assert repr(out) == repr(f)
+
+
+def test_the_run_takes_its_reference_and_limit_from_the_scenario():
+    """An SFC run measures the cart from the scenario's ``x_target`` and
+    clamps at the simulated plant's ``f_max``, not at the reference and
+    limit ``SFCController.gains`` holds: each recorded force is
+    ``sfc_output`` under the run's reference and limit, by ``repr``."""
+    controller = SFCController(pole_params(1))
+    gains = controller.gains
+    assert gains.reference.tolist() == [0.0] * 4 and gains.f_max == 10.0
+    scenario = Scenario(
+        "sfc", pole_params(1, f_max=5.0), controller, initial=PlantState(theta=0.3),
+        x_target=0.5, duration=2.0,
+    )
+    traj = run(scenario)
+    assert traj.completed
+    oracle = GainVector(gains.k, (0.0, 0.0, 0.5, 0.0), 5.0)
+    # the last row holds the state after the last step, under the force before it
+    rows = traj.data[:-1].tolist()
+    expected = [repr(sfc_output(oracle, PlantState(*row[1:5]))) for row in rows]
+    assert [repr(row[5]) for row in rows] == expected
+    assert max(abs(row[5]) for row in rows) == 5.0  # the plant's limit, reached
+    assert sfc_output(gains, PlantState(*rows[0][1:5])) != rows[0][5]
