@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from textwrap import indent
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .plant import _run_source
+from .plant import _is_real, _run_source
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,11 +83,6 @@ class NoRuleFired(RuntimeError):
 def _is_int(value) -> bool:
     """True for an integer of any integral type except ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """True for a real number of any type except ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _pow_int(value, power: int):
@@ -336,6 +331,8 @@ class OutputUniverse:
             raise KBError(f"universe bounds must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo < self.hi):
             raise KBError(f"universe needs min < max, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(float(self.hi) - float(self.lo)):  # else the points hold inf, NaN
+            raise KBError(f"universe span max - min must be finite, got [{self.lo}, {self.hi}]")
         if not (_is_int(self.n) and 3 <= self.n <= self.MAX_POINTS):
             raise KBError(
                 f"universe needs an integer 3 <= n <= {self.MAX_POINTS}, got {self.n!r}"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping, Sequence
@@ -24,6 +23,9 @@ from .plant import (
     PlantError,
     PlantParams,
     PlantState,
+    _is_real,
+    _real,
+    _store,
     pole_params,
 )
 from .rulelang import RuleFileError, builtin_pole_kb, load_kb
@@ -115,7 +117,8 @@ class Scenario:
     """One closed-loop run: a plant, a controller, the initial state, the
     target position, the run's length and step, the control period, the
     disturbance events and the bounds that end a run early.  Every field is
-    checked on construction (``ScenarioError``)."""
+    checked on construction (``ScenarioError`` naming it).  A numeric field
+    must be a real number other than a bool, and is stored as a Python float."""
 
     name: str
     params: PlantParams
@@ -137,22 +140,16 @@ class Scenario:
         if self.control_period is None:
             object.__setattr__(self, "control_period", self.dt)
         expected = {"name": str, "params": PlantParams, "initial": PlantState}
-        numeric = ("x_target", "duration", "dt", "control_period", "track_bound", "theta_limit_deg")
-        expected.update(dict.fromkeys(numeric, numbers.Real))  # a bool passes, as an int
         typed = [(key, getattr(self, key), kind) for key, kind in expected.items()]
         typed += [(f"events[{i}]", e, DisturbanceEvent) for i, e in enumerate(self.events)]
         for key, value, kind in typed:
             if not isinstance(value, kind):
-                what = "real number" if kind is numbers.Real else kind.__name__
-                raise ScenarioError(f"{key} must be a {what}, got {type(value).__name__}")
+                raise ScenarioError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
         if not isinstance(self.controller, (FuzzyController, SFCController)):
             raise ScenarioError(f"unknown controller {self.controller!r}")
-        for name in ("dt", "duration", "control_period"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ScenarioError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        _store(self, ("dt",), "positive and finite", ScenarioError)  # first: it may be the period
+        _store(self, ("x_target", "duration", "control_period"), "finite", ScenarioError)
+        _store(self, ("track_bound", "theta_limit_deg"), "positive", ScenarioError)  # inf: no bound
         if self.duration < self.dt:
             raise ScenarioError(
                 f"duration ({self.duration}) must be at least dt ({self.dt})"
@@ -163,8 +160,6 @@ class Scenario:
                 f"duration {self.duration} s at dt {self.dt} s is {steps:.6g} "
                 f"steps, more than the cap of {MAX_STEPS}"
             )
-        if not math.isfinite(self.x_target):
-            raise ScenarioError(f"x_target must be finite, got {self.x_target}")
         ratio = self.control_period / self.dt
         if (
             self.control_period < self.dt
@@ -175,10 +170,6 @@ class Scenario:
                 f"control_period ({self.control_period}) must be an integer "
                 f"multiple of dt ({self.dt})"
             )
-        for name in ("track_bound", "theta_limit_deg"):
-            value = getattr(self, name)
-            if not value > 0:  # NaN fails too; inf means no bound
-                raise ScenarioError(f"{name} must be positive, got {value}")
         if self.integrator not in ("euler", "rk4"):
             raise ScenarioError(f"unknown integrator '{self.integrator}'")
 
@@ -341,7 +332,8 @@ class MetricsReport:
 
     theta metrics are in degrees, x metrics in meters.  The cart-position
     signal is labelled "x (z)" in rendered tables; this is the quantity some
-    published tables call z.
+    published tables call z.  The bands are the Python floats
+    ``compute_metrics`` checked.
     """
 
     theta: SignalMetrics
@@ -380,11 +372,6 @@ def _signal_metrics(t: np.ndarray, y: np.ndarray, setpoint: float, band: float) 
     return SignalMetrics(overshoot, undershoot, settling)
 
 
-def _check_band(name: str, band: float) -> None:
-    if not (isinstance(band, numbers.Real) and 0.0 < band < math.inf):  # NaN fails too
-        raise ScenarioError(f"{name} must be positive and finite, got {band!r}")
-
-
 def compute_metrics(
     traj: Trajectory,
     scenario: Scenario,
@@ -392,11 +379,12 @@ def compute_metrics(
     x_band_m: float = DEFAULT_X_BAND_M,
 ) -> MetricsReport:
     """The step-response metrics of a run with at least one row.  A settling
-    band must be positive and finite (``ScenarioError``)."""
+    band must be a positive, finite real number other than a bool
+    (``ScenarioError``); the report holds it as a Python float."""
     import numpy as np
 
-    _check_band("theta_band_deg", theta_band_deg)
-    _check_band("x_band_m", x_band_m)
+    theta_band_deg = _real("theta_band_deg", theta_band_deg, "positive and finite", ScenarioError)
+    x_band_m = _real("x_band_m", x_band_m, "positive and finite", ScenarioError)
     if traj.data.shape[0] == 0:
         raise ScenarioError("cannot compute metrics of an empty trajectory")
     theta_deg = np.degrees(traj.theta)
@@ -601,15 +589,16 @@ def default_scenario(
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """A scenario and the settling bands of its metrics section."""
+    """A scenario and the settling bands of its metrics section, checked as
+    ``compute_metrics`` checks a band and stored as Python floats."""
 
     scenario: Scenario
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG
     x_band_m: float = DEFAULT_X_BAND_M
 
     def __post_init__(self):
-        _check_band("metrics.theta_band_deg", self.theta_band_deg)
-        _check_band("metrics.x_band_m", self.x_band_m)
+        bands = ("theta_band_deg", "x_band_m")
+        _store(self, bands, "positive and finite", ScenarioError, "metrics.")
 
 
 # One key table per config section: key -> conversion of its value.  Absent
@@ -623,7 +612,7 @@ def _as_is(value):
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise TypeError(f"must be a number, got {type(value).__name__}")
     return float(value)
 

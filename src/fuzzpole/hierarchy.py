@@ -5,7 +5,6 @@ behind those labels, and auditing an existing rule base against that contract.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .fuzzy import (
     Rule,
     TRIANGLE,
 )
+from .plant import _store
 
 __all__ = [
     "Concentration",
@@ -56,15 +56,14 @@ class Concentration:
 class Narrowed:
     """Sharpen by contracting the breakpoints toward the peak.
 
-    factor is the ratio of the new half-base to the old one, strictly
-    inside (0, 1).
+    factor is the ratio of the new half-base to the old one, a real number
+    other than a bool strictly inside (0, 1), stored as a Python float.
     """
 
     factor: float
 
     def __post_init__(self):
-        if not (isinstance(self.factor, numbers.Real) and 0.0 < self.factor < 1.0):
-            raise HierarchyError(f"narrowing factor must be in (0, 1), got {self.factor!r}")
+        _store(self, ("factor",), "in (0, 1)", HierarchyError, "narrowing ")
 
 
 VeryMode = Concentration | Narrowed

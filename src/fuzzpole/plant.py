@@ -42,16 +42,53 @@ class PlantError(ValueError):
     pass
 
 
-def _check_real(name: str, value) -> None:
-    """Raise PlantError unless ``value`` is a real number (bools pass, as
-    ints do)."""
-    if not isinstance(value, numbers.Real):
-        raise PlantError(f"{name} must be a real number, got {type(value).__name__}")
+def _is_real(value) -> bool:
+    """True for a real number of any type except ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# The ranges of ``_real``: the words its error gives, and a test of a float,
+# which NaN fails.
+_RANGES = {
+    "finite": math.isfinite,
+    "positive": lambda v: v > 0.0,  # inf passes
+    "positive and finite": lambda v: 0.0 < v < math.inf,
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+}
+
+
+def _real(name: str, value, want: str, error: type[Exception] = PlantError) -> float:
+    """``value`` as a Python float in the range ``_RANGES[want]``, or
+    ``error`` naming ``name``: the one rule for a numeric input.
+
+    ``value`` must be a real number other than a bool.  ``float`` converts
+    it, so a float keeps its bits (-0.0 too), a numpy scalar becomes a
+    Python float and an int past the float range becomes +-inf."""
+    if type(value) is not float:
+        if not _is_real(value):
+            raise error(f"{name} must be a real number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf if value > 0 else -math.inf
+    if not _RANGES[want](value):
+        raise error(f"{name} must be {want}, got {value}")
+    return value
+
+
+def _store(obj, names: tuple[str, ...], want: str, error=PlantError, prefix="") -> None:
+    """Check the frozen ``obj``'s fields ``names`` with :func:`_real` and
+    store the floats; an error names the field after ``prefix``."""
+    for name in names:
+        object.__setattr__(obj, name, _real(prefix + name, getattr(obj, name), want, error))
 
 
 @dataclass(frozen=True)
 class PlantState:
-    """Cart-pole state in SI units, and the track's inclination."""
+    """Cart-pole state in SI units, and the track's inclination.  Each field
+    is a finite real number other than a bool, stored as a Python float
+    (``PlantError`` names a bad one)."""
 
     theta: float = 0.0  # rad, from vertical
     theta_dot: float = 0.0  # rad/s
@@ -60,11 +97,7 @@ class PlantState:
     tilt: float = 0.0  # rad, current track inclination
 
     def __post_init__(self):
-        for name in ("theta", "theta_dot", "x", "x_dot", "tilt"):
-            value = getattr(self, name)
-            _check_real(f"state {name}", value)
-            if not math.isfinite(value):
-                raise PlantError(f"state {name} must be finite, got {value}")
+        _store(self, ("theta", "theta_dot", "x", "x_dot", "tilt"), "finite", prefix="state ")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.theta, self.theta_dot, self.x, self.x_dot)
@@ -72,7 +105,10 @@ class PlantState:
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical constants of the cart-pole and its force limit, SI units."""
+    """Physical constants of the cart-pole and its force limit, SI units.
+    Each is a real number other than a bool, stored as a Python float:
+    the friction coefficients finite and >= 0, the rest positive and finite
+    (``PlantError`` names a bad one)."""
 
     g: float = 9.8  # m/s^2
     m_c: float = 1.0  # kg, cart
@@ -83,19 +119,8 @@ class PlantParams:
     f_max: float = 10.0  # N, force saturation
 
     def __post_init__(self):
-        for name in ("g", "m_c", "m", "l", "f_max"):
-            value = getattr(self, name)
-            _check_real(name, value)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise PlantError(f"{name} must be positive and finite, got {value}")
-        for name in ("mu_c", "mu_p"):
-            value = getattr(self, name)
-            _check_real(f"friction coefficient {name}", value)
-            if not 0 <= value < math.inf:
-                raise PlantError(
-                    f"friction coefficient {name} must be non-negative and "
-                    f"finite, got {value}"
-                )
+        _store(self, ("g", "m_c", "m", "l", "f_max"), "positive and finite")
+        _store(self, ("mu_c", "mu_p"), "finite and >= 0", prefix="friction coefficient ")
 
 
 # (length m, mass kg) of the benchmark pole set; half-pole length is length/2.
@@ -254,17 +279,11 @@ advance = _namespace["advance"]
 _accelerations = _namespace["_accelerations"]
 
 
-def _check_force(f: float) -> None:
-    _check_real("force", f)
-    if not math.isfinite(f):
-        raise PlantError(f"force must be finite, got {f}")
-
-
 def derivatives(s: PlantState, f: float, p: PlantParams) -> tuple[float, float]:
     """(theta_ddot, x_ddot) at the given state under force f (clamped):
     one :data:`_STAGE` on the net cart force, as a step of ``advance``
     takes it."""
-    _check_force(f)
+    f = _real("force", f, "finite")
     return _accelerations(
         s.theta, s.theta_dot, s.x_dot, f, s.tilt, p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max
     )
@@ -274,12 +293,10 @@ def step(
     s: PlantState, f: float, dt: float, p: PlantParams, method: str = "euler"
 ) -> PlantState:
     """Advance one fixed step of size dt; tilt is carried through unchanged."""
-    _check_real("dt", dt)
-    if not 0 < dt < math.inf:  # NaN fails too
-        raise PlantError(f"dt must be positive and finite, got {dt}")
+    dt = _real("dt", dt, "positive and finite")
     if method not in ("euler", "rk4"):
         raise PlantError(f"unknown integrator '{method}'")
-    _check_force(f)
+    f = _real("force", f, "finite")
     theta, theta_dot, x, x_dot = advance(
         s.theta, s.theta_dot, s.x, s.x_dot, f, s.tilt, dt,
         p.g, p.m_c, p.m, p.l, p.mu_c, p.mu_p, p.f_max,
@@ -296,6 +313,8 @@ class DisturbanceEvent:
     kind 'set_tilt' sets the track inclination to value (rad), so un-tilting
     is set_tilt with value 0.  The simulation loop, one source template in
     ``fuzzpole.kernels`` (``_LOOP``), is the one place that applies them.
+    The time (finite and >= 0) and the value (finite) are real numbers other
+    than a bool, stored as Python floats (``PlantError`` names a bad one).
     """
 
     t: float
@@ -303,12 +322,8 @@ class DisturbanceEvent:
     value: float
 
     def __post_init__(self):
-        _check_real("event time", self.t)
-        _check_real("event value", self.value)
-        if not 0 <= self.t < math.inf:  # NaN fails too
-            raise PlantError(f"event time must be finite and >= 0, got {self.t}")
-        if not math.isfinite(self.value):
-            raise PlantError(f"event value must be finite, got {self.value}")
+        object.__setattr__(self, "t", _real("event time", self.t, "finite and >= 0"))
+        object.__setattr__(self, "value", _real("event value", self.value, "finite"))
         if self.kind not in ("tap", "set_tilt"):
             raise PlantError(f"unknown event kind '{self.kind}'")
 

@@ -398,15 +398,17 @@ class _Parser:
             )
             for decl in self.rule_decls
         ]
-        kb = None
+        kb = universe = None
         if output_variable in variables:  # else the default universe has no labels
-            universe = self.universe or OutputUniverse(
-                *_hull(variables[output_variable].labels.values())
-            )
             try:
+                universe = self.universe or OutputUniverse(
+                    *_hull(variables[output_variable].labels.values())
+                )
                 kb = KnowledgeBase(variables, output_variable, tuple(rules), universe)
-            except KBError:
-                pass
+            except KBError as exc:
+                if universe is None:  # the labels' hull spans past the float range
+                    at = next(d.out_var for d in self.rule_decls if d.out_var[0] == output_variable)
+                    self.report(at, f"default {exc}; declare a universe", "bad-universe")
         seen_rules: set[str] = set()
         for decl, rule in zip(self.rule_decls, rules):
             name = decl.name[0]

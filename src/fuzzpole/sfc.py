@@ -7,14 +7,12 @@ u = -k (state - reference), written once as the source ``_LAW``, which
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from textwrap import indent
 from typing import TYPE_CHECKING
 
-from .fuzzy import _is_real
-from .plant import _CLAMP, PlantParams, PlantState, _run_source
+from .plant import _CLAMP, PlantParams, PlantState, _run_source, _store
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,9 +101,7 @@ class GainVector:
     def __post_init__(self):
         object.__setattr__(self, "k", _finite("k", self.k, (4,)))
         object.__setattr__(self, "reference", _finite("reference", self.reference, (4,)))
-        if not (_is_real(self.f_max) and 0 < self.f_max < math.inf):  # NaN fails too
-            raise DesignError(f"f_max must be a positive finite number, got {self.f_max!r}")
-        object.__setattr__(self, "f_max", float(self.f_max))
+        _store(self, ("f_max",), "positive and finite", DesignError)
 
 
 def design_gains(

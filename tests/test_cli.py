@@ -207,7 +207,7 @@ _REJECTED_FILES = {
     [
         (["compare", "--controllers", ","], "compare needs at least one scenario"),
         (["compare", "--poles", ","], "--poles is empty"),
-        (["compare", "--poles", "1", "--dt", "0"], "dt must be positive, got 0.0"),
+        (["compare", "--poles", "1", "--dt", "0"], "dt must be positive and finite, got 0.0"),
         (["simulate", "--scenario", "rk2.json"], "unknown integrator 'rk2'"),
         (
             ["simulate", "--scenario", "far-poles.json"],
@@ -285,6 +285,21 @@ def test_lint_reports_errors(tmp_path, capsys):
     code = main(["lint", "--rules", str(rules)])
     assert code == 1
     assert "unknown variable" in capsys.readouterr().out
+
+
+def test_lint_rejects_output_labels_whose_hull_overflows(tmp_path, capsys):
+    """With no universe statement, output labels from -1e308 to 1e308 give a
+    default universe whose span is not a float: a located error, exit 1."""
+    rules = tmp_path / "wide.frl"
+    rules.write_text(
+        "var theta unit = deg\n  label ZE triangle(-1, 0, 1)\n"
+        "var F unit = N\n  label NL shoulder_down(-1e308, -1)\n  label PL shoulder_up(1, 1e308)\n"
+        "rule r1: IF theta IS ZE THEN F IS NL\nrule r2: IF theta IS ZE THEN F IS PL\n",
+        encoding="utf-8",
+    )
+    assert main(["lint", "--rules", str(rules)]) == 1
+    out = capsys.readouterr().out
+    assert "default universe span max - min must be finite" in out and "[bad-universe]" in out
 
 
 def test_lint_flags_audit_violation(tmp_path, capsys):

@@ -867,7 +867,7 @@ def test_a_settling_band_that_is_not_a_number_is_a_scenario_error(check, message
     TypeError from comparing it with zero."""
     scenario = default_scenario(1, "sfc", duration=0.1)
     traj = run(scenario)
-    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} must be positive and finite"):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} must be a real number, got"):
         check(traj, scenario)
 
 

@@ -53,7 +53,7 @@ def test_narrowed_factor_must_be_fraction():
 
 @pytest.mark.parametrize("factor", ["0.5", None], ids=["string", "none"])
 def test_a_narrowing_factor_that_is_not_a_number_is_a_hierarchy_error(factor):
-    with pytest.raises(HierarchyError, match="narrowing factor must be in"):
+    with pytest.raises(HierarchyError, match="narrowing factor must be a real number"):
         Narrowed(factor)
 
 

@@ -195,6 +195,11 @@ def test_output_universe_validation():
     for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(KBError, match="universe bounds must be finite"):
             OutputUniverse(lo, hi)
+    # finite bounds whose span is not a float would put inf and NaN among the points
+    for lo, hi in ((-1e308, 1e308), (-(10**308), 10**308)):
+        with pytest.raises(KBError, match="universe span max - min must be finite"):
+            OutputUniverse(lo, hi, 11)
+    assert np.isfinite(OutputUniverse(-8e307, 8e307, 11).points()).all()
 
 
 @pytest.mark.parametrize(

@@ -102,12 +102,11 @@ def test_state_must_be_finite(field):
 
 @pytest.mark.parametrize("field", ["theta", "theta_dot", "x", "x_dot", "tilt"])
 def test_state_fields_must_be_real_numbers(field):
-    """A state field that is not a real number is a PlantError naming it,
-    not a bare TypeError; a bool still passes, as the int it is."""
-    for value in ("0", None, 1j):
+    """A state field that is not a real number, a bool included, is a
+    PlantError naming it, not a bare TypeError."""
+    for value in ("0", None, 1j, True):
         with pytest.raises(PlantError, match=f"state {field} must be a real number"):
             PlantState(**{field: value})
-    assert getattr(PlantState(**{field: True}), field) == 1
 
 
 def test_step_that_overflows_raises():
@@ -132,12 +131,11 @@ def test_param_validation():
 
 @pytest.mark.parametrize("name", ["g", "m_c", "m", "l", "mu_c", "mu_p", "f_max"])
 def test_params_must_be_real_numbers(name):
-    """``PlantParams(m="0.1")`` and the like are a PlantError naming the
-    field, not a bare TypeError; a bool still passes, as the int it is."""
-    for value in ("0.1", None, [0.1]):
+    """``PlantParams(m="0.1")``, ``PlantParams(m=True)`` and the like are a
+    PlantError naming the field, not a bare TypeError."""
+    for value in ("0.1", None, [0.1], True):
         with pytest.raises(PlantError, match=f"{name} must be a real number"):
             PlantParams(**{name: value})
-    assert getattr(PlantParams(**{name: True}), name) == 1
 
 
 def test_presets_match_published_pole_table():
@@ -257,15 +255,18 @@ def test_event_validation():
 
 
 def test_event_fields_must_be_real_numbers():
-    """An event time or value that is not a real number is a PlantError
-    naming it, not a bare TypeError; a bool still passes."""
+    """An event time or value that is not a real number, a bool included, is
+    a PlantError naming it, not a bare TypeError."""
     with pytest.raises(PlantError, match="event time must be a real number, got str"):
         DisturbanceEvent("1", "tap", 0.1)
     with pytest.raises(PlantError, match="event value must be a real number, got NoneType"):
         tap(1.0, None)
     with pytest.raises(PlantError, match="event value must be a real number, got str"):
         set_tilt(1.0, "0.1")
-    assert tap(True, False) == DisturbanceEvent(1, "tap", 0)
+    with pytest.raises(PlantError, match="event time must be a real number, got bool"):
+        tap(True, 0.1)
+    with pytest.raises(PlantError, match="event value must be a real number, got bool"):
+        set_tilt(1.0, False)
 
 
 def test_step_validation():

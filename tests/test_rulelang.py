@@ -167,6 +167,22 @@ def test_default_universe_is_output_hull():
     assert result.kb.output_universe == OutputUniverse(-2.0, 2.0, 201)
 
 
+def test_a_universe_statement_replaces_a_hull_that_overflows():
+    """Output labels from -1e308 to 1e308 have a hull whose span is not a
+    float: the default universe is reported, and a universe statement
+    takes its place."""
+    text = MINI_KB.replace("label N triangle(-2.0, -1.0, 0.0)", "label N shoulder_down(-1e308, -1.0)")
+    text = text.replace("label P triangle(0.0, 1.0, 2.0)", "label P shoulder_up(1.0, 1e308)")
+    (diag,) = parse_knowledge_base(text).errors
+    assert (diag.code, diag.message) == (
+        "bad-universe",
+        "default universe span max - min must be finite, got [-1e+308, 1e+308]; "
+        "declare a universe",
+    )
+    result = parse_knowledge_base(text + "universe -2.0 2.0 101\n")
+    assert result.ok and result.kb.output_universe == OutputUniverse(-2.0, 2.0, 101)
+
+
 SMALL_KB = """var e unit = V
   label ZE triangle(-1.0, 0.0, 1.0)
 var u unit = N
@@ -229,6 +245,11 @@ _PARSE_ROWS = [
                  id="bad-universe"),
     pytest.param(SMALL_KB + "universe inf 10 201\n", "bad-universe", "6:1",
                  id="infinite-universe"),
+    # the default universe, the hull of the output labels, spans past the
+    # float range: located at the first conclusion naming the output
+    pytest.param(SMALL_KB.replace("label Z triangle(-1.0", "label Z triangle(-1e308")
+                 .replace("0.0, 1.0)\nrule", "0.0, 1e308)\nrule"), "bad-universe", "5:25",
+                 id="overflowing-default-universe"),
     pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE hexagon(-1.0, 0.0, 1.0)"), "syntax", "2:12",
                  id="unknown-shape"),
     pytest.param(SMALL_KB.replace(_RULE_A, ""), "no-output", "1:5",

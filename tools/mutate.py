@@ -15,7 +15,8 @@ float64 row, the coverage depth, a trapezoid comparison, a shared prefix
 of rule conditions, an event's step, the slope force after a tilt, the
 fuzzy law's fold over its layers, its center-of-area arithmetic, the
 state its generated law reads, the gate a composed goal carries from the
-goal above, the SFC design's conjugation check and the SFC law's target.
+goal above, the SFC design's conjugation check, the SFC law's target and
+the number rule's refusal of a bool.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -172,6 +173,12 @@ MUTANTS = (
         "kernels.py",
         '[f"x{i} = {_VIEW[i]}" for i in slots]',
         '[f"x{i} = {_VIEW[i]}".replace("theta_dot", "theta") for i in slots]',
+    ),
+    Mutant(
+        "a bool read as a number",  # the one predicate of the number rule
+        "plant.py",
+        "isinstance(value, numbers.Real) and not isinstance(value, bool)",
+        "isinstance(value, numbers.Real)",
     ),
 )
 
