@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from textwrap import indent
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .plant import _is_real, _run_source
+from .plant import _real, _run_source, _store
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,14 +153,8 @@ class MembershipFunction:
             )
         # Parameters are stored as Python floats, a zero as +0.0: a numpy
         # scalar would reach the generated law and slow each of its steps.
-        if not all(type(v) is float for v in p):
-            if not all(_is_real(v) for v in p):
-                raise KBError(f"membership parameters must be real numbers, got {p!r}")
-            try:
-                p = [float(v) for v in p]
-            except OverflowError:  # an int past the float range
-                raise KBError(f"membership parameters must be finite, got {p}") from None
-        p = tuple([v + 0.0 for v in p])
+        p = tuple([_real(f"membership parameter {n}", v, "finite", KBError) + 0.0
+                   for n, v in zip(names, p)])
         object.__setattr__(self, "params", p)
         if not (_is_int(self.power) and 1 <= self.power <= self.MAX_POWER):
             raise KBError(
@@ -168,8 +162,6 @@ class MembershipFunction:
             )
         if not all(a < b for a, b in zip(p, p[1:])):
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
-        if not (-math.inf < p[0] and p[-1] < math.inf):  # all finite, as they ascend
-            raise KBError(f"membership parameters must be finite, got {p}")
         object.__setattr__(self, "corners", corners(*p))
 
     def __call__(self, v: float) -> float:
@@ -325,18 +317,16 @@ class OutputUniverse:
     MAX_POINTS = 100_001
 
     def __post_init__(self):
-        if not (_is_real(self.lo) and _is_real(self.hi)):
-            raise KBError(f"universe bounds must be real numbers, got [{self.lo!r}, {self.hi!r}]")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise KBError(f"universe bounds must be finite, got [{self.lo}, {self.hi}]")
+        _store(self, ("lo", "hi"), "finite", KBError, "universe ")
         if not (self.lo < self.hi):
             raise KBError(f"universe needs min < max, got [{self.lo}, {self.hi}]")
-        if not math.isfinite(float(self.hi) - float(self.lo)):  # else the points hold inf, NaN
-            raise KBError(f"universe span max - min must be finite, got [{self.lo}, {self.hi}]")
         if not (_is_int(self.n) and 3 <= self.n <= self.MAX_POINTS):
             raise KBError(
                 f"universe needs an integer 3 <= n <= {self.MAX_POINTS}, got {self.n!r}"
             )
+        size = max(abs(self.lo), abs(self.hi))  # center-of-area sums reach n * size
+        if not math.isfinite(self.n * size):
+            raise KBError(f"universe n * max(|min|, |max|) must be finite, got {self.n} * {size}")
 
     def points(self) -> np.ndarray:
         import numpy as np

@@ -240,7 +240,15 @@ class AuditReport:
 def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | None:
     """None when `very` is pointwise <= `base` with strictly smaller support,
     else a human-readable reason.  Support is taken at the 1e-6 level so that
-    squared labels (whose exact support is unchanged) still qualify."""
+    squared labels (whose exact support is unchanged) still qualify.
+
+    Decided exactly on corners and powers: at level y a label is >= y on
+    [a + s(b - a), d - s(d - c)], s = y**(1/power), and these must nest at
+    every y.  Per side, in u = y**(1/base.power), the gap g0 + wv*u**r - wb*u
+    (r = base.power / very.power, wv and wb the ramp widths) is concave for
+    r <= 1, so the corners (u = 0, 1) decide, and convex for r > 1, so its
+    stationary point decides too.  A base's open shoulder side holds any gate.
+    """
     b_lo, b_hi = base.support_at(SUPPORT_EPS)
     v_lo, v_hi = very.support_at(SUPPORT_EPS)
     if not (v_lo > b_lo and v_hi < b_hi):
@@ -248,12 +256,13 @@ def _is_narrower(very: MembershipFunction, base: MembershipFunction) -> str | No
             f"support [{v_lo:g}, {v_hi:g}] is not strictly inside "
             f"[{b_lo:g}, {b_hi:g}]"
         )
-    import numpy as np
-
-    breaks = (*very.params, *base.params, v_lo, v_hi)
-    grid = np.union1d(np.linspace(min(breaks), max(breaks), 1001), breaks)
-    if np.any(very.sample(grid) > base.sample(grid) + 1e-12):
-        return "membership exceeds the base label somewhere"
+    (av, bv, cv, dv), (ab, bb, cb, db) = very.corners, base.corners
+    r = base.power / very.power
+    sides = ((av - ab, bv - bb, bv - av, bb - ab), (db - dv, cb - cv, dv - cv, db - cb))
+    for g0, g1, wv, wb in sides:
+        u = (wb / (r * wv)) ** (1 / (r - 1)) if r > 1 else 1.0  # NaN on an open side
+        if g0 < 0 or g1 < 0 or (u < 1 and g0 + wv * u**r - wb * u < 0):
+            return "membership exceeds the base label somewhere"
     return None
 
 

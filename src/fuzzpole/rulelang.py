@@ -406,7 +406,7 @@ class _Parser:
                 )
                 kb = KnowledgeBase(variables, output_variable, tuple(rules), universe)
             except KBError as exc:
-                if universe is None:  # the labels' hull spans past the float range
+                if universe is None:  # the labels' hull is too wide for a universe
                     at = next(d.out_var for d in self.rule_decls if d.out_var[0] == output_variable)
                     self.report(at, f"default {exc}; declare a universe", "bad-universe")
         seen_rules: set[str] = set()

@@ -289,7 +289,8 @@ def test_lint_reports_errors(tmp_path, capsys):
 
 def test_lint_rejects_output_labels_whose_hull_overflows(tmp_path, capsys):
     """With no universe statement, output labels from -1e308 to 1e308 give a
-    default universe whose span is not a float: a located error, exit 1."""
+    default universe too wide for its center-of-area sums: a located error,
+    exit 1."""
     rules = tmp_path / "wide.frl"
     rules.write_text(
         "var theta unit = deg\n  label ZE triangle(-1, 0, 1)\n"
@@ -299,7 +300,7 @@ def test_lint_rejects_output_labels_whose_hull_overflows(tmp_path, capsys):
     )
     assert main(["lint", "--rules", str(rules)]) == 1
     out = capsys.readouterr().out
-    assert "default universe span max - min must be finite" in out and "[bad-universe]" in out
+    assert "default universe n * max(|min|, |max|) must be finite" in out and "[bad-universe]" in out
 
 
 def test_lint_flags_audit_violation(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fuzzpole.fuzzy import (
     KnowledgeBase,
     LinguisticVariable,
+    MembershipFunction,
     OutputUniverse,
     Precondition,
     Rule,
@@ -13,6 +15,7 @@ from fuzzpole.fuzzy import (
     triangle,
 )
 from fuzzpole.hierarchy import (
+    SUPPORT_EPS,
     Achievement,
     Concentration,
     DEFAULT_VERY_FACTOR,
@@ -25,6 +28,8 @@ from fuzzpole.hierarchy import (
     compose_hierarchical,
     derive_very,
 )
+from fuzzpole.hierarchy import _is_narrower
+
 ZE = triangle(-6.25, 0.0, 6.25)
 
 
@@ -326,3 +331,79 @@ def test_audit_flags_a_base_label_the_variable_lacks(kb):
     assert {(v.variable, v.reason) for v in report.violations} == {
         ("theta", "base label 'ZZ' of the achievement gate is not defined")
     }
+
+
+EXCEEDS = "membership exceeds the base label somewhere"
+
+
+def test_a_gate_that_rises_1e_7_above_its_base_is_a_violation():
+    """A gate of power 1 on a base of power 3, with the same peak and its
+    support well inside the base's, rises above the base by 1.3e-7 near
+    x = 0.80276, just past the peak: the corners pass, the stationary point
+    of the right-hand gap between the level sets does not, and a 1,001-point
+    sampling grid misses the window."""
+    very = triangle(-0.6968398920920578, 0.8022763429829425, 1.575353455751359)
+    base = MembershipFunction(
+        "triangle", (-3.6932120177188787, 0.8022763429829425, 3.120548322874825), 3
+    )
+    assert _is_narrower(very, base) == EXCEEDS
+    x = 0.80276
+    assert 1e-7 < very(x) - base(x) < 2e-7
+
+
+def _draw_pair(rng: random.Random) -> tuple[MembershipFunction, MembershipFunction]:
+    """A base label (a triangle or a shoulder, power 1 to 4) and a gate for
+    it: its ``derive_very`` under either mode, the base at another power,
+    or a triangle skewed about the base's plateau, at any power."""
+    kind = rng.choice(["triangle", "triangle", "shoulder_up", "shoulder_down"])
+    corners = sorted(rng.uniform(-5.0, 5.0) for _ in range(3))
+    params = {"triangle": corners, "shoulder_up": corners[:2], "shoulder_down": corners[1:]}
+    base = MembershipFunction(kind, tuple(params[kind]), rng.randint(1, 4))
+    how = rng.random()
+    if how < 0.15:
+        return derive_very(base, Concentration()), base
+    if how < 0.3 and kind == "triangle":
+        return derive_very(base, Narrowed(rng.uniform(0.05, 0.95))), base
+    if how < 0.35:
+        return MembershipFunction(kind, base.params, rng.randint(1, 4)), base
+    a, b, c, d = base.corners
+    lo, hi = (a, d) if kind == "triangle" else (min(corners), max(corners))
+    peak = rng.uniform(max(lo, b), min(hi, c)) + rng.gauss(0.0, 0.05) * (hi - lo)
+    left = peak - rng.uniform(0.2, 1.2) * (peak - lo)
+    right = peak + rng.uniform(0.2, 1.2) * (hi - peak)
+    if not left < peak < right:
+        return _draw_pair(rng)
+    return MembershipFunction("triangle", (left, peak, right), rng.randint(1, 4)), base
+
+
+def _dense_verdict(very: MembershipFunction, base: MembershipFunction) -> str | None:
+    """The audit's verdict by evaluation: the support test, then both labels
+    on 20,001 points across the gate's support and every corner of both,
+    with no tolerance."""
+    b_lo, b_hi = base.support_at(SUPPORT_EPS)
+    v_lo, v_hi = very.support_at(SUPPORT_EPS)
+    if not (v_lo > b_lo and v_hi < b_hi):
+        return "support"
+    a, _, _, d = very.corners
+    xs = np.union1d(np.linspace(a, d, 20_001), very.params + base.params)
+    return EXCEEDS if np.any(very.sample(xs) > base.sample(xs)) else None
+
+
+def test_the_exact_check_agrees_with_dense_evaluation():
+    """On 1,000 drawn gate/base pairs, over powers on both sides, shoulders
+    and ``derive_very`` output, the decision on corners and powers matches
+    dense evaluation, and the drawn pairs reach every verdict, including
+    violations that only the stationary point finds."""
+    rng = random.Random(11)
+    verdicts = {"support": 0, EXCEEDS: 0, None: 0}
+    stationary = 0
+    for _ in range(1000):
+        very, base = _draw_pair(rng)
+        got = _is_narrower(very, base)
+        got = "support" if got is not None and got.startswith("support") else got
+        assert got == _dense_verdict(very, base), (very, base)
+        verdicts[got] += 1
+        (av, bv, cv, dv), (ab, bb, cb, db) = very.corners, base.corners
+        stationary += got == EXCEEDS and ab <= av and bb <= bv and cv <= cb and dv <= db
+    assert min(verdicts.values()) >= 100, verdicts
+    assert stationary >= 3

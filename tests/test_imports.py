@@ -74,8 +74,11 @@ def test_no_module_imports_numpy_when_it_is_imported():
 
 
 _AUTHORING = """\
+import contextlib
+import io
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import fuzzpole
 from fuzzpole import cli, harness, hierarchy, plant, rulelang
@@ -99,6 +102,12 @@ variables = {
 base = fuzzpole.KnowledgeBase(variables, kb.output_variable, (), kb.output_universe)
 squared = hierarchy.compose_hierarchical(goals, (tier1, tier2), hierarchy.Concentration(), base)
 assert squared.variables["theta"].labels["VS"].power == 2
+assert hierarchy.audit_hierarchy(squared, goals).ok
+lint = io.StringIO()
+with contextlib.redirect_stdout(lint):
+    code = cli.main(["lint", "--rules", str(Path(rulelang.__file__).parent / "kb" / "pole.frl")])
+out = lint.getvalue()
+assert code == 0 and "pole.frl: ok" in out and "audit" not in out, out  # audited, clean
 scenario = harness.Scenario(
     "cold", plant.pole_params(1), harness.FuzzyController(kb), x_target=0.5, duration=0.5)
 cli.build_parser()
@@ -112,8 +121,9 @@ print(traj.termination, traj.data.tobytes().hex())
 def test_authoring_a_rule_base_loads_no_numpy():
     """In a fresh interpreter, importing fuzzpole, the built-in rule base
     through serialize, parse and validate, composition under both Very
-    modes, a fuzzy scenario and the CLI's parser load no numpy; the first
-    run loads it and gives this process's trajectory bit for bit."""
+    modes, the hierarchy audit, ``lint`` of ``kb/pole.frl`` (which audits
+    it), a fuzzy scenario and the CLI's parser load no numpy; the first run
+    loads it and gives this process's trajectory bit for bit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -192,22 +193,25 @@ def test_output_universe_validation():
     for n in (3.5, 201.0, True):
         with pytest.raises(KBError, match="integer 3 <= n"):
             OutputUniverse(0.0, 1.0, n)
-    for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(KBError, match="universe bounds must be finite"):
+    for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-(10**400), 1.0)):
+        with pytest.raises(KBError, match="universe (lo|hi) must be finite"):
             OutputUniverse(lo, hi)
-    # finite bounds whose span is not a float would put inf and NaN among the points
-    for lo, hi in ((-1e308, 1e308), (-(10**308), 10**308)):
-        with pytest.raises(KBError, match="universe span max - min must be finite"):
+    # bounds too wide for the center-of-area sums, whether or not their span
+    # is a float (one that is not would put inf and NaN among the points)
+    for lo, hi in ((-1e308, 1e308), (-(10**308), 10**308), (-8e307, 8e307)):
+        with pytest.raises(KBError, match=r"universe n \* max\(\|min\|, \|max\|\) must be finite"):
             OutputUniverse(lo, hi, 11)
-    assert np.isfinite(OutputUniverse(-8e307, 8e307, 11).points()).all()
+    widest = OutputUniverse(-sys.float_info.max / 11, sys.float_info.max / 11, 11)
+    assert np.isfinite(widest.points()).all()
+    assert math.isfinite(float(np.abs(widest.points()).sum()))
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: OutputUniverse("a", "b"), "universe bounds must be real numbers"),
-        (lambda: OutputUniverse(None, 1.0), "universe bounds must be real numbers"),
-        (lambda: OutputUniverse(False, True, 3), "universe bounds must be real numbers"),
+        (lambda: OutputUniverse("a", "b"), "universe lo must be a real number, got str"),
+        (lambda: OutputUniverse(None, 1.0), "universe lo must be a real number, got NoneType"),
+        (lambda: OutputUniverse(False, True, 3), "universe lo must be a real number, got bool"),
         (
             lambda: LinguisticVariable("x", "m", {"A": 1.0}),
             "label 'A' of variable 'x' is not a MembershipFunction, got float",

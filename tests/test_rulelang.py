@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from fuzzpole.fuzzy import (
     OutputUniverse,
     Precondition,
     Rule,
+    fc_output,
 )
 from fuzzpole.rulelang import (
     KEYWORDS,
@@ -168,19 +170,38 @@ def test_default_universe_is_output_hull():
 
 
 def test_a_universe_statement_replaces_a_hull_that_overflows():
-    """Output labels from -1e308 to 1e308 have a hull whose span is not a
-    float: the default universe is reported, and a universe statement
-    takes its place."""
+    """Output labels from -1e308 to 1e308 have a hull too wide for the
+    center-of-area sums: the default universe is reported, and a universe
+    statement takes its place."""
     text = MINI_KB.replace("label N triangle(-2.0, -1.0, 0.0)", "label N shoulder_down(-1e308, -1.0)")
     text = text.replace("label P triangle(0.0, 1.0, 2.0)", "label P shoulder_up(1.0, 1e308)")
     (diag,) = parse_knowledge_base(text).errors
     assert (diag.code, diag.message) == (
         "bad-universe",
-        "default universe span max - min must be finite, got [-1e+308, 1e+308]; "
+        "default universe n * max(|min|, |max|) must be finite, got 201 * 1e+308; "
         "declare a universe",
     )
     result = parse_knowledge_base(text + "universe -2.0 2.0 101\n")
     assert result.ok and result.kb.output_universe == OutputUniverse(-2.0, 2.0, 101)
+
+
+def test_a_universe_too_wide_for_its_sums_is_a_located_error():
+    """Output labels from -8e307 to 8e307 span a finite 1.6e308, but the
+    center of area sums 201 points of up to 8e307, which would read inf:
+    the default universe is a located error, and so is a declared universe
+    as wide, while a narrower declared universe gives a finite force."""
+    text = MINI_KB.replace("label N triangle(-2.0, -1.0, 0.0)", "label N shoulder_down(-8e307, -1.0)")
+    text = text.replace("label P triangle(0.0, 1.0, 2.0)", "label P shoulder_up(1.0, 8e307)")
+    (diag,) = parse_knowledge_base(text).errors
+    assert (diag.code, f"{diag.line}:{diag.col}", diag.message) == (
+        "bad-universe", "11:25",
+        "default universe n * max(|min|, |max|) must be finite, got 201 * 8e+307; "
+        "declare a universe",
+    )
+    (diag,) = parse_knowledge_base(text + "universe -8e307 8e307 201\n").errors
+    assert (diag.code, f"{diag.line}:{diag.col}") == ("bad-universe", "14:1")
+    result = parse_knowledge_base(text + "universe -8e305 8e305 201\n")
+    assert result.ok and math.isfinite(fc_output(result.kb, {"e": 0.5}))
 
 
 SMALL_KB = """var e unit = V
@@ -245,8 +266,8 @@ _PARSE_ROWS = [
                  id="bad-universe"),
     pytest.param(SMALL_KB + "universe inf 10 201\n", "bad-universe", "6:1",
                  id="infinite-universe"),
-    # the default universe, the hull of the output labels, spans past the
-    # float range: located at the first conclusion naming the output
+    # the default universe, the hull of the output labels, is too wide for
+    # its center-of-area sums: located at the first conclusion naming the output
     pytest.param(SMALL_KB.replace("label Z triangle(-1.0", "label Z triangle(-1e308")
                  .replace("0.0, 1.0)\nrule", "0.0, 1e308)\nrule"), "bad-universe", "5:25",
                  id="overflowing-default-universe"),

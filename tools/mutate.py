@@ -15,8 +15,9 @@ float64 row, the coverage depth, a trapezoid comparison, a shared prefix
 of rule conditions, an event's step, the slope force after a tilt, the
 fuzzy law's fold over its layers, its center-of-area arithmetic, the
 state its generated law reads, the gate a composed goal carries from the
-goal above, the SFC design's conjugation check, the SFC law's target and
-the number rule's refusal of a bool.
+goal above, the SFC design's conjugation check, the SFC law's target, the
+number rule's refusal of a bool, the stationary point of the hierarchy
+audit's level-set gap and the guard on a universe too wide to sum.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -179,6 +180,18 @@ MUTANTS = (
         "plant.py",
         "isinstance(value, numbers.Real) and not isinstance(value, bool)",
         "isinstance(value, numbers.Real)",
+    ),
+    Mutant(
+        "audit's stationary point unchecked",  # only the corners decide a gate
+        "hierarchy.py",
+        "u = (wb / (r * wv)) ** (1 / (r - 1)) if r > 1 else 1.0",
+        "u = 1.0",
+    ),
+    Mutant(
+        "universe overflow guard dropped",  # a universe too wide for its sums is kept
+        "fuzzy.py",
+        "if not math.isfinite(self.n * size):",
+        "if False:",
     ),
 )
 
