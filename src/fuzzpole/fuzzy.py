@@ -9,12 +9,11 @@ A label's degree is written once, as ``_DEGREE``, which kernels inline too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from textwrap import indent
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .plant import _real, _run_source, _store
+from .plant import _integer, _real, _run_source, _store
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,11 +77,6 @@ class NoRuleFired(RuntimeError):
         self.inputs = dict(inputs) if inputs is not None else None
         detail = f" for inputs {self.inputs}" if self.inputs else ""
         super().__init__(f"aggregated output is zero everywhere{detail}")
-
-
-def _is_int(value) -> bool:
-    """True for an integer of any integral type except ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _pow_int(value, power: int):
@@ -156,12 +150,11 @@ class MembershipFunction:
         p = tuple([_real(f"membership parameter {n}", v, "finite", KBError) + 0.0
                    for n, v in zip(names, p)])
         object.__setattr__(self, "params", p)
-        if not (_is_int(self.power) and 1 <= self.power <= self.MAX_POWER):
-            raise KBError(
-                f"power must be an integer in [1, {self.MAX_POWER}], got {self.power!r}"
-            )
+        object.__setattr__(self, "power", _integer("power", self.power, 1, self.MAX_POWER, KBError))
         if not all(a < b for a, b in zip(p, p[1:])):
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
+        for q, r in zip(p, p[1:]):  # a ramp's degree divides by its width
+            _real(f"{self.kind} ramp width", r - q, "finite", KBError)
         object.__setattr__(self, "corners", corners(*p))
 
     def __call__(self, v: float) -> float:
@@ -264,12 +257,8 @@ class Rule:
     def __post_init__(self):
         if not self.preconditions:
             raise KBError(f"rule '{self.name}' has no preconditions")
-        if not _is_int(self.goal_index):
-            raise KBError(
-                f"rule '{self.name}': goal index must be an integer, got {self.goal_index!r}"
-            )
-        if self.goal_index < 1:
-            raise KBError(f"rule '{self.name}': goal index must be positive")
+        goal = _integer(f"rule '{self.name}': goal index", self.goal_index, 1, math.inf, KBError)
+        object.__setattr__(self, "goal_index", goal)
 
 
 def rule_problems(
@@ -320,10 +309,7 @@ class OutputUniverse:
         _store(self, ("lo", "hi"), "finite", KBError, "universe ")
         if not (self.lo < self.hi):
             raise KBError(f"universe needs min < max, got [{self.lo}, {self.hi}]")
-        if not (_is_int(self.n) and 3 <= self.n <= self.MAX_POINTS):
-            raise KBError(
-                f"universe needs an integer 3 <= n <= {self.MAX_POINTS}, got {self.n!r}"
-            )
+        object.__setattr__(self, "n", _integer("universe n", self.n, 3, self.MAX_POINTS, KBError))
         size = max(abs(self.lo), abs(self.hi))  # center-of-area sums reach n * size
         if not math.isfinite(self.n * size):
             raise KBError(f"universe n * max(|min|, |max|) must be finite, got {self.n} * {size}")
@@ -370,7 +356,7 @@ def rule_activation(
         if pre.variable not in inputs:
             raise MissingInputError(pre.variable)
         mf = kb.variables[pre.variable].label(pre.label)
-        degree = mf(float(inputs[pre.variable]))
+        degree = mf(_real(f"input {pre.variable}", inputs[pre.variable], "a real number", KBError))
         if degree < alpha:
             alpha = degree
     return alpha

@@ -48,8 +48,9 @@ def _is_real(value) -> bool:
 
 
 # The ranges of ``_real``: the words its error gives, and a test of a float,
-# which NaN fails.
+# which NaN fails except in the first.
 _RANGES = {
+    "a real number": lambda v: True,  # NaN and +-inf pass
     "finite": math.isfinite,
     "positive": lambda v: v > 0.0,  # inf passes
     "positive and finite": lambda v: 0.0 < v < math.inf,
@@ -75,6 +76,17 @@ def _real(name: str, value, want: str, error: type[Exception] = PlantError) -> f
     if not _RANGES[want](value):
         raise error(f"{name} must be {want}, got {value}")
     return value
+
+
+def _integer(name: str, value, lo: int, hi: float, error: type[Exception] = PlantError) -> int:
+    """``value`` as a Python int in ``[lo, hi]``, or ``error`` naming
+    ``name``: the rule of :func:`_real` for a count or an index.  ``value``
+    must be an integer other than a bool, so 2.0 is refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {type(value).__name__}")
+    if not lo <= value <= hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {value}")
+    return int(value)
 
 
 def _store(obj, names: tuple[str, ...], want: str, error=PlantError, prefix="") -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from textwrap import indent
 from typing import TYPE_CHECKING
 
-from .plant import _CLAMP, PlantParams, PlantState, _run_source, _store
+from .plant import _CLAMP, PlantParams, PlantState, _real, _run_source, _store
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,19 +37,19 @@ class DesignError(ValueError):
 
 
 def _finite(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as finite reals of ``shape``, up to axes of length one, or a DesignError."""
+    """``value`` as a float64 array of ``shape``, up to axes of length one,
+    each entry checked by :func:`~fuzzpole.plant._real` as finite, or a DesignError."""
     import numpy as np
 
+    dims = "x".join(map(str, shape)) if len(shape) > 1 else f"{shape[0]} long"
     try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DesignError(f"{name} must be real numbers, got {value!r}") from None
+        array = np.asarray(value, dtype=object)
+    except ValueError:  # arrays of unequal shapes
+        raise DesignError(f"{name} must be {dims}, got a ragged nest") from None
     if array.squeeze().shape != tuple(n for n in shape if n != 1):
-        dims = "x".join(map(str, shape)) if len(shape) > 1 else f"{shape[0]} long"
         raise DesignError(f"{name} must be {dims}, got {array.shape}")
-    if not np.all(np.isfinite(array)):
-        raise DesignError(f"{name} entries must be finite, got {array.tolist()}")
-    return array.reshape(shape)
+    entries = [_real(name, v, "finite", DesignError) for v in array.flat]
+    return np.array(entries).reshape(shape)
 
 
 @dataclass(frozen=True)

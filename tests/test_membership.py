@@ -75,6 +75,9 @@ def test_concentrate_squares_pointwise():
         lambda: MembershipFunction("hexagon", (0.0, 1.0)),
         lambda: MembershipFunction("triangle", (0.0, 1.0, 2.0), 2.0),
         lambda: MembershipFunction("triangle", (0.0, 1.0, 2.0), True),
+        # every parameter is finite, but the rising ramp's width is not
+        lambda: triangle(-1.7e308, 1e308, 1.7e308),
+        lambda: shoulder_up(-1e308, 1e308),
     ],
 )
 def test_malformed_shapes_rejected(bad):

@@ -1,6 +1,8 @@
-"""The one rule for a numeric input (``plant._real``): a real number other
-than a bool, in its field's range, stored as a Python float; anything else
-is the module's typed error naming the field."""
+"""One rule per kind of number: a real input (``plant._real``) is a real
+number other than a bool, in its field's range, stored as a Python float; a
+count or an index (``plant._integer``) is an integer other than a bool, in
+its range, stored as a Python int; an array is checked entry by entry by
+the real rule.  Anything else is the module's typed error naming the field."""
 
 import functools
 import math
@@ -10,6 +12,14 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from fuzzpole.fuzzy import (
+    KBError,
+    MembershipFunction,
+    OutputUniverse,
+    Precondition,
+    Rule,
+    fc_output,
+)
 from fuzzpole.harness import (
     Scenario,
     ScenarioBundle,
@@ -31,9 +41,12 @@ from fuzzpole.plant import (
     step,
     tap,
 )
-from fuzzpole.sfc import DesignError, GainVector
+from fuzzpole.rulelang import builtin_pole_kb
+from fuzzpole.sfc import DesignError, GainVector, LinearModel, linearize
 
 P1 = pole_params(1)
+MODEL = linearize(P1)
+POLE_KB = builtin_pole_kb()
 
 
 @functools.cache
@@ -46,8 +59,16 @@ def _scenario(name):
     return lambda v: default_scenario(1, "sfc", **{"duration": 1.0, name: v})
 
 
+def _first(array, v):
+    """``array`` as nested lists with ``v`` as its first entry."""
+    entries = np.array(array, dtype=object)
+    entries.flat[0] = v
+    return entries.tolist()
+
+
 # entry -> (the name its errors give, its error, a build from a value, the
-# stored value of the build or None for a function that stores nothing)
+# stored value of the build, an array's first entry, or None for a function
+# that stores nothing)
 FIELDS = {
     **{
         f"PlantState.{n}": (f"state {n}", PlantError, lambda v, n=n: PlantState(**{n: v}),
@@ -88,9 +109,44 @@ FIELDS = {
     "GainVector.f_max": (
         "f_max", DesignError, lambda v: GainVector((1.0, 2.0, 3.0, 4.0), f_max=v),
         attrgetter("f_max")),
+    **{
+        f"LinearModel.{n}": (
+            n, DesignError,
+            lambda v, n=n: LinearModel(
+                **{"A": MODEL.A, "B": MODEL.B, n: _first(getattr(MODEL, n), v)}),
+            lambda model, n=n: getattr(model, n).flat[0].item(),
+        )
+        for n in ("A", "B")
+    },
+    **{
+        f"GainVector.{n}": (
+            n, DesignError,
+            lambda v, n=n: GainVector(**{"k": (1.0, 2.0, 3.0, 4.0), n: (v, 0, 0, 0)}),
+            lambda gains, n=n: getattr(gains, n).flat[0].item(),
+        )
+        for n in ("k", "reference")
+    },
+    "MembershipFunction.power": (
+        "power", KBError, lambda v: MembershipFunction("triangle", (0, 1, 2), v),
+        attrgetter("power")),
+    "OutputUniverse.n": (
+        "universe n", KBError, lambda v: OutputUniverse(-1.0, 1.0, v), attrgetter("n")),
+    "Rule.goal_index": (
+        "rule 'r': goal index", KBError,
+        lambda v: Rule("r", (Precondition("e", "ZE"),), ("u", "Z"), v), attrgetter("goal_index")),
+    "fc_output.theta": (
+        "input theta", KBError,
+        lambda v: fc_output(POLE_KB, {"theta": v, "theta_dot": 0.0, "x": 0.0, "x_dot": 0.0}),
+        None),
 }
-# An infinite bound ends no run, so an int past the float range is one.
-OPEN_ABOVE = ("Scenario.track_bound", "Scenario.theta_limit_deg")
+# An infinite bound ends no run, so an int past the float range is one, and
+# a goal tier has no top.
+OPEN_ABOVE = ("Scenario.track_bound", "Scenario.theta_limit_deg", "Rule.goal_index")
+# An integer entry and a good value of it: a float, 2.0 too, is refused.
+INTEGERS = {"MembershipFunction.power": 2, "OutputUniverse.n": 3, "Rule.goal_index": 2}
+# A law input has no range: NaN and +-inf (an int past the float range too)
+# are read, as the parity grid feeds them.
+ANY_REAL = ("fc_output.theta",)
 
 
 @pytest.mark.parametrize("value", [True, 10**400, math.nan, "1.0"],
@@ -100,6 +156,9 @@ def test_a_bad_number_is_the_modules_typed_error_naming_the_field(entry, value):
     name, error, build, _ = FIELDS[entry]
     if entry in OPEN_ABOVE and value == 10**400:
         value = -(10**400)
+    if entry in ANY_REAL and not isinstance(value, (bool, str)):
+        assert type(build(value)) is float
+        return
     with pytest.raises(error, match=f"^{re.escape(name)} must be "):
         build(value)
 
@@ -107,14 +166,20 @@ def test_a_bad_number_is_the_modules_typed_error_naming_the_field(entry, value):
 @pytest.mark.parametrize("entry, kind", [
     (entry, kind)
     for entry, (*_, read) in FIELDS.items() if read
-    for kind in (np.float32, np.float64, int)
-    if not (entry == "Narrowed.factor" and kind is int)  # no int lies in (0, 1)
+    for kind in (float, np.float32, np.float64, int, np.int64)
+    if not (entry == "Narrowed.factor" and kind in (int, np.int64))  # no int lies in (0, 1)
 ])
 def test_a_field_stores_a_python_float(entry, kind):
-    _, _, build, read = FIELDS[entry]
-    good = 0.5 if entry == "Narrowed.factor" else 1.0
+    """A real entry stores a Python float, from an int too; an integer entry
+    stores a Python int and refuses a float."""
+    name, error, build, read = FIELDS[entry]
+    good = INTEGERS.get(entry, 0.5 if entry == "Narrowed.factor" else 1.0)
+    if entry in INTEGERS and kind not in (int, np.int64):
+        with pytest.raises(error, match=f"^{re.escape(name)} must be an integer, got "):
+            build(kind(good))
+        return
     stored = read(build(kind(good)))
-    assert type(stored) is float and stored == good
+    assert type(stored) is type(good) and stored == good
 
 
 def test_a_float_keeps_its_bits():

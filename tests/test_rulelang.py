@@ -256,6 +256,8 @@ _PARSE_ROWS = [
                  id="order"),
     pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE triangle(-inf, 0.0, 1.0)"), "bad-shape", "2:12",
                  id="non-finite"),
+    pytest.param(SMALL_KB.replace(_E_LABEL, "label ZE triangle(-1.7e308, 1e308, 1.7e308)"),
+                 "bad-shape", "2:12", id="ramp-width-overflows"),
     pytest.param(SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^0"), "bad-shape", "2:12",
                  id="power-0"),
     pytest.param(SMALL_KB.replace(_E_LABEL, _E_LABEL + " ^99"), "bad-shape", "2:12",

@@ -78,6 +78,8 @@ def test_model_rejects_non_finite_entries():
         LinearModel(np.full((4, 4), np.nan), np.zeros((4, 1)))
     with pytest.raises(DesignError, match=r"A must be 4x4, got \(3, 3\)"):
         LinearModel(np.eye(3), np.zeros((4, 1)))
+    with pytest.raises(DesignError, match="^B must be 4x1, got a ragged nest$"):
+        LinearModel(np.eye(4), [np.zeros((2, 1)), np.zeros((2, 2))])
 
 
 def test_design_places_poles_exactly():

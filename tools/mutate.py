@@ -16,8 +16,9 @@ of rule conditions, an event's step, the slope force after a tilt, the
 fuzzy law's fold over its layers, its center-of-area arithmetic, the
 state its generated law reads, the gate a composed goal carries from the
 goal above, the SFC design's conjugation check, the SFC law's target, the
-number rule's refusal of a bool, the stationary point of the hierarchy
-audit's level-set gap and the guard on a universe too wide to sum.
+number rule's refusal of a bool, the integer rule's refusal of a bool, a
+label's finite ramp widths, the stationary point of the hierarchy audit's
+level-set gap and the guard on a universe too wide to sum.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -180,6 +181,19 @@ MUTANTS = (
         "plant.py",
         "isinstance(value, numbers.Real) and not isinstance(value, bool)",
         "isinstance(value, numbers.Real)",
+    ),
+    Mutant(
+        "a bool read as an integer",  # the one predicate of the integer rule
+        "plant.py",
+        "isinstance(value, numbers.Integral) or isinstance(value, bool)",
+        "isinstance(value, numbers.Integral)",
+    ),
+    Mutant(
+        "ramp width check dropped",  # a label whose degree divides by inf is kept
+        "fuzzy.py",
+        "        for q, r in zip(p, p[1:]):  # a ramp's degree divides by its width\n"
+        '            _real(f"{self.kind} ramp width", r - q, "finite", KBError)\n',
+        "",
     ),
     Mutant(
         "audit's stationary point unchecked",  # only the corners decide a gate
