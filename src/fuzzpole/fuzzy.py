@@ -250,13 +250,15 @@ class Rule:
     label), at the priority tier ``goal_index`` (1 is the highest)."""
 
     name: str
-    preconditions: tuple[Precondition, ...]
-    conclusion: tuple[str, str]  # (output variable, label)
+    preconditions: tuple[Precondition, ...]  # a list is stored as a tuple
+    conclusion: tuple[str, str]  # (output variable, label); a list too
     goal_index: int = 1
 
     def __post_init__(self):
         if not self.preconditions:
             raise KBError(f"rule '{self.name}' has no preconditions")
+        object.__setattr__(self, "preconditions", tuple(self.preconditions))
+        object.__setattr__(self, "conclusion", tuple(self.conclusion))
         goal = _integer(f"rule '{self.name}': goal index", self.goal_index, 1, math.inf, KBError)
         object.__setattr__(self, "goal_index", goal)
 

@@ -23,7 +23,6 @@ from .plant import (
     PlantError,
     PlantParams,
     PlantState,
-    _is_real,
     _real,
     _store,
     pole_params,
@@ -589,151 +588,142 @@ def default_scenario(
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """A scenario and the settling bands of its metrics section, checked as
-    ``compute_metrics`` checks a band and stored as Python floats."""
+    """A scenario and the settling bands of its metrics section, checked and
+    worded as ``compute_metrics`` checks a band and stored as Python floats."""
 
     scenario: Scenario
     theta_band_deg: float = DEFAULT_THETA_BAND_DEG
     x_band_m: float = DEFAULT_X_BAND_M
 
     def __post_init__(self):
-        bands = ("theta_band_deg", "x_band_m")
-        _store(self, bands, "positive and finite", ScenarioError, "metrics.")
+        _store(self, ("theta_band_deg", "x_band_m"), "positive and finite", ScenarioError)
 
 
-# One key table per config section: key -> conversion of its value.  Absent
-# keys are not passed on, so the dataclass defaults apply.  A conversion
-# raises TypeError or ValueError on a value of the wrong JSON type, which
-# ``_section`` reports under the key.
+# One key table per config section: key -> reader ``(path, value)``, where
+# ``path`` is the key's place in the file (``scenario.initial.theta_deg``).
+# A reader converts units and structure only: each value is checked once,
+# by the object built from its section (``_build``).  Absent keys are not
+# passed on, so the dataclass defaults apply.
 
 
-def _as_is(value):
+def _as_is(path: str, value):
     return value
 
 
-def _number(value) -> float:
-    if not _is_real(value):
-        raise TypeError(f"must be a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"must be a string, got {type(value).__name__}")
+def _object(path: str, value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{path} must be an object, got {type(value).__name__}")
     return value
 
 
-def _list(value) -> list | tuple:
+def _list(path: str, value) -> list | tuple:
     if not isinstance(value, (list, tuple)):
-        raise TypeError(f"must be a list, got {type(value).__name__}")
+        raise ScenarioError(f"{path} must be a list, got {type(value).__name__}")
     return value
 
 
-def _radians(value) -> float:
-    return math.radians(_number(value))
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its typed error reported as the
+    ScenarioError ``<path>: <message>``."""
+    try:
+        return make(*args, **kwargs)
+    except INPUT_ERRORS as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _pole(value) -> complex | float:
-    if not isinstance(value, (list, tuple)):
-        return _number(value)
+def _radians(path: str, value) -> float:
+    return math.radians(_real(path, value, "a real number", ScenarioError))
+
+
+def _pole(path: str, value) -> complex | float:
+    if not isinstance(value, (list, tuple)):  # design_gains takes no int past the float range
+        return _real(path, value, "a real number", ScenarioError)
     if len(value) != 2:
-        raise ValueError(f"a complex pole is a [re, im] pair, got {list(value)}")
-    return complex(_number(value[0]), _number(value[1]))
+        raise ScenarioError(f"{path}: a complex pole is a [re, im] pair, got {list(value)}")
+    return complex(*(_real(path, part, "a real number", ScenarioError) for part in value))
 
 
-def _poles(values) -> tuple:
-    return tuple(_pole(p) for p in _list(values))
+def _poles(path: str, values) -> tuple:
+    return tuple(_pole(path, p) for p in _list(path, values))
 
 
-def _mapping(name: str, cfg) -> Mapping:
-    if not isinstance(cfg, Mapping):
-        raise ScenarioError(f"{name} must be an object, got {type(cfg).__name__}")
-    return cfg
+def _preset(path: str, value) -> PlantParams:
+    return _build(path, pole_params, value)
 
 
-def _section(name: str, cfg, schema: Mapping) -> dict:
+def _period(path: str, value):
+    # Scenario reads None as every step, which a file says by leaving the key out
+    if value is None:
+        raise ScenarioError(f"{path} must not be null; leave it out to control at every step")
+    return value
+
+
+def _section(path: str, cfg, schema: Mapping) -> dict:
     values = {}
-    for key, value in _mapping(name, cfg).items():
+    for key, value in _object(path, cfg).items():
         if key not in schema:
             raise ScenarioError(
-                f"unknown key {key!r} in {name}; allowed: {', '.join(schema)}"
+                f"unknown key {key!r} in {path}; allowed: {', '.join(schema)}"
             )
-        try:
-            values[key] = schema[key](value)
-        except ScenarioError:  # a nested section names its own key
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{name}.{key}: {exc}") from exc
+        values[key] = schema[key](f"{path}.{key}", value)
     return values
 
 
-# initial-state key -> (PlantState field, conversion to SI units)
+# initial-state key -> (PlantState field, reader to SI units)
 _INITIAL_KEYS = {
     "theta_deg": ("theta", _radians),
     "theta_dot_deg_s": ("theta_dot", _radians),
-    "x_m": ("x", _number),
-    "x_dot_m_s": ("x_dot", _number),
+    "x_m": ("x", _as_is),
+    "x_dot_m_s": ("x_dot", _as_is),
     "tilt_deg": ("tilt", _radians),
 }
 # event kind -> key of its value, in degrees
 _EVENT_VALUE_KEYS = {"tap": "delta_theta_dot_deg_s", "set_tilt": "angle_deg"}
 
 
-def _initial(cfg) -> PlantState:
-    schema = {key: convert for key, (_, convert) in _INITIAL_KEYS.items()}
-    values = _section("scenario.initial", cfg, schema)
-    return PlantState(**{_INITIAL_KEYS[k][0]: v for k, v in values.items()})
+def _initial(path: str, cfg) -> PlantState:
+    schema = {key: read for key, (_, read) in _INITIAL_KEYS.items()}
+    values = _section(path, cfg, schema)
+    return _build(path, PlantState, **{_INITIAL_KEYS[k][0]: v for k, v in values.items()})
 
 
-def _events(items) -> tuple[DisturbanceEvent, ...]:
+def _events(path: str, items) -> tuple[DisturbanceEvent, ...]:
     events = []
-    for i, item in enumerate(_list(items)):
-        name = f"scenario.events[{i}]"
-        kind = _mapping(name, item).get("kind")
+    for i, item in enumerate(_list(path, items)):
+        name = f"{path}[{i}]"
+        kind = _object(name, item).get("kind")
         if not isinstance(kind, str) or kind not in _EVENT_VALUE_KEYS:
             raise ScenarioError(f"unknown event kind {kind!r} in {name} (tap or set_tilt)")
         value_key = _EVENT_VALUE_KEYS[kind]
-        e = _section(name, item, {"t": _number, "kind": _as_is, value_key: _radians})
+        e = _section(name, item, {"t": _as_is, "kind": _as_is, value_key: _radians})
         try:
-            events.append(DisturbanceEvent(e["t"], kind, e[value_key]))
+            t, value = e["t"], e[value_key]
         except KeyError as exc:
             raise ScenarioError(f"{name}: missing key {exc}") from exc
-        except PlantError as exc:
-            raise ScenarioError(f"{name}: {exc}") from exc
+        events.append(_build(name, DisturbanceEvent, t, kind, value))
     return tuple(events)
 
 
 _TOP_KEYS = dict.fromkeys(("plant", "scenario", "controller", "metrics"), _as_is)
-_PLANT_KEYS = {"preset": pole_params, **{f.name: _number for f in fields(PlantParams)}}
+_PLANT_KEYS = {"preset": _preset, **{f.name: _as_is for f in fields(PlantParams)}}
 _SCENARIO_KEYS = {
-    "name": _string,
-    **dict.fromkeys(("x_target", "duration", "dt", "control_period"), _number),
-    **dict.fromkeys(("track_bound", "theta_limit_deg"), _number),
-    "integrator": _string,
+    **{f.name: _as_is for f in fields(Scenario)
+       if f.name not in ("params", "controller", "initial", "events")},
+    "control_period": _period,
     "initial": _initial,
     "events": _events,
 }
-_FC_KEYS = {"type": _as_is, "rules": _string}
-_SFC_KEYS = {"type": _as_is, "nominal_pole": pole_params, "desired_poles": _poles}
-_METRICS_KEYS = {"theta_band_deg": _number, "x_band_m": _number}
-
-
-def _plant(cfg) -> PlantParams:
-    values = _section("plant", cfg, _PLANT_KEYS)
-    params = values.pop("preset", PlantParams())
-    for key, value in values.items():  # one at a time, so an error names its key
-        try:
-            params = replace(params, **{key: value})
-        except PlantError as exc:
-            raise ScenarioError(f"plant.{key}: {exc}") from exc
-    return params
+_FC_KEYS = dict.fromkeys(("type", "rules"), _as_is)
+_SFC_KEYS = {"type": _as_is, "nominal_pole": _preset, "desired_poles": _poles}
+_METRICS_KEYS = {f.name: _as_is for f in fields(ScenarioBundle) if f.name != "scenario"}
 
 
 def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
-    kind = _mapping("controller", cfg).get("type")
+    kind = _object("controller", cfg).get("type")
     if kind == "fc":
-        c = _section("controller", cfg, _FC_KEYS)
-        rules = c.get("rules", "builtin")
+        rules = _section("controller", cfg, _FC_KEYS).get("rules", "builtin")
+        if not isinstance(rules, str):
+            raise ScenarioError(f"controller.rules must be a string, got {type(rules).__name__}")
         if rules == "builtin":
             kb = builtin_pole_kb()
         else:  # a relative path is relative to base_dir
@@ -742,22 +732,14 @@ def _controller(cfg, base_dir: Path) -> FuzzyController | SFCController:
                 text = path.read_text(encoding="utf-8")
             except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
                 raise ScenarioError(f"cannot read controller.rules file {path}: {exc}") from exc
-            try:
-                kb = load_kb(text)
-            except RuleFileError as exc:
-                raise ScenarioError(f"controller.rules: {path}: {exc}") from exc
-        try:
-            return FuzzyController(kb)
-        except kernels.KernelError as exc:  # an undriven variable
-            raise ScenarioError(f"controller.rules: {exc}") from exc
+            kb = _build(f"controller.rules: {path}", load_kb, text)
+        return _build("controller.rules", FuzzyController, kb)  # an undriven variable
     if kind == "sfc":
         c = _section("controller", cfg, _SFC_KEYS)
         del c["type"]
         nominal = c.pop("nominal_pole") if "nominal_pole" in c else pole_params("pole-1")
-        try:
-            return SFCController(nominal, **c)
-        except DesignError as exc:  # the gains are designed on construction
-            raise ScenarioError(f"controller.desired_poles: {exc}") from exc
+        # the gains are designed on construction
+        return _build("controller.desired_poles", SFCController, nominal, **c)
     raise ScenarioError(f"unknown controller type {kind!r} (fc or sfc)")
 
 
@@ -767,16 +749,19 @@ def scenario_from_config(
     """Build a scenario from the parsed JSON configuration sections
     (plant / scenario / controller / metrics).  Unknown keys and sections
     that are not objects are rejected; absent keys take the defaults of
-    ``Scenario``, ``PlantState`` and ``ScenarioBundle``.  Keyword arguments
+    ``Scenario``, ``PlantState`` and ``ScenarioBundle``.  Each value is
+    checked by the object built from its section, whose error is reported
+    under the section (``scenario: dt must be ...``).  Keyword arguments
     set keys of the scenario section over what ``cfg`` holds."""
     top = _section("the configuration", cfg, _TOP_KEYS)
-    params = _plant(top.get("plant", {}))
+    plant = _section("plant", top.get("plant", {}), _PLANT_KEYS)
+    params = _build("plant", replace, plant.pop("preset", PlantParams()), **plant)
     controller = _controller(top.get("controller", {"type": "fc"}), Path(base_dir))
-    section = {**_mapping("scenario", top.get("scenario", {})), **scenario_keys}
-    s = _section("scenario", section, _SCENARIO_KEYS)
-    scenario = Scenario(params=params, controller=controller, **{"name": "scenario", **s})
+    section = {**_object("scenario", top.get("scenario", {})), **scenario_keys}
+    s = {"name": "scenario", **_section("scenario", section, _SCENARIO_KEYS)}
+    scenario = _build("scenario", Scenario, params=params, controller=controller, **s)
     metrics = _section("metrics", top.get("metrics", {}), _METRICS_KEYS)
-    return ScenarioBundle(scenario, **metrics)
+    return _build("metrics", ScenarioBundle, scenario, **metrics)
 
 
 def load_scenario(path: str | Path, **scenario_keys) -> ScenarioBundle:

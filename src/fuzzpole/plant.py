@@ -42,11 +42,6 @@ class PlantError(ValueError):
     pass
 
 
-def _is_real(value) -> bool:
-    """True for a real number of any type except ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # The ranges of ``_real``: the words its error gives, and a test of a float,
 # which NaN fails except in the first.
 _RANGES = {
@@ -67,7 +62,7 @@ def _real(name: str, value, want: str, error: type[Exception] = PlantError) -> f
     it, so a float keeps its bits (-0.0 too), a numpy scalar becomes a
     Python float and an int past the float range becomes +-inf."""
     if type(value) is not float:
-        if not _is_real(value):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise error(f"{name} must be a real number, got {type(value).__name__}")
         try:
             value = float(value)

@@ -573,7 +573,8 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     """Deterministic canonical text; parse(serialize(kb)) equals kb.
 
     Raises KBError for a name or unit the text could not carry: a name
-    that is not an identifier or is a keyword, a unit that is not one word.
+    that is not an identifier or is a keyword, a unit that is not one word,
+    a rule name used twice.
     """
     lines: list[str] = []
     ordered = sorted(
@@ -591,7 +592,11 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     u = kb.output_universe
     lines.append(f"universe {_fmt(u.lo)} {_fmt(u.hi)} {u.n}")
     lines.append("")
+    seen: set[str] = set()
     for rule in kb.rules:
+        if rule.name in seen:  # the parser reads the second as an error
+            raise KBError(f"duplicate rule name '{rule.name}'")
+        seen.add(rule.name)
         conds = " AND ".join(
             f"{p.variable} IS {_name(p.written_label, 'label')}"
             for p in rule.preconditions

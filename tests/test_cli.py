@@ -208,7 +208,7 @@ _REJECTED_FILES = {
         (["compare", "--controllers", ","], "compare needs at least one scenario"),
         (["compare", "--poles", ","], "--poles is empty"),
         (["compare", "--poles", "1", "--dt", "0"], "dt must be positive and finite, got 0.0"),
-        (["simulate", "--scenario", "rk2.json"], "unknown integrator 'rk2'"),
+        (["simulate", "--scenario", "rk2.json"], "scenario: unknown integrator 'rk2'"),
         (
             ["simulate", "--scenario", "far-poles.json"],
             "controller.desired_poles: placement verification failed",

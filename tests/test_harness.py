@@ -549,7 +549,7 @@ def test_load_full_config(tmp_path):
 def test_config_sfc_controller(tmp_path):
     cfg = {
         "plant": {"preset": "pole-7"},
-        "scenario": {"duration": 10.0},
+        "scenario": {"duration": 10.0, "track_bound": 10**400},  # past floats: no bound
         "controller": {
             "type": "sfc",
             "nominal_pole": "pole-1",
@@ -558,6 +558,7 @@ def test_config_sfc_controller(tmp_path):
     }
     bundle = load_scenario(write_config(tmp_path, cfg))
     assert bundle.scenario.params == pole_params(7)
+    assert bundle.scenario.track_bound == math.inf
     assert bundle.scenario.controller.nominal == pole_params(1)
 
 
@@ -785,25 +786,35 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
     "cfg, named",
     [
         ({"scenario": {"initial": {"theta_deg": "abc"}}},
-         "scenario.initial.theta_deg: must be a number, got str"),
-        ({"scenario": {"events": 5}}, "scenario.events: must be a list, got int"),
-        ({"scenario": {"events": _TAP}}, "scenario.events: must be a list, got dict"),
-        ({"controller": {"type": "fc", "rules": 5}}, "controller.rules: must be a string, got int"),
-        ({"scenario": {"duration": True}}, "scenario.duration: must be a number, got bool"),
-        ({"scenario": {"dt": "2"}}, "scenario.dt: must be a number, got str"),
-        ({"scenario": {"x_target": [1]}}, "scenario.x_target: must be a number, got list"),
-        ({"scenario": {"track_bound": None}}, "scenario.track_bound: must be a number, got NoneType"),
-        ({"plant": {"m": 10**400}}, "plant.m: int too large to convert to float"),
+         "scenario.initial.theta_deg must be a real number, got str"),
+        ({"scenario": {"initial": {"theta_deg": True}}},
+         "scenario.initial.theta_deg must be a real number, got bool"),
+        ({"scenario": {"initial": {"theta_deg": math.inf}}},
+         "scenario.initial: state theta must be finite, got inf"),
+        ({"scenario": {"initial": {"x_m": True}}},
+         "scenario.initial: state x must be a real number, got bool"),
+        ({"scenario": {"events": 5}}, "scenario.events must be a list, got int"),
+        ({"scenario": {"events": _TAP}}, "scenario.events must be a list, got dict"),
+        ({"controller": {"type": "fc", "rules": 5}}, "controller.rules must be a string, got int"),
+        ({"scenario": {"duration": True}}, "scenario: duration must be a real number, got bool"),
+        ({"scenario": {"dt": "2"}}, "scenario: dt must be a real number, got str"),
+        ({"scenario": {"dt": -1}}, "scenario: dt must be positive and finite, got -1.0"),
+        ({"scenario": {"duration": 10**400}}, "scenario: duration must be finite, got inf"),
+        ({"scenario": {"x_target": [1]}}, "scenario: x_target must be a real number, got list"),
+        ({"scenario": {"track_bound": None}},
+         "scenario: track_bound must be a real number, got NoneType"),
+        ({"scenario": {"control_period": None}}, "scenario.control_period must not be null"),
+        ({"plant": {"m": 10**400}}, "plant: m must be positive and finite, got inf"),
         ({"scenario": {"events": [{**_TAP, "t": "1"}]}},
-         "scenario.events[0].t: must be a number, got str"),
+         "scenario.events[0]: event time must be a real number, got str"),
         ({"scenario": {"events": [{**_TAP, "kind": ["tap"]}]}},
          "unknown event kind ['tap'] in scenario.events[0]"),
-        ({"scenario": {"name": 5}}, "scenario.name: must be a string, got int"),
-        ({"metrics": {"x_band_m": False}}, "metrics.x_band_m: must be a number, got bool"),
+        ({"scenario": {"name": 5}}, "scenario: name must be a str, got int"),
+        ({"metrics": {"x_band_m": False}}, "metrics: x_band_m must be a real number, got bool"),
         ({"plant": {"preset": "pole-9"}}, "plant.preset: unknown pole preset 'pole-9'"),
         ({"controller": {"type": "sfc", "nominal_pole": "pole-9"}},
          "controller.nominal_pole: unknown pole preset 'pole-9'"),
-        ({"plant": {"m": -1.0}}, "plant.m: m must be positive and finite, got -1.0"),
+        ({"plant": {"m": -1.0}}, "plant: m must be positive and finite, got -1.0"),
         ({"scenario": {"events": [{"kind": "tap", "delta_theta_dot_deg_s": 5.0}]}},
          "scenario.events[0]: missing key 't'"),
         ({"scenario": {"events": [_TAP, {"t": 1.0, "kind": "set_tilt"}]}},
@@ -816,20 +827,30 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
          "cannot read controller.rules file"),
         ({"controller": {"type": "sfc", "desired_poles": [1e300, 1e300, -1e300, -1e300]}},
          "controller.desired_poles: gains are not finite for desired poles"),
+        ({"controller": {"type": "sfc", "desired_poles": [[-1, True], -1, -2, -3]}},
+         "controller.desired_poles must be a real number, got bool"),
+        ({"controller": {"type": "sfc", "desired_poles": [10**400, -1, -2, -3]}},
+         "controller.desired_poles: desired poles must be finite"),
     ],
     ids=[
-        "initial-string", "events-number", "events-object", "rules-number", "duration-true",
-        "dt-string", "number-list", "number-null", "huge-integer", "event-t-string",
+        "initial-string", "angle-true", "angle-inf", "initial-true", "events-number",
+        "events-object", "rules-number", "duration-true", "dt-string", "dt-negative",
+        "huge-duration", "number-list", "number-null", "period-null", "huge-integer",
+        "event-t-string",
         "event-kind-list", "name-number", "band-false", "unknown-preset",
         "unknown-nominal-pole", "plant-value", "event-no-t", "event-no-value",
         "event-t-negative", "event-value-inf", "rules-path-nul", "poles-overflow",
+        "pole-pair-true", "huge-pole",
     ],
 )
 def test_config_values_of_the_wrong_type_name_their_key(tmp_path, capsys, cfg, named):
-    """A value of the wrong JSON type, an unknown pole preset or a plant
-    value out of range is a ScenarioError naming its key, and exit 1: number keys take JSON numbers only (not true or "2"),
-    ``events`` and ``desired_poles`` take lists, and names and paths take
-    strings."""
+    """A value of the wrong JSON type or out of range is a ScenarioError,
+    and exit 1.  A value read in degrees or as a pole is checked by the
+    number rule under its key; any other value by the object built from its
+    section, whose message comes after the section's path.  Number keys
+    take JSON numbers only (not true or "2"), an integer past the float
+    range reads as +-inf, ``events`` and ``desired_poles`` take lists, and
+    names and paths take strings."""
     with pytest.raises(ScenarioError, match=re.escape(named)):
         scenario_from_config(cfg)
     assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1
@@ -844,7 +865,7 @@ def test_settling_bands_must_be_positive_and_finite(key, band):
     negative one as never settled: the metrics section and
     ``compute_metrics`` both reject a band outside (0, inf)."""
     message = f"{key} must be positive and finite, got {band}"
-    with pytest.raises(ScenarioError, match=re.escape(f"metrics.{message}")):
+    with pytest.raises(ScenarioError, match=re.escape(f"metrics: {message}")):
         scenario_from_config({"metrics": {key: band}})
     scenario = default_scenario(1, "sfc", duration=0.1)
     traj = run(scenario)
@@ -857,14 +878,15 @@ def test_settling_bands_must_be_positive_and_finite(key, band):
     [
         (lambda t, s: compute_metrics(t, s, theta_band_deg="1"), "theta_band_deg"),
         (lambda t, s: compute_metrics(t, s, x_band_m=None), "x_band_m"),
-        (lambda t, s: ScenarioBundle(s, theta_band_deg="1"), "metrics.theta_band_deg"),
-        (lambda t, s: ScenarioBundle(s, x_band_m=None), "metrics.x_band_m"),
+        (lambda t, s: ScenarioBundle(s, theta_band_deg="1"), "theta_band_deg"),
+        (lambda t, s: ScenarioBundle(s, x_band_m=None), "x_band_m"),
     ],
     ids=["metrics-string", "metrics-none", "bundle-string", "bundle-none"],
 )
 def test_a_settling_band_that_is_not_a_number_is_a_scenario_error(check, message):
     """A band that is not a real number is a ScenarioError naming it, not a
-    TypeError from comparing it with zero."""
+    TypeError from comparing it with zero; a bundle words it as
+    ``compute_metrics`` does."""
     scenario = default_scenario(1, "sfc", duration=0.1)
     traj = run(scenario)
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)} must be a real number, got"):

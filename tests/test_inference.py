@@ -249,6 +249,17 @@ def test_rule_and_kb_structure_checks(kb):
             Rule("r", (Precondition("theta", "ZE"),), ("F", "PM"), goal_index=goal)
     with pytest.raises(KBError, match="output variable 'G' not defined"):
         KnowledgeBase(kb.variables, "G", (), kb.output_universe)
+    # lists are stored as tuples: the rule hashes, composes and round-trips
+    from fuzzpole.hierarchy import Goal, GoalSpec, Narrowed, compose_hierarchical
+    from fuzzpole.rulelang import parse_knowledge_base, serialize_kb
+
+    listed = Rule("r", [Precondition("theta", "ZE")], ["F", "ZE"])
+    assert listed.preconditions == (Precondition("theta", "ZE"),)
+    assert listed.conclusion == ("F", "ZE") and hash(listed) == hash(replace(listed))
+    spec = GoalSpec((Goal("balance_pole", ("theta",)),))
+    assert compose_hierarchical(spec, [[listed]], Narrowed(0.5), kb).rules == (listed,)
+    one_rule = KnowledgeBase(kb.variables, "F", (listed,), kb.output_universe)
+    assert parse_knowledge_base(serialize_kb(one_rule)).kb == one_rule
 
 
 def test_kb_rejects_bad_references(kb):

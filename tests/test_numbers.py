@@ -100,7 +100,7 @@ FIELDS = {
     },
     **{
         f"ScenarioBundle.{n}": (
-            f"metrics.{n}", ScenarioError,
+            n, ScenarioError,
             lambda v, n=n: ScenarioBundle(_run()[1], **{n: v}), attrgetter(n),
         )
         for n in ("theta_band_deg", "x_band_m")

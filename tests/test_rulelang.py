@@ -443,14 +443,15 @@ def test_serialize_deterministic(kb):
 @pytest.mark.parametrize(
     "field, text",
     [("var", "1x"), ("label", "a b"), ("rule", "if"), ("var", "IS"),
-     ("unit", "deg s"), ("unit", "N(m)")],
+     ("unit", "deg s"), ("unit", "N(m)"), ("r2", "r1")],
 )
-def test_serialize_rejects_what_would_not_parse(field, text):
-    """A name the parser would not read back, or a unit of more than one
-    word, is a KBError naming it, not text that fails to parse."""
+def test_serialize_rejects_what_would_not_parse(kb, field, text):
+    """A name the parser would not read back, a unit of more than one
+    word, or a rule name used twice (the built-in KB with its r2 renamed
+    r1) is a KBError naming it, not text that fails to parse."""
     n = {"var": "e", "label": "P", "rule": "a", "unit": "V", field: text}
     mf = MembershipFunction("triangle", (-1.0, 0.0, 1.0))
-    kb = KnowledgeBase(
+    bad = KnowledgeBase(
         {
             n["var"]: LinguisticVariable(n["var"], n["unit"], {n["label"]: mf}),
             "u": LinguisticVariable("u", "N", {"Z": mf}),
@@ -459,8 +460,11 @@ def test_serialize_rejects_what_would_not_parse(field, text):
         (Rule(n["rule"], (Precondition(n["var"], n["label"]),), ("u", "Z"), 1),),
         OutputUniverse(-1.0, 1.0, 21),
     )
+    if field == "r2":
+        rules = tuple(replace(r, name=text) if r.name == field else r for r in kb.rules)
+        bad = replace(kb, rules=rules)
     with pytest.raises(KBError, match=re.escape(f"'{text}'")):
-        serialize_kb(kb)
+        serialize_kb(bad)
 
 
 def test_a_leading_byte_order_mark_is_dropped(kb):

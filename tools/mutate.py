@@ -18,7 +18,8 @@ state its generated law reads, the gate a composed goal carries from the
 goal above, the SFC design's conjugation check, the SFC law's target, the
 number rule's refusal of a bool, the integer rule's refusal of a bool, a
 label's finite ramp widths, the stationary point of the hierarchy audit's
-level-set gap and the guard on a universe too wide to sum.
+level-set gap, the guard on a universe too wide to sum, the number rule on
+a scenario file's angles and a rule's preconditions stored as a tuple.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -179,7 +180,7 @@ MUTANTS = (
     Mutant(
         "a bool read as a number",  # the one predicate of the number rule
         "plant.py",
-        "isinstance(value, numbers.Real) and not isinstance(value, bool)",
+        "isinstance(value, numbers.Real) or isinstance(value, bool)",
         "isinstance(value, numbers.Real)",
     ),
     Mutant(
@@ -206,6 +207,18 @@ MUTANTS = (
         "fuzzy.py",
         "if not math.isfinite(self.n * size):",
         "if False:",
+    ),
+    Mutant(
+        "degrees read without the number rule",  # a file's "theta_deg": true loads
+        "harness.py",
+        'math.radians(_real(path, value, "a real number", ScenarioError))',
+        "math.radians(value)",
+    ),
+    Mutant(
+        "a rule keeps a list of preconditions",  # it neither hashes nor composes
+        "fuzzy.py",
+        'object.__setattr__(self, "preconditions", tuple(self.preconditions))',
+        'object.__setattr__(self, "preconditions", self.preconditions)',
     ),
 )
 
