@@ -636,8 +636,8 @@ def _radians(path: str, value) -> float:
 
 
 def _pole(path: str, value) -> complex | float:
-    if not isinstance(value, (list, tuple)):  # design_gains takes no int past the float range
-        return _real(path, value, "a real number", ScenarioError)
+    if not isinstance(value, (list, tuple)):
+        return value
     if len(value) != 2:
         raise ScenarioError(f"{path}: a complex pole is a [re, im] pair, got {list(value)}")
     return complex(*(_real(path, part, "a real number", ScenarioError) for part in value))

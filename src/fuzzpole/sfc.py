@@ -129,7 +129,10 @@ def design_gains(
         raise DesignError(f"need exactly 4 desired poles, got {len(entries)}")
     if not all(isinstance(p, numbers.Number) and not isinstance(p, bool) for p in entries):
         raise DesignError(f"desired poles must be a flat sequence of numbers, got {entries!r}")
-    poles = np.array(entries, dtype=np.complex128)
+    try:
+        poles = np.array(entries, dtype=np.complex128)
+    except OverflowError:
+        raise DesignError("desired poles must be finite, got an int past the float range") from None
     if not np.all(np.isfinite(poles)):
         raise DesignError(f"desired poles must be finite, got {poles}")
     A, B = model.A, model.B

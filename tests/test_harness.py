@@ -845,12 +845,12 @@ def test_config_schema_rejects_unknown_keys_and_non_objects(tmp_path, capsys, cf
 )
 def test_config_values_of_the_wrong_type_name_their_key(tmp_path, capsys, cfg, named):
     """A value of the wrong JSON type or out of range is a ScenarioError,
-    and exit 1.  A value read in degrees or as a pole is checked by the
-    number rule under its key; any other value by the object built from its
-    section, whose message comes after the section's path.  Number keys
-    take JSON numbers only (not true or "2"), an integer past the float
-    range reads as +-inf, ``events`` and ``desired_poles`` take lists, and
-    names and paths take strings."""
+    and exit 1.  A value read in degrees or as part of a [re, im] pole is
+    checked by the number rule under its key; any other value by the
+    object built from its section, whose message comes after the section's
+    path.  Number keys take JSON numbers only (not true or "2"), an
+    integer past the float range reads as +-inf, ``events`` and
+    ``desired_poles`` take lists, and names and paths take strings."""
     with pytest.raises(ScenarioError, match=re.escape(named)):
         scenario_from_config(cfg)
     assert main(["simulate", "--scenario", str(write_config(tmp_path, cfg))]) == 1

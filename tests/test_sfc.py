@@ -174,14 +174,15 @@ def test_conjugate_pairs_keep_their_gains():
         (("a", "b", "c", "d"), "must be a flat sequence of numbers"),
         ((True, -1.0, -2.0, -3.0), "must be a flat sequence of numbers"),
         (-2.0, "need exactly 4 desired poles, got 1"),
+        ((10**400, -1, -2, -3), "desired poles must be finite, got an int past the float range"),
     ],
-    ids=["re-im-pairs", "nested", "strings", "bool", "scalar"],
+    ids=["re-im-pairs", "nested", "strings", "bool", "scalar", "huge-int"],
 )
 def test_desired_poles_are_taken_as_given(poles, message):
     """Poles are a flat sequence of four numbers: the JSON [re, im] form
     written in Python is two entries, not four real poles, and an entry
-    that is not a number or a scalar in place of the sequence is a
-    DesignError too."""
+    that is not a number, an int past the float range or a scalar in place
+    of the sequence is a DesignError too."""
     with pytest.raises(DesignError, match=re.escape(message)):
         design_gains(linearize(P1), poles)
     with pytest.raises(DesignError, match=re.escape(message)):
