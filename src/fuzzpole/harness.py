@@ -9,11 +9,13 @@ scenarios reproduce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 from . import kernels
@@ -524,17 +526,19 @@ def compare(scenarios: Sequence[Scenario]) -> Comparison:
 _DEG = kernels.RAD2DEG
 _DEGREE_COLUMNS = (1.0, _DEG, _DEG, 1.0, 1.0, 1.0, _DEG)  # numpy broadcasts it as float64
 _ROW_FORMAT = ",".join(["%.6g"] * 7) + "\n"
-_EMIT_BLOCK_ROWS = 256
-_BLOCK_FORMAT = _ROW_FORMAT * _EMIT_BLOCK_ROWS  # a full block's rows, one format
+_EMIT_BLOCK_ROWS = 1024  # long enough to spread numpy's call cost, short enough to stay in cache
+_CELL_BYTES = 16  # a cell's text and separator, NULs in the gaps
+# A cell is decided when 1e-300 <= |v| < 1e300.  log10 may round across a
+# power of ten, so the tables span one more decimal exponent on each side.
+_EXP_LO, _EXP_HI = -301, 300
 
 
 def emit_trajectory(traj: Trajectory, destination: str | Path | IO[str]) -> None:
     """Write the trajectory as CSV, angles in degrees, 6 significant digits.
 
-    Rows are scaled to degrees, turned into Python floats, formatted by one
-    ``%`` over the block and written a block at a time, so the transient
-    memory is one block, not the whole text; ``"%.6g"`` formats a float
-    exactly as ``f"{v:.6g}"`` does.
+    Rows are scaled to degrees and written a block at a time, so the
+    transient memory is one block, not the whole text.  Each cell reads as
+    ``"%.6g" % v`` would (``_write_block``).
     """
     if hasattr(destination, "write"):
         _write_rows(traj.data, destination)
@@ -550,10 +554,102 @@ def emit_trajectory(traj: Trajectory, destination: str | Path | IO[str]) -> None
 def _write_rows(data, out):
     out.write(TRAJECTORY_HEADER + "\n")
     for start in range(0, data.shape[0], _EMIT_BLOCK_ROWS):
-        block = data[start:start + _EMIT_BLOCK_ROWS] * _DEGREE_COLUMNS
-        rows = block.shape[0]
-        fmt = _BLOCK_FORMAT if rows == _EMIT_BLOCK_ROWS else _ROW_FORMAT * rows
-        out.write(fmt % tuple(block.ravel().tolist()))
+        _write_block(data[start:start + _EMIT_BLOCK_ROWS] * _DEGREE_COLUMNS, out)
+
+
+def _write_block(block, out):
+    """Write the rows of a (rows, 7) float64 block exactly as
+    ``_ROW_FORMAT % row`` writes them: numpy lays out each row whose cells
+    ``_layout_cells`` decides, and ``%`` formats the rest."""
+    cells, undecided = _layout_cells(block)
+    text = cells.tobytes()
+    row_bytes = 7 * _CELL_BYTES
+    start = 0
+    for row in undecided:
+        out.write(text[start * row_bytes:row * row_bytes].translate(None, b"\0").decode("ascii"))
+        out.write(_ROW_FORMAT % tuple(block[row].tolist()))
+        start = row + 1
+    out.write(text[start * row_bytes:].translate(None, b"\0").decode("ascii"))
+
+
+def _layout_cells(block):
+    """Each cell's ``%.6g`` text with its separator, in ``_CELL_BYTES`` bytes
+    padded with NULs, and the rows holding a cell it does not decide.
+
+    ``%.6g`` rounds |v| correctly to a 6-digit mantissa m in [1e5, 1e6)
+    and an exponent X, |v| ~ m * 10**(X - 5); its text follows from the
+    sign, m and X alone.  Here X = floor(log10|v|) and y = |v| * 10**(5 - X)
+    by a correctly rounded power of ten, so y is within 3e-10 of its exact
+    value.  A cell with 1e-300 <= |v| < 1e300 is decided when
+    1e5 <= y < 999999.5 and |y - rint(y)| < 0.5 - 1e-7: then m = rint(y)
+    for certain.  Should log10 round across a power of ten, y is off
+    tenfold and fails the range, unless it is within 3e-10 of 1e5, where
+    both exponents round |v| to 10**X.  Left undecided: NaN, infinities,
+    |v| out of that range, near-ties and a carry to 1e6.  Zeros print as
+    ``0`` and ``-0``.
+
+    The layout, as two little-endian words: byte 0 holds the sign; bytes
+    1-7 the integer digits, the point and the fraction digits (fixed
+    notation for -4 <= X <= 5, one integer digit otherwise), or ``0.`` and
+    the zeros after it when X < 0; bytes 8-14 the exponent or, when X < 0
+    in fixed notation, the digits; byte 15 the separator.  Trailing zeros
+    of the fraction are dropped.
+    """
+    import numpy as np
+
+    tables = _cell_tables()
+    rows = block.shape[0]
+    v = block.ravel()
+    a = np.abs(v)
+    decided = (a >= 1e-300) & (a < 1e300)  # False for NaN
+    a = np.where(decided, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.intp) - _EXP_LO
+    y = a * tables.scale[x]
+    m = np.rint(y)
+    decided &= (y >= 1e5) & (y < 999999.5) & (np.abs(y - m) < 0.5 - 1e-7)
+    zero = v == 0
+    m = np.where(decided, m, 1e5)  # a carry or a misplaced y indexes no table
+    high, low = np.divmod(m.astype(np.intp), 1000)
+    digits = tables.digits[high] | tables.digits[low] << 24
+    significant = digits & (tables.kept_high[high] | tables.kept_low[low])
+    shift = tables.integer_bits[x]
+    fraction = significant >> shift
+    point = (fraction != 0) * (ord(".") << shift)
+    body = digits & ((1 << shift) - 1) | point | fraction << (shift + 8)
+    prefix = tables.prefix[x]
+    below_one = prefix != 0
+    body = np.where(zero, ord("0"), np.where(below_one, prefix, body))
+    tail = np.where(below_one, significant, tables.exponent[x])
+    cells = np.empty((rows, 7, 2), "<u8")
+    cells[..., 0] = (np.signbit(v) * np.uint64(ord("-")) | body << 8).reshape(rows, 7)
+    cells[..., 1] = tail.reshape(rows, 7) | tables.separator
+    undecided = np.unique(np.flatnonzero(~(decided | zero)) // 7)
+    return cells, undecided.tolist()
+
+
+@functools.cache
+def _cell_tables():
+    """The lookup tables of ``_layout_cells``, indexed by X - _EXP_LO or by
+    a 3-digit group; built on the first export, so importing fuzzpole loads
+    no numpy."""
+    import numpy as np
+
+    def packed(texts):
+        return np.array([int.from_bytes(t.encode("ascii"), "little") for t in texts], np.uint64)
+
+    exponents = range(_EXP_LO, _EXP_HI + 1)
+    groups = [f"{n:03d}" for n in range(1000)]
+    kept = [(1 << 8 * len(g.rstrip("0"))) - 1 for g in groups]
+    return SimpleNamespace(
+        scale=np.array([float(f"1e{5 - e}") for e in exponents]),
+        integer_bits=np.array([8 * (e + 1 if 0 <= e <= 5 else 1) for e in exponents], np.uint64),
+        prefix=packed("0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in exponents),
+        exponent=packed("" if -4 <= e <= 5 else f"e{e:+03d}" for e in exponents),
+        digits=packed(groups),
+        kept_high=np.array(kept, np.uint64),
+        kept_low=np.array([k << 24 | (n and 0xFFFFFF) for n, k in enumerate(kept)], np.uint64),
+        separator=np.array([ord(",") << 56] * 6 + [ord("\n") << 56], np.uint64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzpole import harness
 from fuzzpole.harness import (
     MAX_STEPS,
+    TRAJECTORY_HEADER,
     Comparison,
     FuzzyController,
     SFCController,
@@ -417,11 +419,91 @@ def test_emit_matches_per_cell_reference():
     for i, value in enumerate(specials):
         data[1 + 1237 * i, :] = value
         data[2 + 1237 * i, i % 7] = value
-    for rows in (data[:3], data[:1024], data[:1025], data):
+    block = harness._EMIT_BLOCK_ROWS
+    for rows in (data[:3], data[:block], data[:block + 1], data[:2 * block - 1], data):
         traj = Trajectory(rows, "completed")
         buffer = io.StringIO()
         emit_trajectory(traj, buffer)
         assert buffer.getvalue() == _emit_reference(traj)
+
+
+class _CountingFormat(str):
+    """``harness._ROW_FORMAT`` that counts the rows ``%`` formats."""
+
+    rows = 0
+
+    def __mod__(self, values):
+        self.rows += 1
+        return str.__mod__(self, values)
+
+
+def _assert_block_matches_cells(values, monkeypatch=None):
+    """``harness._write_block`` reads cell by cell as ``"%.6g" % v`` over
+    one row per value, the value in column i % 7 of row i and 0.5 in the
+    others, so that no other cell of its row sends it to ``%``.  Returns
+    the number of rows ``%`` formatted."""
+    block = np.full((len(values), 7), 0.5)
+    block[np.arange(len(values)), np.arange(len(values)) % 7] = values
+    counting = _CountingFormat(harness._ROW_FORMAT)
+    if monkeypatch is not None:
+        monkeypatch.setattr(harness, "_ROW_FORMAT", counting)
+    out = io.StringIO()
+    harness._write_block(block, out)
+    got = [line.split(",") for line in out.getvalue().split("\n")]
+    assert got.pop() == [""]
+    assert got == [["%.6g" % v for v in row] for row in block.tolist()]
+    return counting.rows
+
+
+_TIE_MANTISSAS = list(range(100000, 1000000, 8123)) + [100000, 999999]
+
+
+def _adversarial_cells():
+    cells = []
+    for k in range(-310, 309):  # 10**k and 1-4 ulps either side
+        up = down = float(f"1e{k}")
+        cells.append(up)
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            cells += [up, down]
+    for edge in (9.999995e-5, 1e-4, 99999.95, 999999.5, 999999.4999999999, 1e5, 1e6,
+                 1e-300, 1e300, 123456.5 - 1e-7, 123456.5 + 1e-7, 123456.5 - 2e-7):
+        cells += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    for m in _TIE_MANTISSAS:  # exactly representable 6-digit ties and their kin
+        cells += [(m + 0.5) * 2.0**-j for j in range(13)]
+        cells += [float((10 * m + 5) * 10**k) for k in range(9)]
+    cells += [-v for v in cells] + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+    return cells
+
+
+def test_block_formatter_matches_percent_on_adversarial_cells(monkeypatch):
+    """Powers of ten and their neighbours, the fixed/exponent switch points,
+    a carry to 1e6, exact ties and both edges of the decided range: numpy's
+    text is ``%``'s, and ``%`` itself formats the rows numpy leaves."""
+    cells = _adversarial_cells()
+    fallback = _assert_block_matches_cells(cells, monkeypatch)
+    assert 0 < fallback < len(cells)
+
+
+_near_ties = st.builds(
+    lambda m, e, sign: sign * (m + 0.5) * 10.0**e,
+    st.integers(100000, 999999), st.integers(-310, 300), st.sampled_from((1.0, -1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(width=64), _near_ties), min_size=1, max_size=49))
+def test_block_formatter_matches_percent(values):
+    """Any float64 cell, NaN, infinities, signed zeros and subnormals included,
+    and cells a rounding error from a 6-digit tie."""
+    _assert_block_matches_cells(values)
+
+
+def test_emit_one_row_is_one_line():
+    traj = Trajectory(np.array([[0.5, math.pi / 180, -1.0, 1e-5, 123456.5, -0.0, 0.0]]), "completed")
+    buffer = io.StringIO()
+    emit_trajectory(traj, buffer)
+    assert buffer.getvalue() == TRAJECTORY_HEADER + "\n0.5,1,-57.2958,1e-05,123456,-0,0\n"
 
 
 def test_emit_write_failure_names_path(tmp_path):
@@ -1167,5 +1249,8 @@ def test_force_not_finite_at_the_first_step(caplog):
     assert traj.termination == "non_finite"
     assert traj.data.shape == (0, 7)
     assert "at t=0 s" in caplog.records[0].getMessage()
+    buffer = io.StringIO()
+    emit_trajectory(traj, buffer)
+    assert buffer.getvalue() == TRAJECTORY_HEADER + "\n"  # the header alone
     with pytest.raises(ScenarioError, match="empty trajectory"):
         compute_metrics(traj, scenario)

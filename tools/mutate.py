@@ -19,7 +19,9 @@ goal above, the SFC design's conjugation check, the SFC law's target, the
 number rule's refusal of a bool, the integer rule's refusal of a bool, a
 label's finite ramp widths, the stationary point of the hierarchy audit's
 level-set gap, the guard on a universe too wide to sum, the number rule on
-a scenario file's angles and a rule's preconditions stored as a tuple.
+a scenario file's angles, a rule's preconditions stored as a tuple, and
+the CSV writer's margin from a rounding tie and its refusal of a carry to
+1e6.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -213,6 +215,18 @@ MUTANTS = (
         "harness.py",
         'math.radians(_real(path, value, "a real number", ScenarioError))',
         "math.radians(value)",
+    ),
+    Mutant(
+        "near-tie margin dropped",  # a y one rounding from a tie is decided in numpy
+        "harness.py",
+        "(np.abs(y - m) < 0.5 - 1e-7)",
+        "(np.abs(y - m) < 0.5)",
+    ),
+    Mutant(
+        "carry to 1e6 decided in numpy",  # a mantissa rounding up to 1e6 is laid out
+        "harness.py",
+        "(y < 999999.5)",
+        "(y < 1e6)",
     ),
     Mutant(
         "a rule keeps a list of preconditions",  # it neither hashes nor composes
