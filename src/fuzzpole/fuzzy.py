@@ -49,6 +49,9 @@ _SHAPES = {
     SHOULDER_DOWN: (("full", "end"), lambda full, end: (-math.inf, -math.inf, full, end)),
 }
 SHAPES = tuple(_SHAPES)
+# shape -> the names the number rule gives its parameters and its ramp widths
+_CHECKED = {kind: (tuple(f"membership parameter {n}" for n in names), f"{kind} ramp width")
+            for kind, (names, _) in _SHAPES.items()}
 
 
 class KBError(ValueError):
@@ -82,7 +85,7 @@ class NoRuleFired(RuntimeError):
 def _pow_int(value, power: int):
     """Integer power by repeated multiplication (works for scalars and arrays).
 
-    Kept multiplicative so the scalar path, ``sample`` and the compiled kernel
+    Kept multiplicative so the scalar path, :func:`_curves` and the compiled kernel
     in :mod:`fuzzpole.kernels` produce bit-identical degrees.
     """
     result = value
@@ -139,6 +142,7 @@ class MembershipFunction:
         if self.kind not in _SHAPES:
             raise KBError(f"unknown membership shape '{self.kind}'")
         names, corners = _SHAPES[self.kind]
+        checked, ramp = _CHECKED[self.kind]
         p = self.params
         if len(p) != len(names):
             raise KBError(
@@ -147,14 +151,13 @@ class MembershipFunction:
             )
         # Parameters are stored as Python floats, a zero as +0.0: a numpy
         # scalar would reach the generated law and slow each of its steps.
-        p = tuple([_real(f"membership parameter {n}", v, "finite", KBError) + 0.0
-                   for n, v in zip(names, p)])
+        p = tuple([_real(n, v, "finite", KBError) + 0.0 for n, v in zip(checked, p)])
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "power", _integer("power", self.power, 1, self.MAX_POWER, KBError))
         if not all(a < b for a, b in zip(p, p[1:])):
             raise KBError(f"{self.kind} needs {' < '.join(names)}, got {p}")
         for q, r in zip(p, p[1:]):  # a ramp's degree divides by its width
-            _real(f"{self.kind} ramp width", r - q, "finite", KBError)
+            _real(ramp, r - q, "finite", KBError)
         object.__setattr__(self, "corners", corners(*p))
 
     def __call__(self, v: float) -> float:
@@ -163,19 +166,7 @@ class MembershipFunction:
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same arithmetic as the scalar path."""
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=np.float64)
-        a, b, c, d = self.corners
-        with np.errstate(invalid="ignore"):  # inf - inf on a shoulder's open side
-            up = (xs - a) / (b - a)
-            down = (d - xs) / (d - c)
-        base = np.where(
-            xs < b,
-            np.where(xs <= a, 0.0, up),
-            np.where(xs <= c, 1.0, np.where(xs >= d, 0.0, down)),
-        )
-        return _pow_int(base, self.power)
+        return _curves((self,), xs)[0, ...]
 
     def support_at(self, eps: float) -> tuple[float, float]:
         """Interval where mu(v) >= eps, accounting for the power."""
@@ -184,6 +175,30 @@ class MembershipFunction:
         lo = a + level * (b - a) if a > -math.inf else a
         hi = d - level * (d - c) if d < math.inf else d
         return lo, hi
+
+
+def _curves(mfs: Sequence[MembershipFunction], xs) -> np.ndarray:
+    """Each of ``mfs`` at each of ``xs``, one row per label, in one array
+    evaluation: ``_DEGREE`` and ``_pow_int`` elementwise, so every degree has
+    the scalar path's bits."""
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=np.float64)
+    column = (len(mfs),) + (1,) * xs.ndim
+    a, b, c, d = np.reshape([mf.corners for mf in mfs], (len(mfs), 4)).T.reshape((4, *column))
+    with np.errstate(invalid="ignore"):  # inf - inf on a shoulder's open side
+        up = (xs - a) / (b - a)
+        down = (d - xs) / (d - c)
+    base = np.where(
+        xs < b,
+        np.where(xs <= a, 0.0, up),
+        np.where(xs <= c, 1.0, np.where(xs >= d, 0.0, down)),
+    )
+    powers = np.reshape([mf.power for mf in mfs], column)
+    curves = base
+    for k in range(2, int(powers.max(initial=1)) + 1):  # a row of power p takes p - 1 factors
+        curves = np.where(powers >= k, curves * base, curves)
+    return curves
 
 
 def triangle(left: float, peak: float, right: float) -> MembershipFunction:

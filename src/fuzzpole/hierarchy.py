@@ -202,7 +202,7 @@ def compose_hierarchical(
                     f"variables outside the goal's set: {sorted(extra)}"
                 )
             out_rules.append(
-                replace(rule, preconditions=gate + rule.preconditions, goal_index=i)
+                type(rule)(rule.name, gate + rule.preconditions, rule.conclusion, i)
             )
         if i < len(goals):
             gate = tuple(

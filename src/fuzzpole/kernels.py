@@ -41,7 +41,7 @@ from textwrap import indent
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import plant, sfc
-from .fuzzy import _DEGREE, KnowledgeBase
+from .fuzzy import _DEGREE, KnowledgeBase, _curves
 
 if TYPE_CHECKING:
     import numpy as np
@@ -265,9 +265,7 @@ def compile_kb(kb: KnowledgeBase) -> CompiledKB:
     check_input_slots(kb)
     structure, numbers, conclusions = _front_end(kb)
     points = kb.output_universe.points()
-    curves = np.empty((len(conclusions), points.shape[0]))
-    for group, label in enumerate(conclusions):
-        curves[group] = kb.output.label(label).sample(points)
+    curves = _curves([kb.output.label(label) for label in conclusions], points)
     # Sorting each column on "is zero" moves the covering groups to the
     # top, in group order (a stable sort); the rows below the largest
     # coverage hold only zeros and are dropped.

@@ -77,6 +77,8 @@ def _integer(name: str, value, lo: int, hi: float, error: type[Exception] = Plan
     """``value`` as a Python int in ``[lo, hi]``, or ``error`` naming
     ``name``: the rule of :func:`_real` for a count or an index.  ``value``
     must be an integer other than a bool, so 2.0 is refused."""
+    if type(value) is int and lo <= value <= hi:
+        return value
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {type(value).__name__}")
     if not lo <= value <= hi:

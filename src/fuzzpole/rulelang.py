@@ -61,7 +61,6 @@ KEYWORDS = {"var", "unit", "label", "universe", "rule", "goal", "if", "and", "th
 # rule base (NL read as NE); the original spelling is preserved on the rule.
 LABEL_ALIASES = {"NL": "NE", "PL": "PO"}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POWER_RE = re.compile(r"\^(\d+)\Z")
 _PUNCT = "(),:="
 
@@ -110,11 +109,12 @@ class RuleFileError(ValueError):
         super().__init__(f"rule file has errors:\n{lines}")
 
 
-# A comment, a punctuation mark or a word; what lies between matches is
-# whitespace (``str.isspace``, the set ``\s`` matches).  Group 1 is the
-# token: a comment leaves it None.
+# A comment runs from "#" to the end of its line.  Once comments are blanked
+# out, a token is a word or a punctuation mark, and what lies between tokens
+# is whitespace (``str.isspace``, the set ``\s`` matches).
+_COMMENT_RE = re.compile(r"#[^\n]*")
 _WORD = r"[^\s(),:=#]+"
-_TOKEN_RE = re.compile(rf"#[^\n]*|([(),:=]|{_WORD})")
+_TOKEN_RE = re.compile(rf"{_WORD}|[(),:=]")
 _UNIT_RE = re.compile(rf"{_WORD}\Z")  # a unit is read as one word
 
 # A token is a plain ``(text, offset)`` tuple, the offset the index of its
@@ -124,17 +124,20 @@ _Token = tuple[str, int]
 
 
 def _is_name(text: str) -> bool:
-    """Whether ``text`` reads as a name: an identifier and no keyword."""
-    return _IDENT_RE.match(text) is not None and text.lower() not in KEYWORDS
+    """Whether ``text`` reads as a name: an ASCII identifier and no keyword."""
+    return text.isascii() and text.isidentifier() and text.lower() not in KEYWORDS
 
 
 def _tokenize(text: str) -> tuple[list[_Token], _Token]:
     """Total tokenizer: every input decomposes into punctuation and words.
 
     Also returns an end-of-input marker just past the last character, so
-    errors at the end of the file stay located."""
-    tokens = [(word, m.start()) for m in _TOKEN_RE.finditer(text) if (word := m[1])]
-    return tokens, ("<end of input>", len(text))
+    errors at the end of the file stay located.  Comments are blanked out
+    with spaces, which keeps every offset."""
+    end = ("<end of input>", len(text))
+    if "#" in text:
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+    return [(m[0], m.start()) for m in _TOKEN_RE.finditer(text)], end
 
 
 def _locator(text: str) -> Callable[[int], tuple[int, int]]:
@@ -504,10 +507,12 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     for by_var in goal1:
         for var, label in by_var.items():
             used.setdefault(var, {})[label] = None
+    covered: set[tuple[str, ...]] = set()  # a rule covers every label of a variable it omits
+    for by_var in goal1:
+        covered.update(product(*((by_var[v],) if v in by_var else labels
+                                 for v, labels in used.items())))
     for cell in product(*used.values()) if goal1 else ():
-        if not any(
-            all(by_var.get(v, c) == c for v, c in zip(used, cell)) for by_var in goal1
-        ):
+        if cell not in covered:
             pretty = ", ".join(f"{v}={c}" for v, c in zip(used, cell))
             warn(f"no goal-1 rule covers the grid cell ({pretty})", "grid-gap")
 

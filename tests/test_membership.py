@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzpole.fuzzy import (
     KBError,
@@ -13,6 +13,8 @@ from fuzzpole.fuzzy import (
     OutputUniverse,
     Precondition,
     Rule,
+    SHAPES,
+    _curves,
     fc_output,
     shoulder_down,
     shoulder_up,
@@ -235,3 +237,64 @@ def test_parameters_are_stored_as_floats_with_zeros_as_plus_zero():
     for values in ([0.0, 0.0, 0.0, 0.0], [3.0, -10.0, 0.4, 0.2], [-0.5, 20.0, -1.0, 0.0]):
         inputs = np.array(values)
         assert repr(fuzzy_force(others, inputs)) == repr(fuzzy_force(floats, inputs))
+
+
+def _per_label_sample(mf, xs):
+    """What ``MembershipFunction.sample`` computed before the curves of a
+    rule base were sampled in one array evaluation: one label's degree by
+    nested ``np.where``, then its power by repeated multiplication."""
+    xs = np.asarray(xs, dtype=np.float64)
+    a, b, c, d = mf.corners
+    with np.errstate(invalid="ignore"):
+        up = (xs - a) / (b - a)
+        down = (d - xs) / (d - c)
+    base = np.where(
+        xs < b,
+        np.where(xs <= a, 0.0, up),
+        np.where(xs <= c, 1.0, np.where(xs >= d, 0.0, down)),
+    )
+    result = base
+    for _ in range(mf.power - 1):
+        result = result * base
+    return result
+
+
+@st.composite
+def _labels(draw):
+    """1-5 labels of any shape and power 1-6, with parameters in order."""
+    mfs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(SHAPES))
+        count = 3 if kind == "triangle" else 2
+        params = draw(st.lists(st.floats(-1e6, 1e6), min_size=count, max_size=count,
+                               unique=True).map(sorted))
+        mfs.append(MembershipFunction(kind, tuple(params), draw(st.integers(1, 6))))
+    return mfs
+
+
+_EVERY_SHAPE_AND_POWER = [
+    MembershipFunction(kind, (-2.0, 0.0, 1.5)[:3 if kind == "triangle" else 2], power)
+    for kind in SHAPES for power in range(1, 7)
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # a branch not taken
+@settings(max_examples=150, deadline=None)
+@given(_labels(), st.lists(st.floats(), max_size=20))
+@example(_EVERY_SHAPE_AND_POWER, [0.5, 1.0, -1.0, 0.75, 1e-300])
+def test_curves_keep_the_bits_of_the_scalar_and_per_label_forms(mfs, drawn):
+    """``fuzzy._curves`` gives each label's row the bits of ``__call__`` at
+    each point and of the per-label form, compared as repr so that the sign
+    of a zero counts: at every corner and its neighbours, +-0.0, +-inf, NaN
+    and drawn points.  ``sample`` is its one-label case."""
+    xs = [0.0, -0.0, math.inf, -math.inf, math.nan, *drawn]
+    for mf in mfs:
+        for corner in mf.corners:
+            xs += [corner, math.nextafter(corner, -math.inf), math.nextafter(corner, math.inf)]
+    curves = _curves(mfs, np.array(xs))
+    assert curves.shape == (len(mfs), len(xs))
+    for mf, row in zip(mfs, curves.tolist()):
+        got = [repr(v) for v in row]
+        assert got == [repr(mf(x)) for x in xs]
+        assert got == [repr(v) for v in _per_label_sample(mf, xs).tolist()]
+        assert [repr(v) for v in mf.sample(xs).tolist()] == got

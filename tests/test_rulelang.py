@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fuzzpole.fuzzy import (
     KBError,
@@ -19,6 +21,7 @@ from fuzzpole.fuzzy import (
 )
 from fuzzpole.rulelang import (
     KEYWORDS,
+    _is_name,
     _locator,
     _tokenize,
     builtin_pole_kb,
@@ -136,6 +139,78 @@ def test_tokenize_positions(text, tokens, end):
     locate = _locator(text)
     assert [(word, *locate(offset)) for word, offset in got] == tokens
     assert (eof, *locate(eof_offset)) == ("<end of input>", *end)
+
+
+# The tokenizer as it was before comments were blanked out: one regex whose
+# group 1 is the token and which matches a comment with the group unset.
+_ORACLE_TOKEN_RE = re.compile(r"#[^\n]*|([(),:=]|[^\s(),:=#]+)")
+
+
+def _tokenize_oracle(text):
+    return [(word, m.start()) for m in _ORACLE_TOKEN_RE.finditer(text) if (word := m[1])]
+
+
+_SPACES = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+           "\u3000"]
+_COMMENT_CHARS = "abc (),:=#^.-_\t\r\xa0\u2028\x85é"
+
+
+@st.composite
+def rule_texts(draw):
+    """Words, marks, whitespace of every kind and comments, glued in any
+    order: a comment may follow a word with no space and end the text
+    with no newline."""
+    piece = st.one_of(
+        st.text(alphabet="aZ_09.-+^é", min_size=1, max_size=5),
+        st.sampled_from(list("(),:=")),
+        st.sampled_from(_SPACES),
+        st.text(alphabet=_COMMENT_CHARS, max_size=12).map(lambda body: "#" + body),
+        st.text(max_size=4),
+    )
+    return "".join(draw(st.lists(piece, max_size=30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_texts())
+@example("rule r1# note (a, b) ## :=\r\nx\t#end")
+@example("var x unit = m\u2028# c,=:\x85()")
+def test_tokenize_matches_the_one_pass_form(text):
+    """Blanking comments out and then matching tokens gives the tokens and
+    offsets of the regex that matched comments and tokens in one pass."""
+    assert _tokenize(text) == (_tokenize_oracle(text), ("<end of input>", len(text)))
+
+
+def test_tokenize_matches_the_one_pass_form_on_every_rule_file():
+    files = sorted(Path(__file__).resolve().parent.parent.glob("**/*.frl"))
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert _tokenize(text)[0] == _tokenize_oracle(text), path
+
+
+_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=8),
+    st.text(max_size=8),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+    st.from_regex(r"[A-Za-z_\u00e9\u017f\u212a\u0660][A-Za-z0-9_\u00e9\u0660\u212a]*\n?",
+                  fullmatch=True),
+))
+def test_a_name_is_what_the_identifier_regex_reads(text):
+    """``_is_name`` (an ASCII identifier and no keyword) accepts exactly the
+    names the regex ``[A-Za-z_][A-Za-z0-9_]*`` accepts, keywords aside."""
+    expected = _ORACLE_IDENT_RE.match(text) is not None and text.lower() not in KEYWORDS
+    assert _is_name(text) == expected
+
+
+def test_no_keyword_is_a_name_in_any_case():
+    for keyword in KEYWORDS:
+        for cases in itertools.product(*((c.lower(), c.upper()) for c in keyword)):
+            assert not _is_name("".join(cases))
+            assert _ORACLE_IDENT_RE.match("".join(cases))
 
 
 def test_label_alias_warns_and_resolves():
@@ -501,6 +576,68 @@ def test_validate_flags_grid_gap(kb):
     gaps = [d for d in diags if d.code == "grid-gap"]
     assert len(gaps) == 1
     assert "NE" in gaps[0].message
+
+
+def _grid_gaps_oracle(kb):
+    """The grid check as a scan, as it was before the covered cells were
+    collected once: a cell is covered when some goal-1 rule agrees with it
+    on every variable the rule names."""
+    goal1 = [
+        {p.variable: p.label for p in r.preconditions} for r in kb.rules if r.goal_index == 1
+    ]
+    used = {}
+    for by_var in goal1:
+        for var, label in by_var.items():
+            used.setdefault(var, {})[label] = None
+    gaps = []
+    for cell in itertools.product(*used.values()) if goal1 else ():
+        if not any(
+            all(by_var.get(v, c) == c for v, c in zip(used, cell)) for by_var in goal1
+        ):
+            pretty = ", ".join(f"{v}={c}" for v, c in zip(used, cell))
+            gaps.append(f"no goal-1 rule covers the grid cell ({pretty})")
+    return gaps
+
+
+_GRID_LABELS = ("A", "B", "C", "D")
+
+
+def _grid_kb(rules):
+    """Inputs p, q, r and s with labels A-D, rules given as (goal, {variable: label})."""
+    mf = MembershipFunction("triangle", (-1.0, 0.0, 1.0))
+    variables = {
+        name: LinguisticVariable(name, "u", {label: mf for label in _GRID_LABELS})
+        for name in ("p", "q", "r", "s", "out")
+    }
+    return KnowledgeBase(variables, "out", tuple(
+        Rule(f"g{i}", tuple(Precondition(v, label) for v, label in conds.items()),
+             ("out", "A"), goal)
+        for i, (goal, conds) in enumerate(rules)
+    ), OutputUniverse(-1.0, 1.0, 3))
+
+
+@st.composite
+def grid_rule_bases(draw):
+    """0-8 rules over up to four inputs, most of them goal-1 rules that
+    name some of the inputs and omit the others."""
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        names = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+        labels = draw(st.lists(st.sampled_from(_GRID_LABELS[:3]), min_size=len(names),
+                               max_size=len(names)))
+        rules.append((draw(st.sampled_from([1, 1, 1, 2])), dict(zip(names, labels))))
+    return _grid_kb(rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_rule_bases())
+@example(_grid_kb([(1, {"p": "A", "q": "A"}), (1, {"p": "B"}), (1, {"q": "B", "r": "C"}),
+                   (2, {"p": "C", "q": "A"}), (1, {"r": "A", "p": "A"})]))
+def test_grid_gaps_match_the_scan(kb):
+    """The grid-gap warnings of ``validate_kb``, in order, are those of the
+    scan of every cell against every goal-1 rule."""
+    gaps = [d.message for d in validate_kb(kb) if d.code == "grid-gap"]
+    assert gaps == _grid_gaps_oracle(kb)
 
 
 def test_validate_flags_coverage_hole():

@@ -19,9 +19,11 @@ goal above, the SFC design's conjugation check, the SFC law's target, the
 number rule's refusal of a bool, the integer rule's refusal of a bool, a
 label's finite ramp widths, the stationary point of the hierarchy audit's
 level-set gap, the guard on a universe too wide to sum, the number rule on
-a scenario file's angles, a rule's preconditions stored as a tuple, and
-the CSV writer's margin from a rounding tie and its refusal of a carry to
-1e6.
+a scenario file's angles, a rule's preconditions stored as a tuple, the
+CSV writer's margin from a rounding tie and its refusal of a carry to 1e6,
+the range test of the integer rule's fast path for an int, the power of the
+array form of the membership curves, and the grid check's reading of a
+variable a goal-1 rule omits.
 For each mutant the tests run on the mutated copy (pytest ``-x``, stopping
 at the first failure); a mutant is caught when they fail.  Before the mutants, the same tests run on the
 unmutated copy and must pass.  The check prints
@@ -195,7 +197,7 @@ MUTANTS = (
         "ramp width check dropped",  # a label whose degree divides by inf is kept
         "fuzzy.py",
         "        for q, r in zip(p, p[1:]):  # a ramp's degree divides by its width\n"
-        '            _real(f"{self.kind} ramp width", r - q, "finite", KBError)\n',
+        '            _real(ramp, r - q, "finite", KBError)\n',
         "",
     ),
     Mutant(
@@ -227,6 +229,24 @@ MUTANTS = (
         "harness.py",
         "(y < 999999.5)",
         "(y < 1e6)",
+    ),
+    Mutant(
+        "an int taken without its range",  # the integer rule's early return skips its bounds
+        "plant.py",
+        "if type(value) is int and lo <= value <= hi:",
+        "if type(value) is int:",
+    ),
+    Mutant(
+        "conclusion curves sampled without their power",  # compile_kb's and sample's array form
+        "fuzzy.py",
+        "curves = np.where(powers >= k, curves * base, curves)",
+        "curves = np.where(powers >= k, base, curves)",
+    ),
+    Mutant(
+        "grid cell covered only by the variables a rule names",  # omitted ones cover nothing
+        "rulelang.py",
+        "(by_var[v],) if v in by_var else labels",
+        "(by_var[v],) if v in by_var else ()",
     ),
     Mutant(
         "a rule keeps a list of preconditions",  # it neither hashes nor composes
